@@ -118,6 +118,43 @@ fn bench_sim_tick_rate(c: &mut Bencher) {
     });
 }
 
+fn bench_snapshot_refresh(c: &mut Bencher) {
+    // one radio-snapshot refresh per call, replaying a recorded drive's
+    // (pos, t) sequence in order so the channel caches see the engine's
+    // access pattern
+    use fiveg_ran::{Arch, Carrier, Deployment, RadioSnapshot};
+    use fiveg_sim::ScenarioBuilder;
+    let drives = [
+        ("snapshot_refresh/freeway-nsa", ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 6.0, 1)),
+        ("snapshot_refresh/city-nsa", ScenarioBuilder::city_loop(Carrier::OpY, 4).duration_s(40.0)),
+        ("snapshot_refresh/dense-nsa", ScenarioBuilder::city_loop_dense(Carrier::OpX, 5).duration_s(20.0)),
+    ];
+    for (name, b) in drives {
+        if c.filter.as_deref().is_some_and(|flt| !name.contains(flt)) {
+            continue;
+        }
+        let s = b.sample_hz(10.0).build();
+        let d = Deployment::generate(&s.route, s.carrier, s.env, s.arch, s.seed);
+        let ticks: Vec<(Point, f64)> = s.run().samples.iter().map(|x| (Point::new(x.pos.0, x.pos.1), x.t)).collect();
+        let mut snap = RadioSnapshot::new();
+        let (mut screened, mut priced) = (0, 0);
+        for &(pos, t) in &ticks {
+            snap.refresh(&d, &pos, t, fiveg_sim::engine::SEARCH_RADIUS_M, true, true);
+            screened += snap.screened();
+            priced += snap.priced();
+        }
+        let n = ticks.len() as f64;
+        println!("{name:<36} {:>8.0} cells screened, {:>6.0} priced", screened as f64 / n, priced as f64 / n);
+        let mut i = 0;
+        c.bench_function(name, || {
+            let (pos, t) = ticks[i % ticks.len()];
+            i += 1;
+            snap.refresh(&d, &pos, t, fiveg_sim::engine::SEARCH_RADIUS_M, true, true);
+            snap.strongest(true).len()
+        });
+    }
+}
+
 fn bench_analysis_kernels(c: &mut Bencher) {
     let xs: Vec<f64> = (0..2000).map(|i| (i % 137) as f64 * 10.0).collect();
     let grid: Vec<f64> = (0..100).map(|i| i as f64 * 15.0).collect();
@@ -133,5 +170,6 @@ fn main() {
     bench_prognos_predict(&mut c);
     bench_rrc_codec(&mut c);
     bench_sim_tick_rate(&mut c);
+    bench_snapshot_refresh(&mut c);
     bench_analysis_kernels(&mut c);
 }

@@ -17,9 +17,10 @@
 //! would fail on a slow runner, not on a slow commit. The gates therefore
 //! cover only **machine-independent** metrics:
 //!
-//! * work counts (`ticks`, `ue_ticks`): deterministic for a pinned
-//!   workload, gated as a *band* — drift in either direction means the
-//!   workload silently changed;
+//! * work counts (`ticks`, `ue_ticks`, the radio snapshot's
+//!   `priced_cells_per_tick`): deterministic for a pinned workload, gated
+//!   as a *band* — drift in either direction means the workload (or the
+//!   work done per tick) silently changed;
 //! * allocation proxies (`allocs_per_tick`, `allocs_per_ue_tick`): counted
 //!   by a deterministic global allocator, gated *lower-is-better*;
 //! * the snapshot-vs-reference `speedup` ratio: both sides are measured in

@@ -108,8 +108,21 @@ impl Propagation {
     /// bit-identical to `model.loss_db(dist_m, band.freq_mhz)`.
     #[inline]
     fn path_loss_db(&self, dist_m: f64) -> f64 {
-        let d = dist_m.max(10.0);
-        self.model.offset_db + self.model.exp10 * d.log10() + self.freq_term_db
+        self.path_loss_at(dist_m.max(10.0).log10())
+    }
+
+    /// [`Propagation::path_loss_db`] from the precomputed distance term
+    /// `log_d` (see [`Propagation::log_distance`]).
+    #[inline]
+    fn path_loss_at(&self, log_d: f64) -> f64 {
+        self.model.offset_db + self.model.exp10 * log_d + self.freq_term_db
+    }
+
+    /// The distance term of the path loss: `log10` of the link distance,
+    /// clamped to 10 m like [`PathLoss::loss_db`]. It depends on the site
+    /// only, so co-sited cells can share it.
+    pub fn log_distance(site: &Point, ue: &Point) -> f64 {
+        site.distance(ue).max(10.0).log10()
     }
 
     /// The band this channel carries.
@@ -128,16 +141,8 @@ impl Propagation {
     /// in `cache` — the per-tick snapshot's fast path. Bit-identical; `cache`
     /// must be dedicated to this cell's channel (see [`ChannelCache`]).
     pub fn received_dbm_cached(&self, site: &Point, ue: &Point, t: f64, cache: &mut ChannelCache) -> f64 {
-        let dist = site.distance(ue);
-        let mut rx = self.tx_power_dbm - self.path_loss_db(dist)
-            + self.shadowing.sample_cached(ue, &mut cache.shadowing)
-            + self.fading.sample(t);
-        let blocked = self.blockage_prob > 0.0
-            && self.blockage.sample_uniform_cell_cached(ue, &mut cache.blockage) < self.blockage_prob;
-        if blocked {
-            rx -= self.blockage_loss_db;
-        }
-        rx
+        let prefix = self.prefix_dbm_cached(site, ue, cache);
+        Self::received_from_parts(prefix, self.fading_db(t), self.blockage_db_cached(ue, cache))
     }
 
     /// [`Propagation::received_dbm_cached`] with the fast-fading node
@@ -155,16 +160,51 @@ impl Propagation {
         cache: &mut ChannelCache,
         nodes: &mut NodeCache,
     ) -> f64 {
-        let dist = site.distance(ue);
-        let mut rx = self.tx_power_dbm - self.path_loss_db(dist)
-            + self.shadowing.sample_cached(ue, &mut cache.shadowing)
-            + self.fading.sample_cached(t, nodes);
+        let prefix = self.prefix_dbm_cached(site, ue, cache);
+        Self::received_from_parts(prefix, self.fading.sample_cached(t, nodes), self.blockage_db_cached(ue, cache))
+    }
+
+    /// [`Propagation::prefix_dbm_at`] with the distance term computed here.
+    fn prefix_dbm_cached(&self, site: &Point, ue: &Point, cache: &mut ChannelCache) -> f64 {
+        self.prefix_dbm_at(Self::log_distance(site, ue), ue, cache)
+    }
+
+    /// The position-only part of the received power at `ue`,
+    /// `(tx − PL(d)) + shadowing` in dBm, from the precomputed distance term
+    /// `log_d = Propagation::log_distance(site, ue)`.
+    /// [`Propagation::received_from_parts`] completes it with the
+    /// time-varying fading and the blockage loss.
+    pub fn prefix_dbm_at(&self, log_d: f64, ue: &Point, cache: &mut ChannelCache) -> f64 {
+        self.tx_power_dbm - self.path_loss_at(log_d) + self.shadowing.sample_cached(ue, &mut cache.shadowing)
+    }
+
+    /// Blockage loss at `ue` (dB, position-only): the full loss inside a
+    /// blocked lattice cell, else exactly 0.
+    pub fn blockage_db_cached(&self, ue: &Point, cache: &mut ChannelCache) -> f64 {
         let blocked = self.blockage_prob > 0.0
             && self.blockage.sample_uniform_cell_cached(ue, &mut cache.blockage) < self.blockage_prob;
         if blocked {
-            rx -= self.blockage_loss_db;
+            self.blockage_loss_db
+        } else {
+            0.0
         }
-        rx
+    }
+
+    /// The fast-fading term at time `t`, dB.
+    pub fn fading_db(&self, t: f64) -> f64 {
+        self.fading.sample(t)
+    }
+
+    /// Assembles a received power from its parts: `(prefix + fading) −
+    /// blockage`. The one definition of the operation order — every
+    /// `received_dbm*` goes through it. Subtracting an exact 0 is the
+    /// identity, so an unblocked link equals `prefix + fading` bit for bit.
+    /// IEEE rounding is monotone, so the result is nondecreasing in `fading`:
+    /// passing an upper bound of the fading term yields an upper bound of
+    /// the received power.
+    #[inline]
+    pub fn received_from_parts(prefix_dbm: f64, fading_db: f64, blockage_db: f64) -> f64 {
+        prefix_dbm + fading_db - blockage_db
     }
 
     /// Median (no shadowing/fading/blockage) received power at distance `d`.

@@ -38,8 +38,9 @@ const LTE_CA_FACTOR: f64 = 2.5;
 const NR_LOW_CA_FACTOR: f64 = 3.0;
 /// Mid-band NR aggregation (the 60–100 MHz carrier is the capacity).
 const NR_MID_CA_FACTOR: f64 = 1.2;
-/// How far to look for candidate cells, m.
-const SEARCH_RADIUS_M: f64 = 8_000.0;
+/// How far to look for candidate cells, m: the radius of every per-tick
+/// radio-snapshot refresh.
+pub const SEARCH_RADIUS_M: f64 = 8_000.0;
 /// RSRP below which the serving link fails (radio link failure).
 const RLF_DBM: f64 = -124.0;
 
@@ -76,7 +77,7 @@ struct LegScratch {
 /// sees at most a handful of bands (bounded by the carrier profile), so a
 /// linear scan wins and nothing allocates.
 struct BandTally {
-    entries: [(&'static str, u8); 16],
+    entries: [(&'static str, usize); 16],
     len: usize,
 }
 
@@ -88,7 +89,7 @@ impl BandTally {
     /// True when `name` has been taken fewer than `cap` times so far,
     /// incrementing its count — the `entry().or_insert()`-then-compare idiom
     /// it replaces.
-    fn take_below(&mut self, name: &'static str, cap: u8) -> bool {
+    fn take_below(&mut self, name: &'static str, cap: usize) -> bool {
         for e in self.entries[..self.len].iter_mut() {
             if e.0 == name {
                 if e.1 < cap {
@@ -107,10 +108,10 @@ impl BandTally {
 
 /// How the tick loop obtains per-(pos, t) radio strength data.
 pub(crate) enum RadioPath {
-    /// One shared [`RadioSnapshot`] refreshed per tick: every in-radius
-    /// cell's `rx_dbm` is computed exactly once and all consumers (leg
-    /// views, initial attach, RLF recovery) read the same table. The
-    /// default.
+    /// One shared [`RadioSnapshot`] refreshed per tick: each band's
+    /// strongest cells, with every in-radius cell priced at most once, and
+    /// all consumers (leg views, initial attach, RLF recovery) read the same
+    /// table. The default.
     Snapshot(RadioSnapshot),
     /// The retained naive path: every consumer performs its own
     /// [`Deployment::strongest`] scan, as the pre-snapshot engine did. Kept
@@ -126,9 +127,11 @@ const ANCHOR_MIN_FREQ_MHZ: f64 = 1700.0;
 
 /// Computes RRS for every relevant cell of one leg into `view`, reusing the
 /// view's and `scratch`'s buffers across ticks. `all` is the leg's cells
-/// strongest-first — the per-tick snapshot slice, or a fresh
-/// [`Deployment::strongest`] result on the reference path; both orderings are
-/// identical, so the two paths produce identical views.
+/// strongest-first — the per-tick snapshot slice (each band's
+/// [`RadioSnapshot::PER_BAND`] strongest), or a fresh, complete
+/// [`Deployment::strongest`] result on the reference path. The view keeps at
+/// most `PER_BAND` cells per band in that same order, so the two paths
+/// produce identical views.
 #[allow(clippy::too_many_arguments)]
 fn fill_leg_view(
     view: &mut LegView,
@@ -148,15 +151,16 @@ fn fill_leg_view(
     scratch.mw_adj.clear();
 
     // UEs measure each configured carrier frequency separately: keep the
-    // top-3 cells per band so a strong band cannot crowd the others out of
-    // the measured set (inter-frequency events need those entries).
+    // strongest `PER_BAND` cells per band so a strong band cannot crowd the
+    // others out of the measured set (inter-frequency events need those
+    // entries). The snapshot keeps exactly that many per band.
     let mut per_band = BandTally::new();
     let mut serving_rx = None;
     for &(id, rx) in all {
         if anchor_only && d.cell(id).band.freq_mhz < ANCHOR_MIN_FREQ_MHZ {
             continue;
         }
-        if per_band.take_below(d.cell(id).band.name, 3) {
+        if per_band.take_below(d.cell(id).band.name, RadioSnapshot::PER_BAND) {
             scratch.ranked.push((id, rx));
             if Some(id) == serving {
                 serving_rx = Some(rx);
@@ -166,7 +170,8 @@ fn fill_leg_view(
             break;
         }
     }
-    // make sure the serving cell is present even if it fell out of the top-8
+    // make sure the serving cell is present even if it fell out of the
+    // ranked set (at most 12 entries)
     if let Some(s) = serving {
         if serving_rx.is_none() {
             let rx = d.cell(s).rx_dbm(pos, t);
@@ -884,7 +889,7 @@ impl<'d> UeSim<'d> {
         let channel_guard = tele.phase(Phase::Channel);
         if let RadioPath::Snapshot(snap) = &mut *radio {
             // one refresh feeds both leg views, RLF recovery and attach —
-            // each in-radius cell's rx_dbm is evaluated exactly once per tick
+            // each in-radius cell is priced at most once per tick
             snap.refresh(d, &pos, t, SEARCH_RADIUS_M, arch != Arch::Sa, arch != Arch::Lte);
         }
         let lte_view: Option<&LegView> = if arch != Arch::Sa {

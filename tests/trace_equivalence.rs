@@ -1,7 +1,9 @@
 //! The snapshot engine's core contract, enforced at the workspace level:
-//! the per-tick [`fiveg_ran::RadioSnapshot`] is a pure memoization layer, so
-//! the production engine must produce byte-identical traces to the retained
-//! naive reference path that re-scans the deployment from every consumer.
+//! the per-tick [`fiveg_ran::RadioSnapshot`] keeps exactly the per-band
+//! strongest cells every consumer reads (its bound-and-cull screen prices
+//! only cells that can rank), so the production engine must produce
+//! byte-identical traces to the retained naive reference path that re-scans
+//! and prices the whole deployment from every consumer.
 //!
 //! One small scenario per architecture covers the three tick-loop shapes
 //! (NSA dual-leg, SA single-leg): the traces are compared in memory
