@@ -29,6 +29,9 @@
 //! `event_speedup` (fixed elapsed / event elapsed, both measured in the
 //! same process so runner speed cancels). The two runs must agree on
 //! `ue_ticks` exactly — a divergence fails the job before any gating.
+//! Fleets of up to 1k UEs are timed `reps` times (see [`reps`]),
+//! alternating the two engines, and report the mean elapsed per run, so
+//! their sub-second ratios do not follow the machine's momentary speed.
 //!
 //! With `--baseline`, the run first refuses a baseline whose `schema`
 //! string differs from this binary's (a v2 baseline silently gating a v3
@@ -198,6 +201,19 @@ fn duration_s(n_ues: u32) -> f64 {
     }
 }
 
+/// Timed runs per fleet size, pinned by size alone like [`duration_s`]. A
+/// small fleet runs for well under a second, so one run's fixed/event ratio
+/// swings with the machine's momentary speed; repeating it, alternating the
+/// two engines, and averaging each engine's time keeps `event_speedup`
+/// steady.
+fn reps(n_ues: u32) -> u32 {
+    match n_ues {
+        0..=10 => 9,
+        11..=1000 => 3,
+        _ => 1,
+    }
+}
+
 /// The pinned base scenario every fleet size derives from (see
 /// EXPERIMENTS.md, "Fleet benchmark"). City loop + SA keeps the fleet
 /// sleep-eligible so the event-driven mode is actually exercised.
@@ -212,6 +228,7 @@ fn spec(n_ues: u32) -> FleetSpec {
 /// The event-driven half of a size's measurements. All fields except the
 /// two elapsed-derived ones are deterministic for the pinned scenario.
 struct EventResult {
+    /// Mean over the `reps` event-driven runs.
     elapsed_s: f64,
     ue_ticks_per_sec: f64,
     /// fixed elapsed / event elapsed, same process, same machine.
@@ -228,8 +245,10 @@ struct EventResult {
 struct SizeResult {
     n_ues: u32,
     duration_s: f64,
+    reps: u32,
     ticks: u64,
     ue_ticks: u64,
+    /// Mean over the `reps` fixed-step runs.
     elapsed_s: f64,
     ue_ticks_per_sec: f64,
     allocs_per_ue_tick: f64,
@@ -242,11 +261,13 @@ struct SizeResult {
 fn bench_size(n_ues: u32, exec: FleetExec, event: bool, sink: Option<&Telemetry>) -> Result<SizeResult, String> {
     // journal-less deterministic telemetry: cheap enough to leave on in the
     // timed region, and it carries the fleet.migrations diagnostic
-    let tele = Telemetry::new(TelemetryConfig { enabled: true, journal_capacity: 0, timing: false });
+    let fixed_tele = || Telemetry::new(TelemetryConfig { enabled: true, journal_capacity: 0, timing: false });
+    let event_exec = exec.engine(EngineMode::EventDriven);
+    let tele = fixed_tele();
     let before = ALLOCS.load(Ordering::Relaxed);
     let start = Instant::now();
     let ft: FleetTrace = run_fleet_exec_instrumented(&spec(n_ues), exec, &tele);
-    let elapsed_s = start.elapsed().as_secs_f64();
+    let mut elapsed_s = start.elapsed().as_secs_f64();
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     if let Some(s) = sink {
         s.absorb(&tele);
@@ -256,35 +277,53 @@ fn bench_size(n_ues: u32, exec: FleetExec, event: bool, sink: Option<&Telemetry>
     // absorbed sim.ticks counter; independent of threads and shards)
     let ue_ticks: u64 = ft.ues.iter().map(|u| u.ticks).sum();
 
-    let event = if event {
+    let mut ev_elapsed = 0.0;
+    let sched = if event {
         let start = Instant::now();
-        let ev: FleetTrace =
-            run_fleet_exec_instrumented(&spec(n_ues), exec.engine(EngineMode::EventDriven), &Telemetry::disabled());
-        let ev_elapsed = start.elapsed().as_secs_f64();
+        let ev: FleetTrace = run_fleet_exec_instrumented(&spec(n_ues), event_exec, &Telemetry::disabled());
+        ev_elapsed = start.elapsed().as_secs_f64();
         let ev_ue_ticks: u64 = ev.ues.iter().map(|u| u.ticks).sum();
         if ev_ue_ticks != ue_ticks {
             return Err(format!(
                 "event-driven run diverged at {n_ues} UEs: {ev_ue_ticks} UE·ticks vs fixed {ue_ticks}"
             ));
         }
-        let sched = ev.sched.ok_or_else(|| format!("event-driven run at {n_ues} UEs returned no SchedSummary"))?;
-        Some(EventResult {
-            elapsed_s: ev_elapsed,
-            ue_ticks_per_sec: ue_ticks as f64 / ev_elapsed,
-            speedup: elapsed_s / ev_elapsed,
-            skipped_ue_ticks: sched.skipped_ue_ticks,
-            skip_ratio: sched.skipped_ue_ticks as f64 / ue_ticks as f64,
-            sleeps: sched.sleeps,
-            load_wakes: sched.load_wakes,
-            wake_hist: sched.wake_hist,
-        })
+        Some(ev.sched.ok_or_else(|| format!("event-driven run at {n_ues} UEs returned no SchedSummary"))?)
     } else {
         None
     };
 
+    // the remaining reps only add time; each flips which engine goes first
+    for rep in 1..reps(n_ues) {
+        for fixed in if rep % 2 == 0 { [true, false] } else { [false, true] } {
+            let start = Instant::now();
+            if fixed {
+                run_fleet_exec_instrumented(&spec(n_ues), exec, &fixed_tele());
+                elapsed_s += start.elapsed().as_secs_f64();
+            } else if event {
+                run_fleet_exec_instrumented(&spec(n_ues), event_exec, &Telemetry::disabled());
+                ev_elapsed += start.elapsed().as_secs_f64();
+            }
+        }
+    }
+    elapsed_s /= f64::from(reps(n_ues));
+    ev_elapsed /= f64::from(reps(n_ues));
+
+    let event = sched.map(|sched| EventResult {
+        elapsed_s: ev_elapsed,
+        ue_ticks_per_sec: ue_ticks as f64 / ev_elapsed,
+        speedup: elapsed_s / ev_elapsed,
+        skipped_ue_ticks: sched.skipped_ue_ticks,
+        skip_ratio: sched.skipped_ue_ticks as f64 / ue_ticks as f64,
+        sleeps: sched.sleeps,
+        load_wakes: sched.load_wakes,
+        wake_hist: sched.wake_hist,
+    });
+
     Ok(SizeResult {
         n_ues,
         duration_s: duration_s(n_ues),
+        reps: reps(n_ues),
         ticks: ft.meta.ticks,
         ue_ticks,
         elapsed_s,
@@ -401,6 +440,8 @@ fn report(mode: &str, threads: usize, shards: usize, results: &[SizeResult]) -> 
         j.uint(u64::from(r.n_ues));
         j.key("duration_s");
         j.num(r.duration_s);
+        j.key("reps");
+        j.uint(u64::from(r.reps));
         j.key("ticks");
         j.uint(r.ticks);
         j.key("ue_ticks");
@@ -490,8 +531,8 @@ fn main() -> ExitCode {
             }
         };
         println!(
-            "  {:>7} UEs  {:>10} UE·ticks in {:>7.2} s  -> {:>9.0} UE·ticks/s, {:>6.2} allocs/UE·tick, peak cell {:>5}, {:>6} migrations",
-            r.n_ues, r.ue_ticks, r.elapsed_s, r.ue_ticks_per_sec, r.allocs_per_ue_tick, r.peak_cell_ues, r.migrations
+            "  {:>7} UEs  {:>10} UE·ticks in {:>7.2} s (mean of {}) -> {:>9.0} UE·ticks/s, {:>6.2} allocs/UE·tick, peak cell {:>5}, {:>6} migrations",
+            r.n_ues, r.ue_ticks, r.elapsed_s, r.reps, r.ue_ticks_per_sec, r.allocs_per_ue_tick, r.peak_cell_ues, r.migrations
         );
         if let Some(ev) = &r.event {
             println!(
