@@ -360,7 +360,7 @@ fn verify_shards(threads: usize) -> bool {
     let event = fiveg_sim::run_fleet_exec(&spec, FleetExec::threads(threads).shards(4).engine(EngineMode::EventDriven));
     if referee != event {
         eprintln!(
-            "fleet_bench: event-driven FleetTrace differs from the FixedScheduled referee — unsound wakeup bound"
+            "fleet_bench: event-driven FleetTrace differs from the EngineMode::Referee run — unsound wakeup bound"
         );
         return false;
     }

@@ -1,27 +1,24 @@
-//! Tick-throughput microbenchmark: snapshot engine vs the retained naive
-//! reference path, reporting ticks/sec and an allocations-per-tick proxy.
+//! Tick-throughput microbenchmark of the snapshot engine, reporting
+//! ticks/sec, an allocations-per-tick proxy and the radio snapshot's work
+//! per tick.
 //!
-//! Both paths run the same fixed-seed scenario set through
-//! [`fiveg_sim::engine`]; the snapshot path is the production engine
-//! ([`Scenario::run`]), the reference path re-scans the deployment from
-//! every consumer ([`fiveg_sim::run_reference`]) the way the pre-snapshot
-//! engine did. The timed runs alternate between the paths scenario by
-//! scenario, so the speedup ratio does not follow the machine's speed
-//! drifting between two long blocks. Traces are checked equal (`PartialEq`) on the first
-//! iteration, so a reported speedup is never bought with a behavior change.
-//! Throughput counters flow through `fiveg-telemetry` (`sim.ticks` from the
-//! instrumented runs, `bench.allocs` from a counting global allocator), and
-//! the report is written as `BENCH_tick.json` (schema `fiveg-tick/v2`).
+//! A fixed-seed scenario set runs through the production engine
+//! ([`fiveg_sim::engine::run_instrumented`]). Throughput counters flow
+//! through `fiveg-telemetry` (`sim.ticks` from the instrumented runs,
+//! `bench.allocs` from a counting global allocator), and the report is
+//! written as `BENCH_tick.json` (schema `fiveg-tick/v3`).
 //!
-//! The v2 `des` section benchmarks the event-driven single-UE engine
-//! ([`fiveg_sim::run_des`]) on sleep-eligible SA scenarios: UE·ticks
+//! The `des` section benchmarks the event-driven engine on sleep-eligible
+//! SA scenarios: each is a fleet of one run on [`EngineMode::EventDriven`],
+//! the same event loop every larger fleet uses. It reports UE·ticks
 //! simulated per wall-second (skipped ticks count — they are simulated in
 //! closed form, not dropped) and the fraction of ticks fast-forwarded
-//! (`skip_ratio`). Before timing, every des scenario is checked against
-//! [`fiveg_sim::run_stepped_summary`]: identical control-plane summary and
-//! identical logical tick count, so the skip ratio is never bought with
-//! less work. `skip_ratio` is exact and machine-independent; the run fails
-//! outright if it drops below [`SKIP_FLOOR`] on any des scenario.
+//! (`skip_ratio`), both taken from the run's `SchedSummary`. Before
+//! timing, every des scenario is checked against the same fleet of one on
+//! [`EngineMode::Stepped`]: identical control-plane summary and identical
+//! logical tick count, so the skip ratio is never bought with less work.
+//! `skip_ratio` is exact and machine-independent; the run fails outright if
+//! it drops below [`SKIP_FLOOR`] on any des scenario.
 //!
 //! ```text
 //! tick_bench [--smoke] [--iters N] [--out PATH] [--baseline PATH] [--tol F]
@@ -31,26 +28,28 @@
 //! rx the radio snapshot's bound-and-cull screen computed per tick, out of
 //! `screened_cells_per_tick` in-radius cells it bounded. Both come from
 //! replaying [`RadioSnapshot::refresh`] at every recorded `(pos, t)` of the
-//! snapshot path's traces — the engine's per-tick refresh calls — so they
-//! are exact and machine-independent.
+//! engine's traces — the engine's per-tick refresh calls — so they are
+//! exact and machine-independent.
 //!
 //! Wall-clock numbers are machine-dependent by nature; the committed
-//! `BENCH_tick.json` records the before/after trajectory on the development
-//! machine. With `--baseline`, the run gates the **machine-independent**
-//! metrics against the committed report — the snapshot path's tick count
-//! and priced cells per tick (bands), its allocs/tick (lower is better) and
-//! the snapshot-vs-reference speedup ratio (higher is better) — and exits
-//! nonzero past the tolerance
-//! (default 15%); this is the gating CI perf job. Absolute ticks/sec is
-//! printed as an advisory comparison only, because the baseline's wall
-//! clock came from a different machine than the CI runner's (see
-//! `fiveg_bench::perfgate`).
+//! `BENCH_tick.json` records them on the development machine. With
+//! `--baseline`, the run gates the **machine-independent** metrics against
+//! the committed report — the snapshot row's tick count and priced cells
+//! per tick (bands) and its allocs/tick (lower is better), and each des
+//! row's tick count and skip ratio (bands) — and exits nonzero past the
+//! tolerance (default 15%); this is the gating CI perf job. Absolute
+//! ticks/sec is printed as an advisory comparison only, because the
+//! baseline's wall clock came from a different machine than the CI
+//! runner's (see `fiveg_bench::perfgate`).
 
 use fiveg_bench::perfgate::{self, Better, Gate};
 use fiveg_bench::report::JsonBuf;
 use fiveg_geo::Point;
 use fiveg_ran::{Arch, Carrier, Deployment, RadioSnapshot};
-use fiveg_sim::{engine, run_des, run_stepped_summary, Scenario, ScenarioBuilder, Telemetry, TelemetryConfig, Trace};
+use fiveg_sim::{
+    engine, run_fleet_exec, EngineMode, FleetExec, FleetSpec, FleetTrace, Scenario, ScenarioBuilder, Telemetry,
+    TelemetryConfig, Trace,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,15 +176,13 @@ fn des_scenarios(smoke: bool) -> Vec<(&'static str, Scenario)> {
     ]
 }
 
-struct PathResult {
-    label: &'static str,
+struct SnapshotResult {
     ticks: u64,
     elapsed_s: f64,
     ticks_per_sec: f64,
     allocs_per_tick: f64,
-    /// `(screened, priced)` cells per tick; the reference path has no
-    /// snapshot.
-    cells_per_tick: Option<(f64, f64)>,
+    /// `(screened, priced)` cells per tick.
+    cells_per_tick: (f64, f64),
 }
 
 /// `(ticks, screened, priced)`: the radio snapshot's work over `tr`,
@@ -218,91 +215,73 @@ struct DesResult {
     ue_ticks_per_sec: f64,
 }
 
-/// Times [`run_des`] over one scenario (untimed warmup, then `iters`
-/// passes). The returned work counts are per-iteration, the throughput is
-/// aggregated over all timed passes.
+/// A fleet of one on `engine`: the event-driven single-UE engine, or its
+/// stepped twin.
+fn fleet_of_one(s: &Scenario, engine: EngineMode) -> FleetTrace {
+    run_fleet_exec(&FleetSpec::new(s.clone(), 1), FleetExec::threads(1).engine(engine))
+}
+
+/// Times an event-driven fleet of one over one scenario (untimed warmup,
+/// then `iters` passes). The returned work counts are per-iteration, the
+/// throughput is aggregated over all timed passes.
 fn bench_des(label: &'static str, s: &Scenario, iters: usize) -> DesResult {
-    run_des(s);
+    fleet_of_one(s, EngineMode::EventDriven);
     let start = Instant::now();
-    let mut last = run_des(s);
+    let mut last = fleet_of_one(s, EngineMode::EventDriven);
     for _ in 1..iters {
-        last = run_des(s);
+        last = fleet_of_one(s, EngineMode::EventDriven);
     }
     let elapsed_s = start.elapsed().as_secs_f64();
+    let ticks = last.ues[0].ticks;
+    let sched = last.sched.expect("event-driven runs record a SchedSummary");
     DesResult {
         label,
-        ticks: last.ticks,
-        skipped_ticks: last.skipped_ticks,
-        sleeps: last.sleeps,
-        skip_ratio: last.skip_ratio(),
+        ticks,
+        skipped_ticks: sched.skipped_ue_ticks,
+        sleeps: sched.sleeps,
+        skip_ratio: if ticks == 0 { 0.0 } else { sched.skipped_ue_ticks as f64 / ticks as f64 },
         elapsed_s,
-        ue_ticks_per_sec: (last.ticks * iters as u64) as f64 / elapsed_s,
+        ue_ticks_per_sec: (ticks * iters as u64) as f64 / elapsed_s,
     }
 }
 
-/// Runs every scenario through both engine paths `iters` times (after one
-/// untimed warmup pass) and aggregates each path's throughput over its timed
-/// runs. The paths alternate scenario by scenario, and which goes first
-/// alternates by iteration, so a drift in the machine's speed lands on both
-/// alike and the speedup ratio stays steady.
-fn bench_paths(set: &[(&'static str, Scenario)], iters: usize) -> [PathResult; 2] {
-    const LABELS: [&str; 2] = ["reference", "snapshot"];
-    let run_one = |s: &Scenario, tele: &Telemetry, path: usize| {
-        if path == 0 {
-            engine::run_reference_instrumented(s, tele)
-        } else {
-            engine::run_instrumented(s, tele)
-        }
-    };
-
+/// Runs every scenario through the engine `iters` times (after one untimed
+/// warmup pass) and aggregates the throughput over the timed runs.
+fn bench_snapshot(set: &[(&'static str, Scenario)], iters: usize, cells_per_tick: (f64, f64)) -> SnapshotResult {
     // warmup (untimed): page in code and let the allocator settle
-    let tele = Telemetry::new(TelemetryConfig::on());
+    let warm = Telemetry::new(TelemetryConfig::on());
     for (_, s) in set {
-        for path in 0..2 {
-            run_one(s, &tele, path);
-        }
+        engine::run_instrumented(s, &warm);
     }
 
-    let teles = [Telemetry::new(TelemetryConfig::on()), Telemetry::new(TelemetryConfig::on())];
-    let allocs = [teles[0].counter("bench.allocs"), teles[1].counter("bench.allocs")];
-    let mut elapsed_s = [0.0; 2];
-    for i in 0..iters {
+    let tele = Telemetry::new(TelemetryConfig::on());
+    let allocs = tele.counter("bench.allocs");
+    let mut elapsed_s = 0.0;
+    for _ in 0..iters {
         for (_, s) in set {
-            for path in if i % 2 == 0 { [0, 1] } else { [1, 0] } {
-                let before = ALLOCS.load(Ordering::Relaxed);
-                let start = Instant::now();
-                run_one(s, &teles[path], path);
-                elapsed_s[path] += start.elapsed().as_secs_f64();
-                allocs[path].add(ALLOCS.load(Ordering::Relaxed) - before);
-            }
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let start = Instant::now();
+            engine::run_instrumented(s, &tele);
+            elapsed_s += start.elapsed().as_secs_f64();
+            allocs.add(ALLOCS.load(Ordering::Relaxed) - before);
         }
     }
 
-    [0, 1].map(|path| {
-        let ticks = teles[path].counter_value("sim.ticks");
-        PathResult {
-            label: LABELS[path],
-            ticks,
-            elapsed_s: elapsed_s[path],
-            ticks_per_sec: ticks as f64 / elapsed_s[path],
-            allocs_per_tick: teles[path].counter_value("bench.allocs") as f64 / ticks as f64,
-            cells_per_tick: None,
-        }
-    })
+    let ticks = tele.counter_value("sim.ticks");
+    SnapshotResult {
+        ticks,
+        elapsed_s,
+        ticks_per_sec: ticks as f64 / elapsed_s,
+        allocs_per_tick: tele.counter_value("bench.allocs") as f64 / ticks as f64,
+        cells_per_tick,
+    }
 }
 
-fn report(
-    mode: &str,
-    iters: usize,
-    set: &[(&'static str, Scenario)],
-    paths: &[PathResult],
-    speedup: f64,
-    des: &[DesResult],
-) -> String {
+fn report(mode: &str, iters: usize, set: &[(&'static str, Scenario)], p: &SnapshotResult, des: &[DesResult]) -> String {
     let mut j = JsonBuf::new();
     j.open('{');
     j.key("schema");
-    j.str_val("fiveg-tick/v2");
+    j.str_val("fiveg-tick/v3");
     j.key("mode");
     j.str_val(mode);
     j.key("iters");
@@ -324,29 +303,23 @@ fn report(
     j.close(']');
     j.key("paths");
     j.open('[');
-    for p in paths {
-        j.open('{');
-        j.key("path");
-        j.str_val(p.label);
-        j.key("ticks");
-        j.uint(p.ticks);
-        j.key("elapsed_s");
-        j.num(p.elapsed_s);
-        j.key("ticks_per_sec");
-        j.num(p.ticks_per_sec);
-        j.key("allocs_per_tick");
-        j.num(p.allocs_per_tick);
-        if let Some((screened, priced)) = p.cells_per_tick {
-            j.key("screened_cells_per_tick");
-            j.num(screened);
-            j.key("priced_cells_per_tick");
-            j.num(priced);
-        }
-        j.close('}');
-    }
+    j.open('{');
+    j.key("path");
+    j.str_val("snapshot");
+    j.key("ticks");
+    j.uint(p.ticks);
+    j.key("elapsed_s");
+    j.num(p.elapsed_s);
+    j.key("ticks_per_sec");
+    j.num(p.ticks_per_sec);
+    j.key("allocs_per_tick");
+    j.num(p.allocs_per_tick);
+    j.key("screened_cells_per_tick");
+    j.num(p.cells_per_tick.0);
+    j.key("priced_cells_per_tick");
+    j.num(p.cells_per_tick.1);
+    j.close('}');
     j.close(']');
-    j.key("speedup");
-    j.num(speedup);
     j.key("des_skip_floor");
     j.num(SKIP_FLOOR);
     j.key("des");
@@ -385,45 +358,37 @@ fn main() -> ExitCode {
 
     let set = scenarios(args.smoke);
     let mode = if args.smoke { "smoke" } else { "full" };
-    println!("tick bench '{}': {} scenario(s), {} iter(s) per path", mode, set.len(), args.iters);
+    println!("tick bench '{}': {} scenario(s), {} iter(s)", mode, set.len(), args.iters);
 
-    // the speedup claim is only meaningful if both paths do the same work
     let (mut work_ticks, mut screened, mut priced) = (0, 0, 0);
-    for (label, s) in &set {
-        let tr = s.run();
-        if engine::run_reference(s) != tr {
-            eprintln!("tick_bench: reference and snapshot traces diverge on {label}");
-            return ExitCode::FAILURE;
-        }
-        let (n, sc, pr) = snapshot_work(s, &tr);
+    for (_, s) in &set {
+        let (n, sc, pr) = snapshot_work(s, &s.run());
         (work_ticks, screened, priced) = (work_ticks + n, screened + sc, priced + pr);
     }
     let cells_per_tick = (screened as f64 / work_ticks as f64, priced as f64 / work_ticks as f64);
 
-    // same bar for the des section: identical control plane and identical
-    // logical tick count, or the skip ratio measures a different workload
+    // the des section must do the stepped engine's work: identical control
+    // plane and identical logical tick count, or the skip ratio measures a
+    // different workload
     let des_set = des_scenarios(args.smoke);
     for (label, s) in &des_set {
-        let (des, stepped) = (run_des(s), run_stepped_summary(s));
-        if des.control() != stepped.control() || des.ticks != stepped.ticks {
-            eprintln!("tick_bench: des and stepped summaries diverge on {label}: {des:?} vs {stepped:?}");
+        let (des, stepped) = (fleet_of_one(s, EngineMode::EventDriven), fleet_of_one(s, EngineMode::Stepped));
+        if des.ues[0].control() != stepped.ues[0].control() {
+            eprintln!(
+                "tick_bench: des and stepped summaries diverge on {label}: {:?} vs {:?}",
+                des.ues[0], stepped.ues[0]
+            );
             return ExitCode::FAILURE;
         }
     }
 
-    let [reference, mut snapshot] = bench_paths(&set, args.iters);
-    snapshot.cells_per_tick = Some(cells_per_tick);
-    let speedup = snapshot.ticks_per_sec / reference.ticks_per_sec;
-
-    for p in [&reference, &snapshot] {
-        println!(
-            "  {:<10} {:>8} ticks in {:>6.2} s  -> {:>8.0} ticks/s, {:>7.1} allocs/tick",
-            p.label, p.ticks, p.elapsed_s, p.ticks_per_sec, p.allocs_per_tick
-        );
-    }
+    let snapshot = bench_snapshot(&set, args.iters, cells_per_tick);
+    println!(
+        "  snapshot {:>8} ticks in {:>6.2} s  -> {:>8.0} ticks/s, {:>7.1} allocs/tick",
+        snapshot.ticks, snapshot.elapsed_s, snapshot.ticks_per_sec, snapshot.allocs_per_tick
+    );
     let (screened, snapshot_priced) = cells_per_tick;
     println!("  snapshot prices {snapshot_priced:.1} of {screened:.1} screened cells/tick");
-    println!("  speedup {speedup:.2}x (snapshot over reference)");
 
     let mut des_results = Vec::new();
     for (label, s) in &des_set {
@@ -439,20 +404,16 @@ fn main() -> ExitCode {
         des_results.push(d);
     }
 
-    let (snapshot_tps, snapshot_ticks, snapshot_apt) =
-        (snapshot.ticks_per_sec, snapshot.ticks, snapshot.allocs_per_tick);
-    let json = report(mode, args.iters, &set, &[reference, snapshot], speedup, &des_results);
+    let json = report(mode, args.iters, &set, &snapshot, &des_results);
     if let Err(e) = std::fs::write(&args.out, &json) {
         eprintln!("tick_bench: writing {}: {e}", args.out);
         return ExitCode::FAILURE;
     }
     println!("  report -> {}", args.out);
 
-    // Perf gate: only the snapshot (production) path is gated — the
-    // reference path exists as a correctness referee, not a perf contract.
-    // Gated metrics are the machine-independent ones (work count, allocs,
-    // same-run speedup ratio); absolute ticks/sec is advisory because the
-    // committed baseline's wall clock came from a different machine.
+    // Perf gate: the gated metrics are the machine-independent ones (work
+    // counts, allocs, skip ratios); absolute ticks/sec is advisory because
+    // the committed baseline's wall clock came from a different machine.
     if let Some(path) = &args.baseline {
         let committed = match std::fs::read_to_string(path) {
             Ok(s) => s,
@@ -465,10 +426,10 @@ fn main() -> ExitCode {
         // this report (see fleet_bench): anchors would pair rows whose
         // metrics no longer mean the same thing. Fail loudly instead.
         match perfgate::schema_of(&committed) {
-            Some("fiveg-tick/v2") => {}
+            Some("fiveg-tick/v3") => {}
             got => {
                 eprintln!(
-                    "tick_bench: baseline {path} has schema {} but this binary writes fiveg-tick/v2 — \
+                    "tick_bench: baseline {path} has schema {} but this binary writes fiveg-tick/v3 — \
                      regenerate the baseline instead of gating across schema versions",
                     got.map_or_else(|| "(none)".into(), |s| format!("'{s}'"))
                 );
@@ -476,13 +437,9 @@ fn main() -> ExitCode {
             }
         }
         let snap = |metric: &str| perfgate::metric_after(&committed, r#""path":"snapshot""#, metric);
-        let (Some(b_ticks), Some(b_apt), Some(b_priced), Some(b_speedup), Some(b_tps)) = (
-            snap("ticks"),
-            snap("allocs_per_tick"),
-            snap("priced_cells_per_tick"),
-            perfgate::metric_anywhere(&committed, "speedup"),
-            snap("ticks_per_sec"),
-        ) else {
+        let (Some(b_ticks), Some(b_apt), Some(b_priced), Some(b_tps)) =
+            (snap("ticks"), snap("allocs_per_tick"), snap("priced_cells_per_tick"), snap("ticks_per_sec"))
+        else {
             eprintln!("tick_bench: baseline {path} is missing snapshot metrics — reformatted or wrong file?");
             return ExitCode::FAILURE;
         };
@@ -490,13 +447,13 @@ fn main() -> ExitCode {
             Gate {
                 what: "snapshot ticks".into(),
                 baseline: b_ticks,
-                current: snapshot_ticks as f64,
+                current: snapshot.ticks as f64,
                 better: Better::Band,
             },
             Gate {
                 what: "snapshot allocs_per_tick".into(),
                 baseline: b_apt,
-                current: snapshot_apt,
+                current: snapshot.allocs_per_tick,
                 better: Better::Lower,
             },
             Gate {
@@ -505,25 +462,22 @@ fn main() -> ExitCode {
                 current: snapshot_priced,
                 better: Better::Band,
             },
-            Gate {
-                what: "speedup (snapshot/reference)".into(),
-                baseline: b_speedup,
-                current: speedup,
-                better: Better::Higher,
-            },
         ];
         println!("  perf gate vs {} (tol {:.0}%):", path, args.tol * 100.0);
-        perfgate::advise("snapshot ticks_per_sec", b_tps, snapshot_tps);
+        perfgate::advise("snapshot ticks_per_sec", b_tps, snapshot.ticks_per_sec);
         // des gates: logical work count and skip ratio are exact and
         // machine-independent, so both are banded against the baseline;
-        // wall-clock throughput stays advisory like the stepped paths'.
+        // wall-clock throughput stays advisory like the snapshot row's.
         for d in &des_results {
             let needle = format!(r#""des":"{}""#, d.label);
             let des_metric = |metric: &str| perfgate::metric_after(&committed, &needle, metric);
             let (Some(b_dticks), Some(b_skip), Some(b_utps)) =
                 (des_metric("ticks"), des_metric("skip_ratio"), des_metric("ue_ticks_per_sec"))
             else {
-                eprintln!("tick_bench: baseline {path} is missing des metrics for {} — pre-v2 file?", d.label);
+                eprintln!(
+                    "tick_bench: baseline {path} is missing des metrics for {} — reformatted or wrong file?",
+                    d.label
+                );
                 return ExitCode::FAILURE;
             };
             perfgate::advise(&format!("des {} ue_ticks_per_sec", d.label), b_utps, d.ue_ticks_per_sec);

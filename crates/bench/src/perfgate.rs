@@ -23,10 +23,9 @@
 //!   work done per tick) silently changed;
 //! * allocation proxies (`allocs_per_tick`, `allocs_per_ue_tick`): counted
 //!   by a deterministic global allocator, gated *lower-is-better*;
-//! * the snapshot-vs-reference `speedup` ratio: both sides are measured in
-//!   the same process on the same machine, so runner speed cancels to
-//!   first order, gated *higher-is-better*; the fleet's fixed-vs-event
-//!   `event_speedup` is gated the same way, and its `skip_ratio` — a
+//! * the fleet's fixed-vs-event `event_speedup` ratio: both sides are
+//!   measured in the same process on the same machine, so runner speed
+//!   cancels to first order, gated *higher-is-better*; `skip_ratio` — a
 //!   deterministic work count in disguise — as a *band*.
 //!
 //! Before any of that, gating callers compare [`schema_of`] the baseline

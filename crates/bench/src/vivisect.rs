@@ -24,9 +24,9 @@ use crate::sweep::run_ordered;
 use fiveg_oracle::Oracle;
 use fiveg_ran::{Arch, Carrier, HandoverRecord, HoPhase, HoType, RadioTech};
 use fiveg_rrc::ReconfigAction;
-use fiveg_sim::fleet::run_fleet_observed;
 use fiveg_sim::{
-    AttachReason, FaultConfig, FleetSpec, ScenarioBuilder, ServingCells, SimHook, Telemetry, TelemetryConfig, TickView,
+    run_fleet_exec_observed, AttachReason, FaultConfig, FleetExec, FleetSpec, ScenarioBuilder, ServingCells, SimHook,
+    Telemetry, TelemetryConfig, TickView,
 };
 use fiveg_telemetry::{CounterSnapshot, Histogram};
 use fiveg_trace::{SpanAssembler, SpanLog, SpanOutcome};
@@ -235,7 +235,8 @@ pub fn run_cell(cell: &VivisectCell) -> CellOutcome {
     let spec = FleetSpec::new(base, cell.n_ues).stagger_s(10.0).speed_jitter(0.1);
     let tele = Telemetry::new(TelemetryConfig::deterministic());
     let (arch, seed) = (cell.arch, cell.seed);
-    let (_ft, observers) = run_fleet_observed(&spec, 1, &tele, |ue| VivisectObserver::new(ue, arch, seed));
+    let (_ft, observers) =
+        run_fleet_exec_observed(&spec, FleetExec::threads(1), &tele, |ue| VivisectObserver::new(ue, arch, seed));
 
     let mut log = SpanLog::default();
     let mut violations = 0;

@@ -8,7 +8,10 @@
 //! in the repo is computed from.
 
 use crate::violation::Violation;
-use fiveg_sim::{FaultConfig, Telemetry, Trace};
+use fiveg_geo::Point;
+use fiveg_ran::{per_band_top, Arch, Deployment, RadioSnapshot};
+use fiveg_sim::engine::SEARCH_RADIUS_M;
+use fiveg_sim::{FaultConfig, Scenario, Telemetry, Trace};
 use std::collections::BTreeSet;
 
 /// Physical RSRP bounds, dBm (the `Rrs` clamp range).
@@ -276,6 +279,45 @@ fn check_roundtrip(trace: &Trace, c: &mut Collector) {
     } else if back.encode() != first {
         c.push("trace_roundtrip", 0.0, "re-encoded bytes differ from the first encoding".into());
     }
+}
+
+/// The snapshot engine's radio contract, checked along the trajectory of a
+/// finished run of `s`. A [`RadioSnapshot`] is refreshed at the t=0 attach
+/// point and at every recorded sample's `(pos, t)`, with the engine's leg
+/// flags, and each wanted leg must equal [`per_band_top`] bit for bit. The
+/// engine reads radio state only through that table, plus `Cell::rx_dbm` for
+/// a serving cell outside it, so equality at every tick means the trace is
+/// the one an exhaustive [`Deployment::strongest`] scan would have produced.
+/// Returns the number of points checked, or the first mismatch.
+pub fn check_radio_trajectory(s: &Scenario, trace: &Trace) -> Result<usize, String> {
+    let d = Deployment::generate(&s.route, s.carrier, s.env, s.arch, s.seed);
+    let mut snap = RadioSnapshot::new();
+    // the initial attach reads only the control-plane technology's leg
+    let sa = s.arch == Arch::Sa;
+    let attach = (s.route.point_at(0.0), 0.0, !sa, sa);
+    let ticks = trace.samples.iter().map(|x| (Point::new(x.pos.0, x.pos.1), x.t, !sa, s.arch != Arch::Lte));
+    let mut points = 0;
+    for (pos, t, want_lte, want_nr) in std::iter::once(attach).chain(ticks) {
+        snap.refresh(&d, &pos, t, SEARCH_RADIUS_M, want_lte, want_nr);
+        for (nr, wanted) in [(false, want_lte), (true, want_nr)] {
+            if !wanted {
+                continue;
+            }
+            let want = per_band_top(&d, &pos, t, nr, SEARCH_RADIUS_M);
+            let got = snap.strongest(nr);
+            let same = got.len() == want.len()
+                && got.iter().zip(&want).all(|(g, w)| g.0 == w.0 && g.1.to_bits() == w.1.to_bits());
+            if !same {
+                let leg = if nr { "NR" } else { "LTE" };
+                return Err(format!(
+                    "{leg} snapshot at t={t} ({:.1}, {:.1}) is {got:?}, per-band top is {want:?}",
+                    pos.x, pos.y
+                ));
+            }
+        }
+        points += 1;
+    }
+    Ok(points)
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Deterministic scenario fuzzer: seeded random cases over the route ×
 //! carrier × arch × fault × predictor space, each run through the snapshot
-//! engine, the naive reference engine *and* the event-driven fleet
-//! scheduler differentially, under the full oracle.
+//! engine under the full oracle, its radio snapshot checked along the run's
+//! trajectory against the exhaustive per-band scan, and the event-driven
+//! fleet scheduler run differentially.
 //!
 //! Everything is a pure function of `(fuzz_seed, index)` — same seed, same
 //! cases, same verdicts, on any machine and any thread count. A failing
@@ -49,7 +50,7 @@ impl FuzzRoute {
 }
 
 /// Engine-mode axis of a fuzz case: which scheduled-engine differential the
-/// case runs on top of the snapshot/reference pair.
+/// case runs on top of the radio-trajectory check.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FuzzEngine {
     /// The historical check: an event-driven fleet of one must reproduce
@@ -296,8 +297,8 @@ pub struct CaseResult {
     pub violations: Vec<Violation>,
     /// Total violation count including ones beyond the retention cap.
     pub total_violations: u64,
-    /// First difference between the snapshot and reference engine traces,
-    /// when they diverged.
+    /// The first radio-trajectory mismatch, or the first difference between
+    /// the stepped and event-driven runs, when either check failed.
     pub divergence: Option<String>,
     /// Ticks the run executed.
     pub ticks: usize,
@@ -315,8 +316,8 @@ impl CaseResult {
 }
 
 /// Runs one case through the snapshot engine under the live oracle, the
-/// post-run trace/counter/journal checks, and the reference engine
-/// differentially.
+/// post-run trace/counter/journal checks, the radio-trajectory check and
+/// the event-driven fleet scheduler differentially.
 pub fn run_case(case: &FuzzCase) -> CaseResult {
     let s = case.scenario();
     let tele = Telemetry::new(s.telemetry);
@@ -342,10 +343,9 @@ pub fn run_case(case: &FuzzCase) -> CaseResult {
     total += post.len() as u64;
     violations.extend(post);
 
-    let reference = engine::run_reference(&s);
-    let mut divergence = diff_traces(&trace, &reference);
+    let mut divergence = check::check_radio_trajectory(&s, &trace).err().map(|e| format!("radio trajectory: {e}"));
 
-    // third engine path, differentially. Stepped axis: the event-driven
+    // the scheduled engine, differentially. Stepped axis: the event-driven
     // fleet scheduler must reproduce the fixed-step single-UE run exactly
     // for a fleet of one — every granted sleep window over this fuzzed
     // scenario space has to be provably inert. Event axis: a staggered
@@ -388,22 +388,22 @@ pub fn run_case(case: &FuzzCase) -> CaseResult {
 
 /// Describes the first difference between two traces, or `None` when they
 /// are equal and encode to identical bytes.
-fn diff_traces(snapshot: &Trace, reference: &Trace) -> Option<String> {
-    if snapshot == reference {
-        return (snapshot.encode() != reference.encode()).then(|| "equal traces encoded to different bytes".into());
+fn diff_traces(x: &Trace, y: &Trace) -> Option<String> {
+    if x == y {
+        return (x.encode() != y.encode()).then(|| "equal traces encoded to different bytes".into());
     }
-    if snapshot.samples.len() != reference.samples.len() {
-        return Some(format!("sample count {} vs {}", snapshot.samples.len(), reference.samples.len()));
+    if x.samples.len() != y.samples.len() {
+        return Some(format!("sample count {} vs {}", x.samples.len(), y.samples.len()));
     }
-    for (i, (a, b)) in snapshot.samples.iter().zip(&reference.samples).enumerate() {
+    for (i, (a, b)) in x.samples.iter().zip(&y.samples).enumerate() {
         if a != b {
             return Some(format!("first divergent sample at index {i} (t={})", a.t));
         }
     }
-    if snapshot.handovers.len() != reference.handovers.len() {
-        return Some(format!("handover count {} vs {}", snapshot.handovers.len(), reference.handovers.len()));
+    if x.handovers.len() != y.handovers.len() {
+        return Some(format!("handover count {} vs {}", x.handovers.len(), y.handovers.len()));
     }
-    for (i, (a, b)) in snapshot.handovers.iter().zip(&reference.handovers).enumerate() {
+    for (i, (a, b)) in x.handovers.iter().zip(&y.handovers).enumerate() {
         if a != b {
             return Some(format!(
                 "first divergent handover at index {i} ({} vs {})",
@@ -412,13 +412,13 @@ fn diff_traces(snapshot: &Trace, reference: &Trace) -> Option<String> {
             ));
         }
     }
-    if snapshot.reports != reference.reports {
+    if x.reports != y.reports {
         return Some("measurement reports diverged".into());
     }
-    if snapshot.rlf_count != reference.rlf_count || snapshot.ho_failures != reference.ho_failures {
+    if x.rlf_count != y.rlf_count || x.ho_failures != y.ho_failures {
         return Some(format!(
             "rlf/failure counts {}/{} vs {}/{}",
-            snapshot.rlf_count, snapshot.ho_failures, reference.rlf_count, reference.ho_failures
+            x.rlf_count, x.ho_failures, y.rlf_count, y.ho_failures
         ));
     }
     Some("traces differ outside samples/handovers/reports".into())

@@ -1,9 +1,11 @@
 //! Cross-layer invariant checker and deterministic scenario fuzzer.
 //!
-//! The simulator deliberately keeps two engines — the snapshot fast path and
-//! the retained `run_reference` — whose byte-equivalence underwrites every
-//! result built on top of them. This crate turns that dual-engine design
-//! into a standing correctness tool with two halves:
+//! Every result in the repo is built on one engine: the snapshot tick loop,
+//! stepped per tick or scheduled event-driven by the fleet. Its radio
+//! snapshot is held bit for bit to the exhaustive per-band scan of
+//! `fiveg_ran::per_band_top`, and the event-driven schedule byte for byte
+//! to the stepped one. This crate turns those contracts into a standing
+//! correctness tool with two halves:
 //!
 //! * [`shadow::Oracle`] — a [`fiveg_sim::SimHook`] that replays every
 //!   engine transition against an independent shadow state machine *while
@@ -18,8 +20,9 @@
 //!   codec round-trip identity of the trace.
 //!
 //! [`fuzz`] drives both across a seeded random scenario space (route ×
-//! carrier × arch × faults), runs each case through *both* engines
-//! differentially, shrinks failures to minimal repro cases, and speaks the
+//! carrier × arch × faults), checks each case's radio trajectory and runs
+//! it through the stepped and event-driven schedulers differentially,
+//! shrinks failures to minimal repro cases, and speaks the
 //! corpus TOML format that `tests/corpus/` replays in CI. [`mutate`] is the
 //! oracle's own regression harness: it corrupts the hook stream in known
 //! ways and asserts the oracle notices — a vacuous checker fails loudly.

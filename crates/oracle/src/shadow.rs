@@ -624,14 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_engine_satisfies_the_same_invariants() {
-        let s = ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 4.0, 43).duration_s(120.0).sample_hz(10.0).build();
-        let mut oracle = Oracle::new(Arch::Nsa, 43);
-        engine::run_reference_hooked(&s, &Telemetry::disabled(), &mut oracle);
-        assert!(oracle.is_clean(), "{:?}", oracle.violations().iter().map(|v| v.to_string()).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn violation_cap_counts_overflow() {
         let mut o = Oracle::new(Arch::Nsa, 1);
         for i in 0..100 {

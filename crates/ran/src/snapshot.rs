@@ -47,6 +47,7 @@ use fiveg_geo::Point;
 use fiveg_radio::{ChannelCache, Propagation};
 use fiveg_rrc::Pci;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// Slack (dB) on the fading ceiling: the fading sample is a rounded blend of
 /// two node gaussians, which may exceed the analytic bound by a few ulps.
@@ -334,6 +335,21 @@ impl RadioSnapshot {
     }
 }
 
+/// The snapshot's referee: the first [`RadioSnapshot::PER_BAND`] cells of each
+/// band in the full [`Deployment::strongest`] list, in its order. A
+/// [`RadioSnapshot::refresh`] at the same arguments must produce this leg bit
+/// for bit; it prices every in-radius cell to get there.
+pub fn per_band_top(d: &Deployment, pos: &Point, t: f64, nr: bool, radius_m: f64) -> Vec<(CellId, f64)> {
+    let mut taken: HashMap<&str, usize> = HashMap::new();
+    let mut all = d.strongest(pos, t, nr, radius_m);
+    all.retain(|&(id, _)| {
+        let n = taken.entry(d.cell(id).band.name).or_default();
+        *n += 1;
+        *n <= RadioSnapshot::PER_BAND
+    });
+    all
+}
+
 /// Fixed-capacity inline PCI → cell map with first-writer-wins inserts.
 ///
 /// Replaces the transient `HashMap<Pci, CellId>` the leg view rebuilt every
@@ -413,20 +429,6 @@ mod tests {
     use crate::ho::Arch;
     use fiveg_geo::routes;
     use fiveg_radio::BandClass;
-    use std::collections::HashMap;
-
-    /// The reference contract: the first [`RadioSnapshot::PER_BAND`] cells of
-    /// each band in a [`Deployment::strongest`] list, in its order.
-    pub(super) fn per_band_top(d: &Deployment, all: Vec<(CellId, f64)>) -> Vec<(CellId, f64)> {
-        let mut taken: HashMap<&str, usize> = HashMap::new();
-        all.into_iter()
-            .filter(|&(id, _)| {
-                let n = taken.entry(d.cell(id).band.name).or_default();
-                *n += 1;
-                *n <= RadioSnapshot::PER_BAND
-            })
-            .collect()
-    }
 
     fn deployment(env: Environment, arch: Arch) -> Deployment {
         let route = match env {
@@ -448,7 +450,7 @@ mod tests {
                 snap.refresh(&d, &pos, t, 8000.0, true, true);
                 assert!(snap.priced() <= snap.screened());
                 for nr in [false, true] {
-                    let want = per_band_top(&d, d.strongest(&pos, t, nr, 8000.0));
+                    let want = per_band_top(&d, &pos, t, nr, 8000.0);
                     assert_eq!(snap.strongest(nr), &want[..], "{env:?} step {i} nr={nr}");
                 }
             }
@@ -572,7 +574,6 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::per_band_top;
     use super::*;
     use crate::carrier::{Carrier, Environment};
     use crate::ho::Arch;
@@ -622,7 +623,7 @@ mod proptests {
             let mut snap = RadioSnapshot::new();
             snap.refresh(d, &pos, t, radius, want_lte, want_nr);
             for (nr, wanted) in [(false, want_lte), (true, want_nr)] {
-                let want = if wanted { per_band_top(d, d.strongest(&pos, t, nr, radius)) } else { Vec::new() };
+                let want = if wanted { per_band_top(d, &pos, t, nr, radius) } else { Vec::new() };
                 let got = snap.strongest(nr);
                 prop_assert_eq!(got.len(), want.len(), "deployment {} nr={}", which, nr);
                 for (g, w) in got.iter().zip(&want) {

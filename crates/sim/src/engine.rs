@@ -106,32 +106,17 @@ impl BandTally {
     }
 }
 
-/// How the tick loop obtains per-(pos, t) radio strength data.
-pub(crate) enum RadioPath {
-    /// One shared [`RadioSnapshot`] refreshed per tick: each band's
-    /// strongest cells, with every in-radius cell priced at most once, and
-    /// all consumers (leg views, initial attach, RLF recovery) read the same
-    /// table. The default.
-    Snapshot(RadioSnapshot),
-    /// The retained naive path: every consumer performs its own
-    /// [`Deployment::strongest`] scan, as the pre-snapshot engine did. Kept
-    /// as the referee for the trace-equivalence regression test and as the
-    /// baseline side of the tick-throughput benchmark.
-    Reference,
-}
-
 /// Minimum carrier frequency for an EN-DC anchor cell, MHz. Under NSA the
 /// LTE leg only anchors on mid-band carriers ("its coupled control plane
 /// (NSA-4C) still uses the mid-band", §6.1).
 const ANCHOR_MIN_FREQ_MHZ: f64 = 1700.0;
 
 /// Computes RRS for every relevant cell of one leg into `view`, reusing the
-/// view's and `scratch`'s buffers across ticks. `all` is the leg's cells
-/// strongest-first — the per-tick snapshot slice (each band's
-/// [`RadioSnapshot::PER_BAND`] strongest), or a fresh, complete
-/// [`Deployment::strongest`] result on the reference path. The view keeps at
-/// most `PER_BAND` cells per band in that same order, so the two paths
-/// produce identical views.
+/// view's and `scratch`'s buffers across ticks. `all` is the leg's slice of
+/// the per-tick [`RadioSnapshot`]: each band's [`RadioSnapshot::PER_BAND`]
+/// strongest cells, strongest first. A serving cell outside that slice is
+/// priced directly with [`fiveg_ran::Cell::rx_dbm`]; nothing else here reads
+/// radio state.
 #[allow(clippy::too_many_arguments)]
 fn fill_leg_view(
     view: &mut LegView,
@@ -150,21 +135,18 @@ fn fill_leg_view(
     scratch.ranked.clear();
     scratch.mw_adj.clear();
 
-    // UEs measure each configured carrier frequency separately: keep the
-    // strongest `PER_BAND` cells per band so a strong band cannot crowd the
-    // others out of the measured set (inter-frequency events need those
-    // entries). The snapshot keeps exactly that many per band.
-    let mut per_band = BandTally::new();
+    // UEs measure each configured carrier frequency separately, and the
+    // snapshot keeps the strongest `PER_BAND` cells of each band, so a strong
+    // band cannot crowd the others out of the measured set (inter-frequency
+    // events need those entries)
     let mut serving_rx = None;
     for &(id, rx) in all {
         if anchor_only && d.cell(id).band.freq_mhz < ANCHOR_MIN_FREQ_MHZ {
             continue;
         }
-        if per_band.take_below(d.cell(id).band.name, RadioSnapshot::PER_BAND) {
-            scratch.ranked.push((id, rx));
-            if Some(id) == serving {
-                serving_rx = Some(rx);
-            }
+        scratch.ranked.push((id, rx));
+        if Some(id) == serving {
+            serving_rx = Some(rx);
         }
         if scratch.ranked.len() >= 12 {
             break;
@@ -261,140 +243,19 @@ pub fn run(s: &Scenario) -> Trace {
 /// tick-loop stages; none of it feeds back into the simulation, so the
 /// returned `Trace` is identical either way.
 pub fn run_instrumented(s: &Scenario, tele: &Telemetry) -> Trace {
-    run_with_path(s, tele, RadioPath::Snapshot(RadioSnapshot::new()), None)
+    run_with(s, tele, None)
 }
 
 /// Runs a scenario with a [`SimHook`] observing every state transition (see
 /// [`crate::hook`]). Hooks observe only — the returned trace is byte-identical
 /// to [`run`]'s.
 pub fn run_hooked(s: &Scenario, tele: &Telemetry, hook: &mut dyn SimHook) -> Trace {
-    run_with_path(s, tele, RadioPath::Snapshot(RadioSnapshot::new()), Some(hook))
+    run_with(s, tele, Some(hook))
 }
 
-/// [`run_reference`] with a [`SimHook`] attached — the observer counterpart
-/// of [`run_hooked`] on the naive radio path.
-pub fn run_reference_hooked(s: &Scenario, tele: &Telemetry, hook: &mut dyn SimHook) -> Trace {
-    run_with_path(s, tele, RadioPath::Reference, Some(hook))
-}
-
-/// Runs a scenario on the retained naive radio path: every consumer performs
-/// its own [`Deployment::strongest`] scan instead of reading the per-tick
-/// [`RadioSnapshot`]. Produces a byte-identical [`Trace`] to [`run`] — the
-/// trace-equivalence integration test holds the two paths to that — and
-/// serves as the baseline side of the tick-throughput benchmark.
-pub fn run_reference(s: &Scenario) -> Trace {
-    run_reference_instrumented(s, &Telemetry::new(s.telemetry))
-}
-
-/// [`run_reference`] recording into a caller-owned [`Telemetry`] handle.
-pub fn run_reference_instrumented(s: &Scenario, tele: &Telemetry) -> Trace {
-    run_with_path(s, tele, RadioPath::Reference, None)
-}
-
-/// Longest sleep window the single-UE event-driven loop requests — the
-/// same cap the fleet's calendar wheel imposes (`WHEEL_SLOTS - 2`), so a
-/// UE plans identical windows whether it runs solo or in a fleet.
-const DES_MAX_WINDOW: u64 = 126;
-
-/// Control-plane summary of a summary-mode run, plus the event-driven
-/// scheduler's work accounting. Every control field is invariant across
-/// [`run_des`] and [`run_stepped_summary`] — `tests/des_equivalence.rs`
-/// holds them to that — while `sleeps`/`skipped_ticks` describe how much
-/// of the run the DES loop fast-forwarded (always `0` for the stepped
-/// twin).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DesSummary {
-    /// Ticks simulated (skipped ticks included — work counts must not
-    /// depend on the engine).
-    pub ticks: u64,
-    /// Ticks replayed in closed form by `UeSim::catch_up`.
-    pub skipped_ticks: u64,
-    /// Granted sleep windows.
-    pub sleeps: u64,
-    /// Distance traveled, m.
-    pub traveled_m: f64,
-    /// Completed handovers.
-    pub handovers: u64,
-    /// Failed handovers (fault injection).
-    pub ho_failures: u64,
-    /// Radio link failures.
-    pub rlf_count: u64,
-    /// Measurement reports sent.
-    pub reports: u64,
-}
-
-impl DesSummary {
-    fn from_stats(st: &UeRunStats, sleeps: u64, skipped_ticks: u64) -> DesSummary {
-        DesSummary {
-            ticks: st.ticks,
-            skipped_ticks,
-            sleeps,
-            traveled_m: st.traveled_m,
-            handovers: st.handovers,
-            ho_failures: st.ho_failures,
-            rlf_count: st.rlf_count,
-            reports: st.reports,
-        }
-    }
-
-    /// The engine-invariant fields, for direct equality asserts between a
-    /// DES and a stepped run of the same scenario.
-    pub fn control(&self) -> (u64, f64, u64, u64, u64, u64) {
-        (self.ticks, self.traveled_m, self.handovers, self.ho_failures, self.rlf_count, self.reports)
-    }
-
-    /// Fraction of simulated ticks that were fast-forwarded.
-    pub fn skip_ratio(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.skipped_ticks as f64 / self.ticks as f64
-        }
-    }
-}
-
-/// Runs a scenario event-driven in summary mode: between sampled steps the
-/// UE asks `wakeup::plan_sleep` for a provably-inert window and
-/// `UeSim::step_to` replays it in closed form. No per-tick samples are
-/// recorded — a UE recording a trace is never planner-eligible (the data
-/// plane needs every tick), so the event-driven single-UE engine is only
-/// offered in summary mode, where its control plane is tick-for-tick the
-/// stepped engine's.
-pub fn run_des(s: &Scenario) -> DesSummary {
-    run_des_instrumented(s, &Telemetry::new(s.telemetry))
-}
-
-/// [`run_des`] recording into a caller-owned [`Telemetry`] handle.
-pub fn run_des_instrumented(s: &Scenario, tele: &Telemetry) -> DesSummary {
+fn run_with(s: &Scenario, tele: &Telemetry, mut hook: Option<&mut (dyn SimHook + '_)>) -> Trace {
     let d = Deployment::generate(&s.route, s.carrier, s.env, s.arch, s.seed);
-    let mut radio = RadioPath::Snapshot(RadioSnapshot::new());
-    let mut ue = UeSim::new(s.clone(), &d, tele, &mut radio, None, false);
-    let mut scratch = wakeup::PlanScratch::default();
-    let (sleeps, skipped) = ue.step_to(u64::MAX, None, &CellLoadView::SOLO, &mut radio, &mut scratch);
-    DesSummary::from_stats(&ue.finish_summary(None), sleeps, skipped)
-}
-
-/// The stepped oracle twin of [`run_des`]: the same summary-mode run with
-/// every tick stepped and sampled. `sleeps`/`skipped_ticks` are zero by
-/// construction; all other fields must match [`run_des`]'s exactly.
-pub fn run_stepped_summary(s: &Scenario) -> DesSummary {
-    let tele = Telemetry::new(s.telemetry);
-    let d = Deployment::generate(&s.route, s.carrier, s.env, s.arch, s.seed);
-    let mut radio = RadioPath::Snapshot(RadioSnapshot::new());
-    let mut ue = UeSim::new(s.clone(), &d, &tele, &mut radio, None, false);
-    while ue.active() {
-        ue.step(None, &CellLoadView::SOLO, &mut radio);
-    }
-    DesSummary::from_stats(&ue.finish_summary(None), 0, 0)
-}
-
-fn run_with_path(
-    s: &Scenario,
-    tele: &Telemetry,
-    mut radio: RadioPath,
-    mut hook: Option<&mut (dyn SimHook + '_)>,
-) -> Trace {
-    let d = Deployment::generate(&s.route, s.carrier, s.env, s.arch, s.seed);
+    let mut radio = RadioSnapshot::new();
     let mut ue = UeSim::new(s.clone(), &d, tele, &mut radio, hook.as_deref_mut(), true);
     while ue.active() {
         ue.step(hook.as_deref_mut(), &CellLoadView::SOLO, &mut radio);
@@ -424,13 +285,15 @@ pub(crate) struct UeRunStats {
 /// One UE's simulation state, steppable one tick at a time against a
 /// borrowed immutable [`Deployment`].
 ///
-/// The single-UE entry points ([`run`], [`run_reference`], …) are a thin
-/// loop over [`UeSim::step`] with [`CellLoadView::SOLO`], so extracting the
-/// state machine out of the old monolithic loop cannot change their traces
-/// (`tests/trace_equivalence.rs` holds them to that). The fleet engine
-/// ([`crate::fleet`]) drives many `UeSim`s in lockstep against one shared
-/// deployment, feeding each step the previous tick's per-cell attach counts
-/// through a [`CellLoadView`].
+/// The single-UE entry points ([`run`], [`run_instrumented`],
+/// [`run_hooked`]) are a thin loop over [`UeSim::step`] with
+/// [`CellLoadView::SOLO`] and a [`RadioSnapshot`] of their own. The fleet
+/// engine ([`crate::fleet`]) drives many `UeSim`s against one shared
+/// deployment, stepped every tick or, event-driven, parked on a calendar
+/// wheel and replayed with [`UeSim::catch_up`]; it feeds each step the
+/// previous tick's per-cell attach counts through a [`CellLoadView`] and
+/// shares one snapshot per shard. A fleet of one reproduces [`run`]'s trace
+/// byte for byte.
 pub(crate) struct UeSim<'d> {
     s: Scenario,
     d: &'d Deployment,
@@ -501,13 +364,13 @@ impl<'d> UeSim<'d> {
     /// `radio` is borrowed, not owned: the fleet engine shares one
     /// [`RadioSnapshot`] arena across every UE of a shard (the snapshot is a
     /// pure memo of `(pos, t)`, so sharing cannot change any UE's bytes),
-    /// while the single-UE paths pass a path they own. `record_samples`
+    /// while the single-UE entry points pass one they own. `record_samples`
     /// selects between full trace retention and streaming summary mode.
     pub(crate) fn new(
         s: Scenario,
         d: &'d Deployment,
         tele: &Telemetry,
-        radio: &mut RadioPath,
+        radio: &mut RadioSnapshot,
         mut hook: Option<&mut (dyn SimHook + '_)>,
         record_samples: bool,
     ) -> UeSim<'d> {
@@ -539,13 +402,8 @@ impl<'d> UeSim<'d> {
         let start = mob.position();
         {
             let nr = s.arch == Arch::Sa;
-            let best = match &mut *radio {
-                RadioPath::Snapshot(snap) => {
-                    snap.refresh(d, &start, t0, SEARCH_RADIUS_M, !nr, nr);
-                    snap.strongest(nr).first().map(|&(id, _)| id)
-                }
-                RadioPath::Reference => d.strongest(&start, t0, nr, SEARCH_RADIUS_M).first().map(|&(id, _)| id),
-            };
+            radio.refresh(d, &start, t0, SEARCH_RADIUS_M, !nr, nr);
+            let best = radio.strongest(nr).first().map(|&(id, _)| id);
             if nr {
                 sm.attach(None, best);
             } else {
@@ -674,12 +532,6 @@ impl<'d> UeSim<'d> {
         self.mob.position()
     }
 
-    /// Replays `ticks` slept ticks in one burst: exactly the per-tick
-    /// prologue of [`UeSim::step`] — clock, tick counter, mobility
-    /// integration — and nothing else, in the same order. Sound only when a
-    /// [`wakeup::plan_sleep`] bound proved every replayed tick's control
-    /// plane inert; the referee fleet mode holds the event-driven mode to
-    /// that byte-for-byte.
     /// Ticks this UE has stepped or replayed so far — the 1-based ordinal
     /// the last [`crate::hook::TickView`] carried. Staggered fleet UEs run
     /// their own counter, so sleep declarations must quote this, not the
@@ -688,6 +540,12 @@ impl<'d> UeSim<'d> {
         self.tick
     }
 
+    /// Replays `ticks` slept ticks in one burst: exactly the per-tick
+    /// prologue of [`UeSim::step`] — clock, tick counter, mobility
+    /// integration — and nothing else, in the same order. Sound only when a
+    /// [`wakeup::plan_sleep`] bound proved every replayed tick's control
+    /// plane inert; the referee fleet mode holds the event-driven mode to
+    /// that byte-for-byte.
     pub(crate) fn catch_up(&mut self, ticks: u64) {
         for _ in 0..ticks {
             self.t += self.dt;
@@ -695,40 +553,6 @@ impl<'d> UeSim<'d> {
             self.ticks_ctr.inc();
             self.mob.step(self.dt);
         }
-    }
-
-    /// Event-driven advance to tick `target` (or inactivity, whichever
-    /// comes first): before each sampled step the UE asks the planner for
-    /// an inert window — capped so the run lands exactly on `target` — and
-    /// fast-forwards it with [`UeSim::catch_up`]. Returns `(sleeps,
-    /// skipped_ticks)`. With `target = u64::MAX` this is "run to
-    /// completion", the single-UE analogue of the fleet's
-    /// [`crate::fleet::EngineMode::EventDriven`] loop.
-    pub(crate) fn step_to(
-        &mut self,
-        target: u64,
-        mut hook: Option<&mut (dyn SimHook + '_)>,
-        load: &CellLoadView,
-        radio: &mut RadioPath,
-        scratch: &mut wakeup::PlanScratch,
-    ) -> (u64, u64) {
-        let (mut sleeps, mut skipped) = (0u64, 0u64);
-        while self.tick < target && self.active() {
-            // a window of `w` skips w ticks and the wake step takes one
-            // more, so cap at remaining − 1 to never overshoot `target`
-            let cap = DES_MAX_WINDOW.min(target - self.tick - 1);
-            let w = if cap > 0 { self.plan_sleep_with(cap, scratch) } else { 0 };
-            if w > 0 {
-                if let Some(h) = hook.as_deref_mut() {
-                    h.on_sleep(self.tick, w);
-                }
-                self.catch_up(w);
-                sleeps += 1;
-                skipped += w;
-            }
-            self.step_sampled(hook.as_deref_mut(), load, radio, true);
-        }
-        (sleeps, skipped)
     }
 
     /// Conservative count of future ticks whose control plane is provably
@@ -774,7 +598,12 @@ impl<'d> UeSim<'d> {
     /// [`CellLoadView::SOLO`] both shares are exactly `1.0` and the
     /// multiplications are bit-for-bit no-ops (see
     /// [`fiveg_link::load_share`]).
-    pub(crate) fn step(&mut self, hook: Option<&mut (dyn SimHook + '_)>, load: &CellLoadView, radio: &mut RadioPath) {
+    pub(crate) fn step(
+        &mut self,
+        hook: Option<&mut (dyn SimHook + '_)>,
+        load: &CellLoadView,
+        radio: &mut RadioSnapshot,
+    ) {
         self.step_sampled(hook, load, radio, true)
     }
 
@@ -792,7 +621,7 @@ impl<'d> UeSim<'d> {
         &mut self,
         mut hook: Option<&mut (dyn SimHook + '_)>,
         load: &CellLoadView,
-        radio: &mut RadioPath,
+        radio: &mut RadioSnapshot,
         sample: bool,
     ) {
         let d = self.d;
@@ -887,77 +716,37 @@ impl<'d> UeSim<'d> {
 
         // --- channel views
         let channel_guard = tele.phase(Phase::Channel);
-        if let RadioPath::Snapshot(snap) = &mut *radio {
-            // one refresh feeds both leg views, RLF recovery and attach —
-            // each in-radius cell is priced at most once per tick
-            snap.refresh(d, &pos, t, SEARCH_RADIUS_M, arch != Arch::Sa, arch != Arch::Lte);
-        }
+        // one refresh feeds both leg views and RLF recovery — each in-radius
+        // cell is priced at most once per tick
+        radio.refresh(d, &pos, t, SEARCH_RADIUS_M, arch != Arch::Sa, arch != Arch::Lte);
         let lte_view: Option<&LegView> = if arch != Arch::Sa {
-            match &*radio {
-                RadioPath::Snapshot(snap) => {
-                    let all = snap.strongest(false);
-                    fill_leg_view(
-                        &mut self.lte_leg,
-                        &mut self.scratch,
-                        d,
-                        all,
-                        &pos,
-                        t,
-                        false,
-                        self.sm.serving_lte(),
-                        arch == Arch::Nsa,
-                    );
-                }
-                RadioPath::Reference => {
-                    let all = d.strongest(&pos, t, false, SEARCH_RADIUS_M);
-                    fill_leg_view(
-                        &mut self.lte_leg,
-                        &mut self.scratch,
-                        d,
-                        &all,
-                        &pos,
-                        t,
-                        false,
-                        self.sm.serving_lte(),
-                        arch == Arch::Nsa,
-                    );
-                }
-            }
+            fill_leg_view(
+                &mut self.lte_leg,
+                &mut self.scratch,
+                d,
+                radio.strongest(false),
+                &pos,
+                t,
+                false,
+                self.sm.serving_lte(),
+                arch == Arch::Nsa,
+            );
             Some(&self.lte_leg)
         } else {
             None
         };
         let nr_view: Option<&LegView> = if arch != Arch::Lte {
-            match &*radio {
-                RadioPath::Snapshot(snap) => {
-                    let all = snap.strongest(true);
-                    fill_leg_view(
-                        &mut self.nr_leg,
-                        &mut self.scratch,
-                        d,
-                        all,
-                        &pos,
-                        t,
-                        true,
-                        self.sm.serving_nr(),
-                        false,
-                    );
-                }
-                RadioPath::Reference => {
-                    let all = d.strongest(&pos, t, true, SEARCH_RADIUS_M);
-                    fill_leg_view(
-                        &mut self.nr_leg,
-                        &mut self.scratch,
-                        d,
-                        &all,
-                        &pos,
-                        t,
-                        true,
-                        self.sm.serving_nr(),
-                        false,
-                    );
-                }
-            }
+            fill_leg_view(
+                &mut self.nr_leg,
+                &mut self.scratch,
+                d,
+                radio.strongest(true),
+                &pos,
+                t,
+                true,
+                self.sm.serving_nr(),
+                false,
+            );
             Some(&self.nr_leg)
         } else {
             None
@@ -968,10 +757,7 @@ impl<'d> UeSim<'d> {
         if let Some(lv) = &lte_view {
             let lost = lv.serving.map(|m| m.rrs.rsrp_dbm < RLF_DBM).unwrap_or(self.sm.serving_lte().is_none());
             if lost && !self.sm.busy() {
-                let best = match &*radio {
-                    RadioPath::Snapshot(snap) => snap.strongest(false).first().copied(),
-                    RadioPath::Reference => d.strongest(&pos, t, false, SEARCH_RADIUS_M).first().copied(),
-                };
+                let best = radio.strongest(false).first().copied();
                 if let Some((id, rx)) = best {
                     if rx > RLF_DBM + 4.0 && Some(id) != self.sm.serving_lte() {
                         let rlf = self.sm.serving_lte().is_some();
@@ -1003,10 +789,7 @@ impl<'d> UeSim<'d> {
                 .map(|m| m.rrs.rsrp_dbm < RLF_DBM)
                 .unwrap_or(self.sm.serving_nr().is_none());
             if lost && !self.sm.busy() {
-                let best = match &*radio {
-                    RadioPath::Snapshot(snap) => snap.strongest(true).first().copied(),
-                    RadioPath::Reference => d.strongest(&pos, t, true, SEARCH_RADIUS_M).first().copied(),
-                };
+                let best = radio.strongest(true).first().copied();
                 if let Some((id, rx)) = best {
                     if rx > RLF_DBM + 4.0 && Some(id) != self.sm.serving_nr() {
                         let rlf = self.sm.serving_nr().is_some();
@@ -1721,11 +1504,11 @@ mod wakeup_tests {
     use crate::scenario::ScenarioBuilder;
     use fiveg_ran::Carrier;
 
-    fn sim_for<'d>(s: &Scenario, d: &'d Deployment, tele: &Telemetry, radio: &mut RadioPath) -> UeSim<'d> {
+    fn sim_for<'d>(s: &Scenario, d: &'d Deployment, tele: &Telemetry, radio: &mut RadioSnapshot) -> UeSim<'d> {
         UeSim::new(s.clone(), d, tele, radio, None, false)
     }
 
-    /// The single-UE core of the tentpole's equivalence gate: whenever the
+    /// The single-UE core of the event-driven engine's equivalence gate: whenever the
     /// planner grants a window `w`, stepping through it with the full
     /// control plane (sampling off) must land on exactly the state
     /// `catch_up(w)` reaches analytically — same counters, same serving
@@ -1735,8 +1518,8 @@ mod wakeup_tests {
     fn assert_windows_sound(s: &Scenario) -> (u64, u64) {
         let d = Deployment::generate(&s.route, s.carrier, s.env, s.arch, s.seed);
         let tele = Telemetry::disabled();
-        let mut radio_a = RadioPath::Snapshot(RadioSnapshot::new());
-        let mut radio_b = RadioPath::Snapshot(RadioSnapshot::new());
+        let mut radio_a = RadioSnapshot::new();
+        let mut radio_b = RadioSnapshot::new();
         let mut stepper = sim_for(s, &d, &tele, &mut radio_a);
         let mut skipper = sim_for(s, &d, &tele, &mut radio_b);
         let (mut plans, mut planned_ticks) = (0u64, 0u64);
@@ -1772,29 +1555,6 @@ mod wakeup_tests {
         let (plans, planned) = assert_windows_sound(&s);
         assert!(plans > 0, "the committed bench scenario must actually sleep");
         assert!(planned >= plans * 4, "every rung is at least 4 ticks");
-    }
-
-    #[test]
-    fn single_ue_des_matches_stepped_summary() {
-        let s = ScenarioBuilder::city_loop(Carrier::OpY, 201).arch(Arch::Sa).duration_s(60.0).sample_hz(10.0).build();
-        let des = run_des(&s);
-        let stepped = run_stepped_summary(&s);
-        assert_eq!(des.control(), stepped.control(), "DES and stepped summary runs diverged");
-        assert_eq!(stepped.skipped_ticks, 0);
-        assert!(des.skip_ratio() >= 0.5, "the bench scenario must skip most ticks, got {}", des.skip_ratio());
-    }
-
-    #[test]
-    fn step_to_lands_exactly_on_target() {
-        let s = ScenarioBuilder::city_loop(Carrier::OpY, 201).arch(Arch::Sa).duration_s(60.0).sample_hz(10.0).build();
-        let d = Deployment::generate(&s.route, s.carrier, s.env, s.arch, s.seed);
-        let tele = Telemetry::disabled();
-        let mut radio = RadioPath::Snapshot(RadioSnapshot::new());
-        let mut ue = sim_for(&s, &d, &tele, &mut radio);
-        for target in [1u64, 2, 7, 100, 101, 350] {
-            ue.step_to(target, None, &CellLoadView::SOLO, &mut radio, &mut wakeup::PlanScratch::default());
-            assert_eq!(ue.control_digest().7, target, "step_to must stop exactly at its target tick");
-        }
     }
 
     #[test]

@@ -83,7 +83,7 @@
 //!   sampling disabled — the full control plane still executes. If a
 //!   wakeup bound were ever unsound, the control plane would act during a
 //!   "provably inert" tick and the two modes' [`FleetTrace`]s would
-//!   diverge; `tests/trace_equivalence.rs` and the fleet gates byte-compare
+//!   diverge; `tests/des_equivalence.rs` and the fleet gates byte-compare
 //!   them to prove the bound.
 //!
 //! Scheduling is a pure function of per-UE state and the merged load
@@ -95,7 +95,7 @@
 //! UEs do not sample the link layer.
 
 use crate::engine::wakeup::PlanScratch;
-use crate::engine::{RadioPath, UeRunStats, UeSim};
+use crate::engine::{UeRunStats, UeSim};
 use crate::hook::SimHook;
 use crate::scenario::Scenario;
 use crate::trace::Trace;
@@ -115,8 +115,8 @@ use std::sync::{Barrier, Mutex};
 ///
 /// [`CellLoadView::SOLO`] is the single-UE engine's view: no load table at
 /// all, every share is exactly `1.0`, and the capacity math is bit-for-bit
-/// the pre-fleet engine's (the "no other UEs" bugfix contract guarded by
-/// `tests/trace_equivalence.rs`).
+/// the pre-fleet engine's (the "no other UEs" contract a fleet of one is
+/// held to in `tests/des_equivalence.rs`).
 #[derive(Clone, Copy, Default)]
 pub struct CellLoadView<'a> {
     counts: Option<&'a [AtomicU32]>,
@@ -172,7 +172,8 @@ impl EngineMode {
 ///
 /// Workers own shards round-robin (`shard % threads`), so `threads` is
 /// effectively capped at the shard count. `shards == 0` means "match the
-/// thread count" — the default the plain [`run_fleet`] entry points use.
+/// thread count" — the default [`FleetExec::threads`] sets. A fleet of one
+/// on [`EngineMode::EventDriven`] is the event-driven single-UE engine.
 /// All three knobs change only wall-clock behavior and the data-plane
 /// sampling aggregates: the control-plane output is byte-identical at any
 /// combination, and within the two scheduled modes the whole
@@ -422,6 +423,13 @@ pub struct UeSummary {
 }
 
 impl UeSummary {
+    /// The engine-invariant fields — ticks, distance, handovers, failures,
+    /// RLFs and reports — for direct equality asserts between a stepped and
+    /// an event-driven run of the same fleet.
+    pub fn control(&self) -> (u64, f64, u64, u64, u64, u64) {
+        (self.ticks, self.traveled_m, self.handovers, self.ho_failures, self.rlf_count, self.reports)
+    }
+
     fn from_trace(ue: u32, meta: PlanMeta, trace: &Trace, loaded_ticks: u64, share_sum: f64) -> UeSummary {
         let ticks = trace.samples.len() as u64;
         let mean_cap = if trace.samples.is_empty() {
@@ -550,9 +558,10 @@ pub struct FleetTrace {
 struct NoHook;
 impl SimHook for NoHook {}
 
-/// Runs a fleet with telemetry disabled. See [`run_fleet_instrumented`].
-pub fn run_fleet(spec: &FleetSpec, threads: usize) -> FleetTrace {
-    run_fleet_exec(spec, FleetExec::threads(threads))
+/// Runs a fleet with telemetry disabled, at the execution geometry `exec`
+/// (`FleetExec::threads(n)` for `n` workers, fixed stepping).
+pub fn run_fleet_exec(spec: &FleetSpec, exec: FleetExec) -> FleetTrace {
+    run_fleet_exec_instrumented(spec, exec, &Telemetry::disabled())
 }
 
 /// Runs a fleet recording into a caller-owned [`Telemetry`] handle.
@@ -561,34 +570,15 @@ pub fn run_fleet(spec: &FleetSpec, threads: usize) -> FleetTrace {
 /// absorbed into `tele` in UE order after the run (commutative counter and
 /// histogram merges — see [`Telemetry::absorb`]), plus fleet-level
 /// `fleet.*` counters. The returned [`FleetTrace`] is byte-identical at
-/// any `threads`.
-pub fn run_fleet_instrumented(spec: &FleetSpec, threads: usize, tele: &Telemetry) -> FleetTrace {
-    run_fleet_exec_instrumented(spec, FleetExec::threads(threads), tele)
-}
-
-/// Runs a fleet with one [`SimHook`] per UE, built by `factory` (called
-/// with the UE index). Hooks observe only — the trace is identical to
-/// [`run_fleet`]'s — and are returned in UE order, so an invariant oracle
-/// can be attached to every UE and queried afterwards.
-pub fn run_fleet_observed<H, F>(spec: &FleetSpec, threads: usize, tele: &Telemetry, factory: F) -> (FleetTrace, Vec<H>)
-where
-    H: SimHook + Send,
-    F: Fn(u32) -> H + Sync,
-{
-    run_fleet_exec_observed(spec, FleetExec::threads(threads), tele, factory)
-}
-
-/// [`run_fleet`] with explicit execution geometry.
-pub fn run_fleet_exec(spec: &FleetSpec, exec: FleetExec) -> FleetTrace {
-    run_fleet_exec_instrumented(spec, exec, &Telemetry::disabled())
-}
-
-/// [`run_fleet_instrumented`] with explicit execution geometry.
+/// any thread and shard count.
 pub fn run_fleet_exec_instrumented(spec: &FleetSpec, exec: FleetExec, tele: &Telemetry) -> FleetTrace {
     run_fleet_core::<NoHook>(spec, exec, tele, None).0
 }
 
-/// [`run_fleet_observed`] with explicit execution geometry.
+/// Runs a fleet with one [`SimHook`] per UE, built by `factory` (called
+/// with the UE index). Hooks observe only — the trace is identical to
+/// [`run_fleet_exec`]'s — and are returned in UE order, so an invariant
+/// oracle can be attached to every UE and queried afterwards.
 pub fn run_fleet_exec_observed<H, F>(
     spec: &FleetSpec,
     exec: FleetExec,
@@ -680,7 +670,7 @@ struct Shard<'d, H: SimHook> {
     /// refreshes and reads the same snapshot. A refresh fully recomputes
     /// from `(pos, t)` on miss, so sharing is invisible in the output —
     /// it only trades per-UE cache memory for a lower hit rate.
-    arena: RadioPath,
+    arena: RadioSnapshot,
     /// Calendar wheel (scheduled modes): the shard-local
     /// [`crate::wheel::EventQueue`], drained once per tick. The planner
     /// cap keeps every wakeup inside one revolution, so the queue's
@@ -715,7 +705,7 @@ impl<'d, H: SimHook> Shard<'d, H> {
             },
             counts: vec![0; n_cells],
             migrated: 0,
-            arena: RadioPath::Snapshot(RadioSnapshot::new()),
+            arena: RadioSnapshot::new(),
             wheel: if scheduled { EventQueue::with_slots(WHEEL_SLOTS) } else { EventQueue::default() },
             local_of: HashMap::new(),
             deltas: Vec::new(),
@@ -1284,7 +1274,7 @@ mod tests {
     fn fleet_of_one_is_single_run() {
         let s = base(11);
         let single = s.run();
-        let ft = run_fleet(&FleetSpec::new(s, 1).keep_traces(true), 1);
+        let ft = run_fleet_exec(&FleetSpec::new(s, 1).keep_traces(true), FleetExec::threads(1));
         assert_eq!(ft.traces.len(), 1);
         assert_eq!(ft.traces[0], single, "size-1 fleet must reproduce the single-UE engine exactly");
         assert_eq!(ft.load.contended_ue_ticks, 0, "one UE can never contend with itself");
@@ -1294,8 +1284,8 @@ mod tests {
     #[test]
     fn byte_identical_across_thread_counts() {
         let spec = FleetSpec::new(base(12), 7).keep_traces(true);
-        let a = run_fleet(&spec, 1);
-        let b = run_fleet(&spec, 3);
+        let a = run_fleet_exec(&spec, FleetExec::threads(1));
+        let b = run_fleet_exec(&spec, FleetExec::threads(3));
         assert_eq!(a, b, "fleet output must not depend on the worker count");
     }
 
@@ -1313,8 +1303,8 @@ mod tests {
     fn summary_mode_matches_trace_mode() {
         // the streamed summary path (keep_traces off) must produce the
         // same bytes `UeSummary::from_trace` computes from the full trace
-        let with = run_fleet(&FleetSpec::new(base(18), 6).keep_traces(true), 2);
-        let without = run_fleet(&FleetSpec::new(base(18), 6), 2);
+        let with = run_fleet_exec(&FleetSpec::new(base(18), 6).keep_traces(true), FleetExec::threads(2));
+        let without = run_fleet_exec(&FleetSpec::new(base(18), 6), FleetExec::threads(2));
         assert_eq!(with.ues, without.ues);
         assert_eq!(with.load, without.load);
         assert_eq!(with.meta, without.meta);
@@ -1375,7 +1365,7 @@ mod tests {
         // into the control plane)
         let s = base(13);
         let solo = s.run();
-        let ft = run_fleet(&FleetSpec::new(s, 12).stagger_s(0.0).keep_traces(true), 2);
+        let ft = run_fleet_exec(&FleetSpec::new(s, 12).stagger_s(0.0).keep_traces(true), FleetExec::threads(2));
         assert!(ft.load.contended_ue_ticks > 0, "12 co-routed UEs must contend: {:?}", ft.load);
         assert!(ft.load.peak_cell_ues >= 2);
         let ue0 = &ft.traces[0];
@@ -1400,7 +1390,7 @@ mod tests {
     fn fleet_ticks_count_only_advancing_ticks() {
         // the normal case: the last global tick is the one in which the
         // final UE takes its final step, so ticks == max(start + ue ticks)
-        let ft = run_fleet(&FleetSpec::new(base(17), 5), 2);
+        let ft = run_fleet_exec(&FleetSpec::new(base(17), 5), FleetExec::threads(2));
         let last = ft.ues.iter().map(|u| u.start_tick + u.ticks).max().unwrap();
         assert_eq!(ft.meta.ticks, last, "no trailing tick beyond the last step");
 
@@ -1408,14 +1398,14 @@ mod tests {
         // UeSim already inactive, so the lone coordinator pass steps
         // nothing — it must not be counted as a global tick
         let dead = ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 3.0, 17).duration_s(0.0).sample_hz(5.0).build();
-        let ft = run_fleet(&FleetSpec::new(dead, 3).stagger_s(0.0), 2);
+        let ft = run_fleet_exec(&FleetSpec::new(dead, 3).stagger_s(0.0), FleetExec::threads(2));
         assert_eq!(ft.ues.iter().map(|u| u.ticks).sum::<u64>(), 0);
         assert_eq!(ft.meta.ticks, 0, "a fleet that never steps executed zero ticks");
     }
 
     #[test]
     fn staggered_ues_enter_late_and_summaries_line_up() {
-        let ft = run_fleet(&FleetSpec::new(base(14), 5), 2);
+        let ft = run_fleet_exec(&FleetSpec::new(base(14), 5), FleetExec::threads(2));
         assert_eq!(ft.ues.len(), 5);
         assert_eq!(ft.ues[0].start_tick, 0);
         assert!(ft.ues.iter().enumerate().all(|(i, u)| u.ue == i as u32), "summaries must be in UE order");
@@ -1429,7 +1419,7 @@ mod tests {
     #[test]
     fn telemetry_absorbs_per_ue_counters() {
         let tele = Telemetry::new(TelemetryConfig::on());
-        let ft = run_fleet_instrumented(&FleetSpec::new(base(15), 4), 2, &tele);
+        let ft = run_fleet_exec_instrumented(&FleetSpec::new(base(15), 4), FleetExec::threads(2), &tele);
         let total: u64 = ft.ues.iter().map(|u| u.ticks).sum();
         assert_eq!(tele.counter_value("sim.ticks"), total);
         assert_eq!(tele.counter_value("fleet.ues"), 4);
@@ -1447,8 +1437,12 @@ mod tests {
                 self.0 += 1;
             }
         }
-        let (ft, hooks) =
-            run_fleet_observed(&FleetSpec::new(base(16), 3), 2, &Telemetry::disabled(), |_| TickCounter(0));
+        let (ft, hooks) = run_fleet_exec_observed(
+            &FleetSpec::new(base(16), 3),
+            FleetExec::threads(2),
+            &Telemetry::disabled(),
+            |_| TickCounter(0),
+        );
         assert_eq!(hooks.len(), 3);
         for (h, u) in hooks.iter().zip(&ft.ues) {
             assert_eq!(h.0, u.ticks, "each hook must see exactly its UE's ticks");
@@ -1571,7 +1565,7 @@ mod tests {
                     .build();
                 let single = s.run();
                 for threads in [1usize, 2] {
-                    let ft = run_fleet(&FleetSpec::new(s.clone(), 1).keep_traces(true), threads);
+                    let ft = run_fleet_exec(&FleetSpec::new(s.clone(), 1).keep_traces(true), FleetExec::threads(threads));
                     prop_assert_eq!(&ft.traces[0], &single);
                 }
             }

@@ -39,16 +39,12 @@ pub mod trace;
 pub mod wheel;
 
 pub use cache::TraceCache;
-pub use engine::{
-    run_des, run_des_instrumented, run_hooked, run_reference, run_reference_hooked, run_reference_instrumented,
-    run_stepped_summary, DesSummary,
-};
+pub use engine::run_hooked;
 pub use fault::FaultConfig;
 pub use fiveg_telemetry::{Telemetry, TelemetryConfig};
 pub use fleet::{
-    run_fleet, run_fleet_exec, run_fleet_exec_instrumented, run_fleet_exec_observed, run_fleet_instrumented,
-    run_fleet_observed, CellLoadView, EngineMode, FleetExec, FleetMeta, FleetSpec, FleetTrace, LoadSummary,
-    SchedSummary, ShardMap, UePlan, UeSummary,
+    run_fleet_exec, run_fleet_exec_instrumented, run_fleet_exec_observed, CellLoadView, EngineMode, FleetExec,
+    FleetMeta, FleetSpec, FleetTrace, LoadSummary, SchedSummary, ShardMap, UePlan, UeSummary,
 };
 pub use hook::{AttachReason, ServingCells, SimHook, TickView};
 pub use scenario::{Scenario, ScenarioBuilder, Workload};

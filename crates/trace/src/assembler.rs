@@ -60,7 +60,7 @@ struct OpenSpan {
 }
 
 /// Per-UE causal span assembler. Implements [`SimHook`]; drive it through
-/// `run_hooked` / `run_fleet_observed` and collect the result with
+/// `run_hooked` / `run_fleet_exec_observed` and collect the result with
 /// [`SpanAssembler::finish`].
 pub struct SpanAssembler {
     ue: u32,

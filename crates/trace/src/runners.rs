@@ -1,39 +1,18 @@
-//! Convenience runners: a scenario or fleet with a span assembler attached.
+//! Convenience runner: a scenario with a span assembler attached.
 //!
-//! These wrap the engine's hooked entry points so callers get spans without
-//! wiring the [`SpanAssembler`] themselves. The fleet runner merges per-UE
-//! logs in UE order with [`SpanLog::absorb`]; since the merge is
-//! order-independent the resulting log is byte-identical at any thread
-//! count — the same contract the fleet's telemetry absorption gives.
+//! It wraps the engine's hooked entry point so callers get spans without
+//! wiring the [`SpanAssembler`] themselves. Fleets attach one assembler per
+//! UE through `fiveg_sim::run_fleet_exec_observed` and merge the logs in UE
+//! order with [`SpanLog::absorb`]; since the merge is order-independent the
+//! resulting log is byte-identical at any thread count.
 
 use crate::assembler::SpanAssembler;
 use crate::span::SpanLog;
-use fiveg_sim::fleet::{run_fleet_observed, FleetSpec, FleetTrace};
-use fiveg_sim::{run_hooked, run_reference_hooked, Scenario, Telemetry, Trace};
+use fiveg_sim::{run_hooked, Scenario, Telemetry, Trace};
 
-/// Runs `s` on the snapshot radio path with a span assembler attached.
+/// Runs `s` with a span assembler attached.
 pub fn trace_run(s: &Scenario, tele: &Telemetry) -> (Trace, SpanLog) {
     let mut asm = SpanAssembler::new(0, s.arch);
     let trace = run_hooked(s, tele, &mut asm);
     (trace, asm.finish())
-}
-
-/// [`trace_run`] on the retained naive radio path (the differential-testing
-/// reference). A correct engine yields the same spans on both paths.
-pub fn trace_run_reference(s: &Scenario, tele: &Telemetry) -> (Trace, SpanLog) {
-    let mut asm = SpanAssembler::new(0, s.arch);
-    let trace = run_reference_hooked(s, tele, &mut asm);
-    (trace, asm.finish())
-}
-
-/// Runs a fleet with one span assembler per UE and merges their logs in UE
-/// order. The merged [`SpanLog`] is byte-identical at any `threads`.
-pub fn run_fleet_traced(spec: &FleetSpec, threads: usize, tele: &Telemetry) -> (FleetTrace, SpanLog) {
-    let arch = spec.base.arch;
-    let (ft, assemblers) = run_fleet_observed(spec, threads, tele, |ue| SpanAssembler::new(ue, arch));
-    let mut log = SpanLog::default();
-    for asm in assemblers {
-        log.absorb(asm.finish());
-    }
-    (ft, log)
 }

@@ -81,8 +81,9 @@ run_smoke() {
 }
 
 # The fuzz smoke gate: the oracle's mutation self-test, the committed
-# repro corpus, and a bounded fixed-seed campaign (200 cases through both
-# engines under the invariant oracle), byte-compared across thread counts.
+# repro corpus, and a bounded fixed-seed campaign (200 cases under the
+# invariant oracle, each radio-trajectory-checked and run stepped vs
+# event-driven), byte-compared across thread counts.
 run_fuzz() {
     echo "== scenario fuzz gate (self-test, corpus, 200 cases, 1 vs 4 threads)"
     cargo build -q --release -p fiveg-bench --bin scenario_fuzz
@@ -129,16 +130,18 @@ run_vivisect() {
 # Gating perf job: rerun both benchmarks and compare against the committed
 # BENCH_*.json baselines with a ±15% tolerance — the binaries exit nonzero
 # on a regression. Only machine-independent metrics are gated (work counts,
-# allocs per tick, the same-run snapshot-vs-reference speedup ratio):
-# the baselines' absolute ticks/s were recorded on the development machine,
-# and shared CI runners drift more than any sane tolerance, so raw
-# throughput is printed as an advisory comparison, never a failure.
+# allocs per tick, skip ratios, and the fleet's same-run event_speedup
+# ratio): the baselines' absolute ticks/s were recorded on the development
+# machine, and shared CI runners drift more than any sane tolerance, so
+# raw throughput is printed as an advisory comparison, never a failure.
 # tick_bench runs the full scenario set because the committed baseline is
-# full-mode (smoke's smaller scenario has different work counts); its v2
-# des section first proves each des scenario's event-driven summary equal
-# to the stepped twin, then enforces the machine-independent
-# skip_ratio >= 0.5 floor outright and bands logical tick counts and
-# skip_ratio against the baseline (UE·ticks/s stays advisory);
+# full-mode (smoke's smaller scenario has different work counts). It
+# bands the snapshot row's tick count and priced_cells_per_tick and fails
+# on an allocs/tick increase. Its des rows are event-driven fleets of one:
+# each is first proved control-plane-equal to the stepped fleet of one,
+# then the machine-independent skip_ratio >= 0.5 floor is enforced
+# outright and logical tick counts and skip_ratio are banded against the
+# baseline (UE·ticks/s stays advisory).
 # fleet_bench runs --smoke, whose per-size parameters match the full
 # baseline's up to the 10k-UE point (full adds only 100k), and pins
 # --threads 1 --shards 16 to match the committed baseline's geometry (a
@@ -149,8 +152,8 @@ run_vivisect() {
 # or extended baseline can never gate against the wrong row.
 # --verify-shards adds the other machine-independent gates: the same fleet
 # run with 1 and 4 shards must produce identical FleetTraces, and the
-# event-driven scheduler must be byte-identical to its FixedScheduled
-# referee (plus control-plane-identical to the plain fixed path) before
+# event-driven scheduler must be byte-identical to its EngineMode::Referee
+# run (plus control-plane-identical to the plain fixed path) before
 # any timing starts. --event-driven then times every size in both
 # fixed-step and event-driven modes: skip_ratio gates as a band (it is a
 # deterministic work count for the pinned scenario) and event_speedup as

@@ -1,5 +1,6 @@
 //! Gating corpus replay: every case under `tests/corpus/` re-runs through
-//! both engines under the full oracle on every CI run.
+//! the fuzzer's full check (oracle, radio trajectory, stepped vs
+//! event-driven) on every CI run.
 //!
 //! The corpus holds hand-picked coverage cases plus every shrunk repro the
 //! fuzzer ever wrote (`scenario_fuzz` saves minimal failing cases here) —

@@ -1,25 +1,27 @@
 //! The event-driven core's headline harness: differential equivalence
-//! between the stepped reference engine and the discrete-event scheduler,
-//! at every layer that produces output.
+//! between the stepped engine and the discrete-event scheduler, at every
+//! layer that produces output.
 //!
 //! The stepped engine is the proof oracle. Four kinds of evidence, each
 //! with its own failure mode:
 //!
 //! 1. **Traced byte-identity** — an event-driven fleet of one with trace
-//!    recording on must reproduce [`run_reference`] exactly. A UE
-//!    recording per-tick samples is never planner-eligible, so this leg
-//!    proves the DES machinery is *transparent* when it cannot skip.
+//!    recording on must reproduce [`Scenario::run`] exactly, down to the
+//!    encoded bytes. A UE recording per-tick samples is never
+//!    planner-eligible, so this leg proves the DES machinery is
+//!    *transparent* when it cannot skip.
 //! 2. **Summary-mode equality** — with sampling off the planner really
 //!    skips (asserted non-vacuous), and every engine-invariant control
-//!    field must still match the stepped twin.
+//!    field of an event-driven fleet of one must still match the stepped
+//!    fleet of one.
 //! 3. **Referee cross-examination** — [`EngineMode::Referee`] takes the
 //!    *same* scheduling decisions as [`EngineMode::EventDriven`] but steps
 //!    "sleeping" UEs with the full control plane. [`FleetTrace`] equality
 //!    therefore proves every granted window was genuinely inert.
 //! 4. **Downstream invariance** — handover [`SpanLog`]s, predictor feature
 //!    tables and full Prognos replays derived from DES output must equal
-//!    those derived from the reference engine: the paper's analyses may
-//!    not be able to tell which engine produced their input.
+//!    those derived from the stepped engine: the paper's analyses may not
+//!    be able to tell which engine produced their input.
 //!
 //! The matrix crosses NSA/SA/LTE × routes (city loop, freeway, walking)
 //! × fault injection; predictors cover Prognos, the GBC features and the
@@ -31,8 +33,8 @@ use fiveg_bench::vivisect::VivisectObserver;
 use fiveg_bench::{gbc_dataset, lstm_sequences, run_prognos};
 use fiveg_ran::{Arch, Carrier, CellId, HoType, RadioTech};
 use fiveg_sim::{
-    run_des, run_fleet_exec, run_fleet_exec_observed, run_reference, run_stepped_summary, EngineMode, FaultConfig,
-    FleetExec, FleetSpec, Scenario, ScenarioBuilder, Telemetry, Trace,
+    run_fleet_exec, run_fleet_exec_observed, EngineMode, FaultConfig, FleetExec, FleetSpec, Scenario, ScenarioBuilder,
+    Telemetry, Trace,
 };
 use fiveg_trace::{SpanLog, SpanOutcome};
 use prognos::PrognosConfig;
@@ -92,16 +94,17 @@ fn des_trace_of(s: &Scenario, threads: usize, shards: usize) -> Trace {
 }
 
 #[test]
-fn des_traces_are_byte_identical_to_run_reference() {
+fn des_traces_are_byte_identical_to_run() {
     // Leg 1: transparency. Trace recording pins the planner to zero-length
     // windows, and the whole DES path — wheel, scheduler state, load
     // publication — must be invisible in the output, at any geometry.
     for (name, s) in matrix() {
-        let reference = run_reference(&s);
-        assert!(!reference.samples.is_empty());
+        let stepped = s.run();
+        assert!(!stepped.samples.is_empty());
         for (threads, shards) in [(1, 1), (2, 4)] {
             let des = des_trace_of(&s, threads, shards);
-            assert_eq!(des, reference, "[{name}] DES trace diverged from run_reference at {threads}t/{shards}s");
+            assert_eq!(des, stepped, "[{name}] DES trace diverged from Scenario::run at {threads}t/{shards}s");
+            assert!(des.encode() == stepped.encode(), "[{name}] DES trace encodes to different bytes");
         }
     }
 }
@@ -109,19 +112,22 @@ fn des_traces_are_byte_identical_to_run_reference() {
 #[test]
 fn summary_mode_des_matches_stepped_across_the_matrix() {
     // Leg 2: with sampling off the planner is live. Control fields must
-    // match the stepped twin everywhere; skipping must actually happen on
-    // the sleep-eligible cells and never on NSA (whose SINR-quantity B1
-    // config keeps every UE on the fixed step).
+    // match the stepped fleet of one everywhere; skipping must actually
+    // happen on the sleep-eligible cells and never on NSA (whose
+    // SINR-quantity B1 config keeps every UE on the fixed step).
     let mut skipped_total = 0u64;
     for (name, s) in matrix() {
-        let des = run_des(&s);
-        let stepped = run_stepped_summary(&s);
-        assert_eq!(des.control(), stepped.control(), "[{name}] single-UE DES control plane diverged");
-        assert_eq!(stepped.skipped_ticks, 0);
-        if s.arch == Arch::Nsa {
-            assert_eq!(des.sleeps, 0, "[{name}] NSA UEs must never be granted a window");
+        let nsa = s.arch == Arch::Nsa;
+        let spec = FleetSpec::new(s, 1);
+        let stepped = run_fleet_exec(&spec, FleetExec::threads(1));
+        let des = run_fleet_exec(&spec, FleetExec::threads(1).engine(EngineMode::EventDriven));
+        assert_eq!(des.ues[0].control(), stepped.ues[0].control(), "[{name}] fleet-of-one DES control plane diverged");
+        assert!(stepped.sched.is_none(), "[{name}] the stepped engine runs no scheduler");
+        let sched = des.sched.expect("scheduled modes record a SchedSummary");
+        if nsa {
+            assert_eq!(sched.sleeps, 0, "[{name}] NSA UEs must never be granted a window");
         }
-        skipped_total += des.skipped_ticks;
+        skipped_total += sched.skipped_ue_ticks;
     }
     assert!(skipped_total > 0, "the matrix must exercise real skipping or this harness is vacuous");
 }
@@ -229,39 +235,39 @@ fn span_logs_survive_event_driven_scheduling() {
 fn predictors_cannot_tell_the_engines_apart() {
     // Leg 4b: the predictor pipeline — Prognos replay, GBC feature table,
     // LSTM sequences — fed a DES-produced trace must produce outputs
-    // identical to the reference engine's, including trained-model
+    // identical to the stepped engine's, including trained-model
     // predictions.
     let scenarios = [
         ScenarioBuilder::city_loop(Carrier::OpY, 21).duration_s(90.0).sample_hz(5.0).build(),
         ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 5.0, 22).duration_s(90.0).sample_hz(5.0).build(),
     ];
     for s in &scenarios {
-        let reference = run_reference(s);
+        let stepped = s.run();
         let des = des_trace_of(s, 2, 2);
-        assert_eq!(des, reference); // guards the legs below from vacuity
+        assert_eq!(des, stepped); // guards the legs below from vacuity
 
         // Prognos: full trace-driven replay on both engines' output
-        let (run_ref, _) = run_prognos(&reference, PrognosConfig::default(), None, None);
-        let (run_des_tr, _) = run_prognos(&des, PrognosConfig::default(), None, None);
-        assert_eq!(run_ref.windows, run_des_tr.windows, "Prognos window outcomes diverged");
-        assert_eq!(run_ref.episodes, run_des_tr.episodes);
-        assert_eq!(run_ref.events, run_des_tr.events);
-        assert_eq!((run_ref.learned, run_ref.evicted), (run_des_tr.learned, run_des_tr.evicted));
+        let (prognos_stepped, _) = run_prognos(&stepped, PrognosConfig::default(), None, None);
+        let (prognos_des, _) = run_prognos(&des, PrognosConfig::default(), None, None);
+        assert_eq!(prognos_stepped.windows, prognos_des.windows, "Prognos window outcomes diverged");
+        assert_eq!(prognos_stepped.episodes, prognos_des.episodes);
+        assert_eq!(prognos_stepped.events, prognos_des.events);
+        assert_eq!((prognos_stepped.learned, prognos_stepped.evicted), (prognos_des.learned, prognos_des.evicted));
 
         // GBC: identical feature tables, and a model trained on one
         // engine's output scores the other's rows identically
-        let data_ref = gbc_dataset(&[&reference], 1.0);
+        let data_stepped = gbc_dataset(&[&stepped], 1.0);
         let data_des = gbc_dataset(&[&des], 1.0);
-        assert_eq!(data_ref, data_des, "GBC feature tables diverged");
-        if data_ref.num_classes() >= 2 {
-            let model_ref = Gbc::train(&data_ref, &GbcConfig::default());
+        assert_eq!(data_stepped, data_des, "GBC feature tables diverged");
+        if data_stepped.num_classes() >= 2 {
+            let model_stepped = Gbc::train(&data_stepped, &GbcConfig::default());
             let model_des = Gbc::train(&data_des, &GbcConfig::default());
-            for row in &data_ref.features {
-                assert_eq!(model_ref.predict_proba(row), model_des.predict_proba(row));
+            for row in &data_stepped.features {
+                assert_eq!(model_stepped.predict_proba(row), model_des.predict_proba(row));
             }
         }
 
         // LSTM: identical input sequences
-        assert_eq!(lstm_sequences(&[&reference], 1.0), lstm_sequences(&[&des], 1.0));
+        assert_eq!(lstm_sequences(&[&stepped], 1.0), lstm_sequences(&[&des], 1.0));
     }
 }

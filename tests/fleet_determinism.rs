@@ -7,7 +7,7 @@
 use fiveg_oracle::Oracle;
 use fiveg_ran::{Arch, Carrier, Deployment};
 use fiveg_sim::{
-    run_fleet, run_fleet_exec, run_fleet_exec_instrumented, EngineMode, FleetExec, FleetSpec, FleetTrace, Scenario,
+    run_fleet_exec, run_fleet_exec_instrumented, EngineMode, FleetExec, FleetSpec, FleetTrace, Scenario,
     ScenarioBuilder, ShardMap, Telemetry, TelemetryConfig, Trace,
 };
 
@@ -32,9 +32,13 @@ fn assert_same_fleet(a: &FleetTrace, b: &FleetTrace, what: &str) {
 #[test]
 fn fleet_trace_is_identical_across_thread_counts() {
     let spec = FleetSpec::new(base(31), 9).keep_traces(true);
-    let one = run_fleet(&spec, 1);
+    let one = run_fleet_exec(&spec, FleetExec::threads(1));
     for threads in [2, 4] {
-        assert_same_fleet(&one, &run_fleet(&spec, threads), &format!("fleet output changed at {threads} threads"));
+        assert_same_fleet(
+            &one,
+            &run_fleet_exec(&spec, FleetExec::threads(threads)),
+            &format!("fleet output changed at {threads} threads"),
+        );
     }
 }
 
@@ -126,7 +130,7 @@ fn cell_load_shares_sum_correctly_after_boundary_exchange() {
 fn size_one_fleet_reproduces_single_run() {
     let s = base(35);
     let single = s.run();
-    let ft = run_fleet(&FleetSpec::new(s, 1).keep_traces(true), 2);
+    let ft = run_fleet_exec(&FleetSpec::new(s, 1).keep_traces(true), FleetExec::threads(2));
     assert_eq!(ft.traces.len(), 1);
     assert!(ft.traces[0].encode() == single.encode(), "a fleet of one must reproduce the single-UE engine exactly");
     assert_eq!(ft.load.contended_ue_ticks, 0);
@@ -134,7 +138,7 @@ fn size_one_fleet_reproduces_single_run() {
 
 #[test]
 fn event_driven_fleet_matches_referee_across_geometries() {
-    // the FixedScheduled referee steps sleeping UEs with the full control
+    // the EngineMode::Referee fleet steps sleeping UEs with the full control
     // plane (just unsampled), so FleetTrace equality proves every granted
     // sleep window was genuinely inert — at any thread/shard geometry
     let spec = FleetSpec::new(quiet_base(41), 12);
