@@ -18,7 +18,11 @@
 //! [`EngineMode::Stepped`]: identical control-plane summary and identical
 //! logical tick count, so the skip ratio is never bought with less work.
 //! `skip_ratio` is exact and machine-independent; the run fails outright if
-//! it drops below [`SKIP_FLOOR`] on any des scenario.
+//! it drops below [`SKIP_FLOOR`] on any des scenario. Each des row also
+//! reports `plan_tiles`, the shadowing tiles the sleep planner's screen
+//! hashed (telemetry counter `fleet.plan_tiles`): the screen builds a tile
+//! only when a travel box first touches it, so the count follows the route,
+//! not the deployment's extent.
 //!
 //! ```text
 //! tick_bench [--smoke] [--iters N] [--out PATH] [--baseline PATH] [--tol F]
@@ -36,19 +40,19 @@
 //! `--baseline`, the run gates the **machine-independent** metrics against
 //! the committed report — the snapshot row's tick count and priced cells
 //! per tick (bands) and its allocs/tick (lower is better), and each des
-//! row's tick count and skip ratio (bands) — and exits nonzero past the
-//! tolerance (default 15%); this is the gating CI perf job. Absolute
-//! ticks/sec is printed as an advisory comparison only, because the
-//! baseline's wall clock came from a different machine than the CI
-//! runner's (see `fiveg_bench::perfgate`).
+//! row's tick count, skip ratio and planner tile count (bands) — and exits
+//! nonzero past the tolerance (default 15%); this is the gating CI perf
+//! job. Absolute ticks/sec is printed as an advisory comparison only,
+//! because the baseline's wall clock came from a different machine than
+//! the CI runner's (see `fiveg_bench::perfgate`).
 
 use fiveg_bench::perfgate::{self, Better, Gate};
 use fiveg_bench::report::JsonBuf;
 use fiveg_geo::Point;
 use fiveg_ran::{Arch, Carrier, Deployment, RadioSnapshot};
 use fiveg_sim::{
-    engine, run_fleet_exec, EngineMode, FleetExec, FleetSpec, FleetTrace, Scenario, ScenarioBuilder, Telemetry,
-    TelemetryConfig, Trace,
+    engine, run_fleet_exec, run_fleet_exec_instrumented, EngineMode, FleetExec, FleetSpec, FleetTrace, Scenario,
+    ScenarioBuilder, Telemetry, TelemetryConfig, Trace,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
@@ -210,6 +214,9 @@ struct DesResult {
     sleeps: u64,
     /// `skipped_ticks / ticks` — exact and machine-independent.
     skip_ratio: f64,
+    /// Shadowing tiles the sleep planner built per run — exact and
+    /// machine-independent at the fixed one-thread geometry.
+    plan_tiles: u64,
     elapsed_s: f64,
     /// Logical UE·ticks simulated per wall-second over the timed passes.
     ue_ticks_per_sec: f64,
@@ -225,7 +232,10 @@ fn fleet_of_one(s: &Scenario, engine: EngineMode) -> FleetTrace {
 /// then `iters` passes). The returned work counts are per-iteration, the
 /// throughput is aggregated over all timed passes.
 fn bench_des(label: &'static str, s: &Scenario, iters: usize) -> DesResult {
-    fleet_of_one(s, EngineMode::EventDriven);
+    // the warmup doubles as the counted run: counters only, no timers
+    let tele = Telemetry::new(TelemetryConfig::deterministic());
+    let exec = FleetExec::threads(1).engine(EngineMode::EventDriven);
+    run_fleet_exec_instrumented(&FleetSpec::new(s.clone(), 1), exec, &tele);
     let start = Instant::now();
     let mut last = fleet_of_one(s, EngineMode::EventDriven);
     for _ in 1..iters {
@@ -240,6 +250,7 @@ fn bench_des(label: &'static str, s: &Scenario, iters: usize) -> DesResult {
         skipped_ticks: sched.skipped_ue_ticks,
         sleeps: sched.sleeps,
         skip_ratio: if ticks == 0 { 0.0 } else { sched.skipped_ue_ticks as f64 / ticks as f64 },
+        plan_tiles: tele.counter_value("fleet.plan_tiles"),
         elapsed_s,
         ue_ticks_per_sec: (ticks * iters as u64) as f64 / elapsed_s,
     }
@@ -336,6 +347,8 @@ fn report(mode: &str, iters: usize, set: &[(&'static str, Scenario)], p: &Snapsh
         j.uint(d.sleeps);
         j.key("skip_ratio");
         j.num(d.skip_ratio);
+        j.key("plan_tiles");
+        j.uint(d.plan_tiles);
         j.key("elapsed_s");
         j.num(d.elapsed_s);
         j.key("ue_ticks_per_sec");
@@ -394,8 +407,8 @@ fn main() -> ExitCode {
     for (label, s) in &des_set {
         let d = bench_des(label, s, args.iters);
         println!(
-            "  des {:<12} {:>6} ticks ({} slept in {} windows, skip {:.3})  -> {:>9.0} UE·ticks/s",
-            d.label, d.ticks, d.skipped_ticks, d.sleeps, d.skip_ratio, d.ue_ticks_per_sec
+            "  des {:<12} {:>6} ticks ({} slept in {} windows, skip {:.3}, {} plan tiles)  -> {:>9.0} UE·ticks/s",
+            d.label, d.ticks, d.skipped_ticks, d.sleeps, d.skip_ratio, d.plan_tiles, d.ue_ticks_per_sec
         );
         if d.skip_ratio < SKIP_FLOOR {
             eprintln!("tick_bench: skip_ratio {:.3} on {} fell below the {SKIP_FLOOR} floor", d.skip_ratio, d.label);
@@ -465,15 +478,20 @@ fn main() -> ExitCode {
         ];
         println!("  perf gate vs {} (tol {:.0}%):", path, args.tol * 100.0);
         perfgate::advise("snapshot ticks_per_sec", b_tps, snapshot.ticks_per_sec);
-        // des gates: logical work count and skip ratio are exact and
-        // machine-independent, so both are banded against the baseline;
-        // wall-clock throughput stays advisory like the snapshot row's.
+        // des gates: logical work count, skip ratio and planner tiles are
+        // exact and machine-independent, so all three are banded against
+        // the baseline; the tile band catches a screen that goes back to
+        // hashing the whole deployment. Wall-clock throughput stays
+        // advisory like the snapshot row's.
         for d in &des_results {
             let needle = format!(r#""des":"{}""#, d.label);
             let des_metric = |metric: &str| perfgate::metric_after(&committed, &needle, metric);
-            let (Some(b_dticks), Some(b_skip), Some(b_utps)) =
-                (des_metric("ticks"), des_metric("skip_ratio"), des_metric("ue_ticks_per_sec"))
-            else {
+            let (Some(b_dticks), Some(b_skip), Some(b_tiles), Some(b_utps)) = (
+                des_metric("ticks"),
+                des_metric("skip_ratio"),
+                des_metric("plan_tiles"),
+                des_metric("ue_ticks_per_sec"),
+            ) else {
                 eprintln!(
                     "tick_bench: baseline {path} is missing des metrics for {} — reformatted or wrong file?",
                     d.label
@@ -491,6 +509,12 @@ fn main() -> ExitCode {
                 what: format!("des {} skip_ratio", d.label),
                 baseline: b_skip,
                 current: d.skip_ratio,
+                better: Better::Band,
+            });
+            gates.push(Gate {
+                what: format!("des {} plan_tiles", d.label),
+                baseline: b_tiles,
+                current: d.plan_tiles as f64,
                 better: Better::Band,
             });
         }

@@ -27,8 +27,17 @@ pub mod smoothing;
 
 pub use band::{Band, BandClass};
 pub use capacity::shannon_capacity_mbps;
-pub use noise::{LatticeCache, NodeCache, SpatialNoise, TemporalNoise};
+pub use noise::{LatticeCache, NodeCache, SpatialNoise, TemporalNoise, TileMemo};
 pub use propagation::{ChannelCache, PathLoss, Propagation};
 pub use rng::{hash2, DetRng};
 pub use rrs::{combine_dbm, compute_rrs, compute_rrs_with_mw, Rrs, NOISE_FLOOR_DBM};
 pub use smoothing::{linear_fit, predict_at, triangular_smooth, LinearFit};
+
+/// Slack (dB) a sound upper bound on a received level carries before it is
+/// compared with an exact value. Screens such as the radio snapshot's
+/// fading ceiling and the sleep planner's margins sum the same channel
+/// terms the engine sums, but in another order or as maxima over the
+/// gaussians an exact sample blends, so a bound is mathematically sound yet
+/// may fall short of the rounded exact value by a few ulps. 1e-6 dB is far
+/// above that rounding and far below any configured threshold or offset.
+pub const BOUND_EPS_DB: f64 = 1e-6;

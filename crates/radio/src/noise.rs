@@ -11,6 +11,7 @@
 //! and replayable.
 
 use fiveg_geo::Point;
+use std::collections::HashMap;
 
 /// SplitMix64: the 64-bit finalizer used as our lattice hash.
 #[inline]
@@ -69,6 +70,34 @@ pub struct LatticeCache {
     /// (blockage lookups use a different salt and no interpolation).
     ukey: Option<(i64, i64)>,
     uval: f64,
+}
+
+/// Lattice corners per side of one [`TileMemo`] tile. A constant of the
+/// kernel: on the 100 m lattice of freeway sub-6 cells a tile spans 800 m,
+/// on the 20 m lattice of dense-urban mmWave cells 160 m — small against
+/// the region a planner queries, large enough that one travel box touches
+/// only a handful of tiles.
+pub const TILE_CORNERS: i64 = 8;
+
+/// Lazily built tile suprema of one [`SpatialNoise`] field, for
+/// [`SpatialNoise::sup_over_box`]: the maximum corner gaussian of every
+/// [`TILE_CORNERS`]² tile of lattice corners queried so far, keyed by tile.
+/// Only tiles a query touches are ever hashed, so the memo's cost follows
+/// the region actually queried rather than the field's whole extent.
+///
+/// Like [`LatticeCache`], a memo belongs to *one* field — reusing it across
+/// different `SpatialNoise` instances returns wrong values whenever tile
+/// keys collide. Keep one memo per field.
+#[derive(Debug, Clone, Default)]
+pub struct TileMemo {
+    tiles: HashMap<(i64, i64), f64>,
+}
+
+impl TileMemo {
+    /// Tiles built (hashed) so far.
+    pub fn built(&self) -> usize {
+        self.tiles.len()
+    }
 }
 
 /// Spatially correlated Gaussian field with a given correlation length,
@@ -175,26 +204,49 @@ impl SpatialNoise {
         (self.sigma * 1.2 * g_min, self.sigma * 1.2 * g_max)
     }
 
-    /// Sound upper bound on the field anywhere in the axis-aligned rectangle
-    /// `[x0, x1] × [y0, y1]`: every sample is a convex combination of its
-    /// lattice cell's four corner gaussians, so the field's supremum is at
-    /// most the maximum corner gaussian of the rectangle's lattice cover.
-    /// One hash per covered corner — meant to be computed once per field
-    /// over a deployment-sized region and memoized, giving schedulers an
-    /// O(1) screen that dominates [`SpatialNoise::range_over_box`] without
-    /// touching the lattice per query.
-    pub fn sup_over_rect(&self, x0: f64, y0: f64, x1: f64, y1: f64) -> f64 {
-        let cx0 = (x0 / self.corr_len).floor() as i64;
-        let cx1 = (x1 / self.corr_len).floor() as i64 + 1;
-        let cy0 = (y0 / self.corr_len).floor() as i64;
-        let cy1 = (y1 / self.corr_len).floor() as i64 + 1;
+    /// Sound upper bound on the field anywhere in the axis-aligned box of
+    /// half-width `reach_m` centered at `p`, from lazily built tile suprema.
+    ///
+    /// Every sample is a convex blend of its lattice cell's four corner
+    /// gaussians, so the field's supremum over the box is at most the
+    /// maximum corner gaussian of the box's lattice cover — corners
+    /// `floor(lo / corr_len)` through `floor(hi / corr_len) + 1` on each
+    /// axis, the same cover [`SpatialNoise::range_over_box`] blends. The
+    /// corners are grouped into fixed [`TILE_CORNERS`]² tiles; a tile's
+    /// maximum is hashed on first use and memoized in `memo`, and the bound
+    /// is the maximum over the tiles that hold the cover. Those tiles are a
+    /// superset of the cover, so the bound is sound, and it dominates
+    /// `range_over_box(p, reach_m).1` up to interior rounding (callers add
+    /// [`BOUND_EPS_DB`](crate::BOUND_EPS_DB)). Memoized values are a pure
+    /// function of the field, so a warm memo returns exactly what a cold
+    /// one does; the memo must be dedicated to this field.
+    pub fn sup_over_box(&self, p: &Point, reach_m: f64, memo: &mut TileMemo) -> f64 {
+        // the box's lattice cover, then the tiles holding it
+        let corner = |v: f64| (v / self.corr_len).floor() as i64;
+        let (cx0, cx1) = (corner(p.x - reach_m), corner(p.x + reach_m) + 1);
+        let (cy0, cy1) = (corner(p.y - reach_m), corner(p.y + reach_m) + 1);
+        let (tx0, tx1) = (cx0.div_euclid(TILE_CORNERS), cx1.div_euclid(TILE_CORNERS));
+        let (ty0, ty1) = (cy0.div_euclid(TILE_CORNERS), cy1.div_euclid(TILE_CORNERS));
         let mut g_max = f64::NEG_INFINITY;
-        for x in cx0..=cx1 {
-            for y in cy0..=cy1 {
-                g_max = g_max.max(hash_gaussian(self.seed, x, y));
+        for tx in tx0..=tx1 {
+            for ty in ty0..=ty1 {
+                g_max = g_max.max(*memo.tiles.entry((tx, ty)).or_insert_with(|| self.tile_max(tx, ty)));
             }
         }
         self.sigma * 1.2 * g_max
+    }
+
+    /// The maximum corner gaussian of tile `(tx, ty)`: lattice corners
+    /// `tx * TILE_CORNERS ..` and `ty * TILE_CORNERS ..`, `TILE_CORNERS` per axis.
+    fn tile_max(&self, tx: i64, ty: i64) -> f64 {
+        let (x0, y0) = (tx * TILE_CORNERS, ty * TILE_CORNERS);
+        let mut g_max = f64::NEG_INFINITY;
+        for x in x0..x0 + TILE_CORNERS {
+            for y in y0..y0 + TILE_CORNERS {
+                g_max = g_max.max(hash_gaussian(self.seed, x, y));
+            }
+        }
+        g_max
     }
 
     /// `(min, max)` of the per-lattice-cell uniform draw over the
@@ -509,6 +561,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn tile_sup_dominates_samples_and_box_range() {
+        use crate::rng::DetRng;
+        use crate::BOUND_EPS_DB;
+        let mut rng = DetRng::new(0x7113_5A9E);
+        let mut samples = 0;
+        // the 100 m freeway sub-6 lattice and the 20 m dense-urban mmWave one
+        for (seed, corr, sigma) in [(5u64, 100.0, 8.0), (6, 20.0, 10.0)] {
+            let n = SpatialNoise::new(seed, corr, sigma);
+            let tile_m = corr * TILE_CORNERS as f64;
+            let mut warm = TileMemo::default();
+            for k in 0..3000 {
+                let reach = match k % 4 {
+                    0 => rng.range(0.0, 0.5 * corr),
+                    1 => rng.range(0.0, 3.0 * corr),
+                    2 => rng.range(0.0, tile_m),
+                    _ => rng.range(0.0, 2.0 * tile_m),
+                };
+                // a tile corner on either side of the origin; boxes end just
+                // short of it, start just past it, or straddle it
+                let (bx, by) = (rng.range(-12.0, 12.0).round() * tile_m, rng.range(-12.0, 12.0).round() * tile_m);
+                let nudge = rng.range(0.0, 0.02 * corr);
+                let c = match k % 3 {
+                    0 => Point::new(bx - reach - nudge, by - reach - nudge),
+                    1 => Point::new(bx + reach + nudge, by + reach + nudge),
+                    _ => Point::new(bx + rng.range(-reach, reach), by + rng.range(-reach, reach)),
+                };
+                let sup = n.sup_over_box(&c, reach, &mut warm);
+                assert_eq!(sup, n.sup_over_box(&c, reach, &mut TileMemo::default()), "warm memo changed box {k}");
+                let (_, hi) = n.range_over_box(&c, reach);
+                assert!(sup + BOUND_EPS_DB >= hi, "tile sup {sup} below box range max {hi} at box {k} (corr {corr})");
+                // the box's four corners and four random interior points
+                for (i, j) in [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)] {
+                    let corner = Point::new(c.x + i * reach, c.y + j * reach);
+                    let inside = Point::new(c.x + rng.range(-reach, reach), c.y + rng.range(-reach, reach));
+                    for q in [corner, inside] {
+                        let v = n.sample(&q);
+                        assert!(sup + BOUND_EPS_DB >= v, "tile sup {sup} below sample {v} at {q:?} (corr {corr})");
+                        samples += 1;
+                    }
+                }
+            }
+        }
+        assert!(samples >= 10_000);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! of §4.1 come from blockage plus fast fading.
 
 use crate::band::{Band, BandClass};
-use crate::noise::{LatticeCache, NodeCache, SpatialNoise, TemporalNoise};
+use crate::noise::{LatticeCache, NodeCache, SpatialNoise, TemporalNoise, TileMemo};
 use fiveg_geo::Point;
 
 /// Per-receiver memo for one cell's stochastic channel: the shadowing and
@@ -243,25 +243,13 @@ impl Propagation {
         self.fading.sup_over_cached(t0, t1, nodes)
     }
 
-    /// Supremum of the shadowing term anywhere inside the rectangle
-    /// `[x0, x1] × [y0, y1]` — the position-only part of
-    /// [`Propagation::noise_sup_over_rect`], for callers that bound the
-    /// time-varying fading term separately (and usually far more tightly
-    /// than the global Box–Muller bound).
-    pub fn shadow_sup_over_rect(&self, x0: f64, y0: f64, x1: f64, y1: f64) -> f64 {
-        self.shadowing.sup_over_rect(x0, y0, x1, y1)
-    }
-
-    /// Sound upper bound on `shadowing + fading` (dB) at any position inside
-    /// the rectangle `[x0, x1] × [y0, y1]` and at any time: the shadowing
-    /// field's corner supremum over the rectangle
-    /// ([`SpatialNoise::sup_over_rect`]) plus the fading process's global
-    /// bound. Blockage only attenuates and pattern loss is nonnegative, so
-    /// `median_received_dbm(closest reachable distance) + noise_sup` screens
-    /// the exact upper envelope from above at O(1) per query once this is
-    /// memoized per cell over the deployment's region.
-    pub fn noise_sup_over_rect(&self, x0: f64, y0: f64, x1: f64, y1: f64) -> f64 {
-        self.shadow_sup_over_rect(x0, y0, x1, y1) + self.fading.global_bound()
+    /// Sound upper bound on the shadowing term anywhere within `reach_m`
+    /// meters (axis-aligned box) of `ue`, from the tile suprema memoized in
+    /// `tiles` — see [`SpatialNoise::sup_over_box`]. It dominates
+    /// `shadowing_range(ue, reach_m).1` and costs a few memo lookups once the
+    /// box's tiles are built. The memo must be dedicated to this channel.
+    pub fn shadow_sup_over_box(&self, ue: &Point, reach_m: f64, tiles: &mut TileMemo) -> f64 {
+        self.shadowing.sup_over_box(ue, reach_m, tiles)
     }
 
     /// Worst-case extra attenuation the blockage field can apply (dB): the

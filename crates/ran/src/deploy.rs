@@ -24,7 +24,6 @@ use fiveg_geo::{Point, Polyline};
 use fiveg_radio::{hash2, Band, BandClass, DetRng, Propagation, SpatialNoise};
 use fiveg_rrc::Pci;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
 
 /// Inter-site distances in meters per (environment, band role).
 #[derive(Debug, Clone, Copy)]
@@ -142,22 +141,6 @@ pub struct Deployment {
     /// dual fraction.
     bearer_field: SpatialNoise,
     dual_fraction: f64,
-    /// Per-cell noise suprema for the sleep planner's O(1) screen, computed
-    /// lazily on first use (single-UE runs and NSA fleets never pay for it)
-    /// and shared across clones — the table is a pure function of the cells.
-    planner_sup: Arc<OnceLock<NoiseSup>>,
-}
-
-/// Lazily-built planner screen: for each cell, a sound upper bound on its
-/// channel's stochastic terms anywhere in the deployment's padded bounding
-/// rectangle — see [`Deployment::noise_sup_db`].
-#[derive(Debug)]
-struct NoiseSup {
-    x0: f64,
-    y0: f64,
-    x1: f64,
-    y1: f64,
-    sup_db: Vec<f64>,
 }
 
 impl Deployment {
@@ -179,7 +162,6 @@ impl Deployment {
             gnb_assoc: HashMap::new(),
             bearer_field: SpatialNoise::new(hash2(seed, 0xBEAE), 3000.0, 1.0),
             dual_fraction: profile.dual_mode_fraction,
-            planner_sup: Arc::new(OnceLock::new()),
         };
 
         let mut lte_pci = 11u16;
@@ -433,59 +415,6 @@ impl Deployment {
                 }
             }
         }
-    }
-
-    /// The memoized per-cell planner-screen table: the supremum of each
-    /// cell's *shadowing* field over the deployment's padded bounding
-    /// rectangle. Built once per deployment on first use — a corner scan of
-    /// each cell's shadowing lattice over the rectangle — and shared across
-    /// clones and threads.
-    fn planner_sup(&self) -> &NoiseSup {
-        self.planner_sup.get_or_init(|| {
-            // pad by 2 km: routes thread between their towers, so the site
-            // bounding box plus the pad covers every fleet UE position and
-            // the longest sleep-window travel box
-            const PAD_M: f64 = 2_000.0;
-            let (mut x0, mut y0) = (f64::INFINITY, f64::INFINITY);
-            let (mut x1, mut y1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-            for c in &self.cells {
-                x0 = x0.min(c.site.x);
-                y0 = y0.min(c.site.y);
-                x1 = x1.max(c.site.x);
-                y1 = y1.max(c.site.y);
-            }
-            (x0, y0, x1, y1) = (x0 - PAD_M, y0 - PAD_M, x1 + PAD_M, y1 + PAD_M);
-            let sup_db = self.cells.iter().map(|c| c.propagation.shadow_sup_over_rect(x0, y0, x1, y1)).collect();
-            NoiseSup { x0, y0, x1, y1, sup_db }
-        })
-    }
-
-    /// Sound upper bound (dB) on the stochastic terms of `id`'s channel —
-    /// shadowing plus fast fading, at any position within `reach_m` of `pos`
-    /// and at any time — or `None` when the query box leaves the
-    /// deployment's padded bounding rectangle (then the caller falls back to
-    /// the exact envelope; fleet UEs never leave it).
-    ///
-    /// `median_received_dbm(dist - reach) + noise_sup_db` therefore
-    /// dominates any exact RSRP upper envelope over the same box (pattern
-    /// loss is nonnegative and blockage only attenuates), which is the O(1)
-    /// screen the sleep planner uses to skip pricing cells that provably
-    /// cannot trigger anything.
-    pub fn noise_sup_db(&self, id: CellId, pos: &Point, reach_m: f64) -> Option<f64> {
-        self.shadow_sup_db(id, pos, reach_m).map(|sh| sh + self.cell(id).propagation.fading_bound())
-    }
-
-    /// The shadowing-only part of [`Deployment::noise_sup_db`]: the memoized
-    /// supremum of `id`'s shadowing field anywhere in the deployment's
-    /// padded bounding rectangle, or `None` when the query box leaves it.
-    /// Callers that can bound the fading term per tick (its node gaussians
-    /// are pure functions of time) combine this with an exact fading
-    /// supremum instead of the loose global Box–Muller bound.
-    pub fn shadow_sup_db(&self, id: CellId, pos: &Point, reach_m: f64) -> Option<f64> {
-        let s = self.planner_sup();
-        let inside =
-            pos.x - reach_m >= s.x0 && pos.x + reach_m <= s.x1 && pos.y - reach_m >= s.y0 && pos.y + reach_m <= s.y1;
-        inside.then(|| s.sup_db[id.0 as usize])
     }
 
     /// The strongest cells of a technology at `pos`/`t`, sorted by received

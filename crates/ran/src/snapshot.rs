@@ -44,14 +44,10 @@
 use crate::cell::{Cell, CellId};
 use crate::deploy::{rx_total_order, Deployment};
 use fiveg_geo::Point;
-use fiveg_radio::{ChannelCache, Propagation};
+use fiveg_radio::{ChannelCache, Propagation, BOUND_EPS_DB};
 use fiveg_rrc::Pci;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-
-/// Slack (dB) on the fading ceiling: the fading sample is a rounded blend of
-/// two node gaussians, which may exceed the analytic bound by a few ulps.
-const FADING_EPS_DB: f64 = 1e-6;
 
 /// Reusable per-tick table of the strongest cells of each band.
 ///
@@ -112,7 +108,7 @@ fn exact_rx(c: &Cell, prefix: f64, t: f64, blk: f64, pat: f64) -> f64 {
 struct BandTop {
     name: &'static str,
     nr: bool,
-    /// `fading_bound() + FADING_EPS_DB`, maximized over the band's cells:
+    /// `fading_bound() + BOUND_EPS_DB`, maximized over the band's cells:
     /// above any of their fading terms at any time.
     fading_ceiling: f64,
     /// `(index into screened, ub0)` of up to `PER_BAND` highest bounds.
@@ -269,7 +265,7 @@ impl RadioSnapshot {
                 }
             };
             let b = &mut self.bands[band];
-            b.fading_ceiling = b.fading_ceiling.max(c.propagation.fading_bound() + FADING_EPS_DB);
+            b.fading_ceiling = b.fading_ceiling.max(c.propagation.fading_bound() + BOUND_EPS_DB);
             self.band_of.push(u8::try_from(band).expect("more than 256 bands in one deployment"));
         }
     }

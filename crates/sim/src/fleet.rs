@@ -107,7 +107,7 @@ use fiveg_ran::{Arch, Carrier, CellId, Deployment, Environment, RadioSnapshot};
 use fiveg_telemetry::{Telemetry, TelemetryConfig};
 use fiveg_ue::SpeedProfile;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 /// Read-only view of the previous tick's per-cell attach counts, consumed
@@ -794,6 +794,8 @@ fn run_fleet_core<H: SimHook + Send>(
         (0..shards_n).map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())]).collect();
     let active = AtomicU32::new(0);
     let stepped = AtomicU32::new(0);
+    // planner tiles built, summed over the workers' scratch memos at exit
+    let plan_tiles = AtomicU64::new(0);
     let done = AtomicBool::new(false);
     // workers + coordinator; two waits per tick (merge point, release point)
     let barrier = Barrier::new(threads + 1);
@@ -807,6 +809,7 @@ fn run_fleet_core<H: SimHook + Send>(
         for w in 0..threads {
             let (d, metas, global, inboxes, active, stepped, done, barrier, results, map) =
                 (&d, &metas, &global[..], &inboxes[..], &active, &stepped, &done, &barrier, &results, &map);
+            let plan_tiles = &plan_tiles;
             let keep = spec.keep_traces;
             scope.spawn(move || {
                 // per-worker plan buffers: plans are pure functions of UE
@@ -1077,6 +1080,7 @@ fn run_fleet_core<H: SimHook + Send>(
                         break;
                     }
                 }
+                plan_tiles.fetch_add(scratch.tiles_built(), Ordering::Relaxed);
             });
         }
 
@@ -1221,6 +1225,8 @@ fn run_fleet_core<H: SimHook + Send>(
         tele.add("fleet.skipped_ue_ticks", sched_total.skipped_ue_ticks);
         tele.add("fleet.sleeps", sched_total.sleeps);
         tele.add("fleet.load_wakes", sched_total.load_wakes);
+        // per-worker memos: depends on how UEs met workers, like migrations
+        tele.add("fleet.plan_tiles", plan_tiles.into_inner());
     }
 
     let meta = FleetMeta {

@@ -29,9 +29,13 @@
 //! The only approximation left is the candidate set. Evaluating every
 //! in-radius cell on every dry tick would cost more than the step it
 //! replaces, so a screen first reduces the deployment to per-leg *hot
-//! lists* with an O(1) per-cell bound: median path loss at the closest
-//! reachable distance plus a memoized deployment-wide noise supremum (see
-//! [`Deployment::noise_sup_db`]). A screened-out cell provably cannot push
+//! lists* with a cheap per-cell bound: median path loss at the closest
+//! reachable distance plus the cell's shadowing supremum over the travel
+//! box and the fading term's global bound. The shadowing supremum comes
+//! from tiles of lattice corners whose maxima are hashed on first query and
+//! memoized per worker (see [`SpatialNoise::sup_over_box`]), so a worker
+//! only ever touches the lattice near its UEs' paths, and a tighter box can
+//! only drop cells that could not fire. A screened-out cell provably cannot push
 //! any configured entry margin nonpositive anywhere in the window — its
 //! exclusion changes no [`EventConfig::entered`] verdict, because entry for
 //! the neighbor-driven kinds is monotone in the neighbor level and decided
@@ -50,9 +54,10 @@
 //! optimistic bound could actually enter an event.
 //!
 //! Everything here reads shared immutable state (`Deployment`, hash-based
-//! noise fields), so plans are identical at any thread/shard count.
+//! noise fields); the per-worker memos hold pure functions of that state,
+//! so plans are identical at any thread/shard count, warm or cold.
 //!
-//! [`Deployment::noise_sup_db`]: fiveg_ran::Deployment::noise_sup_db
+//! [`SpatialNoise::sup_over_box`]: fiveg_radio::SpatialNoise::sup_over_box
 //! [`Cell::rx_dbm_cached`]: fiveg_ran::Cell::rx_dbm_cached
 //! [`Cell::rx_dbm_memo`]: fiveg_ran::Cell::rx_dbm_memo
 //! [`MobilityPeek`]: fiveg_ue::MobilityPeek
@@ -60,16 +65,9 @@
 
 use super::{UeSim, ANCHOR_MIN_FREQ_MHZ, RLF_DBM, SEARCH_RADIUS_M};
 use fiveg_geo::Point;
-use fiveg_radio::{ChannelCache, NodeCache};
+use fiveg_radio::{ChannelCache, NodeCache, TileMemo, BOUND_EPS_DB};
 use fiveg_ran::{Arch, CellId, Deployment};
 use fiveg_rrc::{EventConfig, EventKind, MeasQuantity};
-
-/// Safety slack (dB) on the screening margin: the screen sums the same
-/// channel terms the engine sums, but in a different order, so the bound is
-/// mathematically sound yet could disagree with the measured value in the
-/// last few ulps. The dry run itself needs no slack — it computes the
-/// engine's numbers, not bounds on them.
-const MARGIN_EPS_DB: f64 = 1e-6;
 
 /// Reusable buffers for [`plan_sleep`]. The fleet keeps one per worker and
 /// threads it through every resident UE's plan, so steady-state planning
@@ -97,6 +95,18 @@ pub(crate) struct PlanScratch {
     /// span reuses them — the cache that makes exact per-tick fading
     /// bounds affordable.
     fad: Vec<NodeCache>,
+    /// Per-cell shadowing tile suprema, indexed by `CellId`: built on a
+    /// screen's first query of a tile, so a worker hashes only the lattice
+    /// its UEs' travel boxes actually touch.
+    tiles: Vec<TileMemo>,
+}
+
+impl PlanScratch {
+    /// Shadowing tiles built so far, summed over cells — a machine-
+    /// independent count of the screen's lattice work.
+    pub(crate) fn tiles_built(&self) -> u64 {
+        self.tiles.iter().map(|m| m.built() as u64).sum()
+    }
 }
 
 /// Plans a sleep for `ue`: the number of consecutive future ticks that are
@@ -108,7 +118,7 @@ pub(crate) fn plan_sleep(ue: &UeSim<'_>, max_ticks: u64, scratch: &mut PlanScrat
     if !eligible(ue) {
         return 0;
     }
-    let PlanScratch { near, hot, pos, t, s_lte, s_nr, caches, fad } = scratch;
+    let PlanScratch { near, hot, pos, t, s_lte, s_nr, caches, fad, tiles } = scratch;
     // replay the mobility prologue: the horizon stops one tick short of the
     // first tick whose pre-step `active()` check would fail, so a sleep
     // never carries the UE across its route end or duration clamp
@@ -119,6 +129,7 @@ pub(crate) fn plan_sleep(ue: &UeSim<'_>, max_ticks: u64, scratch: &mut PlanScrat
     if caches.len() < ue.d.cells.len() {
         caches.resize(ue.d.cells.len(), ChannelCache::default());
         fad.resize_with(ue.d.cells.len(), NodeCache::default);
+        tiles.resize_with(ue.d.cells.len(), TileMemo::default);
     }
     // exact serving series per leg: refuses RLF ticks and serving-only
     // (A1/A2) entries, and records the series the neighbor pass compares
@@ -142,8 +153,8 @@ pub(crate) fn plan_sleep(ue: &UeSim<'_>, max_ticks: u64, scratch: &mut PlanScrat
     if arch != Arch::Sa {
         let serving = ue.sm.serving_lte().expect("eligible() requires an attached LTE leg");
         let cfgs = ue.lte_engine.configs();
-        build_hot(ue.d, cfgs, serving, false, arch == Arch::Nsa, &start, travel, s_lte, near, hot, vmin);
-        vmin = neighbor_pass(ue.d, cfgs, hot, serving, false, s_lte, &start, travel, pos, t, caches, fad, vmin);
+        build_hot(ue.d, cfgs, serving, false, arch == Arch::Nsa, &start, travel, s_lte, near, tiles, hot, vmin);
+        vmin = neighbor_pass(ue.d, cfgs, hot, serving, false, s_lte, &start, travel, pos, t, caches, fad, tiles, vmin);
         if vmin <= 1 {
             return 0;
         }
@@ -151,8 +162,8 @@ pub(crate) fn plan_sleep(ue: &UeSim<'_>, max_ticks: u64, scratch: &mut PlanScrat
     if arch != Arch::Lte {
         let serving = ue.sm.serving_nr().expect("eligible() requires an attached NR leg");
         let cfgs = ue.nr_engine.configs();
-        build_hot(ue.d, cfgs, serving, true, false, &start, travel, s_nr, near, hot, vmin);
-        vmin = neighbor_pass(ue.d, cfgs, hot, serving, true, s_nr, &start, travel, pos, t, caches, fad, vmin);
+        build_hot(ue.d, cfgs, serving, true, false, &start, travel, s_nr, near, tiles, hot, vmin);
+        vmin = neighbor_pass(ue.d, cfgs, hot, serving, true, s_nr, &start, travel, pos, t, caches, fad, tiles, vmin);
     }
     vmin - 1
 }
@@ -268,12 +279,16 @@ fn serving_pass(
 
 /// Screens `near` down to the cells whose channel could plausibly trigger a
 /// neighbor-driven event anywhere in the window: per cell, one path-loss
-/// evaluation against the memoized deployment-wide noise supremum
-/// ([`Deployment::noise_sup_db`]) instead of a lattice scan. The margin test
-/// uses the *exact* serving minimum over the window (from the serving
-/// pass), so the screen is as tight as the supremum allows. Cells left out
-/// provably cannot change any [`EventConfig::entered`] verdict in the
-/// window, so the dry run prices only the survivors.
+/// evaluation against the shadowing supremum over the travel box (a few
+/// lookups in the cell's lazily built tile memo, see
+/// [`Propagation::shadow_sup_over_box`]) plus the fading term's global
+/// bound, instead of a lattice scan. The margin test uses the *exact*
+/// serving minimum over the window (from the serving pass), so the screen
+/// is as tight as the supremum allows. Cells left out provably cannot
+/// change any [`EventConfig::entered`] verdict in the window, so the dry
+/// run prices only the survivors.
+///
+/// [`Propagation::shadow_sup_over_box`]: fiveg_radio::Propagation::shadow_sup_over_box
 #[allow(clippy::too_many_arguments)]
 fn build_hot(
     d: &Deployment,
@@ -285,6 +300,7 @@ fn build_hot(
     travel: f64,
     s: &[f64],
     near: &[CellId],
+    tiles: &mut [TileMemo],
     hot: &mut Vec<CellId>,
     vmin: u64,
 ) {
@@ -306,9 +322,9 @@ fn build_hot(
         }
         // upper bound on the cell's RSRP anywhere in the window, clamped as
         // the measurement would be (the clamp is monotone, so it survives)
-        let screen = d.noise_sup_db(id, start, travel).map_or(f64::INFINITY, |sup| {
-            (c.propagation.median_received_dbm(c.site.distance(start) - travel) + sup).clamp(-140.0, -44.0)
-        });
+        let p = &c.propagation;
+        let sup = p.shadow_sup_over_box(start, travel, &mut tiles[id.0 as usize]) + p.fading_bound();
+        let screen = (p.median_received_dbm(c.site.distance(start) - travel) + sup).clamp(-140.0, -44.0);
         let a3_ok = (c.band.freq_mhz - s_freq).abs() < 1.0 && (s_group.is_none() || meas_group(d, id, nr) == s_group);
         if plausible(configs, a3_ok, s_min, screen) {
             hot.push(id);
@@ -331,8 +347,8 @@ fn build_hot(
 /// plans in the same span, so the per-cell [`NodeCache`] turns exact
 /// fading suprema into array lookups. Each cell then runs a cascade —
 ///
-/// 1. *window screen*: memoized deployment-wide shadowing sup + exact
-///    fading sup over the window (O(1) amortized);
+/// 1. *window screen*: tile-memoized shadowing sup over the travel box +
+///    exact fading sup over the window (a few lookups, amortized);
 /// 2. *box screen*: exact shadowing extreme over the travel box (a lattice
 ///    corner scan, paid only by window-screen survivors);
 /// 3. *tick screen + replay*: per tick, an optimistic level from the two
@@ -359,6 +375,7 @@ fn neighbor_pass(
     t: &[f64],
     caches: &mut [ChannelCache],
     fad: &mut [NodeCache],
+    tiles: &mut [TileMemo],
     mut vmin: u64,
 ) -> u64 {
     let s_cell = d.cell(serving);
@@ -373,13 +390,12 @@ fn neighbor_pass(
         let d_near = c.site.distance(start) - travel;
         let (pat_lo, _) = c.pattern_loss_bounds(start, travel);
         let fd_sup = p.fading_sup_over(t[0], t[(vmin - 2) as usize], nodes);
-        // stage 1: O(1) window screen — deployment-wide shadowing sup +
-        // exact window fading sup
-        if let Some(sh_sup) = d.shadow_sup_db(id, start, travel) {
-            let up = (p.median_received_dbm(d_near) + sh_sup - pat_lo + fd_sup).clamp(-140.0, -44.0);
-            if !plausible(configs, a3_ok, s_min, up) {
-                continue;
-            }
+        // stage 1: window screen — tile-memoized shadowing sup over the
+        // travel box + exact window fading sup
+        let sh_sup = p.shadow_sup_over_box(start, travel, &mut tiles[id.0 as usize]);
+        let up = (p.median_received_dbm(d_near) + sh_sup - pat_lo + fd_sup).clamp(-140.0, -44.0);
+        if !plausible(configs, a3_ok, s_min, up) {
+            continue;
         }
         // stage 2: exact shadowing extreme over the travel box
         let (_, sh_hi) = p.shadowing_range(start, travel);
@@ -425,7 +441,7 @@ fn plausible(configs: &[EventConfig], a3_ok: bool, s: f64, up: f64) -> bool {
             EventKind::A4 | EventKind::A5 | EventKind::B1 => true,
             _ => false,
         };
-        relevant && cfg.entry_margin_db(s, up) <= MARGIN_EPS_DB
+        relevant && cfg.entry_margin_db(s, up) <= BOUND_EPS_DB
     })
 }
 

@@ -173,6 +173,35 @@ fn event_driven_matrix_is_byte_identical_across_geometries() {
 }
 
 #[test]
+fn warm_planner_memos_leave_the_freeway_fleet_unchanged() {
+    // the sleep planner memoizes shadowing tile suprema per worker, and
+    // freeway UEs migrate across 16 shard bands, so at 2 threads each
+    // worker's memo is warmed by UEs of shards it no longer (or never) held.
+    // The memo holds pure functions of the deployment, so the FleetTrace
+    // must not notice: same bytes as one worker and as the referee
+    let base = ScenarioBuilder::freeway(Carrier::OpX, Arch::Sa, 6.0, 47).duration_s(90.0).sample_hz(5.0).build();
+    let spec = FleetSpec::new(base, 8).stagger_s(6.0).speed_jitter(0.1);
+    let geometry = |threads: usize, engine: EngineMode| {
+        let tele = Telemetry::new(TelemetryConfig::deterministic());
+        let ft = run_fleet_exec_instrumented(&spec, FleetExec::threads(threads).shards(16).engine(engine), &tele);
+        (ft, tele.counter_value("fleet.plan_tiles"), tele.counter_value("fleet.migrations"))
+    };
+    let (one, tiles_one, _) = geometry(1, EngineMode::EventDriven);
+    let (two, tiles_two, migrations) = geometry(2, EngineMode::EventDriven);
+    let (referee, _, _) = geometry(2, EngineMode::Referee);
+    assert!(
+        one.sched.as_ref().is_some_and(|s| s.sleeps > 0 && s.skipped_ue_ticks > 0),
+        "the freeway fleet must actually sleep or this test is vacuous"
+    );
+    assert!(migrations > 0, "freeway UEs must cross shard bands");
+    // every tile one worker builds is needed by some plan, and the plans
+    // are the same at any geometry, so two workers build at least as many
+    assert!(tiles_one > 0 && tiles_one <= tiles_two, "planner tiles: {tiles_one} at 1 thread, {tiles_two} at 2");
+    assert_same_fleet(&one, &two, "warm per-worker memos changed the event-driven fleet");
+    assert_same_fleet(&referee, &two, "event-driven fleet diverged from the referee");
+}
+
+#[test]
 fn event_driven_fleet_preserves_fixed_control_plane() {
     // fixed vs event-driven: identical meta, load summary and per-UE
     // control-plane fields; only the data-plane sampling aggregates may
