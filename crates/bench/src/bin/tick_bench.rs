@@ -3,7 +3,7 @@
 //! per tick.
 //!
 //! A fixed-seed scenario set runs through the production engine
-//! ([`fiveg_sim::engine::run_instrumented`]). Throughput counters flow
+//! ([`Scenario::run_instrumented`]). Throughput counters flow
 //! through `fiveg-telemetry` (`sim.ticks` from the instrumented runs,
 //! `bench.allocs` from a counting global allocator), and the report is
 //! written as `BENCH_tick.json` (schema `fiveg-tick/v3`).
@@ -262,7 +262,7 @@ fn bench_snapshot(set: &[(&'static str, Scenario)], iters: usize, cells_per_tick
     // warmup (untimed): page in code and let the allocator settle
     let warm = Telemetry::new(TelemetryConfig::on());
     for (_, s) in set {
-        engine::run_instrumented(s, &warm);
+        s.run_instrumented(&warm);
     }
 
     let tele = Telemetry::new(TelemetryConfig::on());
@@ -272,7 +272,7 @@ fn bench_snapshot(set: &[(&'static str, Scenario)], iters: usize, cells_per_tick
         for (_, s) in set {
             let before = ALLOCS.load(Ordering::Relaxed);
             let start = Instant::now();
-            engine::run_instrumented(s, &tele);
+            s.run_instrumented(&tele);
             elapsed_s += start.elapsed().as_secs_f64();
             allocs.add(ALLOCS.load(Ordering::Relaxed) - before);
         }

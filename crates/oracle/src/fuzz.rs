@@ -345,15 +345,16 @@ pub fn run_case(case: &FuzzCase) -> CaseResult {
 
     let mut divergence = check::check_radio_trajectory(&s, &trace).err().map(|e| format!("radio trajectory: {e}"));
 
-    // the scheduled engine, differentially. Stepped axis: the event-driven
-    // fleet scheduler must reproduce the fixed-step single-UE run exactly
-    // for a fleet of one — every granted sleep window over this fuzzed
-    // scenario space has to be provably inert. Event axis: a staggered
-    // multi-UE fleet run under the referee and event-driven at the fuzzed
-    // geometry must match byte-for-byte, so calendar-wheel wakeups racing
-    // shard migration and load-coupled early wakes cannot bend the output.
-    // Traces are deliberately off on the event axis — a trace-recording UE
-    // is never planner-eligible, so only the untraced pair really sleeps.
+    // the scheduled engine, differentially. Stepped axis: a trace-keeping
+    // fleet of one under `EventDriven` must reproduce the single-UE run's
+    // trace exactly — the fleet loop itself (activation, load publish,
+    // finalize) adds nothing. A trace-recording UE never plans a sleep, so
+    // this axis proves no sleep window sound; the event axis does: a
+    // staggered multi-UE fleet run under the referee and event-driven at
+    // the fuzzed geometry must match byte-for-byte, so calendar-wheel
+    // wakeups racing shard migration and load-coupled early wakes cannot
+    // bend the output. Traces are deliberately off on the event axis, so
+    // that pair really sleeps.
     if divergence.is_none() {
         divergence = match case.engine {
             FuzzEngine::Stepped => {

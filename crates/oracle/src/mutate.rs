@@ -407,7 +407,9 @@ mod tests {
         // ...and must not paper over it with a fabricated span: the clean
         // control run completes strictly more spans
         let s = ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 6.0, 1).duration_s(180.0).sample_hz(10.0).build();
-        let (_, clean) = fiveg_trace::trace_run(&s, &Telemetry::disabled());
+        let mut clean = SpanAssembler::new(0, Arch::Nsa);
+        engine::run_hooked(&s, &Telemetry::disabled(), &mut clean);
+        let clean = clean.finish();
         assert!(clean.anomalies.is_empty(), "{:?}", clean.anomalies);
         assert!(
             log.count(SpanOutcome::Completed) < clean.count(SpanOutcome::Completed),
@@ -429,7 +431,9 @@ mod tests {
     fn clean_runs_assemble_without_anomalies() {
         for arch in [Arch::Lte, Arch::Nsa, Arch::Sa] {
             let s = ScenarioBuilder::freeway(Carrier::OpY, arch, 6.0, 7).duration_s(120.0).sample_hz(10.0).build();
-            let (trace, log) = fiveg_trace::trace_run(&s, &Telemetry::disabled());
+            let mut asm = SpanAssembler::new(0, arch);
+            let trace = engine::run_hooked(&s, &Telemetry::disabled(), &mut asm);
+            let log = asm.finish();
             assert!(log.anomalies.is_empty(), "{arch:?}: {:?}", log.anomalies);
             // every committed HO in the trace has exactly one completed span
             assert_eq!(

@@ -164,7 +164,7 @@ mod tests {
 
     fn small_trace() -> Trace {
         let sc = ScenarioBuilder::city_loop(Carrier::OpY, 201).arch(Arch::Sa).duration_s(20.0).sample_hz(10.0).build();
-        fiveg_sim::engine::run(&sc)
+        sc.run()
     }
 
     #[test]

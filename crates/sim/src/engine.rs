@@ -230,46 +230,30 @@ fn fill_leg_view(
     }
 }
 
-/// Runs a scenario to completion.
-pub fn run(s: &Scenario) -> Trace {
-    run_instrumented(s, &Telemetry::new(s.telemetry))
-}
-
-/// Runs a scenario recording into a caller-owned [`Telemetry`] handle.
-///
-/// With a disabled handle this is `run` exactly (every telemetry call is an
-/// `Option` check). With an enabled handle, counters/histograms/journal
-/// events are recorded at sim-time and per-phase wall-clock timers wrap the
-/// tick-loop stages; none of it feeds back into the simulation, so the
-/// returned `Trace` is identical either way.
-pub fn run_instrumented(s: &Scenario, tele: &Telemetry) -> Trace {
-    run_with(s, tele, None)
-}
-
 /// Runs a scenario with a [`SimHook`] observing every state transition (see
 /// [`crate::hook`]). Hooks observe only — the returned trace is byte-identical
-/// to [`run`]'s.
+/// to [`Scenario::run`]'s.
 pub fn run_hooked(s: &Scenario, tele: &Telemetry, hook: &mut dyn SimHook) -> Trace {
     run_with(s, tele, Some(hook))
 }
 
-fn run_with(s: &Scenario, tele: &Telemetry, mut hook: Option<&mut (dyn SimHook + '_)>) -> Trace {
+/// The single-UE engine: one [`UeSim`] stepped to completion with
+/// [`CellLoadView::SOLO`] and a [`RadioSnapshot`] of its own.
+pub(crate) fn run_with(s: &Scenario, tele: &Telemetry, mut hook: Option<&mut (dyn SimHook + '_)>) -> Trace {
     let d = Deployment::generate(&s.route, s.carrier, s.env, s.arch, s.seed);
     let mut radio = RadioSnapshot::new();
     let mut ue = UeSim::new(s.clone(), &d, tele, &mut radio, hook.as_deref_mut(), true);
     while ue.active() {
         ue.step(hook.as_deref_mut(), &CellLoadView::SOLO, &mut radio);
     }
-    ue.into_trace(hook)
+    ue.finish(hook).1.expect("the single-UE engine records samples")
 }
 
-/// Flat end-of-run statistics, produced by [`UeSim::finish_summary`] when the
-/// caller never needs the full [`Trace`] (fleet runs with `keep_traces`
-/// off). Every field is bit-identical to what the same run's `Trace` would
-/// have yielded: counts are incremented at the exact sites that push the
-/// corresponding records, and `capacity_sum` accumulates left-to-right in
-/// tick order — the same fold `UeSummary::from_trace` performs over
-/// `samples`.
+/// Flat end-of-run statistics, produced by [`UeSim::finish`] for every UE
+/// whether or not it kept its [`Trace`]. Counts are incremented at the
+/// exact sites that push the corresponding trace records, and
+/// `capacity_sum` accumulates left-to-right in tick order, so with samples
+/// recorded every field equals what the trace itself implies.
 pub(crate) struct UeRunStats {
     pub ticks: u64,
     pub traveled_m: f64,
@@ -285,15 +269,14 @@ pub(crate) struct UeRunStats {
 /// One UE's simulation state, steppable one tick at a time against a
 /// borrowed immutable [`Deployment`].
 ///
-/// The single-UE entry points ([`run`], [`run_instrumented`],
-/// [`run_hooked`]) are a thin loop over [`UeSim::step`] with
-/// [`CellLoadView::SOLO`] and a [`RadioSnapshot`] of their own. The fleet
-/// engine ([`crate::fleet`]) drives many `UeSim`s against one shared
-/// deployment, stepped every tick or, event-driven, parked on a calendar
-/// wheel and replayed with [`UeSim::catch_up`]; it feeds each step the
-/// previous tick's per-cell attach counts through a [`CellLoadView`] and
-/// shares one snapshot per shard. A fleet of one reproduces [`run`]'s trace
-/// byte for byte.
+/// The single-UE engine ([`Scenario::run`], [`run_hooked`]) is a thin loop
+/// over [`UeSim::step`] with [`CellLoadView::SOLO`] and a [`RadioSnapshot`]
+/// of its own. The fleet engine ([`crate::fleet`]) drives many `UeSim`s
+/// against one shared deployment, stepped every tick or, event-driven,
+/// parked on a calendar wheel and replayed with [`UeSim::catch_up`]; it
+/// feeds each step the fleet's per-cell attach counts through a
+/// [`CellLoadView`] and shares one snapshot per shard. A fleet of one reproduces
+/// [`Scenario::run`]'s trace byte for byte.
 pub(crate) struct UeSim<'d> {
     s: Scenario,
     d: &'d Deployment,
@@ -342,8 +325,8 @@ pub(crate) struct UeSim<'d> {
     reports_n: u64,
     /// Count of completed handovers; equals `handovers.len()`.
     handovers_n: u64,
-    /// Σ per-tick `capacity_mbps` in tick order — the same left-to-right
-    /// fold `UeSummary::from_trace` performs over `samples`.
+    /// Σ per-tick `capacity_mbps` in tick order — the left-to-right fold
+    /// of the retained samples' capacities.
     cap_sum: f64,
     rlf_count: u64,
     ho_failures: u64,
@@ -518,12 +501,6 @@ impl<'d> UeSim<'d> {
     /// into the next tick's per-cell attach counts.
     pub(crate) fn serving(&self) -> (Option<CellId>, Option<CellId>) {
         (self.sm.serving_lte(), self.sm.serving_nr())
-    }
-
-    /// `(ticks with share < 1.0, Σ per-tick share)` — the fleet engine's
-    /// per-UE congestion statistics.
-    pub(crate) fn load_stats(&self) -> (u64, f64) {
-        (self.loaded_ticks, self.share_sum)
     }
 
     /// Current UE position — what the fleet engine feeds its shard map to
@@ -1103,8 +1080,9 @@ impl<'d> UeSim<'d> {
     }
 
     /// Finishes the run: fires `on_run_end`, records the final gauges and
-    /// consumes the UE into its [`Trace`].
-    pub(crate) fn into_trace(self, mut hook: Option<&mut (dyn SimHook + '_)>) -> Trace {
+    /// consumes the UE into its flat [`UeRunStats`], plus its [`Trace`]
+    /// when `record_samples` is set.
+    pub(crate) fn finish(self, mut hook: Option<&mut (dyn SimHook + '_)>) -> (UeRunStats, Option<Trace>) {
         if let Some(h) = hook.as_mut() {
             h.on_run_end(
                 self.t,
@@ -1116,6 +1094,21 @@ impl<'d> UeSim<'d> {
 
         self.tele.set_gauge("sim.duration_s", self.t);
         self.tele.set_gauge("sim.traveled_m", self.mob.distance());
+
+        let stats = UeRunStats {
+            ticks: self.tick,
+            traveled_m: self.mob.distance(),
+            handovers: self.handovers_n,
+            ho_failures: self.ho_failures,
+            rlf_count: self.rlf_count,
+            reports: self.reports_n,
+            capacity_sum: self.cap_sum,
+            loaded_ticks: self.loaded_ticks,
+            share_sum: self.share_sum,
+        };
+        if !self.record_samples {
+            return (stats, None);
+        }
 
         let cells = self
             .d
@@ -1133,7 +1126,7 @@ impl<'d> UeSim<'d> {
             })
             .collect();
 
-        Trace {
+        let trace = Trace {
             meta: TraceMeta {
                 carrier: self.s.carrier,
                 env: self.s.env,
@@ -1157,38 +1150,8 @@ impl<'d> UeSim<'d> {
                 (_, Some(f)) => FlowLog::Cbr(f.samples().to_vec()),
                 _ => FlowLog::None,
             },
-        }
-    }
-
-    /// Finishes the run in summary mode: fires `on_run_end` and records the
-    /// final gauges exactly as [`UeSim::into_trace`] does, then consumes the
-    /// UE into flat [`UeRunStats`] instead of a [`Trace`]. The counts and
-    /// sums mirror what `UeSummary::from_trace` would compute from the same
-    /// run's trace, bit for bit.
-    pub(crate) fn finish_summary(self, mut hook: Option<&mut (dyn SimHook + '_)>) -> UeRunStats {
-        if let Some(h) = hook.as_mut() {
-            h.on_run_end(
-                self.t,
-                ServingCells { lte: self.sm.serving_lte(), nr: self.sm.serving_nr() },
-                self.sm.ho_phase(),
-                self.sm.queued(),
-            );
-        }
-
-        self.tele.set_gauge("sim.duration_s", self.t);
-        self.tele.set_gauge("sim.traveled_m", self.mob.distance());
-
-        UeRunStats {
-            ticks: self.tick,
-            traveled_m: self.mob.distance(),
-            handovers: self.handovers_n,
-            ho_failures: self.ho_failures,
-            rlf_count: self.rlf_count,
-            reports: self.reports_n,
-            capacity_sum: self.cap_sum,
-            loaded_ticks: self.loaded_ticks,
-            share_sum: self.share_sum,
-        }
+        };
+        (stats, Some(trace))
     }
 }
 

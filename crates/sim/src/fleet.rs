@@ -1,36 +1,40 @@
 //! Multi-UE fleet engine: N load-coupled UEs against one shared deployment,
 //! executed on **spatial shards**.
 //!
-//! Every single-UE entry point in [`crate::engine`] simulates exactly one
-//! device; the paper's findings (HO frequency, dual-steering, QoE impact)
-//! are population effects. This module runs a *fleet* of `UeSim`s in
-//! lockstep against one immutable [`Deployment`], coupling them through
-//! **cell load**: each tick publishes per-cell attach counts, and the next
-//! tick's link-layer capacity is scaled by the serving cell's equal share
-//! ([`fiveg_link::load_share`]).
+//! The single-UE engine ([`Scenario::run`]) simulates exactly one device;
+//! the paper's findings (HO frequency, dual-steering, QoE impact) are
+//! population effects. This module runs a *fleet* of `UeSim`s in lockstep
+//! against one immutable [`Deployment`], coupling them through
+//! **cell load**: a per-cell attach-count table holds every live UE's
+//! serving cells, and each tick's link-layer capacity is scaled by the
+//! serving cell's equal share ([`fiveg_link::load_share`]) under the table
+//! as the previous tick left it.
 //!
 //! # Spatial sharding
 //!
 //! The world is partitioned by the deployment's grid index: a [`ShardMap`]
 //! assigns each shard a contiguous band of grid-index x-columns, and each
 //! shard owns the UEs currently inside its band (struct-of-arrays layout:
-//! parallel `idx`/`sims`/`hooks`/`teles` vectors). Shard-local state a
-//! worker touches every tick is plain, unsynchronized data:
+//! parallel `idx`/`sims`/`hooks`/`teles`/`scheds` vectors). Shard-local
+//! state a worker touches every tick is plain, unsynchronized data:
 //!
-//! * per-cell attach counts are plain `u32`s, incremented without atomics;
-//! * a per-shard [`RadioSnapshot`] arena replaces the old per-UE radio
-//!   caches — the snapshot is a pure memo of `(pos, t)`, so sharing one
-//!   across the shard's UEs cannot change any UE's bytes, and the per-UE
-//!   cache memory disappears;
+//! * serving-cell transitions are appended to a shard-local delta list —
+//!   `(cell, ±1)` only when a UE's serving cell changes, nothing on the
+//!   ticks it keeps its cells;
+//! * a per-shard [`RadioSnapshot`] arena is shared by the shard's UEs — the
+//!   snapshot is a pure memo of `(pos, t)`, so sharing it cannot change any
+//!   UE's bytes;
 //! * per-UE scratch (leg views, candidate tables) lives inside `UeSim` and
 //!   is reused across ticks, so steady-state stepping does not allocate.
 //!
 //! Once per tick the coordinator performs the **boundary exchange** while
-//! every worker is parked between the two barriers: it folds each shard's
-//! count table into the global read table (commutative integer adds — the
-//! merged table is independent of shard count), accumulates the load
-//! statistics from the merged table, and zeroes the shard tables for the
-//! next tick.
+//! every worker is parked between the two barriers: it applies last tick's
+//! departures, then every shard's deltas, to the one persistent load table
+//! (commutative integer adds — the table is independent of shard count),
+//! and accumulates the load statistics from it, rescanning the table only
+//! on ticks where some delta landed. A finalized UE's cells are retired one
+//! boundary late, so its last step's publish is still read by the next
+//! tick like every other UE's.
 //!
 //! A UE whose step moved it across a shard boundary **migrates** via an
 //! explicit mailbox message carrying its fleet index, `UeSim`, hook and
@@ -45,10 +49,10 @@
 //! The output is byte-identical at any `--threads` and any `--shards`:
 //!
 //! * each UE's step sequence depends only on its own scenario and the
-//!   merged load table, never on which shard hosts it;
-//! * the merged table is the commutative integer sum of the shard tables,
-//!   and tick `k` reads the counts *all* UEs published during tick `k-1`
-//!   (no worker ever observes a partially-merged tick);
+//!   load table, never on which shard hosts it;
+//! * the table is a commutative integer sum of every shard's deltas, and
+//!   tick `k` reads it as the boundary after tick `k-1` left it (no worker
+//!   ever observes a partially-applied tick);
 //! * results, telemetry ([`Telemetry::absorb`]) and hooks are collected in
 //!   UE-index order.
 //!
@@ -60,23 +64,25 @@
 //!
 //! # Execution modes
 //!
-//! [`EngineMode`] selects how the lockstep loop treats quiescent UEs:
+//! Every [`EngineMode`] runs the same loop: the same load table, calendar
+//! wheel and finalize. The mode decides only whether UEs plan sleeps and
+//! what a sleeping UE does:
 //!
-//! * [`EngineMode::Stepped`] (default) — the v2 engine: every active UE steps
-//!   every tick. The reference semantics.
+//! * [`EngineMode::Stepped`] (default) — the scheduler with planning off:
+//!   no UE ever sleeps, so every active UE steps every tick. The reference
+//!   semantics.
 //! * [`EngineMode::EventDriven`] — after each real step the shard asks
 //!   `crate::engine::wakeup` for a conservative *inertness window*: the
 //!   number of future ticks in which the UE's control plane provably does
 //!   nothing (no event arms, no RLF, no HO, no RNG draw). A UE with a
 //!   window sleeps on the shard's **calendar wheel** (a 128-slot
 //!   [`crate::wheel::EventQueue`] — no steady-state allocation) and is
-//!   skipped entirely
-//!   until its wake tick; on wakeup `crate::engine::UeSim::catch_up`
-//!   replays the skipped prologues (clock, tick counter, mobility) in one
-//!   analytic burst. Sleeping UEs keep their serving cells published in a
-//!   *persistent* load table maintained by per-shard deltas, and a sleeper
-//!   is woken early when a neighbor's attach/detach changes the
-//!   [`fiveg_link::load_share`] at its serving cell.
+//!   skipped entirely until its wake tick; on wakeup
+//!   `crate::engine::UeSim::catch_up` replays the skipped prologues (clock,
+//!   tick counter, mobility) in one analytic burst. A sleeper's serving
+//!   cells stay published in the load table, and it is woken early when a
+//!   neighbor's attach/detach changes the [`fiveg_link::load_share`] at its
+//!   serving cell.
 //! * [`EngineMode::Referee`] — the referee: runs the *same* scheduler
 //!   decisions as `EventDriven` (same sleeps, same wakes, same wheel), but
 //!   instead of skipping a sleeping UE it steps it every tick with
@@ -86,9 +92,9 @@
 //!   diverge; `tests/des_equivalence.rs` and the fleet gates byte-compare
 //!   them to prove the bound.
 //!
-//! Scheduling is a pure function of per-UE state and the merged load
-//! table, so every mode stays byte-identical at any thread/shard count.
-//! The scheduled modes share one invariant with `Stepped`: ticks, distance,
+//! Scheduling is a pure function of per-UE state and the load table, so
+//! every mode stays byte-identical at any thread/shard count. The
+//! scheduled modes share one invariant with `Stepped`: ticks, distance,
 //! handovers, reports, RLFs and the whole [`LoadSummary`] are equal; only
 //! the data-plane sampling aggregates (`mean_capacity_mbps`,
 //! `loaded_ticks`, `mean_load_share`) legitimately differ, because sleeping
@@ -110,8 +116,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
-/// Read-only view of the previous tick's per-cell attach counts, consumed
-/// by `UeSim::step` when computing leg capacities.
+/// Read-only view of the per-cell attach counts as the previous tick's
+/// boundary exchange left them, consumed by `UeSim::step` when computing
+/// leg capacities.
 ///
 /// [`CellLoadView::SOLO`] is the single-UE engine's view: no load table at
 /// all, every share is exactly `1.0`, and the capacity math is bit-for-bit
@@ -126,7 +133,7 @@ impl<'a> CellLoadView<'a> {
     /// The single-UE view: every cell's share is exactly `1.0`.
     pub const SOLO: CellLoadView<'static> = CellLoadView { counts: None };
 
-    /// A view over a fully-merged per-cell attach-count table (indexed by
+    /// A view over the fleet's per-cell attach-count table (indexed by
     /// `CellId`). The counts include the reading UE itself, so a UE alone
     /// on its cell still gets share `1.0`.
     pub fn from_counts(counts: &'a [AtomicU32]) -> CellLoadView<'a> {
@@ -161,7 +168,7 @@ pub enum EngineMode {
 }
 
 impl EngineMode {
-    /// Whether this mode runs the sleep scheduler at all.
+    /// Whether UEs plan sleeps, and the run reports a [`SchedSummary`].
     fn scheduled(self) -> bool {
         self != EngineMode::Stepped
     }
@@ -430,35 +437,9 @@ impl UeSummary {
         (self.ticks, self.traveled_m, self.handovers, self.ho_failures, self.rlf_count, self.reports)
     }
 
-    fn from_trace(ue: u32, meta: PlanMeta, trace: &Trace, loaded_ticks: u64, share_sum: f64) -> UeSummary {
-        let ticks = trace.samples.len() as u64;
-        let mean_cap = if trace.samples.is_empty() {
-            0.0
-        } else {
-            trace.samples.iter().map(|s| s.capacity_mbps).sum::<f64>() / trace.samples.len() as f64
-        };
-        UeSummary {
-            ue,
-            seed: meta.seed,
-            start_tick: meta.start_tick,
-            reversed: meta.reversed,
-            ticks,
-            traveled_m: trace.meta.traveled_m,
-            handovers: trace.handovers.len() as u64,
-            ho_failures: trace.ho_failures,
-            rlf_count: trace.rlf_count,
-            reports: trace.reports.len() as u64,
-            mean_capacity_mbps: mean_cap,
-            loaded_ticks,
-            mean_load_share: if ticks == 0 { 1.0 } else { share_sum / ticks as f64 },
-        }
-    }
-
-    /// The summary-mode twin of [`UeSummary::from_trace`]: built from the
-    /// engine's streamed [`UeRunStats`]. Field for field the same
-    /// arithmetic — `capacity_sum` is the identical left-to-right fold the
-    /// trace path computes over `samples` — so the two paths produce
-    /// byte-identical summaries (held to that by a test below).
+    /// Built from the engine's streamed [`UeRunStats`], whether or not the
+    /// UE kept its trace. `capacity_sum` is the left-to-right fold over the
+    /// sampled ticks, so a kept trace implies exactly these bytes.
     fn from_stats(ue: u32, meta: PlanMeta, st: &UeRunStats) -> UeSummary {
         UeSummary {
             ue,
@@ -479,7 +460,7 @@ impl UeSummary {
 }
 
 /// Fleet-level load statistics, accumulated by the coordinator from the
-/// fully-merged count table once per tick (single-threaded, so the scan
+/// load table once per boundary exchange (single-threaded, so the scan
 /// order — and the result — is independent of worker and shard count).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadSummary {
@@ -604,8 +585,8 @@ const WHEEL_SLOTS: usize = 128;
 /// planner's dry run is a few ticks' worth of channel math.
 const PLAN_BACKOFF: u8 = 3;
 
-/// Per-UE scheduler slot (scheduled modes only; dead weight of a few bytes
-/// in [`EngineMode::Stepped`]).
+/// Per-UE scheduler slot: the UE's published serving cells in every mode,
+/// plus its sleep state in the modes that plan sleeps.
 #[derive(Clone, Copy, Default)]
 struct SchedState {
     /// The UE is inside a sleep window.
@@ -619,8 +600,8 @@ struct SchedState {
     slept_tick: u64,
     /// Remaining awake ticks before the next plan attempt.
     backoff: u8,
-    /// Serving cells currently published in the persistent load table
-    /// (event mode), and the load-wake reference cells while asleep.
+    /// Serving cells currently published in the load table, and the
+    /// load-wake reference cells while asleep.
     pub_lte: Option<CellId>,
     pub_nr: Option<CellId>,
     /// Attach counts observed at the serving cells when the sleep began;
@@ -641,29 +622,45 @@ struct ShardUes<'d, H: SimHook> {
     teles: Vec<Telemetry>,
     /// Scheduler slot of each resident UE (SoA like the rest).
     scheds: Vec<SchedState>,
+    /// Fleet index → current slot, maintained across `swap_remove`s so
+    /// wheel entries survive residents shuffling.
+    local_of: HashMap<u32, usize>,
 }
 
 impl<'d, H: SimHook> ShardUes<'d, H> {
-    fn push(&mut self, idx: u32, sim: UeSim<'d>, hook: Option<H>, tele: Telemetry, sched: SchedState) {
-        self.idx.push(idx);
-        self.sims.push(sim);
-        self.hooks.push(hook);
-        self.teles.push(tele);
-        self.scheds.push(sched);
+    fn push(&mut self, ue: Migrant<'d, H>) {
+        self.local_of.insert(ue.idx, self.idx.len());
+        self.idx.push(ue.idx);
+        self.sims.push(ue.sim);
+        self.hooks.push(ue.hook);
+        self.teles.push(ue.tele);
+        self.scheds.push(ue.sched);
+    }
+
+    /// Takes slot `j`'s UE out; the last resident moves into slot `j`.
+    fn swap_remove(&mut self, j: usize) -> Migrant<'d, H> {
+        let ue = Migrant {
+            idx: self.idx.swap_remove(j),
+            sim: self.sims.swap_remove(j),
+            hook: self.hooks.swap_remove(j),
+            tele: self.teles.swap_remove(j),
+            sched: self.scheds.swap_remove(j),
+        };
+        self.local_of.remove(&ue.idx);
+        if let Some(&moved) = self.idx.get(j) {
+            self.local_of.insert(moved, j);
+        }
+        ue
     }
 }
 
-/// One spatial shard: the UEs inside its band, their plain-integer count
-/// table, and the shared radio-snapshot arena.
+/// One spatial shard: the UEs inside its band, their pending load-table
+/// deltas, and the shared radio-snapshot arena.
 struct Shard<'d, H: SimHook> {
     /// UEs waiting on their start tick, `(start_tick, fleet idx)` sorted
     /// descending so due entries pop off the back cheapest-first.
     pending: Vec<(u64, u32)>,
     run: ShardUes<'d, H>,
-    /// Shard-local per-cell attach counts for the current tick — plain
-    /// integers; the coordinator folds and zeroes them at the boundary
-    /// exchange.
-    counts: Vec<u32>,
     /// UEs handed to another shard's mailbox since the last exchange.
     migrated: u64,
     /// The shard's shared per-(pos, t) radio memo: every resident UE
@@ -671,29 +668,25 @@ struct Shard<'d, H: SimHook> {
     /// from `(pos, t)` on miss, so sharing is invisible in the output —
     /// it only trades per-UE cache memory for a lower hit rate.
     arena: RadioSnapshot,
-    /// Calendar wheel (scheduled modes): the shard-local
-    /// [`crate::wheel::EventQueue`], drained once per tick. The planner
-    /// cap keeps every wakeup inside one revolution, so the queue's
+    /// Calendar wheel: the shard-local [`crate::wheel::EventQueue`],
+    /// drained once per tick (empty unless the mode plans sleeps). The
+    /// planner cap keeps every wakeup inside one revolution, so the queue's
     /// overflow level stays empty and steady-state scheduling allocates
     /// nothing.
     wheel: EventQueue,
-    /// Fleet index → current SoA slot, maintained across `swap_remove`s so
-    /// wheel entries survive residents shuffling (scheduled modes only).
-    local_of: HashMap<u32, usize>,
-    /// Event mode: `(cell, ±1)` attach changes this shard's awake steps
-    /// produced during the current tick; the coordinator folds them into
-    /// the persistent table at the boundary.
+    /// `(cell, ±1)` serving transitions this shard's steps produced during
+    /// the current tick; the coordinator folds them into the persistent
+    /// table at the boundary.
     deltas: Vec<(u32, i32)>,
-    /// Event mode: departure deltas of UEs finalized this tick, applied
-    /// one boundary later (a UE's final serving publish is still read by
-    /// the next tick, exactly as in fixed mode).
+    /// Departure deltas of UEs finalized this tick, applied one boundary
+    /// later: a UE's final serving publish is still read by the next tick.
     departs: Vec<(u32, i32)>,
     /// Scheduler statistics accumulated by this shard's residents.
     totals: SchedSummary,
 }
 
 impl<'d, H: SimHook> Shard<'d, H> {
-    fn new(n_cells: usize, scheduled: bool) -> Shard<'d, H> {
+    fn new() -> Shard<'d, H> {
         Shard {
             pending: Vec::new(),
             run: ShardUes {
@@ -702,12 +695,11 @@ impl<'d, H: SimHook> Shard<'d, H> {
                 hooks: Vec::new(),
                 teles: Vec::new(),
                 scheds: Vec::new(),
+                local_of: HashMap::new(),
             },
-            counts: vec![0; n_cells],
             migrated: 0,
             arena: RadioSnapshot::new(),
-            wheel: if scheduled { EventQueue::with_slots(WHEEL_SLOTS) } else { EventQueue::default() },
-            local_of: HashMap::new(),
+            wheel: EventQueue::with_slots(WHEEL_SLOTS),
             deltas: Vec::new(),
             departs: Vec::new(),
             totals: SchedSummary::default(),
@@ -715,17 +707,18 @@ impl<'d, H: SimHook> Shard<'d, H> {
     }
 }
 
-/// A UE in flight between shards: everything the target needs to resume
-/// stepping it next tick.
+/// One UE's slot contents outside a shard: in flight between shards
+/// (everything the target needs to resume stepping it next tick), being
+/// activated, or being finalized.
 struct Migrant<'d, H: SimHook> {
     idx: u32,
     sim: UeSim<'d>,
     hook: Option<H>,
     tele: Telemetry,
-    /// Scheduler slot travels with the UE: in event mode it records which
-    /// cells the UE has published in the persistent load table. Only awake
-    /// UEs migrate (sleepers stay parked until their wake tick), so no
-    /// wheel entry ever needs to move between shards.
+    /// Scheduler slot travels with the UE: it records which cells the UE
+    /// has published in the load table. Only awake UEs migrate (sleepers
+    /// stay parked until their wake tick), so no wheel entry ever needs to
+    /// move between shards.
     sched: SchedState,
 }
 
@@ -773,8 +766,7 @@ fn run_fleet_core<H: SimHook + Send>(
     let pts = base.route.points();
     let first = pts.first().copied().unwrap_or(Point::new(0.0, 0.0));
     let last = pts.last().copied().unwrap_or(first);
-    let mut shards: Vec<Mutex<Shard<'_, H>>> =
-        (0..shards_n).map(|_| Mutex::new(Shard::new(n_cells, scheduled))).collect();
+    let mut shards: Vec<Mutex<Shard<'_, H>>> = (0..shards_n).map(|_| Mutex::new(Shard::new())).collect();
     for (i, m) in metas.iter().enumerate() {
         let start = if m.reversed { last } else { first };
         shards[map.shard_of(&start)].get_mut().unwrap().pending.push((m.start_tick, i as u32));
@@ -784,8 +776,8 @@ fn run_fleet_core<H: SimHook + Send>(
     }
     let shards = &shards[..];
 
-    // the merged read table: written only by the coordinator while every
-    // worker is parked, read by every worker during the tick
+    // the persistent load table: written only by the coordinator while
+    // every worker is parked, read by every worker during the tick
     let global: Vec<AtomicU32> = (0..n_cells).map(|_| AtomicU32::new(0)).collect();
     // migration mailboxes, double-buffered by tick parity: a UE stepped at
     // tick k lands in the target's (k+1)%2 inbox and is drained exactly at
@@ -822,16 +814,12 @@ fn run_fleet_core<H: SimHook + Send>(
                     let mut moved = 0u32;
                     for s in (w..shards_n).step_by(threads) {
                         let mut guard = shards[s].lock().unwrap();
-                        let Shard { pending, run, counts, migrated, arena, wheel, local_of, deltas, departs, totals } =
-                            &mut *guard;
+                        let Shard { pending, run, migrated, arena, wheel, deltas, departs, totals } = &mut *guard;
                         // --- drain this tick's inbox: UEs that crossed into
                         // this shard at the end of tick k-1
                         let incoming = std::mem::take(&mut *inboxes[s][(k % 2) as usize].lock().unwrap());
                         for mg in incoming {
-                            if scheduled {
-                                local_of.insert(mg.idx, run.idx.len());
-                            }
-                            run.push(mg.idx, mg.sim, mg.hook, mg.tele, mg.sched);
+                            run.push(mg);
                         }
                         // --- activate UEs whose start tick arrived
                         while pending.last().is_some_and(|&(st, _)| st <= k) {
@@ -847,34 +835,28 @@ fn run_fleet_core<H: SimHook + Send>(
                                 hook.as_mut().map(|h| h as &mut dyn SimHook),
                                 keep,
                             );
-                            if scheduled {
-                                local_of.insert(i, run.idx.len());
-                            }
-                            run.push(i, sim, hook, ue_tele, SchedState::default());
+                            run.push(Migrant { idx: i, sim, hook, tele: ue_tele, sched: SchedState::default() });
                         }
                         // --- calendar wheel: mark this tick's due wakeups.
                         // The queue filters stale entries itself (an early
                         // load-wake disarms below); the re-check against
                         // the live slot is belt and braces.
-                        if scheduled {
-                            wheel.pop_due(k, |fi| {
-                                if let Some(&j) = local_of.get(&fi) {
-                                    let sc = &mut run.scheds[j];
-                                    if sc.asleep && sc.wake_tick == k {
-                                        sc.due = true;
-                                    }
+                        wheel.pop_due(k, |fi| {
+                            if let Some(&j) = run.local_of.get(&fi) {
+                                let sc = &mut run.scheds[j];
+                                if sc.asleep && sc.wake_tick == k {
+                                    sc.due = true;
                                 }
-                            });
-                        }
-                        // --- step every resident UE against the merged
-                        // previous-tick load table
-                        let ShardUes { idx, sims, hooks, teles, scheds } = run;
+                            }
+                        });
+                        // --- step every resident UE against the load
+                        // table as the last boundary left it
                         let mut j = 0;
-                        while j < sims.len() {
+                        while j < run.sims.len() {
                             let mut sample = true;
-                            if sims[j].active() {
-                                if scheduled && scheds[j].asleep {
-                                    let sc = &mut scheds[j];
+                            if run.sims[j].active() {
+                                if run.scheds[j].asleep {
+                                    let sc = &mut run.scheds[j];
                                     let wake = if sc.due {
                                         true
                                     } else if sc.load_lte == u32::MAX {
@@ -895,7 +877,7 @@ fn run_fleet_core<H: SimHook + Send>(
                                             // early load-wake: disarm the
                                             // queued wakeup; the ring entry
                                             // is dropped as stale
-                                            wheel.cancel(idx[j]);
+                                            wheel.cancel(run.idx[j]);
                                         }
                                         sc.asleep = false;
                                         sc.due = false;
@@ -911,20 +893,20 @@ fn run_fleet_core<H: SimHook + Send>(
                                             // kept stepping unsampled, so
                                             // rewind theirs to the last tick
                                             // the hook actually saw
-                                            let from = sims[j].ticks_stepped() - if event { 0 } else { missed };
-                                            if let Some(h) = hooks[j].as_mut() {
+                                            let from = run.sims[j].ticks_stepped() - if event { 0 } else { missed };
+                                            if let Some(h) = run.hooks[j].as_mut() {
                                                 h.on_sleep(from, missed);
                                             }
                                         }
                                         if event {
-                                            sims[j].catch_up(missed);
+                                            run.sims[j].catch_up(missed);
                                         }
                                     } else {
                                         assert!(k < sc.wake_tick, "calendar wheel missed a wakeup");
                                         if event {
                                             // skipped outright; still counted
                                             // as live so the tick bookkeeping
-                                            // matches the fixed modes
+                                            // matches the stepping modes
                                             moved += 1;
                                             still += 1;
                                             j += 1;
@@ -936,46 +918,26 @@ fn run_fleet_core<H: SimHook + Send>(
                                         sample = false;
                                     }
                                 }
-                                sims[j].step_sampled(
-                                    hooks[j].as_mut().map(|h| h as &mut dyn SimHook),
+                                run.sims[j].step_sampled(
+                                    run.hooks[j].as_mut().map(|h| h as &mut dyn SimHook),
                                     &read,
                                     arena,
                                     sample,
                                 );
                                 moved += 1;
-                                let (lte, nr) = sims[j].serving();
-                                if event {
-                                    // persistent table: publish only serving
-                                    // transitions as deltas
-                                    let sc = &mut scheds[j];
-                                    if lte != sc.pub_lte {
-                                        if let Some(c) = sc.pub_lte {
-                                            deltas.push((c.0, -1));
-                                        }
-                                        if let Some(c) = lte {
-                                            deltas.push((c.0, 1));
-                                        }
-                                        sc.pub_lte = lte;
-                                    }
-                                    if nr != sc.pub_nr {
-                                        if let Some(c) = sc.pub_nr {
-                                            deltas.push((c.0, -1));
-                                        }
-                                        if let Some(c) = nr {
-                                            deltas.push((c.0, 1));
-                                        }
-                                        sc.pub_nr = nr;
-                                    }
-                                } else {
-                                    if let Some(id) = lte {
-                                        counts[id.0 as usize] += 1;
-                                    }
-                                    if let Some(id) = nr {
-                                        counts[id.0 as usize] += 1;
+                                // persistent table: publish only serving
+                                // transitions as deltas
+                                let (lte, nr) = run.sims[j].serving();
+                                let sc = &mut run.scheds[j];
+                                for (now, published) in [(lte, &mut sc.pub_lte), (nr, &mut sc.pub_nr)] {
+                                    if now != *published {
+                                        deltas.extend(published.map(|c| (c.0, -1)));
+                                        deltas.extend(now.map(|c| (c.0, 1)));
+                                        *published = now;
                                     }
                                 }
                             }
-                            if sims[j].active() {
+                            if run.sims[j].active() {
                                 still += 1;
                                 // after a real (sampled) step, try to plan
                                 // the next sleep window — BEFORE the
@@ -985,25 +947,22 @@ fn run_fleet_core<H: SimHook + Send>(
                                 // shard band would sleep on different ticks
                                 // at different shard counts
                                 if scheduled && sample {
-                                    let sc = &mut scheds[j];
+                                    let sc = &mut run.scheds[j];
                                     if sc.backoff > 0 {
                                         sc.backoff -= 1;
                                     } else {
-                                        let win = sims[j].plan_sleep_with((WHEEL_SLOTS - 2) as u64, &mut scratch);
+                                        let win = run.sims[j].plan_sleep_with((WHEEL_SLOTS - 2) as u64, &mut scratch);
                                         if win > 0 {
                                             sc.asleep = true;
                                             sc.due = false;
                                             sc.slept_tick = k;
                                             sc.wake_tick = k + win + 1;
-                                            let (l, nr2) = sims[j].serving();
-                                            sc.pub_lte = l;
-                                            sc.pub_nr = nr2;
                                             // load-wake reference recorded on
                                             // the first slept tick (sentinel)
                                             sc.load_lte = u32::MAX;
                                             sc.load_nr = u32::MAX;
                                             totals.sleeps += 1;
-                                            wheel.schedule(idx[j], sc.wake_tick);
+                                            wheel.schedule(run.idx[j], sc.wake_tick);
                                         } else {
                                             sc.backoff = PLAN_BACKOFF;
                                         }
@@ -1016,54 +975,25 @@ fn run_fleet_core<H: SimHook + Send>(
                                 // residency is invisible in the output
                                 // anyway — both modes migrate at the wake
                                 // tick
-                                let target = map.shard_of(&sims[j].position());
-                                if target != s && !scheds[j].asleep {
+                                let target = map.shard_of(&run.sims[j].position());
+                                if target != s && !run.scheds[j].asleep {
                                     // boundary crossed: hand the UE to the
                                     // target's next-tick mailbox
-                                    let mg = Migrant {
-                                        idx: idx.swap_remove(j),
-                                        sim: sims.swap_remove(j),
-                                        hook: hooks.swap_remove(j),
-                                        tele: teles.swap_remove(j),
-                                        sched: scheds.swap_remove(j),
-                                    };
-                                    if scheduled {
-                                        local_of.remove(&mg.idx);
-                                        if j < idx.len() {
-                                            local_of.insert(idx[j], j);
-                                        }
-                                    }
+                                    let mg = run.swap_remove(j);
                                     inboxes[target][((k + 1) % 2) as usize].lock().unwrap().push(mg);
                                     *migrated += 1;
                                     continue; // swap_remove put a new UE at j
                                 }
                                 j += 1;
                             } else {
-                                if event {
-                                    // retire the published cells one boundary
-                                    // late: the final step's publish is still
-                                    // read by the next tick, as in fixed mode
-                                    let sc = &scheds[j];
-                                    if let Some(c) = sc.pub_lte {
-                                        departs.push((c.0, -1));
-                                    }
-                                    if let Some(c) = sc.pub_nr {
-                                        departs.push((c.0, -1));
-                                    }
-                                }
-                                let i = idx.swap_remove(j);
-                                let sim = sims.swap_remove(j);
-                                let hook = hooks.swap_remove(j);
-                                let ue_tele = teles.swap_remove(j);
-                                scheds.swap_remove(j);
-                                if scheduled {
-                                    local_of.remove(&i);
-                                    if j < idx.len() {
-                                        local_of.insert(idx[j], j);
-                                    }
-                                }
-                                let out = finalize(metas[i as usize], i, sim, hook, ue_tele, keep);
-                                *results[i as usize].lock().unwrap() = Some(out);
+                                // retire the published cells one boundary
+                                // late: the final step's publish is still
+                                // read by the next tick
+                                let ue = run.swap_remove(j);
+                                let published = [ue.sched.pub_lte, ue.sched.pub_nr];
+                                departs.extend(published.into_iter().flatten().map(|c| (c.0, -1)));
+                                let i = ue.idx as usize;
+                                *results[i].lock().unwrap() = Some(finalize(metas[i], ue));
                             }
                         }
                         still += pending.len() as u32;
@@ -1075,7 +1005,7 @@ fn run_fleet_core<H: SimHook + Send>(
                         stepped.fetch_add(moved, Ordering::Relaxed);
                     }
                     barrier.wait(); // tick k fully stepped on every shard
-                    barrier.wait(); // coordinator merged counts + published verdict
+                    barrier.wait(); // coordinator applied deltas + published verdict
                     if done.load(Ordering::Relaxed) {
                         break;
                     }
@@ -1085,10 +1015,16 @@ fn run_fleet_core<H: SimHook + Send>(
         }
 
         // coordinator: the boundary exchange between the two barriers, while
-        // every worker is parked — the only writer of `done`, the merged
+        // every worker is parked — the only writer of `done`, the load
         // table and the stats
         let mut pending_departs: Vec<(u32, i32)> = Vec::new();
         let mut stats_cache: Option<(u64, u64, u32)> = None;
+        let apply = |ds: &mut Vec<(u32, i32)>| {
+            for (c, dl) in ds.drain(..) {
+                let cur = global[c as usize].load(Ordering::Relaxed);
+                global[c as usize].store(cur.wrapping_add(dl as u32), Ordering::Relaxed);
+            }
+        };
         for k in 0u64.. {
             barrier.wait();
             let a = active.swap(0, Ordering::Relaxed);
@@ -1102,84 +1038,45 @@ fn run_fleet_core<H: SimHook + Send>(
                 ticks = k + 1;
             }
             load.peak_active_ues = load.peak_active_ues.max(m);
-            if event {
-                // --- boundary exchange, persistent-table flavor: the
-                // table carries over tick to tick (sleepers stay
-                // published) and only transition deltas are folded in —
-                // last tick's deferred departures first, then the deltas
-                // every shard's awake steps produced during tick k. The
-                // adds are commutative, so the table is independent of
-                // shard count and equals the fixed-mode fold whenever the
-                // schedule is sound.
-                let mut changed = !pending_departs.is_empty();
-                for (c, dl) in pending_departs.drain(..) {
-                    let cur = global[c as usize].load(Ordering::Relaxed);
-                    global[c as usize].store(cur.wrapping_add(dl as u32), Ordering::Relaxed);
-                }
-                for sh in shards.iter() {
-                    let mut g = sh.lock().unwrap();
-                    migrations += g.migrated;
-                    g.migrated = 0;
-                    changed |= !g.deltas.is_empty();
-                    for (c, dl) in g.deltas.drain(..) {
-                        let cur = global[c as usize].load(Ordering::Relaxed);
-                        global[c as usize].store(cur.wrapping_add(dl as u32), Ordering::Relaxed);
-                    }
-                    pending_departs.append(&mut g.departs);
-                }
-                // a boundary with no deltas leaves the table — and its
-                // per-tick stats contribution — exactly as last tick's
-                if changed || stats_cache.is_none() {
-                    let mut attach = 0u64;
-                    let mut contended = 0u64;
-                    let mut peak = 0u32;
-                    for c in global.iter() {
-                        let v = c.load(Ordering::Relaxed);
-                        if v > 0 {
-                            attach += v as u64;
-                            peak = peak.max(v);
-                            if v >= 2 {
-                                contended += v as u64;
-                            }
-                        }
-                    }
-                    stats_cache = Some((attach, contended, peak));
-                }
-                let (attach, contended, peak) = stats_cache.unwrap();
-                load.attach_ue_ticks += attach;
-                load.contended_ue_ticks += contended;
-                load.peak_cell_ues = load.peak_cell_ues.max(peak);
-            } else {
-                // --- boundary exchange: merged table = Σ shard tables. The
-                // sums are commutative integer adds, so the merged counts are
-                // independent of shard count; tick k+1 reads exactly what all
-                // UEs published during tick k.
-                for c in global.iter() {
-                    c.store(0, Ordering::Relaxed);
-                }
-                for sh in shards.iter() {
-                    let mut g = sh.lock().unwrap();
-                    migrations += g.migrated;
-                    g.migrated = 0;
-                    for (i, cnt) in g.counts.iter_mut().enumerate() {
-                        if *cnt > 0 {
-                            let cur = global[i].load(Ordering::Relaxed);
-                            global[i].store(cur + *cnt, Ordering::Relaxed);
-                            *cnt = 0;
-                        }
-                    }
-                }
+            // --- boundary exchange: the table carries over tick to tick
+            // (sleepers stay published) and only serving-transition deltas
+            // are folded in — last tick's deferred departures first, then
+            // the deltas every shard's steps produced during tick k. The
+            // adds are commutative, so the table is independent of shard
+            // count; tick k+1 reads exactly what every live UE last
+            // published.
+            let mut changed = !pending_departs.is_empty();
+            apply(&mut pending_departs);
+            for sh in shards.iter() {
+                let mut g = sh.lock().unwrap();
+                migrations += g.migrated;
+                g.migrated = 0;
+                changed |= !g.deltas.is_empty();
+                apply(&mut g.deltas);
+                pending_departs.append(&mut g.departs);
+            }
+            // a boundary with no deltas leaves the table — and its per-tick
+            // stats contribution — exactly as last tick's
+            if changed || stats_cache.is_none() {
+                let mut attach = 0u64;
+                let mut contended = 0u64;
+                let mut peak = 0u32;
                 for c in global.iter() {
                     let v = c.load(Ordering::Relaxed);
                     if v > 0 {
-                        load.attach_ue_ticks += v as u64;
-                        load.peak_cell_ues = load.peak_cell_ues.max(v);
+                        attach += v as u64;
+                        peak = peak.max(v);
                         if v >= 2 {
-                            load.contended_ue_ticks += v as u64;
+                            contended += v as u64;
                         }
                     }
                 }
+                stats_cache = Some((attach, contended, peak));
             }
+            let (attach, contended, peak) = stats_cache.unwrap();
+            load.attach_ue_ticks += attach;
+            load.contended_ue_ticks += contended;
+            load.peak_cell_ues = load.peak_cell_ues.max(peak);
             if a == 0 {
                 done.store(true, Ordering::Relaxed);
             }
@@ -1193,10 +1090,8 @@ fn run_fleet_core<H: SimHook + Send>(
     // scheduler statistics: commutative per-UE sums, so folding them in
     // shard order is independent of how UEs were distributed
     let mut sched_total = SchedSummary::default();
-    if scheduled {
-        for sh in shards.iter() {
-            sched_total.absorb(&sh.lock().unwrap().totals);
-        }
+    for sh in shards.iter() {
+        sched_total.absorb(&sh.lock().unwrap().totals);
     }
 
     // collect in UE order: summaries, optional traces, telemetry, hooks
@@ -1246,24 +1141,10 @@ fn run_fleet_core<H: SimHook + Send>(
     (FleetTrace { meta, ues, load, sched, traces }, hooks)
 }
 
-fn finalize<H: SimHook>(
-    meta: PlanMeta,
-    ue: u32,
-    sim: UeSim<'_>,
-    mut hook: Option<H>,
-    tele: Telemetry,
-    keep: bool,
-) -> UeOut<H> {
-    let (loaded_ticks, share_sum) = sim.load_stats();
-    if keep {
-        let trace = sim.into_trace(hook.as_mut().map(|h| h as &mut dyn SimHook));
-        let summary = UeSummary::from_trace(ue, meta, &trace, loaded_ticks, share_sum);
-        UeOut { summary, trace: Some(Box::new(trace)), tele, hook }
-    } else {
-        let stats = sim.finish_summary(hook.as_mut().map(|h| h as &mut dyn SimHook));
-        let summary = UeSummary::from_stats(ue, meta, &stats);
-        UeOut { summary, trace: None, tele, hook }
-    }
+fn finalize<H: SimHook>(meta: PlanMeta, ue: Migrant<'_, H>) -> UeOut<H> {
+    let Migrant { idx, sim, mut hook, tele, .. } = ue;
+    let (stats, trace) = sim.finish(hook.as_mut().map(|h| h as &mut dyn SimHook));
+    UeOut { summary: UeSummary::from_stats(idx, meta, &stats), trace: trace.map(Box::new), tele, hook }
 }
 
 #[cfg(test)]
@@ -1307,14 +1188,25 @@ mod tests {
 
     #[test]
     fn summary_mode_matches_trace_mode() {
-        // the streamed summary path (keep_traces off) must produce the
-        // same bytes `UeSummary::from_trace` computes from the full trace
+        // keep_traces only adds the traces: the summaries, load and meta
+        // are the same bytes with retention off
         let with = run_fleet_exec(&FleetSpec::new(base(18), 6).keep_traces(true), FleetExec::threads(2));
         let without = run_fleet_exec(&FleetSpec::new(base(18), 6), FleetExec::threads(2));
         assert_eq!(with.ues, without.ues);
         assert_eq!(with.load, without.load);
         assert_eq!(with.meta, without.meta);
         assert!(without.traces.is_empty());
+        // and the streamed stats are what each kept trace implies
+        for (u, tr) in with.ues.iter().zip(&with.traces) {
+            let ticks = tr.samples.len() as u64;
+            assert_eq!(u.ticks, ticks);
+            assert_eq!(u.traveled_m, tr.meta.traveled_m);
+            assert_eq!(u.handovers, tr.handovers.len() as u64);
+            assert_eq!((u.ho_failures, u.rlf_count), (tr.ho_failures, tr.rlf_count));
+            assert_eq!(u.reports, tr.reports.len() as u64);
+            let cap = tr.samples.iter().fold(0.0, |acc, smp| acc + smp.capacity_mbps);
+            assert_eq!(u.mean_capacity_mbps.to_bits(), (cap / ticks as f64).to_bits());
+        }
     }
 
     #[test]

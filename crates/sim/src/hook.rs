@@ -5,7 +5,7 @@
 //! harness, a debugger) witness every state-mutating step of the tick
 //! loop without the engine knowing anything about it. The engine threads an
 //! `Option<&mut dyn SimHook>` through [`crate::engine`]; the `None` path is a
-//! single branch per site, so plain [`crate::engine::run`] pays nothing —
+//! single branch per site, so plain [`crate::Scenario::run`] pays nothing —
 //! the same zero-cost-when-off contract the telemetry layer follows.
 //!
 //! Hooks observe; they must not steer. Nothing a hook returns feeds back

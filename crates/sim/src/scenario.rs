@@ -70,14 +70,21 @@ pub struct Scenario {
 impl Scenario {
     /// Runs the scenario to completion and returns the recorded trace.
     pub fn run(&self) -> Trace {
-        engine::run(self)
+        engine::run_with(self, &Telemetry::new(self.telemetry), None)
     }
 
     /// Runs the scenario recording into a caller-owned [`Telemetry`] handle,
     /// so counters, the event journal and the summary stay inspectable
     /// after the run.
+    ///
+    /// With a disabled handle this is [`Scenario::run`] exactly (every
+    /// telemetry call is an `Option` check). With an enabled handle,
+    /// counters, histograms and journal events are recorded at sim-time and
+    /// per-phase wall-clock timers wrap the tick-loop stages; none of it
+    /// feeds back into the simulation, so the returned `Trace` is identical
+    /// either way.
     pub fn run_instrumented(&self, tele: &Telemetry) -> Trace {
-        engine::run_instrumented(self, tele)
+        engine::run_with(self, tele, None)
     }
 }
 

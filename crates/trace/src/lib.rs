@@ -29,10 +29,8 @@
 
 pub mod assembler;
 pub mod recorder;
-pub mod runners;
 pub mod span;
 
 pub use assembler::{SpanAssembler, MAX_STORM_DUMPS, STORM_THRESHOLD, STORM_WINDOW_S};
 pub use recorder::{FlightRecorder, RecEvent, DEFAULT_CAPACITY, DUMP_RECENT_SPANS, FLIGHTREC_SCHEMA};
-pub use runners::trace_run;
 pub use span::{Dump, HoSpan, SpanAnomaly, SpanLog, SpanOutcome, CAUSE_CHAINED};

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# The repo's one gate: formatting, lints, tests, dep audit, smoke sweep, and
-# the fuzz/vivisect/perf/serve/doc gates CI runs as separate jobs. Run
-# before pushing.
+# The repo's one gate. Run before pushing.
 #
-#   scripts/check.sh            # everything
+# Plain `scripts/check.sh` (= `all`) runs fmt, clippy, test, deps, smoke and
+# doc. The slower fuzz, vivisect, perf and serve gates run only when named.
+# CI runs every gate below as its own job (fmt, clippy, deps, test, doc,
+# smoke, fuzz, vivisect, serve, perf).
+#
+#   scripts/check.sh            # fmt + clippy + test + deps + smoke + doc
 #   scripts/check.sh fmt        # just the formatting check
 #   scripts/check.sh clippy     # just the lints
 #   scripts/check.sh test       # just the tests
@@ -219,6 +222,7 @@ case "$step" in
         run_test
         run_deps
         run_smoke
+        run_doc
         ;;
     fmt) run_fmt ;;
     clippy) run_clippy ;;

@@ -7,8 +7,8 @@
 use fiveg_oracle::Oracle;
 use fiveg_ran::{Arch, Carrier, Deployment};
 use fiveg_sim::{
-    run_fleet_exec, run_fleet_exec_instrumented, EngineMode, FleetExec, FleetSpec, FleetTrace, Scenario,
-    ScenarioBuilder, ShardMap, Telemetry, TelemetryConfig, Trace,
+    run_fleet_exec, run_fleet_exec_instrumented, run_fleet_exec_observed, EngineMode, FleetExec, FleetSpec, FleetTrace,
+    Scenario, ScenarioBuilder, ServingCells, ShardMap, SimHook, Telemetry, TelemetryConfig, TickView, Trace,
 };
 
 fn base(seed: u64) -> Scenario {
@@ -87,43 +87,89 @@ fn ue_crosses_shard_boundary_mid_handover() {
     assert_same_fleet(&single, &sharded, "a mid-handover migration must not change the output");
 }
 
+/// Per-UE hook that rebuilds the UE's serving cells at every one of its
+/// ticks: stepped ticks from `on_tick`, slept ticks from the `on_sleep` gap
+/// declaration, which keeps the last serving cells.
+#[derive(Default)]
+struct ServingLog {
+    cells: Vec<ServingCells>,
+}
+
+impl SimHook for ServingLog {
+    fn on_sleep(&mut self, from_tick: u64, skipped: u64) {
+        assert_eq!(from_tick, self.cells.len() as u64, "a sleep gap must start at the last observed tick");
+        let last = *self.cells.last().expect("a UE sleeps only after a real step");
+        self.cells.extend((0..skipped).map(|_| last));
+    }
+
+    fn on_tick(&mut self, view: &TickView) {
+        assert_eq!(view.tick, self.cells.len() as u64 + 1, "the hook stream skipped a tick without a sleep gap");
+        self.cells.push(view.serving);
+    }
+}
+
 #[test]
 fn cell_load_shares_sum_correctly_after_boundary_exchange() {
-    // The boundary exchange folds shard-local attach counts into the global
-    // table; its aggregate statistics must equal what the retained traces
-    // imply. With no stagger every UE's sample k happens at global tick k,
-    // so the per-tick per-cell attach counts can be rebuilt exactly.
-    let spec = FleetSpec::new(base(37), 8).stagger_s(0.0).keep_traces(true);
-    let ft = run_fleet_exec(&spec, FleetExec::threads(2).shards(8));
+    // The boundary exchange keeps one persistent per-cell table fed by
+    // serving-transition deltas; its aggregate statistics must equal the
+    // per-tick attach counts rebuilt independently from every UE's hook
+    // stream. UE `i`'s local tick `t` runs at global tick
+    // `start_tick + t - 1`; a declared sleep keeps its last serving cells
+    // published. Checked for the stepping and the sleeping engine, with
+    // and without stagger, on a migrating geometry, for an NSA freeway
+    // fleet (an LTE leg on every UE, NR legs added and released) and an
+    // SA city fleet that sleeps.
+    for (arch, base, sleeps) in [("NSA", base(37), false), ("SA", quiet_base(37), true)] {
+        for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
+            for stagger in [0.0, 20.0] {
+                let what = format!("{arch} {engine:?}, {stagger} s stagger");
+                let spec = FleetSpec::new(base.clone(), 10).stagger_s(stagger);
+                let (ft, logs) = run_fleet_exec_observed(
+                    &spec,
+                    FleetExec::threads(2).shards(8).engine(engine),
+                    &Telemetry::disabled(),
+                    |_| ServingLog::default(),
+                );
 
-    let n_cells = ft.meta.cells as usize;
-    let max_ticks = ft.traces.iter().map(|tr| tr.samples.len()).max().unwrap();
-    let (mut attach, mut contended, mut peak) = (0u64, 0u64, 0u32);
-    let mut counts = vec![0u32; n_cells];
-    for k in 0..max_ticks {
-        counts.iter_mut().for_each(|c| *c = 0);
-        for tr in &ft.traces {
-            if let Some(smp) = tr.samples.get(k) {
-                if let Some(c) = smp.lte_cell {
-                    counts[c as usize] += 1;
+                let n_cells = ft.meta.cells as usize;
+                let mut counts = vec![vec![0u32; n_cells]; ft.meta.ticks as usize];
+                for (u, log) in ft.ues.iter().zip(&logs) {
+                    assert_eq!(log.cells.len() as u64, u.ticks, "{what}: UE {} hook stream is not its whole run", u.ue);
+                    for (t, cells) in log.cells.iter().enumerate() {
+                        let tick = &mut counts[(u.start_tick + t as u64) as usize];
+                        for c in [cells.lte, cells.nr].into_iter().flatten() {
+                            tick[c.0 as usize] += 1;
+                        }
+                    }
                 }
-                if let Some(c) = smp.nr_cell {
-                    counts[c as usize] += 1;
+                let (mut attach, mut contended, mut peak) = (0u64, 0u64, 0u32);
+                for &c in counts.iter().flatten() {
+                    attach += u64::from(c);
+                    peak = peak.max(c);
+                    if c >= 2 {
+                        contended += u64::from(c);
+                    }
                 }
-            }
-        }
-        for &c in &counts {
-            attach += u64::from(c);
-            peak = peak.max(c);
-            if c >= 2 {
-                contended += u64::from(c);
+                assert_eq!(ft.load.attach_ue_ticks, attach, "{what}: load table disagrees with the hook-derived sum");
+                assert_eq!(ft.load.contended_ue_ticks, contended, "{what}");
+                assert_eq!(ft.load.peak_cell_ues, peak, "{what}");
+                assert!(contended > 0, "{what}: co-routed UEs must actually contend for this oracle to bite");
+                if arch == "NSA" {
+                    let lte = logs.iter().flat_map(|l| &l.cells).filter(|c| c.lte.is_some()).count();
+                    let nr_flips = logs
+                        .iter()
+                        .flat_map(|l| l.cells.windows(2))
+                        .filter(|w| w[0].nr.is_some() != w[1].nr.is_some())
+                        .count();
+                    assert!(lte > 0 && nr_flips > 0, "{what}: {lte} LTE-leg ticks, {nr_flips} NR leg adds/releases");
+                }
+                if sleeps && engine == EngineMode::EventDriven {
+                    let sched = ft.sched.as_ref().expect("the event-driven engine reports its schedule");
+                    assert!(sched.sleeps > 0 && sched.skipped_ue_ticks > 0, "{what}: no UE slept: {sched:?}");
+                }
             }
         }
     }
-    assert_eq!(ft.load.attach_ue_ticks, attach, "merged attach counts must equal the trace-derived sum");
-    assert_eq!(ft.load.contended_ue_ticks, contended);
-    assert_eq!(ft.load.peak_cell_ues, peak);
-    assert!(contended > 0, "co-routed UEs must actually contend for this oracle to bite");
 }
 
 #[test]
@@ -232,10 +278,9 @@ fn per_ue_oracles_stay_clean_under_load() {
     // invariants — load coupling only scales capacity, never the control
     // plane the oracle shadows
     let spec = FleetSpec::new(base(34), 6).stagger_s(5.0);
-    let (ft, oracles) =
-        fiveg_sim::run_fleet_exec_observed(&spec, FleetExec::threads(2).shards(8), &Telemetry::disabled(), |ue| {
-            Oracle::new(spec.base.arch, u64::from(ue))
-        });
+    let (ft, oracles) = run_fleet_exec_observed(&spec, FleetExec::threads(2).shards(8), &Telemetry::disabled(), |ue| {
+        Oracle::new(spec.base.arch, u64::from(ue))
+    });
     assert_eq!(oracles.len(), 6);
     for (ue, o) in oracles.iter().enumerate() {
         assert!(o.is_clean(), "UE {ue} violated invariants: {:?}", o.violations());

@@ -17,7 +17,7 @@ use std::io::{Read, Write};
 
 fn small_trace(seed: u64) -> Trace {
     let sc = ScenarioBuilder::city_loop(Carrier::OpY, seed).arch(Arch::Sa).duration_s(15.0).sample_hz(10.0).build();
-    fiveg_sim::engine::run(&sc)
+    sc.run()
 }
 
 /// Closed-loop client over any stream: send frames, read one reply per
