@@ -22,7 +22,10 @@
 //! reports `plan_tiles`, the shadowing tiles the sleep planner's screen
 //! hashed (telemetry counter `fleet.plan_tiles`): the screen builds a tile
 //! only when a travel box first touches it, so the count follows the route,
-//! not the deployment's extent.
+//! not the deployment's extent. It also reports `plan_evals`, the exact
+//! channel evaluations the planner's dry run paid for (serving series plus
+//! neighbor replays, counter `fleet.plan_evals`): the work its screens
+//! leave over.
 //!
 //! ```text
 //! tick_bench [--smoke] [--iters N] [--out PATH] [--baseline PATH] [--tol F]
@@ -40,11 +43,11 @@
 //! `--baseline`, the run gates the **machine-independent** metrics against
 //! the committed report — the snapshot row's tick count and priced cells
 //! per tick (bands) and its allocs/tick (lower is better), and each des
-//! row's tick count, skip ratio and planner tile count (bands) — and exits
-//! nonzero past the tolerance (default 15%); this is the gating CI perf
-//! job. Absolute ticks/sec is printed as an advisory comparison only,
-//! because the baseline's wall clock came from a different machine than
-//! the CI runner's (see `fiveg_bench::perfgate`).
+//! row's tick count, skip ratio, planner tile count and planner evaluation
+//! count (bands) — and exits nonzero past the tolerance (default 15%); this
+//! is the gating CI perf job. Absolute ticks/sec is printed as an advisory
+//! comparison only, because the baseline's wall clock came from a different
+//! machine than the CI runner's (see `fiveg_bench::perfgate`).
 
 use fiveg_bench::perfgate::{self, Better, Gate};
 use fiveg_bench::report::JsonBuf;
@@ -217,6 +220,9 @@ struct DesResult {
     /// Shadowing tiles the sleep planner built per run — exact and
     /// machine-independent at the fixed one-thread geometry.
     plan_tiles: u64,
+    /// Exact channel evaluations of the sleep planner's dry run per run —
+    /// a pure function of the scenario, like `ticks`.
+    plan_evals: u64,
     elapsed_s: f64,
     /// Logical UE·ticks simulated per wall-second over the timed passes.
     ue_ticks_per_sec: f64,
@@ -251,6 +257,7 @@ fn bench_des(label: &'static str, s: &Scenario, iters: usize) -> DesResult {
         sleeps: sched.sleeps,
         skip_ratio: if ticks == 0 { 0.0 } else { sched.skipped_ue_ticks as f64 / ticks as f64 },
         plan_tiles: tele.counter_value("fleet.plan_tiles"),
+        plan_evals: tele.counter_value("fleet.plan_evals"),
         elapsed_s,
         ue_ticks_per_sec: (ticks * iters as u64) as f64 / elapsed_s,
     }
@@ -349,6 +356,8 @@ fn report(mode: &str, iters: usize, set: &[(&'static str, Scenario)], p: &Snapsh
         j.num(d.skip_ratio);
         j.key("plan_tiles");
         j.uint(d.plan_tiles);
+        j.key("plan_evals");
+        j.uint(d.plan_evals);
         j.key("elapsed_s");
         j.num(d.elapsed_s);
         j.key("ue_ticks_per_sec");
@@ -407,8 +416,8 @@ fn main() -> ExitCode {
     for (label, s) in &des_set {
         let d = bench_des(label, s, args.iters);
         println!(
-            "  des {:<12} {:>6} ticks ({} slept in {} windows, skip {:.3}, {} plan tiles)  -> {:>9.0} UE·ticks/s",
-            d.label, d.ticks, d.skipped_ticks, d.sleeps, d.skip_ratio, d.plan_tiles, d.ue_ticks_per_sec
+            "  des {:<12} {:>6} ticks ({} slept in {} windows, skip {:.3}, {} plan tiles, {} plan evals)  -> {:>9.0} UE·ticks/s",
+            d.label, d.ticks, d.skipped_ticks, d.sleeps, d.skip_ratio, d.plan_tiles, d.plan_evals, d.ue_ticks_per_sec
         );
         if d.skip_ratio < SKIP_FLOOR {
             eprintln!("tick_bench: skip_ratio {:.3} on {} fell below the {SKIP_FLOOR} floor", d.skip_ratio, d.label);
@@ -478,18 +487,20 @@ fn main() -> ExitCode {
         ];
         println!("  perf gate vs {} (tol {:.0}%):", path, args.tol * 100.0);
         perfgate::advise("snapshot ticks_per_sec", b_tps, snapshot.ticks_per_sec);
-        // des gates: logical work count, skip ratio and planner tiles are
-        // exact and machine-independent, so all three are banded against
-        // the baseline; the tile band catches a screen that goes back to
-        // hashing the whole deployment. Wall-clock throughput stays
+        // des gates: logical work count, skip ratio, planner tiles and
+        // planner evaluations are exact and machine-independent, so all four
+        // are banded against the baseline; the tile band catches a screen
+        // that goes back to hashing the whole deployment, the evaluation
+        // band a screen that stops pruning. Wall-clock throughput stays
         // advisory like the snapshot row's.
         for d in &des_results {
             let needle = format!(r#""des":"{}""#, d.label);
             let des_metric = |metric: &str| perfgate::metric_after(&committed, &needle, metric);
-            let (Some(b_dticks), Some(b_skip), Some(b_tiles), Some(b_utps)) = (
+            let (Some(b_dticks), Some(b_skip), Some(b_tiles), Some(b_evals), Some(b_utps)) = (
                 des_metric("ticks"),
                 des_metric("skip_ratio"),
                 des_metric("plan_tiles"),
+                des_metric("plan_evals"),
                 des_metric("ue_ticks_per_sec"),
             ) else {
                 eprintln!(
@@ -515,6 +526,12 @@ fn main() -> ExitCode {
                 what: format!("des {} plan_tiles", d.label),
                 baseline: b_tiles,
                 current: d.plan_tiles as f64,
+                better: Better::Band,
+            });
+            gates.push(Gate {
+                what: format!("des {} plan_evals", d.label),
+                baseline: b_evals,
+                current: d.plan_evals as f64,
                 better: Better::Band,
             });
         }

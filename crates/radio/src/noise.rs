@@ -156,7 +156,8 @@ impl SpatialNoise {
     }
 
     /// Tight `(min, max)` of the field over the axis-aligned box of
-    /// half-width `reach_m` centered at `p`.
+    /// half-width `reach_m` centered at `p` — the exact lattice scan the
+    /// tile bound [`SpatialNoise::sup_over_box`] is checked against.
     ///
     /// A sample is `sigma * 1.2 *` a bilinear blend of the four corner
     /// gaussians of its lattice cell, in *smoothstepped* local coordinates.
@@ -173,7 +174,8 @@ impl SpatialNoise {
     /// corner evaluations reuse the arithmetic of [`SpatialNoise::sample`]
     /// term for term, so the bound and the samples can only disagree by
     /// interior-point rounding (well under any sane margin epsilon).
-    pub fn range_over_box(&self, p: &Point, reach_m: f64) -> (f64, f64) {
+    #[cfg(test)]
+    fn range_over_box(&self, p: &Point, reach_m: f64) -> (f64, f64) {
         let bx_lo = (p.x - reach_m) / self.corr_len;
         let bx_hi = (p.x + reach_m) / self.corr_len;
         let by_lo = (p.y - reach_m) / self.corr_len;
@@ -211,12 +213,12 @@ impl SpatialNoise {
     /// gaussians, so the field's supremum over the box is at most the
     /// maximum corner gaussian of the box's lattice cover — corners
     /// `floor(lo / corr_len)` through `floor(hi / corr_len) + 1` on each
-    /// axis, the same cover [`SpatialNoise::range_over_box`] blends. The
+    /// axis, the same cover an exact lattice scan of the box blends. The
     /// corners are grouped into fixed [`TILE_CORNERS`]² tiles; a tile's
     /// maximum is hashed on first use and memoized in `memo`, and the bound
     /// is the maximum over the tiles that hold the cover. Those tiles are a
-    /// superset of the cover, so the bound is sound, and it dominates
-    /// `range_over_box(p, reach_m).1` up to interior rounding (callers add
+    /// superset of the cover, so the bound is sound, and it dominates that
+    /// scan's maximum up to interior rounding (callers add
     /// [`BOUND_EPS_DB`](crate::BOUND_EPS_DB)). Memoized values are a pure
     /// function of the field, so a warm memo returns exactly what a cold
     /// one does; the memo must be dedicated to this field.
@@ -247,34 +249,6 @@ impl SpatialNoise {
             }
         }
         g_max
-    }
-
-    /// `(min, max)` of the per-lattice-cell uniform draw over the
-    /// axis-aligned box of half-width `reach_m` centered at `p` — the
-    /// threshold-field analogue of [`SpatialNoise::range_over_box`].
-    ///
-    /// **Exact**, not merely conservative: [`SpatialNoise::sample_uniform_cell`]
-    /// is piecewise constant per lattice cell (no interpolation), so the
-    /// extremes over the box are exactly the extremes over the cells the
-    /// box intersects — no `+1` corner row is needed. This is what lets a
-    /// sleep planner decide blockage over a travel window precisely: a box
-    /// whose every cell draws above the blockage probability provably never
-    /// blocks, one whose every cell draws below it provably always does.
-    pub fn uniform_cell_range_over_box(&self, p: &Point, reach_m: f64) -> (f64, f64) {
-        let x_lo = ((p.x - reach_m) / self.corr_len).floor() as i64;
-        let x_hi = ((p.x + reach_m) / self.corr_len).floor() as i64;
-        let y_lo = ((p.y - reach_m) / self.corr_len).floor() as i64;
-        let y_hi = ((p.y + reach_m) / self.corr_len).floor() as i64;
-        let mut u_min = f64::INFINITY;
-        let mut u_max = f64::NEG_INFINITY;
-        for x in x_lo..=x_hi {
-            for y in y_lo..=y_hi {
-                let u = hash_uniform(self.seed, x, y, 0xb10c_4a6e);
-                u_min = u_min.min(u);
-                u_max = u_max.max(u);
-            }
-        }
-        (u_min, u_max)
     }
 
     /// Uniform sample in `[0, 1)` at `p` with no interpolation — used for
@@ -371,12 +345,15 @@ impl TemporalNoise {
         self.sigma * (v0 + (v1 - v0) * tt)
     }
 
-    /// Conservative `(min, max)` of the process over `[t0, t1]`.
+    /// Conservative `(min, max)` of the process over `[t0, t1]` — the
+    /// uncached node scan [`TemporalNoise::sup_over_cached`] is checked
+    /// against.
     ///
     /// Between nodes the process is a convex blend of two adjacent node
     /// gaussians, so the window extreme is the extreme over every node the
     /// window touches (`floor(t0/corr)` through `floor(t1/corr) + 1`).
-    pub fn range_over(&self, t0: f64, t1: f64) -> (f64, f64) {
+    #[cfg(test)]
+    fn range_over(&self, t0: f64, t1: f64) -> (f64, f64) {
         let i_lo = (t0 / self.corr_s).floor() as i64;
         let i_hi = (t1 / self.corr_s).floor() as i64 + 1;
         let mut g_min = f64::INFINITY;
@@ -392,7 +369,7 @@ impl TemporalNoise {
     /// Hard global bound on `|sample(t)|`, from the Box–Muller clamp
     /// `u1 >= 1e-12` (|gaussian| <= sqrt(-2 ln 1e-12) ≈ 7.434): a cheap
     /// screen before paying for the exact node scan of
-    /// [`TemporalNoise::range_over`].
+    /// [`TemporalNoise::sup_over_cached`].
     pub fn global_bound(&self) -> f64 {
         self.sigma * (-2.0 * 1e-12f64.ln()).sqrt()
     }
@@ -417,8 +394,11 @@ impl TemporalNoise {
         self.sigma * nodes.node(self.seed, i0).max(nodes.node(self.seed, i0 + 1))
     }
 
-    /// The max side of [`TemporalNoise::range_over`] with every node
-    /// gaussian memoized in `nodes` — identical value, amortized cost.
+    /// Upper bound on the process over `[t0, t1]`. Between nodes the
+    /// process is a convex blend of two adjacent node gaussians, so it never
+    /// exceeds `sigma` times the largest node the window touches
+    /// (`floor(t0/corr)` through `floor(t1/corr) + 1`), each memoized in
+    /// `nodes`.
     pub fn sup_over_cached(&self, t0: f64, t1: f64, nodes: &mut NodeCache) -> f64 {
         let i_lo = (t0 / self.corr_s).floor() as i64;
         let i_hi = (t1 / self.corr_s).floor() as i64 + 1;
@@ -622,36 +602,6 @@ mod tests {
                 let t = t0 + (t1 - t0) * i as f64 / 40.0;
                 let v = n.sample(t);
                 assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "sample {v} outside [{lo}, {hi}] in window {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn uniform_cell_box_range_is_exact_over_cells() {
-        let n = SpatialNoise::new(29, 15.0, 1.0);
-        for k in 0..200 {
-            let p = Point::new(k as f64 * 43.7 - 2000.0, (k as f64 * 1.3).cos() * 700.0);
-            // max reach 80.5 keeps the 13-point grid finer than the 15 m
-            // lattice, so the exactness assert below stays valid
-            let reach = 0.5 + (k % 11) as f64 * 8.0;
-            let (lo, hi) = n.uniform_cell_range_over_box(&p, reach);
-            assert!(lo <= hi);
-            let (mut seen_lo, mut seen_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for i in -6..=6 {
-                for j in -6..=6 {
-                    let q = Point::new(p.x + reach * i as f64 / 6.0, p.y + reach * j as f64 / 6.0);
-                    let u = n.sample_uniform_cell(&q);
-                    assert!(u >= lo && u <= hi, "draw {u} outside [{lo}, {hi}] at box {k}");
-                    seen_lo = seen_lo.min(u);
-                    seen_hi = seen_hi.max(u);
-                }
-            }
-            // exactness: a dense grid over the box must actually attain the
-            // reported extremes (every intersected cell contains a grid
-            // point once the grid is finer than the lattice)
-            if reach >= 15.0 {
-                assert_eq!(seen_lo, lo, "box {k} min never attained");
-                assert_eq!(seen_hi, hi, "box {k} max never attained");
             }
         }
     }

@@ -212,18 +212,6 @@ impl Propagation {
         self.tx_power_dbm - self.path_loss_db(dist_m)
     }
 
-    /// `(min, max)` of the shadowing term anywhere within `reach_m` meters
-    /// (axis-aligned box) of `ue` — see [`SpatialNoise::range_over_box`].
-    pub fn shadowing_range(&self, ue: &Point, reach_m: f64) -> (f64, f64) {
-        self.shadowing.range_over_box(ue, reach_m)
-    }
-
-    /// `(min, max)` of the fast-fading term over `[t0, t1]` — the exact node
-    /// scan of [`TemporalNoise::range_over`].
-    pub fn fading_range(&self, t0: f64, t1: f64) -> (f64, f64) {
-        self.fading.range_over(t0, t1)
-    }
-
     /// Hard bound on `|fading|` at any time — a cheap screen that avoids the
     /// per-node scan when the link's margin is already decisive.
     pub fn fading_bound(&self) -> f64 {
@@ -237,67 +225,20 @@ impl Propagation {
         self.fading.sup_at_cached(t, nodes)
     }
 
-    /// Exact supremum of the fading term over `[t0, t1]` —
-    /// `fading_range(t0, t1).1` with the node gaussians memoized in `nodes`.
+    /// Exact supremum of the fading term over `[t0, t1]`, from every node
+    /// gaussian the window touches (memoized in `nodes`) — see
+    /// [`TemporalNoise::sup_over_cached`].
     pub fn fading_sup_over(&self, t0: f64, t1: f64, nodes: &mut NodeCache) -> f64 {
         self.fading.sup_over_cached(t0, t1, nodes)
     }
 
     /// Sound upper bound on the shadowing term anywhere within `reach_m`
     /// meters (axis-aligned box) of `ue`, from the tile suprema memoized in
-    /// `tiles` — see [`SpatialNoise::sup_over_box`]. It dominates
-    /// `shadowing_range(ue, reach_m).1` and costs a few memo lookups once the
-    /// box's tiles are built. The memo must be dedicated to this channel.
+    /// `tiles` — see [`SpatialNoise::sup_over_box`]. It costs a few memo
+    /// lookups once the box's tiles are built. The memo must be dedicated to
+    /// this channel.
     pub fn shadow_sup_over_box(&self, ue: &Point, reach_m: f64, tiles: &mut TileMemo) -> f64 {
         self.shadowing.sup_over_box(ue, reach_m, tiles)
-    }
-
-    /// Worst-case extra attenuation the blockage field can apply (dB): the
-    /// full blockage loss when this channel draws blockage at all, else 0.
-    /// Used for one-sided envelopes — a lower bound subtracts this, an upper
-    /// bound ignores blockage entirely (it only ever attenuates).
-    pub fn blockage_penalty_db(&self) -> f64 {
-        if self.blockage_prob > 0.0 {
-            self.blockage_loss_db
-        } else {
-            0.0
-        }
-    }
-
-    /// `(min, max)` extra blockage loss (dB) anywhere within `reach_m`
-    /// meters of `ue` — the two-sided refinement of
-    /// [`Propagation::blockage_penalty_db`].
-    ///
-    /// Blockage is a pure threshold on a per-lattice-cell uniform draw
-    /// (see [`Propagation::received_dbm_cached`]), so its state over a
-    /// travel box is **exactly** decidable, not just boundable: `(0, 0)`
-    /// when no reachable 15 m cell draws below the blockage probability
-    /// (never blocked), `(loss, loss)` when all do (always blocked), and
-    /// `(0, loss)` only in genuinely mixed boxes. Envelope callers subtract
-    /// the max on their lower side and the min on their upper side; for
-    /// mmWave this decides 20 dB of envelope width that the one-sided
-    /// penalty had to concede everywhere.
-    pub fn blockage_range(&self, ue: &Point, reach_m: f64) -> (f64, f64) {
-        if self.blockage_prob <= 0.0 {
-            return (0.0, 0.0);
-        }
-        let (u_min, u_max) = self.blockage.uniform_cell_range_over_box(ue, reach_m);
-        let all = u_max < self.blockage_prob;
-        let any = u_min < self.blockage_prob;
-        (if all { self.blockage_loss_db } else { 0.0 }, if any { self.blockage_loss_db } else { 0.0 })
-    }
-
-    /// Distance at which the median received power crosses `threshold_dbm`.
-    ///
-    /// This is the analytic cell radius used by the deployment generator to
-    /// derive sensible inter-site distances per band.
-    pub fn median_range_m(&self, threshold_dbm: f64) -> f64 {
-        // threshold = tx - (offset + exp10*log10(d) + freq10*log10(f))
-        let budget = self.tx_power_dbm
-            - threshold_dbm
-            - self.model.offset_db
-            - self.model.freq10 * (self.band.freq_mhz / 1000.0).log10();
-        10f64.powf(budget / self.model.exp10).max(10.0)
     }
 }
 
@@ -326,20 +267,14 @@ mod tests {
     }
 
     #[test]
-    fn cell_radius_ordering_low_mid_mmwave() {
-        // The paper's coverage ordering (§6.1): low > mid > mmWave.
-        let low = Propagation::new(1, N71, 46.0).median_range_m(-110.0);
-        let mid = Propagation::new(2, N41, 46.0).median_range_m(-110.0);
-        let mm = Propagation::new(3, N260, 55.0).median_range_m(-110.0);
+    fn median_power_ordering_low_mid_mmwave() {
+        // The paper's coverage ordering (§6.1): low > mid > mmWave, here as
+        // the median received power at a fixed 500 m distance.
+        let low = Propagation::new(1, N71, 46.0).median_received_dbm(500.0);
+        let mid = Propagation::new(2, N41, 46.0).median_received_dbm(500.0);
+        let mm = Propagation::new(3, N260, 55.0).median_received_dbm(500.0);
         assert!(low > mid, "low {low} should out-range mid {mid}");
         assert!(mid > mm, "mid {mid} should out-range mmWave {mm}");
-    }
-
-    #[test]
-    fn median_range_round_trips() {
-        let p = Propagation::new(4, N41, 46.0);
-        let r = p.median_range_m(-105.0);
-        assert!((p.median_received_dbm(r) - -105.0).abs() < 1e-6);
     }
 
     #[test]
@@ -381,37 +316,6 @@ mod tests {
                     "band {} diverged at step {i}",
                     band.name
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn envelope_components_bound_received_power() {
-        // rx at any (pos in box, t in window) must sit inside the envelope
-        // assembled from the component bounds — both band classes, so the
-        // blockage penalty is exercised one-sidedly.
-        for (seed, band, tx) in [(91u64, N71, 46.0), (92, N260, 55.0)] {
-            let p = Propagation::new(seed, band, tx);
-            let site = Point::ORIGIN;
-            for k in 0..60 {
-                let ue = Point::new(300.0 + k as f64 * 43.0, (k as f64 * 1.3).sin() * 200.0);
-                let reach = 4.0 + (k % 9) as f64 * 10.0;
-                let (t0, t1) = (k as f64 * 0.37, k as f64 * 0.37 + 1.9);
-                let dist = site.distance(&ue);
-                let (sh_lo, sh_hi) = p.shadowing_range(&ue, reach);
-                let (fd_lo, fd_hi) = p.fading_range(t0, t1);
-                assert!(fd_lo >= -p.fading_bound() && fd_hi <= p.fading_bound());
-                let up = p.median_received_dbm((dist - reach).max(10.0)) + sh_hi + fd_hi;
-                let lo = p.median_received_dbm(dist + reach) + sh_lo + fd_lo - p.blockage_penalty_db();
-                for i in 0..25 {
-                    // sample the disc of radius `reach` (a route of length
-                    // `reach` can't displace the UE further than that)
-                    let (th, r) = (i as f64 * 1.1, (i % 5) as f64 / 4.0 * reach);
-                    let q = Point::new(ue.x + r * th.cos(), ue.y + r * th.sin());
-                    let t = t0 + (t1 - t0) * i as f64 / 24.0;
-                    let rx = p.received_dbm(&site, &q, t);
-                    assert!(rx <= up + 1e-9 && rx >= lo - 1e-9, "rx {rx} outside [{lo}, {up}] (k={k}, i={i})");
-                }
             }
         }
     }

@@ -68,24 +68,23 @@ impl Cell {
         }
     }
 
-    /// `(min, max)` of [`Cell::pattern_loss_db`] over every position within
+    /// Lower bound of [`Cell::pattern_loss_db`] over every position within
     /// `reach_m` meters of `ue` (0 for omni cells).
     ///
     /// The bearing from the site to any point of the disc deviates from the
     /// bearing to its center by at most `asin(reach / dist)` — the half-angle
-    /// of the tangent cone — so the off-boresight angle `delta` ranges over
-    /// `[delta0 - dtheta, delta0 + dtheta]` clipped to `[0, pi]`, and the
-    /// pattern loss (monotone in `delta`) over the cone endpoints. When the
-    /// disc contains the site the cone is the full circle and the bounds
-    /// degrade to `[0, SECTOR_MAX_ATT]`.
-    pub fn pattern_loss_bounds(&self, ue: &Point, reach_m: f64) -> (f64, f64) {
+    /// of the tangent cone — so the off-boresight angle `delta` is at least
+    /// `delta0 - dtheta`, and the pattern loss (monotone in `delta`) at least
+    /// its value there. When the disc contains the site the cone is the full
+    /// circle and the floor is 0.
+    pub fn pattern_loss_floor(&self, ue: &Point, reach_m: f64) -> f64 {
         let boresight = match self.azimuth {
-            None => return (0.0, 0.0),
+            None => return 0.0,
             Some(b) => b,
         };
         let dist = self.site.distance(ue);
         if reach_m >= dist {
-            return (0.0, SECTOR_MAX_ATT);
+            return 0.0;
         }
         let dtheta = (reach_m / dist).asin();
         let bearing = self.site.bearing(ue);
@@ -94,9 +93,7 @@ impl Cell {
             delta0 = std::f64::consts::TAU - delta0;
         }
         let d_lo = (delta0 - dtheta).max(0.0);
-        let d_hi = (delta0 + dtheta).min(std::f64::consts::PI);
-        let loss = |d: f64| (12.0 * (d / SECTOR_BEAMWIDTH).powi(2)).min(SECTOR_MAX_ATT);
-        (loss(d_lo), loss(d_hi))
+        (12.0 * (d_lo / SECTOR_BEAMWIDTH).powi(2)).min(SECTOR_MAX_ATT)
     }
 
     /// Received power at `ue` and time `t`, in dBm.
@@ -191,24 +188,74 @@ mod tests {
     }
 
     #[test]
-    fn pattern_bounds_cover_every_disc_position() {
+    fn pattern_floor_covers_every_disc_position() {
         let mut c = cell(N71);
         c.azimuth = Some(1.1);
         for k in 0..80 {
             let ue = Point::new((k as f64 * 0.41).cos() * 900.0, (k as f64 * 0.73).sin() * 900.0 + 50.0);
             let reach = 5.0 + (k % 11) as f64 * 30.0;
-            let (lo, hi) = c.pattern_loss_bounds(&ue, reach);
-            assert!(lo <= hi);
+            let lo = c.pattern_loss_floor(&ue, reach);
             for i in 0..24 {
                 let (th, r) = (i as f64 * 0.9, (i % 4) as f64 / 3.0 * reach);
                 let q = Point::new(ue.x + r * th.cos(), ue.y + r * th.sin());
                 let l = c.pattern_loss_db(&q);
-                assert!(l >= lo - 1e-9 && l <= hi + 1e-9, "loss {l} outside [{lo}, {hi}] (k={k}, i={i})");
+                assert!(l >= lo - 1e-9, "loss {l} below floor {lo} (k={k}, i={i})");
             }
         }
         // omni stays exactly zero
         c.azimuth = None;
-        assert_eq!(c.pattern_loss_bounds(&Point::new(100.0, 0.0), 50.0), (0.0, 0.0));
+        assert_eq!(c.pattern_loss_floor(&Point::new(100.0, 0.0), 50.0), 0.0);
+    }
+
+    #[test]
+    fn planner_bound_dominates_received_power() {
+        // the sleep planner's per-cell bound over a travel disc and a time
+        // window: median at the closest distance + tile shadowing sup +
+        // window fading sup − pattern floor, summed in the planner's order.
+        // Sectorized sub-6 and mmWave cells, so blocked links and
+        // back-sector positions are both sampled in bulk; with and without
+        // shadowing, since the tile sup's slack can hide an unsound term.
+        use fiveg_radio::band::catalog::N260;
+        use fiveg_radio::{DetRng, TileMemo, BOUND_EPS_DB};
+        let mut rng = DetRng::new(0x5EC7_0B0D);
+        let (mut samples, mut blocked, mut back) = (0, 0, 0);
+        for (seed, band, tx, far_m, reach_m, sigma) in [
+            (91u64, N71, 46.0, 2000.0, 200.0, 1.0),
+            (92, N260, 55.0, 400.0, 60.0, 1.0),
+            (93, N71, 46.0, 2000.0, 200.0, 0.0),
+            (94, N260, 55.0, 400.0, 60.0, 0.0),
+        ] {
+            let mut c = cell(band);
+            c.propagation = Propagation::with_shadowing(seed, band, tx, 1.0, sigma);
+            c.azimuth = Some(rng.range(0.0, std::f64::consts::TAU));
+            let p = c.propagation;
+            let (mut tiles, mut nodes) = (TileMemo::default(), NodeCache::default());
+            for k in 0..300 {
+                let ue = c.site.displaced(rng.range(0.0, std::f64::consts::TAU), rng.range(15.0, far_m));
+                let reach = if k % 5 == 0 { 0.0 } else { rng.range(0.0, reach_m) };
+                let t0 = rng.range(0.0, 100.0);
+                let t1 = t0 + rng.range(0.0, 12.6);
+                let base = p.median_received_dbm(c.site.distance(&ue) - reach)
+                    + p.shadow_sup_over_box(&ue, reach, &mut tiles)
+                    - c.pattern_loss_floor(&ue, reach);
+                let up = base + p.fading_sup_over(t0, t1, &mut nodes);
+                for _ in 0..10 {
+                    // a point of the disc (a path of length `reach` cannot
+                    // leave it) at a time of the window
+                    let q = ue.displaced(rng.range(0.0, std::f64::consts::TAU), reach * rng.uniform().sqrt());
+                    let t = rng.range(t0, t1);
+                    let rx = c.rx_dbm(&q, t);
+                    assert!(rx <= up + BOUND_EPS_DB, "rx {rx} above bound {up} ({} k={k}, q={q:?}, t={t})", band.name);
+                    samples += 1;
+                    blocked += (p.blockage_db_cached(&q, &mut ChannelCache::default()) > 0.0) as u32;
+                    back += (c.pattern_loss_db(&q) >= 12.0) as u32; // ≥ one beamwidth off boresight
+                }
+            }
+        }
+        assert!(
+            samples >= 10_000 && blocked >= 1_000 && back >= 1_000,
+            "{samples} samples, {blocked} blocked, {back} back"
+        );
     }
 
     #[test]

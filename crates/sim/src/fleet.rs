@@ -786,8 +786,10 @@ fn run_fleet_core<H: SimHook + Send>(
         (0..shards_n).map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())]).collect();
     let active = AtomicU32::new(0);
     let stepped = AtomicU32::new(0);
-    // planner tiles built, summed over the workers' scratch memos at exit
+    // planner tiles built and exact channel evaluations, summed over the
+    // workers' scratch at exit
     let plan_tiles = AtomicU64::new(0);
+    let plan_evals = AtomicU64::new(0);
     let done = AtomicBool::new(false);
     // workers + coordinator; two waits per tick (merge point, release point)
     let barrier = Barrier::new(threads + 1);
@@ -801,7 +803,7 @@ fn run_fleet_core<H: SimHook + Send>(
         for w in 0..threads {
             let (d, metas, global, inboxes, active, stepped, done, barrier, results, map) =
                 (&d, &metas, &global[..], &inboxes[..], &active, &stepped, &done, &barrier, &results, &map);
-            let plan_tiles = &plan_tiles;
+            let (plan_tiles, plan_evals) = (&plan_tiles, &plan_evals);
             let keep = spec.keep_traces;
             scope.spawn(move || {
                 // per-worker plan buffers: plans are pure functions of UE
@@ -1011,6 +1013,7 @@ fn run_fleet_core<H: SimHook + Send>(
                     }
                 }
                 plan_tiles.fetch_add(scratch.tiles_built(), Ordering::Relaxed);
+                plan_evals.fetch_add(scratch.evals(), Ordering::Relaxed);
             });
         }
 
@@ -1122,6 +1125,9 @@ fn run_fleet_core<H: SimHook + Send>(
         tele.add("fleet.load_wakes", sched_total.load_wakes);
         // per-worker memos: depends on how UEs met workers, like migrations
         tele.add("fleet.plan_tiles", plan_tiles.into_inner());
+        // a sum of per-plan counts, each a pure function of UE state: the
+        // same at any thread/shard geometry
+        tele.add("fleet.plan_evals", plan_evals.into_inner());
     }
 
     let meta = FleetMeta {

@@ -28,30 +28,29 @@
 //!
 //! The only approximation left is the candidate set. Evaluating every
 //! in-radius cell on every dry tick would cost more than the step it
-//! replaces, so a screen first reduces the deployment to per-leg *hot
-//! lists* with a cheap per-cell bound: median path loss at the closest
-//! reachable distance plus the cell's shadowing supremum over the travel
-//! box and the fading term's global bound. The shadowing supremum comes
-//! from tiles of lattice corners whose maxima are hashed on first query and
-//! memoized per worker (see [`SpatialNoise::sup_over_box`]), so a worker
-//! only ever touches the lattice near its UEs' paths, and a tighter box can
-//! only drop cells that could not fire. A screened-out cell provably cannot push
-//! any configured entry margin nonpositive anywhere in the window — its
-//! exclusion changes no [`EventConfig::entered`] verdict, because entry for
-//! the neighbor-driven kinds is monotone in the neighbor level and decided
-//! by the candidate maximum. The hot list is therefore a *superset* of the
-//! cells that can matter, and the dry run over it returns the same refusal
-//! tick the engine would produce. Candidate-list truncation in the engine's
-//! leg view (per-band caps) can only shrink the engine's candidate set, so
-//! the planner errs toward refusing earlier — never toward oversleeping.
+//! replaces, so [`neighbor_pass`] runs each cell through one screen pass
+//! before paying for exact values. Every screen is an upper bound on the
+//! cell's level built from median path loss at the closest reachable
+//! distance, the cell's shadowing supremum over the travel box and a
+//! fading bound. The shadowing supremum comes from tiles of lattice corners
+//! whose maxima are hashed on first query and memoized per worker (see
+//! [`SpatialNoise::sup_over_box`]), so a worker only ever touches the
+//! lattice near its UEs' paths. A screened-out cell or tick provably cannot
+//! push any configured entry margin nonpositive — its exclusion changes no
+//! [`EventConfig::entered`] verdict, because entry for the neighbor-driven
+//! kinds is monotone in the neighbor level and decided by the candidate
+//! maximum. The screens therefore only prune, and the dry run over the
+//! survivors returns the same refusal tick the engine would produce.
+//! Candidate-list truncation in the engine's leg view (per-band caps) can
+//! only shrink the engine's candidate set, so the planner errs toward
+//! refusing earlier — never toward oversleeping.
 //!
-//! What keeps the dry run itself cheap is the fading term's structure: its
-//! node gaussians are pure functions of time, shared by every UE a worker
-//! plans in the same span, so a per-cell [`NodeCache`] makes exact fading
-//! suprema nearly free. [`neighbor_pass`] runs each hot cell through a
-//! screen cascade (whole-window, travel-box, per-tick) and pays for the
-//! exact [`Cell::rx_dbm_memo`] replay only on the few ticks whose
-//! optimistic bound could actually enter an event.
+//! What keeps the screens tight is the fading term's structure: its node
+//! gaussians are pure functions of time, shared by every UE a worker plans
+//! in the same span, so a per-cell [`NodeCache`] makes exact fading suprema
+//! nearly free, over the whole window and per tick. Only ticks whose
+//! optimistic bound could actually enter an event pay for the exact
+//! [`Cell::rx_dbm_memo`] replay.
 //!
 //! Everything here reads shared immutable state (`Deployment`, hash-based
 //! noise fields); the per-worker memos hold pure functions of that state,
@@ -71,15 +70,11 @@ use fiveg_rrc::{EventConfig, EventKind, MeasQuantity};
 
 /// Reusable buffers for [`plan_sleep`]. The fleet keeps one per worker and
 /// threads it through every resident UE's plan, so steady-state planning
-/// allocates nothing. The channel caches memoize noise-lattice nodes per
-/// cell; memoization is exact (`rx_dbm_cached` is bit-identical to
-/// `rx_dbm`), so recycling them across UEs and shards changes no plan.
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct PlanScratch {
     /// Cells within the measurement radius of any reachable position.
     near: Vec<CellId>,
-    /// One leg's screen survivors (reused leg by leg).
-    hot: Vec<CellId>,
     /// Position after each future prologue, ticks `+1, +2, ..`.
     pos: Vec<Point>,
     /// Engine clock after each future prologue.
@@ -88,24 +83,42 @@ pub(crate) struct PlanScratch {
     s_lte: Vec<f64>,
     /// NR serving RSRP (engine-clamped) per future tick.
     s_nr: Vec<f64>,
-    /// Per-cell noise-lattice memo, indexed by `CellId`.
+    memo: CellMemos,
+}
+
+/// Per-cell channel memos, indexed by `CellId`, and the count of exact
+/// evaluations made through them. Memoization is exact (`rx_dbm_memo` is
+/// bit-identical to `rx_dbm`), so recycling the memos across UEs and shards
+/// changes no plan.
+#[derive(Debug, Default)]
+struct CellMemos {
+    /// Per-cell noise-lattice memo.
     caches: Vec<ChannelCache>,
-    /// Per-cell fading-node memo, indexed by `CellId`. Node gaussians are
-    /// pure functions of time, so every UE the worker plans in the same
-    /// span reuses them — the cache that makes exact per-tick fading
-    /// bounds affordable.
+    /// Per-cell fading-node memo. Node gaussians are pure functions of
+    /// time, so every UE the worker plans in the same span reuses them —
+    /// the cache that makes exact per-tick fading bounds affordable.
     fad: Vec<NodeCache>,
-    /// Per-cell shadowing tile suprema, indexed by `CellId`: built on a
-    /// screen's first query of a tile, so a worker hashes only the lattice
-    /// its UEs' travel boxes actually touch.
+    /// Per-cell shadowing tile suprema: built on a screen's first query of
+    /// a tile, so a worker hashes only the lattice its UEs' travel boxes
+    /// actually touch.
     tiles: Vec<TileMemo>,
+    /// Exact [`Cell::rx_dbm_memo`] evaluations so far: the serving series
+    /// plus the neighbor replays.
+    evals: u64,
 }
 
 impl PlanScratch {
     /// Shadowing tiles built so far, summed over cells — a machine-
     /// independent count of the screen's lattice work.
     pub(crate) fn tiles_built(&self) -> u64 {
-        self.tiles.iter().map(|m| m.built() as u64).sum()
+        self.memo.tiles.iter().map(|m| m.built() as u64).sum()
+    }
+
+    /// Exact channel evaluations so far — a machine-independent count of
+    /// the dry run's work. Each plan adds a pure function of UE state, so
+    /// the total is the same however plans are spread over workers.
+    pub(crate) fn evals(&self) -> u64 {
+        self.memo.evals
     }
 }
 
@@ -118,7 +131,7 @@ pub(crate) fn plan_sleep(ue: &UeSim<'_>, max_ticks: u64, scratch: &mut PlanScrat
     if !eligible(ue) {
         return 0;
     }
-    let PlanScratch { near, hot, pos, t, s_lte, s_nr, caches, fad, tiles } = scratch;
+    let PlanScratch { near, pos, t, s_lte, s_nr, memo } = scratch;
     // replay the mobility prologue: the horizon stops one tick short of the
     // first tick whose pre-step `active()` check would fail, so a sleep
     // never carries the UE across its route end or duration clamp
@@ -126,10 +139,10 @@ pub(crate) fn plan_sleep(ue: &UeSim<'_>, max_ticks: u64, scratch: &mut PlanScrat
     if horizon == 0 {
         return 0;
     }
-    if caches.len() < ue.d.cells.len() {
-        caches.resize(ue.d.cells.len(), ChannelCache::default());
-        fad.resize_with(ue.d.cells.len(), NodeCache::default);
-        tiles.resize_with(ue.d.cells.len(), TileMemo::default);
+    if memo.caches.len() < ue.d.cells.len() {
+        memo.caches.resize(ue.d.cells.len(), ChannelCache::default());
+        memo.fad.resize_with(ue.d.cells.len(), NodeCache::default);
+        memo.tiles.resize_with(ue.d.cells.len(), TileMemo::default);
     }
     // exact serving series per leg: refuses RLF ticks and serving-only
     // (A1/A2) entries, and records the series the neighbor pass compares
@@ -138,12 +151,12 @@ pub(crate) fn plan_sleep(ue: &UeSim<'_>, max_ticks: u64, scratch: &mut PlanScrat
     let mut vmin = horizon + 1; // first refused tick; horizon+1 = none
     if arch != Arch::Sa {
         let serving = ue.sm.serving_lte().expect("eligible() requires an attached LTE leg");
-        vmin = vmin.min(serving_pass(ue, serving, ue.lte_engine.configs(), true, horizon, pos, t, s_lte, caches, fad));
+        vmin = vmin.min(serving_pass(ue, serving, ue.lte_engine.configs(), true, horizon, pos, t, s_lte, memo));
     }
     if arch != Arch::Lte {
         let serving = ue.sm.serving_nr().expect("eligible() requires an attached NR leg");
         let rlf = arch == Arch::Sa; // the engine only fails/reattaches the NR leg under SA
-        vmin = vmin.min(serving_pass(ue, serving, ue.nr_engine.configs(), rlf, horizon, pos, t, s_nr, caches, fad));
+        vmin = vmin.min(serving_pass(ue, serving, ue.nr_engine.configs(), rlf, horizon, pos, t, s_nr, memo));
     }
     if vmin <= 1 {
         return 0;
@@ -152,9 +165,8 @@ pub(crate) fn plan_sleep(ue: &UeSim<'_>, max_ticks: u64, scratch: &mut PlanScrat
     ue.d.cells_near_into(&start, SEARCH_RADIUS_M + travel, near);
     if arch != Arch::Sa {
         let serving = ue.sm.serving_lte().expect("eligible() requires an attached LTE leg");
-        let cfgs = ue.lte_engine.configs();
-        build_hot(ue.d, cfgs, serving, false, arch == Arch::Nsa, &start, travel, s_lte, near, tiles, hot, vmin);
-        vmin = neighbor_pass(ue.d, cfgs, hot, serving, false, s_lte, &start, travel, pos, t, caches, fad, tiles, vmin);
+        let (cfgs, anchor_only) = (ue.lte_engine.configs(), arch == Arch::Nsa);
+        vmin = neighbor_pass(ue.d, cfgs, near, serving, false, anchor_only, s_lte, &start, travel, pos, t, memo, vmin);
         if vmin <= 1 {
             return 0;
         }
@@ -162,8 +174,7 @@ pub(crate) fn plan_sleep(ue: &UeSim<'_>, max_ticks: u64, scratch: &mut PlanScrat
     if arch != Arch::Lte {
         let serving = ue.sm.serving_nr().expect("eligible() requires an attached NR leg");
         let cfgs = ue.nr_engine.configs();
-        build_hot(ue.d, cfgs, serving, true, false, &start, travel, s_nr, near, tiles, hot, vmin);
-        vmin = neighbor_pass(ue.d, cfgs, hot, serving, true, s_nr, &start, travel, pos, t, caches, fad, tiles, vmin);
+        vmin = neighbor_pass(ue.d, cfgs, near, serving, true, false, s_nr, &start, travel, pos, t, memo, vmin);
     }
     vmin - 1
 }
@@ -252,18 +263,18 @@ fn serving_pass(
     pos: &[Point],
     t: &[f64],
     s: &mut Vec<f64>,
-    caches: &mut [ChannelCache],
-    fad: &mut [NodeCache],
+    memo: &mut CellMemos,
 ) -> u64 {
     let c = ue.d.cell(serving);
-    let cache = &mut caches[serving.0 as usize];
-    let nodes = &mut fad[serving.0 as usize];
+    let cache = &mut memo.caches[serving.0 as usize];
+    let nodes = &mut memo.fad[serving.0 as usize];
     s.clear();
     for k in 1..=horizon {
         let i = (k - 1) as usize;
         // the same evaluation + clamp chain as the leg view: rx_dbm (memo
         // form is bit-identical), then compute_rrs's RSRP clamp
         let v = c.rx_dbm_memo(&pos[i], t[i], cache, nodes).clamp(-140.0, -44.0);
+        memo.evals += 1;
         s.push(v);
         if rlf && v < RLF_DBM {
             return k;
@@ -277,135 +288,84 @@ fn serving_pass(
     horizon + 1
 }
 
-/// Screens `near` down to the cells whose channel could plausibly trigger a
-/// neighbor-driven event anywhere in the window: per cell, one path-loss
-/// evaluation against the shadowing supremum over the travel box (a few
-/// lookups in the cell's lazily built tile memo, see
-/// [`Propagation::shadow_sup_over_box`]) plus the fading term's global
-/// bound, instead of a lattice scan. The margin test uses the *exact*
-/// serving minimum over the window (from the serving pass), so the screen
-/// is as tight as the supremum allows. Cells left out provably cannot
-/// change any [`EventConfig::entered`] verdict in the window, so the dry
-/// run prices only the survivors.
+/// One leg's neighbor dry run: for each cell of `near` the leg measures,
+/// walk the window and evaluate every relevant config's
+/// [`EventConfig::entered`] against the cell's engine-clamped RSRP and the
+/// recorded serving series. Entry for the neighbor-driven kinds is
+/// monotone in the neighbor level and decided by the candidate maximum, so
+/// "some cell enters at tick k" is exactly "the engine's best candidate
+/// enters at tick k" whenever that candidate is priced — and it always is,
+/// because the screens only discard cells and ticks that cannot enter.
+/// Returns the refused-tick minimum, which also shrinks the remaining scan
+/// (no cell needs pricing past the earliest refusal found).
 ///
-/// [`Propagation::shadow_sup_over_box`]: fiveg_radio::Propagation::shadow_sup_over_box
-#[allow(clippy::too_many_arguments)]
-fn build_hot(
-    d: &Deployment,
-    configs: &[EventConfig],
-    serving: CellId,
-    nr: bool,
-    anchor_only: bool,
-    start: &Point,
-    travel: f64,
-    s: &[f64],
-    near: &[CellId],
-    tiles: &mut [TileMemo],
-    hot: &mut Vec<CellId>,
-    vmin: u64,
-) {
-    hot.clear();
-    let s_cell = d.cell(serving);
-    let s_freq = s_cell.band.freq_mhz;
-    let s_group = meas_group(d, serving, nr);
-    let s_min = s[..(vmin - 1) as usize].iter().fold(f64::INFINITY, |a, &b| a.min(b));
-    for &id in near {
-        if id == serving {
-            continue;
-        }
-        let c = d.cell(id);
-        if c.is_nr() != nr {
-            continue;
-        }
-        if anchor_only && c.band.freq_mhz < ANCHOR_MIN_FREQ_MHZ {
-            continue;
-        }
-        // upper bound on the cell's RSRP anywhere in the window, clamped as
-        // the measurement would be (the clamp is monotone, so it survives)
-        let p = &c.propagation;
-        let sup = p.shadow_sup_over_box(start, travel, &mut tiles[id.0 as usize]) + p.fading_bound();
-        let screen = (p.median_received_dbm(c.site.distance(start) - travel) + sup).clamp(-140.0, -44.0);
-        let a3_ok = (c.band.freq_mhz - s_freq).abs() < 1.0 && (s_group.is_none() || meas_group(d, id, nr) == s_group);
-        if plausible(configs, a3_ok, s_min, screen) {
-            hot.push(id);
-        }
-    }
-}
-
-/// One leg's exact neighbor dry run: for each hot cell, walk the window and
-/// evaluate every relevant config's [`EventConfig::entered`] against the
-/// cell's engine-clamped RSRP and the recorded serving series. Entry for
-/// the neighbor-driven kinds is monotone in the neighbor level and decided
-/// by the candidate maximum, so "some hot cell enters at tick k" is exactly
-/// "the engine's best candidate enters at tick k" whenever that candidate
-/// is hot — and it always is, because the screen only discards cells that
-/// cannot enter. Returns the refused-tick minimum, which also shrinks the
-/// remaining scan (no cell needs pricing past the earliest refusal found).
+/// Each cell makes one pass through three screens, each an upper bound on
+/// the cell's level from the same base — median path loss at the closest
+/// reachable distance, plus the shadowing supremum over the travel box
+/// (a few lookups in the cell's lazily built tile memo, see
+/// [`Propagation::shadow_sup_over_box`]), minus the pattern-loss floor
+/// over the box:
 ///
-/// The fading term is what makes bounding hot cells cheap: its node
-/// gaussians are pure functions of time, shared by every UE the worker
-/// plans in the same span, so the per-cell [`NodeCache`] turns exact
-/// fading suprema into array lookups. Each cell then runs a cascade —
-///
-/// 1. *window screen*: tile-memoized shadowing sup over the travel box +
-///    exact fading sup over the window (a few lookups, amortized);
-/// 2. *box screen*: exact shadowing extreme over the travel box (a lattice
-///    corner scan, paid only by window-screen survivors);
-/// 3. *tick screen + replay*: per tick, an optimistic level from the two
-///    node gaussians the fading sample interpolates; only ticks whose
-///    optimistic margin clears the slack pay for the exact
+/// 1. *cheap screen*: the base (without pattern loss) plus the fading
+///    term's global bound, against the exact serving minimum over the
+///    window;
+/// 2. *window screen*: the base plus the exact fading supremum over the
+///    window (a few lookups in the cell's [`NodeCache`], amortized);
+/// 3. *tick screen + replay*: per tick, the base plus the fading bound
+///    from the two node gaussians the sample interpolates; only ticks
+///    whose optimistic margin clears the slack pay for the exact
 ///    [`Cell::rx_dbm_memo`] + [`EventConfig::entered`] replay.
 ///
 /// Every screen bounds the exact level from above (path loss is monotone
-/// in distance, the travel box contains the path, pattern loss is
-/// nonnegative, blockage only attenuates, a fading sample is a convex
-/// blend of its nodes), so a skipped tick provably changes no verdict —
-/// same monotone argument as [`build_hot`].
+/// in distance, the travel box contains the path, pattern loss is at least
+/// its floor, blockage only attenuates, a fading sample is a convex blend
+/// of its nodes, and the measurement clamp is monotone), so a skipped cell
+/// or tick provably changes no verdict.
+///
+/// [`Propagation::shadow_sup_over_box`]: fiveg_radio::Propagation::shadow_sup_over_box
 #[allow(clippy::too_many_arguments)]
 fn neighbor_pass(
     d: &Deployment,
     configs: &[EventConfig],
-    hot: &[CellId],
+    near: &[CellId],
     serving: CellId,
     nr: bool,
+    anchor_only: bool,
     s: &[f64],
     start: &Point,
     travel: f64,
     pos: &[Point],
     t: &[f64],
-    caches: &mut [ChannelCache],
-    fad: &mut [NodeCache],
-    tiles: &mut [TileMemo],
+    memo: &mut CellMemos,
     mut vmin: u64,
 ) -> u64 {
-    let s_cell = d.cell(serving);
-    let s_freq = s_cell.band.freq_mhz;
+    let s_freq = d.cell(serving).band.freq_mhz;
     let s_group = meas_group(d, serving, nr);
-    for &id in hot {
-        let s_min = s[..(vmin - 1) as usize].iter().fold(f64::INFINITY, |a, &b| a.min(b));
+    for &id in near {
         let c = d.cell(id);
+        if id == serving || c.is_nr() != nr || (anchor_only && c.band.freq_mhz < ANCHOR_MIN_FREQ_MHZ) {
+            continue;
+        }
+        let s_min = s[..(vmin - 1) as usize].iter().fold(f64::INFINITY, |a, &b| a.min(b));
         let a3_ok = (c.band.freq_mhz - s_freq).abs() < 1.0 && (s_group.is_none() || meas_group(d, id, nr) == s_group);
         let p = &c.propagation;
-        let nodes = &mut fad[id.0 as usize];
-        let d_near = c.site.distance(start) - travel;
-        let (pat_lo, _) = c.pattern_loss_bounds(start, travel);
-        let fd_sup = p.fading_sup_over(t[0], t[(vmin - 2) as usize], nodes);
-        // stage 1: window screen — tile-memoized shadowing sup over the
-        // travel box + exact window fading sup
-        let sh_sup = p.shadow_sup_over_box(start, travel, &mut tiles[id.0 as usize]);
-        let up = (p.median_received_dbm(d_near) + sh_sup - pat_lo + fd_sup).clamp(-140.0, -44.0);
+        // stage 1: cheap screen — tile-memoized shadowing sup over the
+        // travel box + the fading term's global bound
+        let median = p.median_received_dbm(c.site.distance(start) - travel);
+        let sh_sup = p.shadow_sup_over_box(start, travel, &mut memo.tiles[id.0 as usize]);
+        let up = (median + (sh_sup + p.fading_bound())).clamp(-140.0, -44.0);
         if !plausible(configs, a3_ok, s_min, up) {
             continue;
         }
-        // stage 2: exact shadowing extreme over the travel box
-        let (_, sh_hi) = p.shadowing_range(start, travel);
-        let base = p.median_received_dbm(d_near) + sh_hi - pat_lo;
-        let up = (base + fd_sup).clamp(-140.0, -44.0);
+        // stage 2: window screen — exact fading sup over the window
+        let nodes = &mut memo.fad[id.0 as usize];
+        let base = median + sh_sup - c.pattern_loss_floor(start, travel);
+        let up = (base + p.fading_sup_over(t[0], t[(vmin - 2) as usize], nodes)).clamp(-140.0, -44.0);
         if !plausible(configs, a3_ok, s_min, up) {
             continue;
         }
         // stage 3: per-tick optimistic screen, exact replay on survivors
-        let cache = &mut caches[id.0 as usize];
+        let cache = &mut memo.caches[id.0 as usize];
         'ticks: for k in 1..vmin {
             let i = (k - 1) as usize;
             let up_k = (base + p.fading_sup_at(t[i], nodes)).clamp(-140.0, -44.0);
@@ -413,6 +373,7 @@ fn neighbor_pass(
                 continue;
             }
             let val = c.rx_dbm_memo(&pos[i], t[i], cache, nodes).clamp(-140.0, -44.0);
+            memo.evals += 1;
             for cfg in configs {
                 let relevant = match cfg.event.kind {
                     EventKind::A3 => a3_ok,
@@ -453,5 +414,141 @@ fn meas_group(d: &Deployment, id: CellId, nr: bool) -> Option<u32> {
         Some(d.cell(id).tower.0)
     } else {
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleet::CellLoadView;
+    use crate::scenario::{Scenario, ScenarioBuilder};
+    use fiveg_radio::{BandClass, Propagation};
+    use fiveg_ran::{Carrier, RadioSnapshot};
+    use fiveg_telemetry::Telemetry;
+
+    /// [`plan_sleep`] with every screen removed: each filtered `near` cell
+    /// is priced with plain [`Cell::rx_dbm`] at every tick before the
+    /// serving refusal. Returns the plan and whether a neighbor decided it.
+    ///
+    /// [`Cell::rx_dbm`]: fiveg_ran::Cell::rx_dbm
+    fn plan_exhaustive(ue: &UeSim<'_>, max_ticks: u64) -> (u64, bool) {
+        if !eligible(ue) {
+            return (0, false);
+        }
+        let (mut pos, mut t, mut near) = (Vec::new(), Vec::new(), Vec::new());
+        let (horizon, travel) = mobility_pass(ue, max_ticks, &mut pos, &mut t);
+        let arch = ue.s.arch;
+        // (serving, configs, nr, rlf, anchor_only) per present leg
+        let mut legs = Vec::new();
+        if arch != Arch::Sa {
+            legs.push((ue.sm.serving_lte().unwrap(), ue.lte_engine.configs(), false, true, arch == Arch::Nsa));
+        }
+        if arch != Arch::Lte {
+            legs.push((ue.sm.serving_nr().unwrap(), ue.nr_engine.configs(), true, arch == Arch::Sa, false));
+        }
+        let level =
+            |id: CellId, k: u64| ue.d.cell(id).rx_dbm(&pos[k as usize - 1], t[k as usize - 1]).clamp(-140.0, -44.0);
+        let mut vmin = horizon + 1;
+        for &(serving, configs, _, rlf, _) in &legs {
+            let refused = |v: f64| {
+                (rlf && v < RLF_DBM)
+                    || configs
+                        .iter()
+                        .any(|c| matches!(c.event.kind, EventKind::A1 | EventKind::A2) && c.entered(v, -140.0))
+            };
+            if let Some(k) = (1..=horizon).find(|&k| refused(level(serving, k))) {
+                vmin = vmin.min(k);
+            }
+        }
+        let serving_vmin = vmin;
+        ue.d.cells_near_into(&ue.mob.position(), SEARCH_RADIUS_M + travel, &mut near);
+        for &(serving, configs, nr, _, anchor_only) in &legs {
+            let s_cell = ue.d.cell(serving);
+            for &id in &near {
+                let c = ue.d.cell(id);
+                if id == serving || c.is_nr() != nr || (anchor_only && c.band.freq_mhz < ANCHOR_MIN_FREQ_MHZ) {
+                    continue;
+                }
+                let a3_ok = (c.band.freq_mhz - s_cell.band.freq_mhz).abs() < 1.0
+                    && meas_group(ue.d, id, nr) == meas_group(ue.d, serving, nr);
+                let enters = |k: u64| {
+                    let (s, v) = (level(serving, k), level(id, k));
+                    configs.iter().any(|cfg| {
+                        let relevant = match cfg.event.kind {
+                            EventKind::A3 => a3_ok,
+                            EventKind::A4 | EventKind::A5 | EventKind::B1 => true,
+                            _ => false,
+                        };
+                        relevant && cfg.entered(s, v)
+                    })
+                };
+                if let Some(k) = (1..serving_vmin).find(|&k| enters(k)) {
+                    vmin = vmin.min(k);
+                }
+            }
+        }
+        (vmin.saturating_sub(1), vmin < serving_vmin)
+    }
+
+    /// Steps `s` and compares the planner with the exhaustive one at every
+    /// `stride`-th eligible tick. A `flat` run first sets every cell's
+    /// shadowing to zero: the tile supremum then adds no slack, so a screen
+    /// that drops a fading, travel or pattern term can no longer hide behind
+    /// it. Returns (plans compared, nonzero plans, plans a neighbor decided).
+    fn compare_along(s: &Scenario, stride: usize, flat: bool) -> (u32, u32, u32) {
+        let mut d = Deployment::generate(&s.route, s.carrier, s.env, s.arch, s.seed);
+        if flat {
+            for c in &mut d.cells {
+                let tx = match c.band.class() {
+                    BandClass::MmWave => 58.0,
+                    BandClass::Mid => 47.0,
+                    BandClass::Low => 46.0,
+                };
+                c.propagation = Propagation::with_shadowing(u64::from(c.id.0) + 1, c.band, tx, 1.0, 0.0);
+            }
+        }
+        let tele = Telemetry::disabled();
+        let mut radio = RadioSnapshot::new();
+        let mut ue = UeSim::new(s.clone(), &d, &tele, &mut radio, None, false);
+        let mut scratch = PlanScratch::default();
+        let (mut compared, mut nonzero, mut by_neighbor, mut seen) = (0, 0, 0, 0);
+        while ue.active() {
+            if eligible(&ue) {
+                if seen % stride == 0 {
+                    let (want, neighbor) = plan_exhaustive(&ue, 126);
+                    assert_eq!(plan_sleep(&ue, 126, &mut scratch), want, "screened plan diverged at t={}", ue.t);
+                    compared += 1;
+                    nonzero += (want > 0) as u32;
+                    by_neighbor += neighbor as u32;
+                }
+                seen += 1;
+            }
+            ue.step_sampled(None, &CellLoadView::SOLO, &mut radio, true);
+        }
+        (compared, nonzero, by_neighbor)
+    }
+
+    #[test]
+    fn screens_only_prune() {
+        // (run, stride, flat): the city deployments put ~10x more cells in
+        // range, so they are sampled more sparsely to keep the exhaustive
+        // side cheap. The flat SA freeway is compared at every eligible
+        // tick: near t = 36.5 s an entry there is found only through the
+        // window's fading supremum.
+        let runs = [
+            (ScenarioBuilder::city_loop(Carrier::OpY, 211).arch(Arch::Sa), 20, false),
+            (ScenarioBuilder::city_loop(Carrier::OpY, 212).arch(Arch::Lte), 20, false),
+            (ScenarioBuilder::freeway(Carrier::OpX, Arch::Sa, 6.0, 213), 7, false),
+            (ScenarioBuilder::freeway(Carrier::OpX, Arch::Lte, 6.0, 214), 7, false),
+            (ScenarioBuilder::freeway(Carrier::OpX, Arch::Sa, 6.0, 211), 1, true),
+            (ScenarioBuilder::freeway(Carrier::OpX, Arch::Lte, 6.0, 214), 7, true),
+        ];
+        for (b, stride, flat) in runs {
+            let s = b.duration_s(60.0).sample_hz(10.0).build();
+            let (compared, nonzero, by_neighbor) = compare_along(&s, stride, flat);
+            let what = format!("{:?} {:?} (flat {flat})", s.env, s.arch);
+            assert!(compared >= 20 && nonzero > 0, "{what}: {compared} plans compared, {nonzero} nonzero");
+            assert!(by_neighbor > 0, "{what}: no plan was decided by a neighbor, so no screen was exercised");
+        }
     }
 }

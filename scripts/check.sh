@@ -143,10 +143,11 @@ run_vivisect() {
 # on an allocs/tick increase. Its des rows are event-driven fleets of one:
 # each is first proved control-plane-equal to the stepped fleet of one,
 # then the machine-independent skip_ratio >= 0.5 floor is enforced
-# outright and logical tick counts, skip_ratio and plan_tiles (shadowing
+# outright and logical tick counts, skip_ratio, plan_tiles (shadowing
 # tiles the sleep planner hashed — the guard against its screen going back
-# to a deployment-wide scan) are banded against the baseline (UE·ticks/s
-# stays advisory).
+# to a deployment-wide scan) and plan_evals (the planner's exact channel
+# evaluations — the guard against its screens no longer pruning) are
+# banded against the baseline (UE·ticks/s stays advisory).
 # fleet_bench runs --smoke, whose per-size parameters match the full
 # baseline's up to the 10k-UE point (full adds only 100k), and pins
 # --threads 1 --shards 16 to match the committed baseline's geometry (a

@@ -227,14 +227,15 @@ fn warm_planner_memos_leave_the_freeway_fleet_unchanged() {
     // must not notice: same bytes as one worker and as the referee
     let base = ScenarioBuilder::freeway(Carrier::OpX, Arch::Sa, 6.0, 47).duration_s(90.0).sample_hz(5.0).build();
     let spec = FleetSpec::new(base, 8).stagger_s(6.0).speed_jitter(0.1);
-    let geometry = |threads: usize, engine: EngineMode| {
+    let geometry = |threads: usize, shards: usize, engine: EngineMode| {
         let tele = Telemetry::new(TelemetryConfig::deterministic());
-        let ft = run_fleet_exec_instrumented(&spec, FleetExec::threads(threads).shards(16).engine(engine), &tele);
-        (ft, tele.counter_value("fleet.plan_tiles"), tele.counter_value("fleet.migrations"))
+        let ft = run_fleet_exec_instrumented(&spec, FleetExec::threads(threads).shards(shards).engine(engine), &tele);
+        let counter = |name: &str| tele.counter_value(name);
+        (ft, counter("fleet.plan_tiles"), counter("fleet.plan_evals"), counter("fleet.migrations"))
     };
-    let (one, tiles_one, _) = geometry(1, EngineMode::EventDriven);
-    let (two, tiles_two, migrations) = geometry(2, EngineMode::EventDriven);
-    let (referee, _, _) = geometry(2, EngineMode::Referee);
+    let (one, tiles_one, evals_one, _) = geometry(1, 1, EngineMode::EventDriven);
+    let (two, tiles_two, evals_two, migrations) = geometry(2, 16, EngineMode::EventDriven);
+    let (referee, _, _, _) = geometry(2, 16, EngineMode::Referee);
     assert!(
         one.sched.as_ref().is_some_and(|s| s.sleeps > 0 && s.skipped_ue_ticks > 0),
         "the freeway fleet must actually sleep or this test is vacuous"
@@ -243,6 +244,8 @@ fn warm_planner_memos_leave_the_freeway_fleet_unchanged() {
     // every tile one worker builds is needed by some plan, and the plans
     // are the same at any geometry, so two workers build at least as many
     assert!(tiles_one > 0 && tiles_one <= tiles_two, "planner tiles: {tiles_one} at 1 thread, {tiles_two} at 2");
+    // exact channel evaluations are counted per plan, so no geometry moves them
+    assert!(evals_one > 0 && evals_one == evals_two, "planner evals: {evals_one} at 1x1, {evals_two} at 2x16");
     assert_same_fleet(&one, &two, "warm per-worker memos changed the event-driven fleet");
     assert_same_fleet(&referee, &two, "event-driven fleet diverged from the referee");
 }
