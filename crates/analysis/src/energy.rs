@@ -1,7 +1,6 @@
 //! Handover energy accounting over traces (§5.3, Fig. 10).
 
-use fiveg_radio::BandClass;
-use fiveg_ran::{HandoverRecord, HoType};
+use fiveg_ran::HandoverRecord;
 use fiveg_sim::Trace;
 use fiveg_ue::power::joules_to_mah;
 use fiveg_ue::PowerModel;
@@ -40,16 +39,6 @@ impl EnergyReport {
             j_per_km: if km > 0.0 { total_j / km } else { 0.0 },
             mean_ho_power_w: mean_power,
         }
-    }
-
-    /// Convenience filter: HOs whose NR leg is in `class`.
-    pub fn band_filter(class: BandClass) -> impl Fn(&HandoverRecord) -> bool {
-        move |h| h.nr_band == Some(class)
-    }
-
-    /// Convenience filter: pure-LTE HOs.
-    pub fn lte_filter() -> impl Fn(&HandoverRecord) -> bool {
-        |h| h.nr_band.is_none() && matches!(h.ho_type, HoType::Lteh | HoType::Mnbh)
     }
 }
 

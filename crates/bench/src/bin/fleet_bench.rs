@@ -51,15 +51,16 @@
 //! fails — a reformatted baseline must not silently disable the gate.
 //!
 //! `--verify-shards` is the other machine-independent gate, now three
-//! checks deep: (1) one migration-heavy fleet run with 1 shard and with 4
-//! must produce identical output, traces included; (2) the same fleet run
-//! in [`EngineMode::Referee`] (the referee: sleeping UEs still step,
-//! unsampled) and [`EngineMode::EventDriven`] (sleeping UEs skipped) must
-//! produce byte-identical [`FleetTrace`]s across different shard counts —
-//! with a non-vacuity check that sleep actually happened; (3) the plain
-//! fixed-step run must agree with the event-driven run on every per-UE
-//! control-plane field and the load summary. Any divergence exits nonzero
-//! before the timing runs start.
+//! checks deep: (1) one migration-heavy fleet run on 1 thread × 1 shard and
+//! on 2 threads × 4 shards must produce identical output, traces included —
+//! at any `--threads`, so a multi-worker boundary exchange always runs;
+//! (2) the same fleet run in [`EngineMode::Referee`] (the referee: sleeping
+//! UEs still step, unsampled) and [`EngineMode::EventDriven`] (sleeping UEs
+//! skipped) must produce byte-identical [`FleetTrace`]s across different
+//! shard counts — with a non-vacuity check that sleep actually happened;
+//! (3) the plain fixed-step run must agree with the event-driven run on
+//! every per-UE control-plane field and the load summary. Any divergence
+//! exits nonzero before the timing runs start.
 
 use fiveg_bench::perfgate::{self, Better, Gate};
 use fiveg_bench::report::JsonBuf;
@@ -336,22 +337,23 @@ fn bench_size(n_ues: u32, exec: FleetExec, event: bool, sink: Option<&Telemetry>
     })
 }
 
-/// The machine-independent equivalence gates: shard invariance of the fixed
-/// path, byte-identity of referee vs event-driven scheduling, and
+/// The machine-independent equivalence gates: thread and shard invariance of
+/// the fixed path, byte-identity of referee vs event-driven scheduling, and
 /// control-plane agreement of fixed vs event-driven. Returns false (and
 /// prints why) on any divergence.
 fn verify_shards(threads: usize) -> bool {
     let spec = FleetSpec::new(base_scenario(20.0), 64).stagger_s(10.0).speed_jitter(0.1);
 
-    // 1. fixed path, 1 vs 4 shards, traces retained
+    // 1. fixed path, 1 thread x 1 shard vs 2 threads x 4 shards, traces
+    //    retained: whatever --threads is, a multi-worker exchange runs
     let kept = spec.clone().keep_traces(true);
-    let one = fiveg_sim::run_fleet_exec(&kept, FleetExec::threads(threads).shards(1));
-    let four = fiveg_sim::run_fleet_exec(&kept, FleetExec::threads(threads).shards(4));
+    let one = fiveg_sim::run_fleet_exec(&kept, FleetExec::threads(1).shards(1));
+    let four = fiveg_sim::run_fleet_exec(&kept, FleetExec::threads(2).shards(4));
     if one != four {
-        eprintln!("fleet_bench: FleetTrace differs between 1 and 4 shards — boundary exchange broke determinism");
+        eprintln!("fleet_bench: FleetTrace differs between 1x1 and 2x4 threads x shards — exchange broke determinism");
         return false;
     }
-    println!("  shard invariance: 1 shard == 4 shards over {} UEs ({} ticks)  ok", 64, one.meta.ticks);
+    println!("  geometry invariance: 1x1 == 2x4 threads x shards over {} UEs ({} ticks)  ok", 64, one.meta.ticks);
 
     // 2. referee vs event-driven: byte-identical across shard counts. The
     //    referee steps sleeping UEs with full control plane, so equality

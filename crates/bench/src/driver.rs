@@ -431,17 +431,6 @@ pub fn calibrate_scores(traces: &[&Trace]) -> prognos::HoScoreTable {
     prognos::HoScoreTable::calibrate(&samples)
 }
 
-/// Prognos-derived score function for the `-PR` app variants: the window
-/// ho_scores of a completed run, step-interpolated over time.
-pub fn pr_score_fn(run: &PrognosRun) -> impl Fn(f64) -> f64 {
-    let windows: Vec<(f64, f64)> = run.windows.iter().map(|w| (w.t, w.ho_score)).collect();
-    move |t: f64| match windows.binary_search_by(|p| p.0.partial_cmp(&t).unwrap()) {
-        Ok(i) => windows[i].1,
-        Err(0) => 1.0,
-        Err(i) => windows[i - 1].1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

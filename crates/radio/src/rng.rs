@@ -85,11 +85,6 @@ impl DetRng {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Normal with given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std: f64) -> f64 {
-        mean + std * self.gauss()
-    }
-
     /// Log-normal draw parameterized by the *target* mean and the sigma of
     /// the underlying normal (shape). Used for HO stage durations, which are
     /// positive and right-skewed in the measurements.

@@ -102,14 +102,8 @@ impl Cell {
     }
 
     /// [`Cell::rx_dbm`] with the channel's noise-lattice hashes memoized in
-    /// `cache` — bit-identical; `cache` must be dedicated to this cell.
-    pub fn rx_dbm_cached(&self, ue: &Point, t: f64, cache: &mut ChannelCache) -> f64 {
-        self.propagation.received_dbm_cached(&self.site, ue, t, cache) - self.pattern_loss_db(ue)
-    }
-
-    /// [`Cell::rx_dbm_cached`] with the fast-fading node gaussians also
-    /// memoized in `nodes` — bit-identical; both memos must be dedicated to
-    /// this cell.
+    /// `cache` and the fast-fading node gaussians in `nodes` —
+    /// bit-identical; both memos must be dedicated to this cell.
     pub fn rx_dbm_memo(&self, ue: &Point, t: f64, cache: &mut ChannelCache, nodes: &mut NodeCache) -> f64 {
         self.propagation.received_dbm_memo(&self.site, ue, t, cache, nodes) - self.pattern_loss_db(ue)
     }

@@ -432,19 +432,6 @@ impl Deployment {
         v
     }
 
-    /// Strongest cells restricted to one band class; same [`rx_total_order`]
-    /// ordering as [`Deployment::strongest`].
-    pub fn strongest_in_class(&self, pos: &Point, t: f64, class: BandClass, radius_m: f64) -> Vec<(CellId, f64)> {
-        let mut v: Vec<(CellId, f64)> = self
-            .cells_near(pos, radius_m)
-            .into_iter()
-            .filter(|&id| self.cell(id).is_nr() && self.cell(id).band.class() == class)
-            .map(|id| (id, self.cell(id).rx_dbm(pos, t)))
-            .collect();
-        v.sort_unstable_by(rx_total_order);
-        v
-    }
-
     /// True when the area around `pos` is configured with the MCG-split
     /// ("dual") bearer rather than the SCG ("5G-only") bearer (§4.2).
     pub fn dual_mode_at(&self, pos: &Point) -> bool {

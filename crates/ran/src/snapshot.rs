@@ -18,7 +18,7 @@
 //!    pattern`.
 //! 3. **Price.** Only if `ub1` reaches the cut-off too is the fading term
 //!    drawn: `rx = ((prefix + fading) − blockage) − pattern`, the operation
-//!    order of [`Cell::rx_dbm_cached`], so the value is bit-identical.
+//!    order of [`Cell::rx_dbm`], so the value is bit-identical.
 //!
 //! Soundness: IEEE rounding is monotone and blockage and pattern loss are
 //! nonnegative, so `rx ≤ ub1 ≤ ub0` as computed, with no slack beyond the
@@ -39,7 +39,7 @@
 //! [`fiveg_radio::ChannelCache`]) persist across ticks, so the steady-state
 //! tick allocates nothing here.
 //!
-//! [`Cell::rx_dbm_cached`]: crate::Cell::rx_dbm_cached
+//! [`Cell::rx_dbm`]: crate::Cell::rx_dbm
 
 use crate::cell::{Cell, CellId};
 use crate::deploy::{rx_total_order, Deployment};
@@ -98,7 +98,7 @@ struct Screened {
 }
 
 /// The exact rx from its parts, in the operation order of
-/// [`Cell::rx_dbm_cached`].
+/// [`Cell::rx_dbm`].
 fn exact_rx(c: &Cell, prefix: f64, t: f64, blk: f64, pat: f64) -> f64 {
     Propagation::received_from_parts(prefix, c.propagation.fading_db(t), blk) - pat
 }

@@ -447,11 +447,6 @@ impl ServerHandle {
         self.inner.stats.lock().unwrap().snapshot()
     }
 
-    /// Live session count right now.
-    pub fn live_sessions(&self) -> usize {
-        self.inner.live.load(Ordering::Acquire)
-    }
-
     fn stop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.cv.notify_all();

@@ -27,22 +27,21 @@
 //! * per-UE scratch (leg views, candidate tables) lives inside `UeSim` and
 //!   is reused across ticks, so steady-state stepping does not allocate.
 //!
-//! Once per tick the coordinator performs the **boundary exchange** while
-//! every worker is parked between the two barriers: it applies last tick's
-//! departures, then every shard's deltas, to the one persistent load table
-//! (commutative integer adds — the table is independent of shard count),
-//! and accumulates the load statistics from it, rescanning the table only
-//! on ticks where some delta landed. A finalized UE's cells are retired one
-//! boundary late, so its last step's publish is still read by the next
-//! tick like every other UE's.
+//! Each worker steps its shards for tick `k`, then waits at the merge
+//! barrier. The one worker the barrier names leader performs the **boundary
+//! exchange** while the others wait at the release barrier: it applies last
+//! tick's departures, then every shard's deltas, to the one persistent load
+//! table (commutative integer adds — the table is independent of shard
+//! count), and accumulates the load statistics from it, rescanning the
+//! table only on ticks where some delta landed. A finalized UE's cells are
+//! retired one boundary late, so its last step's publish is still read by
+//! the next tick like every other UE's.
 //!
-//! A UE whose step moved it across a shard boundary **migrates** via an
-//! explicit mailbox message carrying its fleet index, `UeSim`, hook and
-//! telemetry handle (the `AddressMapping`/`Topology` pattern). Mailboxes
-//! are double-buffered by tick parity: a UE stepped at tick `k` is pushed
-//! into the target's tick-`k+1` inbox before the tick-`k` barrier, and the
-//! target drains exactly that inbox at the start of tick `k+1` — the UE
-//! misses no tick and can never be stepped twice in one tick.
+//! A UE whose step moved it across a shard boundary **migrates**: the
+//! source shard parks it in its outbox with its fleet index, `UeSim`, hook
+//! and telemetry handle (the `AddressMapping`/`Topology` pattern), and the
+//! leader moves it into the target shard at the tick-`k` boundary, in shard
+//! order. The UE misses no tick and can never be stepped twice in one tick.
 //!
 //! # Determinism
 //!
@@ -53,6 +52,8 @@
 //! * the table is a commutative integer sum of every shard's deltas, and
 //!   tick `k` reads it as the boundary after tick `k-1` left it (no worker
 //!   ever observes a partially-applied tick);
+//! * migrants arrive in shard order, so a shard's residency order is fixed
+//!   too;
 //! * results, telemetry ([`Telemetry::absorb`]) and hooks are collected in
 //!   UE-index order.
 //!
@@ -113,7 +114,7 @@ use fiveg_ran::{Arch, Carrier, CellId, Deployment, Environment, RadioSnapshot};
 use fiveg_telemetry::{Telemetry, TelemetryConfig};
 use fiveg_ue::SpeedProfile;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Barrier, Mutex};
 
 /// Read-only view of the per-cell attach counts as the previous tick's
@@ -361,8 +362,8 @@ pub struct UePlan {
     pub reversed: bool,
 }
 
-/// The schedule-only slice of a [`UePlan`]: everything the coordinator and
-/// the summaries need, without the cloned scenario.
+/// The schedule-only slice of a [`UePlan`]: everything the shard seeding
+/// and the summaries need, without the cloned scenario.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlanMeta {
     pub(crate) seed: u64,
@@ -459,8 +460,8 @@ impl UeSummary {
     }
 }
 
-/// Fleet-level load statistics, accumulated by the coordinator from the
-/// load table once per boundary exchange (single-threaded, so the scan
+/// Fleet-level load statistics, accumulated by the barrier leader from the
+/// load table once per boundary exchange (one thread at a time, so the scan
 /// order — and the result — is independent of worker and shard count).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadSummary {
@@ -655,14 +656,20 @@ impl<'d, H: SimHook> ShardUes<'d, H> {
 }
 
 /// One spatial shard: the UEs inside its band, their pending load-table
-/// deltas, and the shared radio-snapshot arena.
+/// deltas and migrations, the shared radio-snapshot arena, and the
+/// per-tick counts the barrier leader sums.
 struct Shard<'d, H: SimHook> {
     /// UEs waiting on their start tick, `(start_tick, fleet idx)` sorted
     /// descending so due entries pop off the back cheapest-first.
     pending: Vec<(u64, u32)>,
     run: ShardUes<'d, H>,
-    /// UEs handed to another shard's mailbox since the last exchange.
-    migrated: u64,
+    /// UEs whose step this tick carried them into another shard's band,
+    /// with that shard; the leader moves them there at the boundary.
+    outbox: Vec<(usize, Migrant<'d, H>)>,
+    /// UEs this tick left alive (running, sleeping or still pending).
+    alive: u32,
+    /// UEs this tick stepped or skipped while asleep.
+    stepped: u32,
     /// The shard's shared per-(pos, t) radio memo: every resident UE
     /// refreshes and reads the same snapshot. A refresh fully recomputes
     /// from `(pos, t)` on miss, so sharing is invisible in the output —
@@ -675,8 +682,8 @@ struct Shard<'d, H: SimHook> {
     /// nothing.
     wheel: EventQueue,
     /// `(cell, ±1)` serving transitions this shard's steps produced during
-    /// the current tick; the coordinator folds them into the persistent
-    /// table at the boundary.
+    /// the current tick; the leader folds them into the persistent table at
+    /// the boundary.
     deltas: Vec<(u32, i32)>,
     /// Departure deltas of UEs finalized this tick, applied one boundary
     /// later: a UE's final serving publish is still read by the next tick.
@@ -697,7 +704,9 @@ impl<'d, H: SimHook> Shard<'d, H> {
                 scheds: Vec::new(),
                 local_of: HashMap::new(),
             },
-            migrated: 0,
+            outbox: Vec::new(),
+            alive: 0,
+            stepped: 0,
             arena: RadioSnapshot::new(),
             wheel: EventQueue::with_slots(WHEEL_SLOTS),
             deltas: Vec::new(),
@@ -727,6 +736,93 @@ struct UeOut<H> {
     trace: Option<Box<Trace>>,
     tele: Telemetry,
     hook: Option<H>,
+}
+
+/// Why a fleet mutex is poisoned or a worker's join fails.
+const WORKER_PANICKED: &str = "a fleet worker panicked";
+
+/// What the boundary exchange carries from one tick to the next. Only the
+/// barrier leader of each tick locks it.
+#[derive(Default)]
+struct Boundary {
+    /// Global ticks counted so far.
+    ticks: u64,
+    load: LoadSummary,
+    /// UEs moved between shards.
+    migrations: u64,
+    /// Departures retired at the previous boundary, applied at this one.
+    pending_departs: Vec<(u32, i32)>,
+    /// `(attach, contended, peak)` of the table as last scanned.
+    stats_cache: Option<(u64, u64, u32)>,
+}
+
+impl Boundary {
+    /// The boundary exchange after tick `k`, run by the barrier leader while
+    /// every other worker waits to be released — so it is the only writer of
+    /// the load table and of every shard. Returns whether the fleet is done.
+    fn exchange<H: SimHook>(&mut self, k: u64, shards: &[Mutex<Shard<'_, H>>], global: &[AtomicU32]) -> bool {
+        let apply = |ds: &mut Vec<(u32, i32)>| {
+            for (c, dl) in ds.drain(..) {
+                let cur = global[c as usize].load(Ordering::Relaxed);
+                global[c as usize].store(cur.wrapping_add(dl as u32), Ordering::Relaxed);
+            }
+        };
+        // The table carries over tick to tick (sleepers stay published) and
+        // only serving-transition deltas are folded in — last tick's
+        // deferred departures first, then the deltas every shard's steps
+        // produced during tick k. The adds are commutative, so the table is
+        // independent of shard count; tick k+1 reads exactly what every live
+        // UE last published.
+        let (mut alive, mut stepped) = (0u32, 0u32);
+        let mut changed = !self.pending_departs.is_empty();
+        apply(&mut self.pending_departs);
+        for sh in shards {
+            let mut g = sh.lock().expect(WORKER_PANICKED);
+            alive += g.alive;
+            stepped += g.stepped;
+            changed |= !g.deltas.is_empty();
+            apply(&mut g.deltas);
+            self.pending_departs.append(&mut g.departs);
+            // hand the movers over in shard order, so every target's
+            // residency order is fixed; they step there from tick k+1 on
+            for (target, mg) in g.outbox.drain(..) {
+                shards[target].lock().expect(WORKER_PANICKED).run.push(mg);
+                self.migrations += 1;
+            }
+        }
+        // Count tick k only if it stepped a UE or left one alive (pending or
+        // running). A final pass where both are zero — every remaining UE
+        // was constructed already-inactive, e.g. a zero-duration scenario —
+        // advanced nothing and must not inflate the reported global tick
+        // count.
+        if alive > 0 || stepped > 0 {
+            self.ticks = k + 1;
+        }
+        self.load.peak_active_ues = self.load.peak_active_ues.max(stepped);
+        // a boundary with no deltas leaves the table — and its per-tick
+        // stats contribution — exactly as last tick's
+        if changed || self.stats_cache.is_none() {
+            let mut attach = 0u64;
+            let mut contended = 0u64;
+            let mut peak = 0u32;
+            for c in global {
+                let v = c.load(Ordering::Relaxed);
+                if v > 0 {
+                    attach += v as u64;
+                    peak = peak.max(v);
+                    if v >= 2 {
+                        contended += v as u64;
+                    }
+                }
+            }
+            self.stats_cache = Some((attach, contended, peak));
+        }
+        let (attach, contended, peak) = self.stats_cache.unwrap();
+        self.load.attach_ue_ticks += attach;
+        self.load.contended_ue_ticks += contended;
+        self.load.peak_cell_ues = self.load.peak_cell_ues.max(peak);
+        alive == 0
+    }
 }
 
 #[allow(clippy::type_complexity)]
@@ -774,55 +870,37 @@ fn run_fleet_core<H: SimHook + Send>(
     for sh in &mut shards {
         sh.get_mut().unwrap().pending.sort_unstable_by(|a, b| b.cmp(a));
     }
-    let shards = &shards[..];
 
-    // the persistent load table: written only by the coordinator while
-    // every worker is parked, read by every worker during the tick
+    // the persistent load table: written only by the barrier leader while
+    // every other worker waits, read by every worker during the tick
     let global: Vec<AtomicU32> = (0..n_cells).map(|_| AtomicU32::new(0)).collect();
-    // migration mailboxes, double-buffered by tick parity: a UE stepped at
-    // tick k lands in the target's (k+1)%2 inbox and is drained exactly at
-    // the start of tick k+1 — never the same tick it was stepped in
-    let inboxes: Vec<[Mutex<Vec<Migrant<'_, H>>>; 2]> =
-        (0..shards_n).map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())]).collect();
-    let active = AtomicU32::new(0);
-    let stepped = AtomicU32::new(0);
-    // planner tiles built and exact channel evaluations, summed over the
-    // workers' scratch at exit
-    let plan_tiles = AtomicU64::new(0);
-    let plan_evals = AtomicU64::new(0);
+    let boundary = Mutex::new(Boundary::default());
     let done = AtomicBool::new(false);
-    // workers + coordinator; two waits per tick (merge point, release point)
-    let barrier = Barrier::new(threads + 1);
-    let results: Vec<Mutex<Option<UeOut<H>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    let mut ticks = 0u64;
-    let mut load = LoadSummary::default();
-    let mut migrations = 0u64;
-
-    std::thread::scope(|scope| {
+    // two waits per tick: the merge point, whose leader runs the boundary
+    // exchange, and the release point
+    let barrier = Barrier::new(threads);
+    // planner tiles built and exact channel evaluations, summed over the
+    // workers' scratch at exit, and every UE's output
+    let (plan_tiles, plan_evals, outs) = std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for w in 0..threads {
-            let (d, metas, global, inboxes, active, stepped, done, barrier, results, map) =
-                (&d, &metas, &global[..], &inboxes[..], &active, &stepped, &done, &barrier, &results, &map);
-            let (plan_tiles, plan_evals) = (&plan_tiles, &plan_evals);
+            let (d, metas, global, shards, boundary, done, barrier, map) =
+                (&d, &metas, &global[..], &shards[..], &boundary, &done, &barrier, &map);
             let keep = spec.keep_traces;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 // per-worker plan buffers: plans are pure functions of UE
                 // state, so recycling capacity across shards changes nothing
                 let mut scratch = PlanScratch::default();
+                let mut finished = Vec::new();
                 for k in 0u64.. {
                     let read = CellLoadView::from_counts(global);
                     let count_at = |c: CellId| global[c.0 as usize].load(Ordering::Relaxed);
-                    let mut still = 0u32;
-                    let mut moved = 0u32;
                     for s in (w..shards_n).step_by(threads) {
-                        let mut guard = shards[s].lock().unwrap();
-                        let Shard { pending, run, migrated, arena, wheel, deltas, departs, totals } = &mut *guard;
-                        // --- drain this tick's inbox: UEs that crossed into
-                        // this shard at the end of tick k-1
-                        let incoming = std::mem::take(&mut *inboxes[s][(k % 2) as usize].lock().unwrap());
-                        for mg in incoming {
-                            run.push(mg);
-                        }
+                        let mut g = shards[s].lock().unwrap();
+                        let Shard { pending, run, outbox, alive, stepped, arena, wheel, deltas, departs, totals } =
+                            &mut *g;
+                        *alive = 0;
+                        *stepped = 0;
                         // --- activate UEs whose start tick arrived
                         while pending.last().is_some_and(|&(st, _)| st <= k) {
                             let (_, i) = pending.pop().unwrap();
@@ -909,8 +987,8 @@ fn run_fleet_core<H: SimHook + Send>(
                                             // skipped outright; still counted
                                             // as live so the tick bookkeeping
                                             // matches the stepping modes
-                                            moved += 1;
-                                            still += 1;
+                                            *stepped += 1;
+                                            *alive += 1;
                                             j += 1;
                                             continue;
                                         }
@@ -926,7 +1004,7 @@ fn run_fleet_core<H: SimHook + Send>(
                                     arena,
                                     sample,
                                 );
-                                moved += 1;
+                                *stepped += 1;
                                 // persistent table: publish only serving
                                 // transitions as deltas
                                 let (lte, nr) = run.sims[j].serving();
@@ -940,7 +1018,7 @@ fn run_fleet_core<H: SimHook + Send>(
                                 }
                             }
                             if run.sims[j].active() {
-                                still += 1;
+                                *alive += 1;
                                 // after a real (sampled) step, try to plan
                                 // the next sleep window — BEFORE the
                                 // migration check, so the schedule is a
@@ -979,11 +1057,9 @@ fn run_fleet_core<H: SimHook + Send>(
                                 // tick
                                 let target = map.shard_of(&run.sims[j].position());
                                 if target != s && !run.scheds[j].asleep {
-                                    // boundary crossed: hand the UE to the
-                                    // target's next-tick mailbox
-                                    let mg = run.swap_remove(j);
-                                    inboxes[target][((k + 1) % 2) as usize].lock().unwrap().push(mg);
-                                    *migrated += 1;
+                                    // boundary crossed: the leader hands
+                                    // the UE to the target at the boundary
+                                    outbox.push((target, run.swap_remove(j)));
                                     continue; // swap_remove put a new UE at j
                                 }
                                 j += 1;
@@ -995,114 +1071,53 @@ fn run_fleet_core<H: SimHook + Send>(
                                 let published = [ue.sched.pub_lte, ue.sched.pub_nr];
                                 departs.extend(published.into_iter().flatten().map(|c| (c.0, -1)));
                                 let i = ue.idx as usize;
-                                *results[i].lock().unwrap() = Some(finalize(metas[i], ue));
+                                finished.push(finalize(metas[i], ue));
                             }
                         }
-                        still += pending.len() as u32;
+                        *alive += pending.len() as u32;
                     }
-                    if still > 0 {
-                        active.fetch_add(still, Ordering::Relaxed);
+                    // tick k fully stepped on every shard: the leader runs
+                    // the boundary exchange, then everyone is released
+                    if barrier.wait().is_leader() {
+                        let fleet_done = boundary.lock().expect(WORKER_PANICKED).exchange(k, shards, global);
+                        done.store(fleet_done, Ordering::Relaxed);
                     }
-                    if moved > 0 {
-                        stepped.fetch_add(moved, Ordering::Relaxed);
-                    }
-                    barrier.wait(); // tick k fully stepped on every shard
-                    barrier.wait(); // coordinator applied deltas + published verdict
+                    barrier.wait();
                     if done.load(Ordering::Relaxed) {
                         break;
                     }
                 }
-                plan_tiles.fetch_add(scratch.tiles_built(), Ordering::Relaxed);
-                plan_evals.fetch_add(scratch.evals(), Ordering::Relaxed);
-            });
+                (scratch.tiles_built(), scratch.evals(), finished)
+            }));
         }
-
-        // coordinator: the boundary exchange between the two barriers, while
-        // every worker is parked — the only writer of `done`, the load
-        // table and the stats
-        let mut pending_departs: Vec<(u32, i32)> = Vec::new();
-        let mut stats_cache: Option<(u64, u64, u32)> = None;
-        let apply = |ds: &mut Vec<(u32, i32)>| {
-            for (c, dl) in ds.drain(..) {
-                let cur = global[c as usize].load(Ordering::Relaxed);
-                global[c as usize].store(cur.wrapping_add(dl as u32), Ordering::Relaxed);
-            }
-        };
-        for k in 0u64.. {
-            barrier.wait();
-            let a = active.swap(0, Ordering::Relaxed);
-            let m = stepped.swap(0, Ordering::Relaxed);
-            // Count tick k only if it stepped a UE or left one alive
-            // (pending or running). A final pass where both are zero —
-            // every remaining UE was constructed already-inactive, e.g. a
-            // zero-duration scenario — advanced nothing and must not
-            // inflate the reported global tick count.
-            if a > 0 || m > 0 {
-                ticks = k + 1;
-            }
-            load.peak_active_ues = load.peak_active_ues.max(m);
-            // --- boundary exchange: the table carries over tick to tick
-            // (sleepers stay published) and only serving-transition deltas
-            // are folded in — last tick's deferred departures first, then
-            // the deltas every shard's steps produced during tick k. The
-            // adds are commutative, so the table is independent of shard
-            // count; tick k+1 reads exactly what every live UE last
-            // published.
-            let mut changed = !pending_departs.is_empty();
-            apply(&mut pending_departs);
-            for sh in shards.iter() {
-                let mut g = sh.lock().unwrap();
-                migrations += g.migrated;
-                g.migrated = 0;
-                changed |= !g.deltas.is_empty();
-                apply(&mut g.deltas);
-                pending_departs.append(&mut g.departs);
-            }
-            // a boundary with no deltas leaves the table — and its per-tick
-            // stats contribution — exactly as last tick's
-            if changed || stats_cache.is_none() {
-                let mut attach = 0u64;
-                let mut contended = 0u64;
-                let mut peak = 0u32;
-                for c in global.iter() {
-                    let v = c.load(Ordering::Relaxed);
-                    if v > 0 {
-                        attach += v as u64;
-                        peak = peak.max(v);
-                        if v >= 2 {
-                            contended += v as u64;
-                        }
-                    }
-                }
-                stats_cache = Some((attach, contended, peak));
-            }
-            let (attach, contended, peak) = stats_cache.unwrap();
-            load.attach_ue_ticks += attach;
-            load.contended_ue_ticks += contended;
-            load.peak_cell_ues = load.peak_cell_ues.max(peak);
-            if a == 0 {
-                done.store(true, Ordering::Relaxed);
-            }
-            barrier.wait();
-            if a == 0 {
-                break;
+        // outputs go back to their UE index
+        let mut outs: Vec<Option<UeOut<H>>> = (0..n).map(|_| None).collect();
+        let (mut tiles, mut evals) = (0, 0);
+        for h in workers {
+            let (t, e, finished) = h.join().expect(WORKER_PANICKED);
+            (tiles, evals) = (tiles + t, evals + e);
+            for out in finished {
+                let i = out.summary.ue as usize;
+                outs[i] = Some(out);
             }
         }
+        (tiles, evals, outs)
     });
 
     // scheduler statistics: commutative per-UE sums, so folding them in
     // shard order is independent of how UEs were distributed
     let mut sched_total = SchedSummary::default();
-    for sh in shards.iter() {
-        sched_total.absorb(&sh.lock().unwrap().totals);
+    for sh in shards {
+        sched_total.absorb(&sh.into_inner().expect(WORKER_PANICKED).totals);
     }
+    let Boundary { ticks, load, migrations, .. } = boundary.into_inner().expect(WORKER_PANICKED);
 
     // collect in UE order: summaries, optional traces, telemetry, hooks
     let mut ues = Vec::with_capacity(n);
     let mut traces = Vec::new();
     let mut hooks = factory.map(|_| Vec::with_capacity(n));
-    for slot in results {
-        let out = slot.into_inner().unwrap().expect("every UE must be finalized");
+    for out in outs {
+        let out = out.expect("every UE must be finalized");
         tele.absorb(&out.tele);
         ues.push(out.summary);
         if let Some(tr) = out.trace {
@@ -1124,10 +1139,10 @@ fn run_fleet_core<H: SimHook + Send>(
         tele.add("fleet.sleeps", sched_total.sleeps);
         tele.add("fleet.load_wakes", sched_total.load_wakes);
         // per-worker memos: depends on how UEs met workers, like migrations
-        tele.add("fleet.plan_tiles", plan_tiles.into_inner());
+        tele.add("fleet.plan_tiles", plan_tiles);
         // a sum of per-plan counts, each a pure function of UE state: the
         // same at any thread/shard geometry
-        tele.add("fleet.plan_evals", plan_evals.into_inner());
+        tele.add("fleet.plan_evals", plan_evals);
     }
 
     let meta = FleetMeta {
@@ -1299,8 +1314,8 @@ mod tests {
         assert_eq!(ft.meta.ticks, last, "no trailing tick beyond the last step");
 
         // the degenerate case: zero-duration scenarios construct every
-        // UeSim already inactive, so the lone coordinator pass steps
-        // nothing — it must not be counted as a global tick
+        // UeSim already inactive, so the lone tick (and its boundary
+        // exchange) steps nothing — it must not be counted as a global tick
         let dead = ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 3.0, 17).duration_s(0.0).sample_hz(5.0).build();
         let ft = run_fleet_exec(&FleetSpec::new(dead, 3).stagger_s(0.0), FleetExec::threads(2));
         assert_eq!(ft.ues.iter().map(|u| u.ticks).sum::<u64>(), 0);

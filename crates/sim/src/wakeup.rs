@@ -21,7 +21,7 @@
 //!   future instead of bounding it. A [`MobilityPeek`] cursor replays the
 //!   per-tick prologue bit-identically ([`UeSim::catch_up`]'s accumulation
 //!   order), the serving RSRP series comes from the same
-//!   [`Cell::rx_dbm_cached`] + `compute_rrs` clamp the leg view applies,
+//!   [`Cell::rx_dbm`] + `compute_rrs` clamp the leg view applies,
 //!   and every configured event's [`EventConfig::entered`] is evaluated
 //!   verbatim against the candidate maximum. The grant is *exact*: one tick
 //!   short of the first tick on which anything would fire.
@@ -57,7 +57,7 @@
 //! so plans are identical at any thread/shard count, warm or cold.
 //!
 //! [`SpatialNoise::sup_over_box`]: fiveg_radio::SpatialNoise::sup_over_box
-//! [`Cell::rx_dbm_cached`]: fiveg_ran::Cell::rx_dbm_cached
+//! [`Cell::rx_dbm`]: fiveg_ran::Cell::rx_dbm
 //! [`Cell::rx_dbm_memo`]: fiveg_ran::Cell::rx_dbm_memo
 //! [`MobilityPeek`]: fiveg_ue::MobilityPeek
 //! [`EventConfig::entered`]: fiveg_rrc::EventConfig::entered
@@ -65,7 +65,7 @@
 use super::{UeSim, ANCHOR_MIN_FREQ_MHZ, RLF_DBM, SEARCH_RADIUS_M};
 use fiveg_geo::Point;
 use fiveg_radio::{ChannelCache, NodeCache, TileMemo, BOUND_EPS_DB};
-use fiveg_ran::{Arch, CellId, Deployment};
+use fiveg_ran::{Arch, Cell, CellId, Deployment};
 use fiveg_rrc::{EventConfig, EventKind, MeasQuantity};
 
 /// Reusable buffers for [`plan_sleep`]. The fleet keeps one per worker and
@@ -349,10 +349,8 @@ fn neighbor_pass(
         let s_min = s[..(vmin - 1) as usize].iter().fold(f64::INFINITY, |a, &b| a.min(b));
         let a3_ok = (c.band.freq_mhz - s_freq).abs() < 1.0 && (s_group.is_none() || meas_group(d, id, nr) == s_group);
         let p = &c.propagation;
-        // stage 1: cheap screen — tile-memoized shadowing sup over the
-        // travel box + the fading term's global bound
-        let median = p.median_received_dbm(c.site.distance(start) - travel);
-        let sh_sup = p.shadow_sup_over_box(start, travel, &mut memo.tiles[id.0 as usize]);
+        // stage 1: cheap screen — the base + the fading term's global bound
+        let (median, sh_sup) = screen_base(c, start, travel, &mut memo.tiles[id.0 as usize]);
         let up = (median + (sh_sup + p.fading_bound())).clamp(-140.0, -44.0);
         if !plausible(configs, a3_ok, s_min, up) {
             continue;
@@ -391,6 +389,18 @@ fn neighbor_pass(
         }
     }
     vmin
+}
+
+/// The screens' base for cell `c` over every position within `travel` of
+/// `start`: the median received power at the closest reachable distance
+/// and the shadowing supremum over the travel box, from the cell's tile
+/// memo `tiles`. Their sum bounds [`Cell::rx_dbm`] minus its fading term
+/// anywhere a path of length `travel` from `start` can reach.
+///
+/// [`Cell::rx_dbm`]: fiveg_ran::Cell::rx_dbm
+fn screen_base(c: &Cell, start: &Point, travel: f64, tiles: &mut TileMemo) -> (f64, f64) {
+    let p = &c.propagation;
+    (p.median_received_dbm(c.site.distance(start) - travel), p.shadow_sup_over_box(start, travel, tiles))
 }
 
 /// True when some configured neighbor-driven event could enter given the
@@ -526,6 +536,54 @@ mod tests {
             ue.step_sampled(None, &CellLoadView::SOLO, &mut radio, true);
         }
         (compared, nonzero, by_neighbor)
+    }
+
+    #[test]
+    fn screen_base_covers_paths_that_leave_the_start_tile() {
+        // Paths of one to three shadowing-tile widths head straight for the
+        // site, so the median term has no slack at their far end and only
+        // the travel box's shadowing supremum covers the tiles the path
+        // enters. A base taken over the start point alone fails here.
+        use fiveg_radio::band::catalog::{N260, N71};
+        use fiveg_radio::noise::TILE_CORNERS;
+        use fiveg_radio::{DetRng, Propagation};
+        use fiveg_ran::TowerId;
+        use fiveg_rrc::Pci;
+        let mut rng = DetRng::new(0x7B0C_5EED);
+        // (band, tx dBm, default shadowing correlation length in m)
+        for (band, tx, corr_m) in [(N71, 46.0, 50.0), (N260, 58.0, 20.0)] {
+            let tile_m = TILE_CORNERS as f64 * corr_m;
+            for seed in 1..=8u64 {
+                let c = Cell {
+                    id: CellId(0),
+                    pci: Pci(1),
+                    band,
+                    tower: TowerId(0),
+                    site: Point::ORIGIN,
+                    azimuth: None,
+                    propagation: Propagation::new(seed, band, tx),
+                    noise_dbm: Cell::noise_floor_dbm(band),
+                };
+                let p = c.propagation;
+                let mut tiles = TileMemo::default();
+                for _ in 0..60 {
+                    let travel = tile_m * rng.range(1.0, 3.0);
+                    let bearing = rng.range(0.0, std::f64::consts::TAU);
+                    let start = c.site.displaced(bearing, travel + rng.range(20.0, 1500.0));
+                    let (median, sh_sup) = screen_base(&c, &start, travel, &mut tiles);
+                    for i in 0..=64 {
+                        let q = start.lerp(&c.site, travel * i as f64 / 64.0 / c.site.distance(&start));
+                        let t = rng.range(0.0, 100.0);
+                        let level = c.rx_dbm(&q, t) - p.fading_db(t);
+                        assert!(
+                            level <= median + sh_sup + BOUND_EPS_DB,
+                            "{band:?} seed {seed}: {level} above base {} at {i}/64 of a {travel:.0} m path",
+                            median + sh_sup
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl SpanAssembler {
         &self.log
     }
 
-    /// The span currently in flight, if any.
-    pub fn open_span(&self) -> Option<&HoSpan> {
-        self.open.as_ref().map(|o| &o.span)
-    }
-
     /// Closes any in-flight span as [`SpanOutcome::Orphaned`] and returns
     /// the assembled log.
     pub fn finish(mut self) -> SpanLog {

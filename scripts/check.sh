@@ -157,7 +157,9 @@ run_vivisect() {
 # are paired by their n_ues value, so a reordered
 # or extended baseline can never gate against the wrong row.
 # --verify-shards adds the other machine-independent gates: the same fleet
-# run with 1 and 4 shards must produce identical FleetTraces, and the
+# run on 1 thread x 1 shard and on 2 threads x 4 shards must produce
+# identical FleetTraces (whatever --threads says, so a multi-worker
+# boundary exchange is always exercised), and the
 # event-driven scheduler must be byte-identical to its EngineMode::Referee
 # run (plus control-plane-identical to the plain fixed path) before
 # any timing starts. --event-driven then times every size in both
