@@ -5,7 +5,7 @@
 
 use fiveg_analysis::DurationStats;
 use fiveg_bench::fmt;
-use fiveg_bench::sweep::{default_threads, run_ordered};
+use fiveg_bench::pool::{default_threads, run_ordered};
 use fiveg_radio::BandClass;
 use fiveg_ran::{Arch, Carrier, HoType};
 use fiveg_sim::{ScenarioBuilder, Telemetry, TelemetryConfig};

@@ -7,7 +7,7 @@
 use fiveg_analysis::{mean, median, percentile};
 use fiveg_bench::driver::{run_prognos, run_prognos_instrumented};
 use fiveg_bench::fmt;
-use fiveg_bench::sweep::{default_threads, run_ordered};
+use fiveg_bench::pool::{default_threads, run_ordered};
 use fiveg_telemetry::{Telemetry, TelemetryConfig};
 use prognos::PrognosConfig;
 

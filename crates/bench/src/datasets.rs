@@ -9,7 +9,7 @@
 //!
 //! Both are "for OpX logged @ 20 Hz".
 
-use crate::sweep::{default_threads, parallel_traces};
+use crate::pool::{default_threads, parallel_traces};
 use fiveg_ran::Carrier;
 use fiveg_sim::{Scenario, ScenarioBuilder, Trace};
 

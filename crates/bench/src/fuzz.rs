@@ -3,14 +3,14 @@
 //! `fiveg-oracle` owns the per-case machinery (generation, dual-engine
 //! differential run, invariant checks, shrinking); this module owns the
 //! campaign: fanning cases across the worker pool deterministically
-//! ([`crate::sweep::run_ordered`]), probing the Prognos predictor over the
+//! ([`crate::pool::run_ordered`]), probing the Prognos predictor over the
 //! traces of predictor-flagged cases, replaying the committed corpus, and
 //! writing the `fiveg-fuzz/v1` report that the determinism CI byte-compares
 //! across thread counts.
 
 use crate::driver::run_prognos;
+use crate::pool::run_ordered;
 use crate::report::JsonBuf;
-use crate::sweep::run_ordered;
 use fiveg_oracle::{run_case, shrink, CaseResult, FuzzCase};
 use prognos::PrognosConfig;
 use std::path::Path;

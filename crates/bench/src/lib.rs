@@ -10,8 +10,9 @@
 //!   paper's trace-driven emulation does, producing per-window predictions
 //!   and ground-truth labels;
 //! * [`features`] — feature extraction for the GBC and LSTM baselines;
-//! * [`sweep`] — the deterministic parallel sweep harness (scenario matrix
-//!   → ordered job list → worker pool → `BENCH_sweep.json`);
+//! * [`pool`] — the ordered worker pool (`run_ordered`, `parallel_traces`)
+//!   whose index-ordered merge makes every parallel harness's output
+//!   independent of its worker count;
 //! * [`fuzz`] — the scenario-fuzz campaign driver behind `scenario_fuzz`
 //!   (seeded case fan-out → oracle verdicts → corpus replay →
 //!   `BENCH_fuzz.json`);
@@ -27,8 +28,8 @@ pub mod features;
 pub mod fmt;
 pub mod fuzz;
 pub mod perfgate;
+pub mod pool;
 pub mod report;
-pub mod sweep;
 pub mod vivisect;
 
 pub use datasets::{d1_traces, d2_traces};
@@ -37,7 +38,6 @@ pub use features::{gbc_dataset, lstm_sequences};
 pub use fuzz::{campaign_report, replay_corpus, run_campaign, FuzzOutcome, FUZZ_SCHEMA};
 pub use perfgate::{evaluate, fleet_metric, metric_after, Gate};
 pub use report::JsonBuf;
-pub use sweep::{RouteKind, SweepPredictor, SweepResult, SweepSpec};
 pub use vivisect::{
     matrix, reconcile, report as vivisect_report, run_cell, run_matrix, CellOutcome, VivisectCell, VivisectObserver,
     VIVISECT_SCHEMA,

@@ -19,8 +19,8 @@
 //! `--threads` and across machines. The `vivisect-smoke` CI step diffs two
 //! runs to lock that in.
 
+use crate::pool::run_ordered;
 use crate::report::JsonBuf;
-use crate::sweep::run_ordered;
 use fiveg_oracle::Oracle;
 use fiveg_ran::{Arch, Carrier, HandoverRecord, HoPhase, HoType, RadioTech};
 use fiveg_rrc::ReconfigAction;

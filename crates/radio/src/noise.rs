@@ -10,17 +10,9 @@
 //! the same answer. This is what makes the whole simulation deterministic
 //! and replayable.
 
+use crate::rng::splitmix64;
 use fiveg_geo::Point;
 use std::collections::HashMap;
-
-/// SplitMix64: the 64-bit finalizer used as our lattice hash.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
 
 /// Hashes a tuple of integers into a uniform f64 in [0, 1).
 #[inline]

@@ -37,6 +37,10 @@
 //! retired one boundary late, so its last step's publish is still read by
 //! the next tick like every other UE's.
 //!
+//! A worker that panics poisons the barrier as it unwinds: every other
+//! worker returns from its wait without touching a shard and exits, and
+//! the run re-raises the panicking worker's own payload.
+//!
 //! A UE whose step moved it across a shard boundary **migrates**: the
 //! source shard parks it in its outbox with its fleet index, `UeSim`, hook
 //! and telemetry handle (the `AddressMapping`/`Topology` pattern), and the
@@ -115,7 +119,7 @@ use fiveg_telemetry::{Telemetry, TelemetryConfig};
 use fiveg_ue::SpeedProfile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Read-only view of the per-cell attach counts as the previous tick's
 /// boundary exchange left them, consumed by `UeSim::step` when computing
@@ -738,8 +742,70 @@ struct UeOut<H> {
     hook: Option<H>,
 }
 
-/// Why a fleet mutex is poisoned or a worker's join fails.
+/// Why a fleet mutex is poisoned.
 const WORKER_PANICKED: &str = "a fleet worker panicked";
+
+/// The fleet's tick rendezvous: a barrier that names one leader per
+/// generation, like `std::sync::Barrier`, but that can be poisoned — a
+/// worker that panics releases every other worker instead of leaving them
+/// blocked forever.
+struct TickBarrier {
+    n: usize,
+    state: Mutex<BarrierState>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct BarrierState {
+    /// Workers arrived in the current generation.
+    count: usize,
+    generation: u64,
+    poisoned: bool,
+}
+
+impl TickBarrier {
+    fn new(n: usize) -> TickBarrier {
+        TickBarrier { n, state: Mutex::new(BarrierState::default()), cv: Condvar::new() }
+    }
+
+    /// Blocks until all `n` workers have arrived. Returns `Some(true)` to
+    /// exactly one worker per generation (the leader), `Some(false)` to the
+    /// others, and `None` once the barrier is poisoned.
+    fn wait(&self) -> Option<bool> {
+        let mut st = self.state.lock().expect(WORKER_PANICKED);
+        if st.poisoned {
+            return None;
+        }
+        st.count += 1;
+        if st.count == self.n {
+            st.count = 0;
+            st.generation += 1;
+            // a lone worker has no one to wake: skip the wake syscall
+            if self.n > 1 {
+                self.cv.notify_all();
+            }
+            return Some(true);
+        }
+        let generation = st.generation;
+        while st.generation == generation && !st.poisoned {
+            st = self.cv.wait(st).expect(WORKER_PANICKED);
+        }
+        (!st.poisoned).then_some(false)
+    }
+}
+
+/// Held by each worker: poisons the barrier and wakes every waiter if the
+/// worker unwinds.
+struct PoisonOnUnwind<'a>(&'a TickBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.state.lock().unwrap_or_else(PoisonError::into_inner).poisoned = true;
+            self.0.cv.notify_all();
+        }
+    }
+}
 
 /// What the boundary exchange carries from one tick to the next. Only the
 /// barrier leader of each tick locks it.
@@ -878,16 +944,18 @@ fn run_fleet_core<H: SimHook + Send>(
     let done = AtomicBool::new(false);
     // two waits per tick: the merge point, whose leader runs the boundary
     // exchange, and the release point
-    let barrier = Barrier::new(threads);
+    let barrier = TickBarrier::new(threads);
     // planner tiles built and exact channel evaluations, summed over the
-    // workers' scratch at exit, and every UE's output
-    let (plan_tiles, plan_evals, outs) = std::thread::scope(|scope| {
+    // workers' scratch at exit, every UE's output, and the payload of the
+    // lowest-indexed worker that panicked
+    let (plan_tiles, plan_evals, outs, panicked) = std::thread::scope(|scope| {
         let mut workers = Vec::with_capacity(threads);
         for w in 0..threads {
             let (d, metas, global, shards, boundary, done, barrier, map) =
                 (&d, &metas, &global[..], &shards[..], &boundary, &done, &barrier, &map);
             let keep = spec.keep_traces;
             workers.push(scope.spawn(move || {
+                let _poison = PoisonOnUnwind(barrier);
                 // per-worker plan buffers: plans are pure functions of UE
                 // state, so recycling capacity across shards changes nothing
                 let mut scratch = PlanScratch::default();
@@ -1077,13 +1145,15 @@ fn run_fleet_core<H: SimHook + Send>(
                         *alive += pending.len() as u32;
                     }
                     // tick k fully stepped on every shard: the leader runs
-                    // the boundary exchange, then everyone is released
-                    if barrier.wait().is_leader() {
+                    // the boundary exchange, then everyone is released. A
+                    // poisoned barrier means another worker panicked: exit
+                    // without touching a shard
+                    let Some(leader) = barrier.wait() else { break };
+                    if leader {
                         let fleet_done = boundary.lock().expect(WORKER_PANICKED).exchange(k, shards, global);
                         done.store(fleet_done, Ordering::Relaxed);
                     }
-                    barrier.wait();
-                    if done.load(Ordering::Relaxed) {
+                    if barrier.wait().is_none() || done.load(Ordering::Relaxed) {
                         break;
                     }
                 }
@@ -1093,16 +1163,28 @@ fn run_fleet_core<H: SimHook + Send>(
         // outputs go back to their UE index
         let mut outs: Vec<Option<UeOut<H>>> = (0..n).map(|_| None).collect();
         let (mut tiles, mut evals) = (0, 0);
+        let mut panicked = None;
         for h in workers {
-            let (t, e, finished) = h.join().expect(WORKER_PANICKED);
-            (tiles, evals) = (tiles + t, evals + e);
-            for out in finished {
-                let i = out.summary.ue as usize;
-                outs[i] = Some(out);
+            match h.join() {
+                Ok((t, e, finished)) => {
+                    (tiles, evals) = (tiles + t, evals + e);
+                    for out in finished {
+                        let i = out.summary.ue as usize;
+                        outs[i] = Some(out);
+                    }
+                }
+                // joined in worker order, so the first payload kept is
+                // the lowest-indexed panicking worker's
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
             }
         }
-        (tiles, evals, outs)
+        (tiles, evals, outs, panicked)
     });
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
 
     // scheduler statistics: commutative per-UE sums, so folding them in
     // shard order is independent of how UEs were distributed
@@ -1365,6 +1447,45 @@ mod tests {
         assert_eq!(hooks.len(), 3);
         for (h, u) in hooks.iter().zip(&ft.ues) {
             assert_eq!(h.0, u.ticks, "each hook must see exactly its UE's ticks");
+        }
+    }
+
+    #[test]
+    fn a_panicking_hook_fails_the_fleet_at_any_geometry() {
+        // one UE's hook panics on its 5th tick: every geometry and mode must
+        // re-raise that panic, never hang the other workers at the barrier
+        struct PanicOnTick {
+            armed: bool,
+            ticks: u32,
+        }
+        impl SimHook for PanicOnTick {
+            fn on_tick(&mut self, _view: &crate::hook::TickView) {
+                self.ticks += 1;
+                if self.armed && self.ticks == 5 {
+                    panic!("hook panic on UE 3's tick {}", self.ticks);
+                }
+            }
+        }
+        for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
+            for (threads, shards) in [(1usize, 1usize), (2, 4), (4, 16)] {
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let run = std::panic::catch_unwind(|| {
+                        run_fleet_exec_observed(
+                            &FleetSpec::new(sa_city(203), 8),
+                            FleetExec::threads(threads).shards(shards).engine(engine),
+                            &Telemetry::disabled(),
+                            |i| PanicOnTick { armed: i == 3, ticks: 0 },
+                        )
+                    });
+                    let _ = tx.send(run.err().and_then(|p| p.downcast::<String>().ok()).map(|m| *m));
+                });
+                let at = format!("{engine:?} at {threads} threads / {shards} shards");
+                let msg = rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{at}: the fleet hung after a worker panicked"));
+                assert_eq!(msg.as_deref(), Some("hook panic on UE 3's tick 5"), "{at}");
+            }
         }
     }
 

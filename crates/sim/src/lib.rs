@@ -24,12 +24,10 @@
 //! * [`fault`] — fault injection (MR loss, HO failures) in the smoltcp
 //!   tradition of making adverse conditions reproducible;
 //! * [`hook`] — observation hooks for external invariant checkers;
-//! * [`cache`] — once-per-scenario trace sharing for parallel sweeps;
 //! * [`fleet`] — N load-coupled UEs against one shared deployment;
 //! * [`wheel`] — the hierarchical calendar-wheel [`EventQueue`] behind the
 //!   event-driven engine mode.
 
-pub mod cache;
 pub mod engine;
 pub mod fault;
 pub mod fleet;
@@ -38,7 +36,6 @@ pub mod scenario;
 pub mod trace;
 pub mod wheel;
 
-pub use cache::TraceCache;
 pub use engine::run_hooked;
 pub use fault::FaultConfig;
 pub use fiveg_telemetry::{Telemetry, TelemetryConfig};

@@ -162,7 +162,7 @@ impl ScenarioBuilder {
     }
 
     /// Overrides the service architecture (the route presets default to
-    /// NSA; sweeps vary this axis independently).
+    /// NSA; experiments vary this axis independently).
     pub fn arch(mut self, arch: Arch) -> Self {
         self.s.arch = arch;
         self

@@ -442,8 +442,9 @@ impl Telemetry {
     ///
     /// Counter/histogram/phase absorption is commutative and associative,
     /// so per-worker recorders folded in any order produce the same
-    /// registry state — this is what lets a parallel sweep roll worker
-    /// telemetry up deterministically. (Gauges are last-writer and should
+    /// registry state — this is what lets the fleet fold its per-UE
+    /// telemetry, and a pooled bench its per-job telemetry, up
+    /// deterministically. (Gauges are last-writer and should
     /// be absorbed in a deterministic order when they matter.)
     ///
     /// No-op when either handle is disabled.

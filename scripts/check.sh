@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # The repo's one gate. Run before pushing.
 #
-# Plain `scripts/check.sh` (= `all`) runs fmt, clippy, test, deps, smoke and
-# doc. The slower fuzz, vivisect, perf and serve gates run only when named.
+# Plain `scripts/check.sh` (= `all`) runs fmt, clippy, test, deps and doc.
+# The slower fuzz, vivisect, perf and serve gates run only when named.
 # CI runs every gate below as its own job (fmt, clippy, deps, test, doc,
-# smoke, fuzz, vivisect, serve, perf).
+# fuzz, vivisect, serve, perf).
 #
-#   scripts/check.sh            # fmt + clippy + test + deps + smoke + doc
+#   scripts/check.sh            # fmt + clippy + test + deps + doc
 #   scripts/check.sh fmt        # just the formatting check
 #   scripts/check.sh clippy     # just the lints
 #   scripts/check.sh test       # just the tests
 #   scripts/check.sh deps       # zero-external-dependency audit
-#   scripts/check.sh smoke      # sweep determinism gate (1 vs 4 threads)
 #   scripts/check.sh fuzz       # oracle self-test + corpus replay + 200-case fuzz
 #   scripts/check.sh vivisect   # ho_vivisect smoke (span/counter reconciliation, 1 vs 4 threads)
 #   scripts/check.sh perf       # gating perf: tick_bench + fleet_bench vs BENCH_*.json (±15%)
@@ -62,25 +61,6 @@ run_deps() {
         return 1
     fi
     echo "  every dependency is a path dependency"
-}
-
-# The sweep harness's headline guarantee, checked end to end: the smoke
-# report must be byte-identical no matter how many workers produced it.
-run_smoke() {
-    echo "== sweep smoke determinism (1 thread vs 4 threads)"
-    cargo build -q --release -p fiveg-bench --bin sweep_demo
-    local bin=target/release/sweep_demo
-    local t1 t4
-    t1="$(mktemp)" && t4="$(mktemp)"
-    trap 'rm -f "$t1" "$t4"' RETURN
-    "$bin" --smoke --threads 1 --out "$t1"
-    "$bin" --smoke --threads 4 --out "$t4"
-    if ! cmp -s "$t1" "$t4"; then
-        echo "smoke sweep output differs across thread counts:" >&2
-        diff "$t1" "$t4" >&2 || true
-        return 1
-    fi
-    echo "  reports are byte-identical"
 }
 
 # The fuzz smoke gate: the oracle's mutation self-test, the committed
@@ -224,21 +204,19 @@ case "$step" in
         run_clippy
         run_test
         run_deps
-        run_smoke
         run_doc
         ;;
     fmt) run_fmt ;;
     clippy) run_clippy ;;
     test) run_test ;;
     deps) run_deps ;;
-    smoke) run_smoke ;;
     fuzz) run_fuzz ;;
     vivisect) run_vivisect ;;
     perf) run_perf ;;
     serve) run_serve ;;
     doc) run_doc ;;
     *)
-        echo "usage: scripts/check.sh [all|fmt|clippy|test|deps|smoke|fuzz|vivisect|perf|serve|doc]" >&2
+        echo "usage: scripts/check.sh [all|fmt|clippy|test|deps|fuzz|vivisect|perf|serve|doc]" >&2
         exit 2
         ;;
 esac
