@@ -36,7 +36,10 @@
 //! `screened_cells_per_tick` in-radius cells it bounded. Both come from
 //! replaying [`RadioSnapshot::refresh`] at every recorded `(pos, t)` of the
 //! engine's traces — the engine's per-tick refresh calls — so they are
-//! exact and machine-independent.
+//! exact and machine-independent. The printed summary also gives the cells
+//! per tick that passed the per-tick fading ceiling and paid for tier 1
+//! (blockage and pattern loss), so it shows which tier does the culling;
+//! that count is advisory and not in the report.
 //!
 //! Wall-clock numbers are machine-dependent by nature; the committed
 //! `BENCH_tick.json` records them on the development machine. With
@@ -192,19 +195,31 @@ struct SnapshotResult {
     cells_per_tick: (f64, f64),
 }
 
-/// `(ticks, screened, priced)`: the radio snapshot's work over `tr`,
-/// replaying its per-tick refresh at every recorded `(pos, t)`.
-fn snapshot_work(s: &Scenario, tr: &Trace) -> (u64, u64, u64) {
+/// The radio snapshot's work over `tr`, replaying its per-tick refresh at
+/// every recorded `(pos, t)`.
+#[derive(Debug, Clone, Copy, Default)]
+struct SnapshotWork {
+    ticks: u64,
+    /// Wanted in-radius cells bounded.
+    screened: u64,
+    /// Cells that paid the tier-1 losses.
+    tier1: u64,
+    /// Cells whose exact rx was computed.
+    priced: u64,
+}
+
+fn snapshot_work(s: &Scenario, tr: &Trace) -> SnapshotWork {
     let d = Deployment::generate(&s.route, s.carrier, s.env, s.arch, s.seed);
     let mut snap = RadioSnapshot::new();
-    let (mut screened, mut priced) = (0, 0);
+    let mut w = SnapshotWork { ticks: tr.samples.len() as u64, ..SnapshotWork::default() };
     for x in &tr.samples {
         let pos = Point::new(x.pos.0, x.pos.1);
         snap.refresh(&d, &pos, x.t, engine::SEARCH_RADIUS_M, s.arch != Arch::Sa, s.arch != Arch::Lte);
-        screened += snap.screened() as u64;
-        priced += snap.priced() as u64;
+        w.screened += snap.screened() as u64;
+        w.tier1 += snap.tier1_cells() as u64;
+        w.priced += snap.priced() as u64;
     }
-    (tr.samples.len() as u64, screened, priced)
+    w
 }
 
 struct DesResult {
@@ -382,12 +397,16 @@ fn main() -> ExitCode {
     let mode = if args.smoke { "smoke" } else { "full" };
     println!("tick bench '{}': {} scenario(s), {} iter(s)", mode, set.len(), args.iters);
 
-    let (mut work_ticks, mut screened, mut priced) = (0, 0, 0);
+    let mut work = SnapshotWork::default();
     for (_, s) in &set {
-        let (n, sc, pr) = snapshot_work(s, &s.run());
-        (work_ticks, screened, priced) = (work_ticks + n, screened + sc, priced + pr);
+        let w = snapshot_work(s, &s.run());
+        work.ticks += w.ticks;
+        work.screened += w.screened;
+        work.tier1 += w.tier1;
+        work.priced += w.priced;
     }
-    let cells_per_tick = (screened as f64 / work_ticks as f64, priced as f64 / work_ticks as f64);
+    let per_tick = |n: u64| n as f64 / work.ticks as f64;
+    let cells_per_tick = (per_tick(work.screened), per_tick(work.priced));
 
     // the des section must do the stepped engine's work: identical control
     // plane and identical logical tick count, or the skip ratio measures a
@@ -410,7 +429,10 @@ fn main() -> ExitCode {
         snapshot.ticks, snapshot.elapsed_s, snapshot.ticks_per_sec, snapshot.allocs_per_tick
     );
     let (screened, snapshot_priced) = cells_per_tick;
-    println!("  snapshot prices {snapshot_priced:.1} of {screened:.1} screened cells/tick");
+    println!(
+        "  snapshot prices {snapshot_priced:.1} of {screened:.1} screened cells/tick ({:.1} reach tier 1)",
+        per_tick(work.tier1)
+    );
 
     let mut des_results = Vec::new();
     for (label, s) in &des_set {

@@ -20,7 +20,9 @@
 //! * work counts (`ticks`, `ue_ticks`, the radio snapshot's
 //!   `priced_cells_per_tick`): deterministic for a pinned workload, gated
 //!   as a *band* — drift in either direction means the workload (or the
-//!   work done per tick) silently changed;
+//!   work done per tick) silently changed. The priced-cell band also guards
+//!   the snapshot's cull tiers: without its per-tick fading ceiling the
+//!   count goes from about 40 back to about 110 and fails the band;
 //! * allocation proxies (`allocs_per_tick`, `allocs_per_ue_tick`): counted
 //!   by a deterministic global allocator, gated *lower-is-better*;
 //! * the fleet's fixed-vs-event `event_speedup` ratio: both sides are

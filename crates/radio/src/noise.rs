@@ -13,6 +13,13 @@
 use crate::rng::splitmix64;
 use fiveg_geo::Point;
 use std::collections::HashMap;
+use std::sync::OnceLock;
+
+/// Salts of the three hashes drawn at a lattice point: the two Box–Muller
+/// uniforms of a gaussian and the one uniform of a threshold cell.
+const U1_SALT: u64 = 0x5bf0_3635;
+const U2_SALT: u64 = 0x94d0_49bb;
+const CELL_SALT: u64 = 0xb10c_4a6e;
 
 /// Hashes a tuple of integers into a uniform f64 in [0, 1).
 #[inline]
@@ -24,12 +31,52 @@ fn hash_uniform(seed: u64, a: i64, b: i64, salt: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// The 64-bit hash behind `hash_uniform(seed, a, b, salt)`, given its head
+/// `splitmix64(seed ^ salt)`: a head is a pure function of `(seed, salt)`,
+/// so a field may compute it once. [`hash_uniform`] keeps its own form on
+/// purpose: written as this plus the conversion, the draws compiled to a
+/// schedule that hashes `u2` between the `ln` and `cos` calls, measured
+/// ~15 ns slower per fading node.
+#[inline]
+fn hash_bits(head: u64, a: i64, b: i64) -> u64 {
+    let h = splitmix64(head ^ (a as u64).wrapping_mul(0x9E3779B97F4A7C15));
+    splitmix64(h ^ (b as u64).wrapping_mul(0xC2B2AE3D27D4EB4F))
+}
+
 /// Standard normal value at a lattice point, via Box–Muller on two hashes.
+/// `u1` is clamped to 1e-12, so `|value| <= node_bound()`.
 #[inline]
 fn hash_gaussian(seed: u64, a: i64, b: i64) -> f64 {
-    let u1 = hash_uniform(seed, a, b, 0x5bf0_3635).max(1e-12);
-    let u2 = hash_uniform(seed, a, b, 0x94d0_49bb);
+    let u1 = hash_uniform(seed, a, b, U1_SALT).max(1e-12);
+    let u2 = hash_uniform(seed, a, b, U2_SALT);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Hard bound on `|hash_gaussian(..)|`: the radius at the `u1 >= 1e-12`
+/// clamp, computed with the operations of the draw.
+fn node_bound() -> f64 {
+    (-2.0 * 1e-12f64.ln()).sqrt()
+}
+
+/// `node_ceiling()[lz]` bounds `|hash_gaussian(..)|` at every point whose
+/// `u1` hash ([`hash_bits`]) has `lz` leading zeros. Such a hash has
+/// `u1 >= 2^-(lz+1)` (its top set bit is mantissa bit `52 - lz`; at
+/// `lz >= 53` the mantissa is 0 and `u1` is clamped to 1e-12), so the
+/// Box–Muller radius is at most `sqrt(2 (lz+1) ln 2)`: the entry is that
+/// value, evaluated both in closed form and with the draw's own operations,
+/// taken one ulp up and capped at [`node_bound`] (which the clamp already
+/// guarantees). `|cos| <= 1`, so the radius bounds the gaussian.
+fn node_ceiling() -> &'static [f64; 65] {
+    static TABLE: OnceLock<[f64; 65]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        std::array::from_fn(|lz| {
+            let u_min = 0.5f64.powi(lz as i32 + 1);
+            let closed = (2.0 * (lz + 1) as f64 * std::f64::consts::LN_2).sqrt();
+            // one ulp up: the radius is positive and finite
+            let radius = (-2.0 * u_min.ln()).sqrt().max(closed);
+            f64::from_bits(radius.to_bits() + 1).min(node_bound())
+        })
+    })
 }
 
 /// Smoothstep interpolation weight.
@@ -38,30 +85,126 @@ fn smooth(t: f64) -> f64 {
     t * t * (3.0 - 2.0 * t)
 }
 
+/// Where a query point falls on a square lattice of one spacing: its
+/// lattice cell `floor(p / spacing)` and the smoothstep blend weights
+/// inside that cell, computed with the operations of
+/// [`SpatialNoise::sample`].
+///
+/// The location depends on the point and the spacing only, not on any
+/// field's seed or sigma, so every field on the same lattice can share one:
+/// a receiver that samples many cells' fields at one position locates it
+/// once per distinct spacing (see
+/// [`Propagation::prefix_dbm_located`](crate::Propagation::prefix_dbm_located)).
+#[derive(Debug, Clone, Copy)]
+pub struct LatticePoint {
+    spacing: f64,
+    key: (i64, i64),
+    tx: f64,
+    ty: f64,
+}
+
+impl LatticePoint {
+    /// Locates `p` on the lattice of spacing `spacing` meters.
+    #[inline]
+    pub fn locate(p: &Point, spacing: f64) -> Self {
+        let gx = p.x / spacing;
+        let gy = p.y / spacing;
+        let key = (gx.floor() as i64, gy.floor() as i64);
+        Self { spacing, key, tx: smooth(gx - gx.floor()), ty: smooth(gy - gy.floor()) }
+    }
+
+    /// The lattice spacing this point was located on, meters.
+    pub fn spacing(&self) -> f64 {
+        self.spacing
+    }
+}
+
+/// Key of a memo that holds nothing yet. No supported query locates there:
+/// a lattice coordinate of `i64::MAX` is the saturated cast of a position
+/// beyond ±9.2e18 lattice cells, where the blend's `x0 + 1` corner would
+/// overflow. Any one-cell step from it would need such a coordinate too, so
+/// the corner shift never reads an unset memo.
+const UNSET: (i64, i64) = (i64::MAX, i64::MAX);
+
 /// Memoized lattice corners of one [`SpatialNoise`] field.
 ///
 /// The four corner gaussians of the bilinear blend depend only on which
 /// lattice cell the query point falls in, and a UE moving at vehicular speed
 /// stays inside one shadowing lattice cell (tens of meters) for many
 /// consecutive ticks. A cache holds the corners of the last lattice cell
-/// visited; [`SpatialNoise::sample_cached`] recomputes them only when the
-/// query crosses into a new cell. Values are memoized, never approximated:
-/// a cached sample is bit-identical to [`SpatialNoise::sample`].
+/// visited; a cached sample recomputes them only when the query crosses
+/// into a new cell, and on a step to an edge-adjacent cell it keeps the two
+/// shared corners and hashes only the other two. Values are memoized, never
+/// approximated: a cached sample is bit-identical to
+/// [`SpatialNoise::sample`].
 ///
 /// A cache is only valid for the *one* field it has been fed to — reusing it
 /// across different `SpatialNoise` instances returns wrong values whenever
 /// the lattice keys collide. Keep one cache per (field, receiver) pair.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct LatticeCache {
-    key: Option<(i64, i64)>,
+    /// Lattice cell of the corners, [`UNSET`] before the first query.
+    key: (i64, i64),
     v00: f64,
     v10: f64,
     v01: f64,
     v11: f64,
-    /// Separate key/value pair for [`SpatialNoise::sample_uniform_cell_cached`]
-    /// (blockage lookups use a different salt and no interpolation).
-    ukey: Option<(i64, i64)>,
-    uval: f64,
+}
+
+impl Default for LatticeCache {
+    fn default() -> Self {
+        Self { key: UNSET, v00: 0.0, v10: 0.0, v01: 0.0, v11: 0.0 }
+    }
+}
+
+impl LatticeCache {
+    /// Moves the memo to lattice cell `(x, y)` of the field seeded `seed`.
+    fn move_to(&mut self, seed: u64, (x, y): (i64, i64)) {
+        let g = |a, b| hash_gaussian(seed, a, b);
+        // corners are pure functions of (seed, x, y): a step to an
+        // edge-adjacent cell keeps the shared edge's two corners, moved to
+        // the opposite side, and hashes only the far edge
+        match (x.wrapping_sub(self.key.0), y.wrapping_sub(self.key.1)) {
+            (1, 0) => {
+                (self.v00, self.v01) = (self.v10, self.v11);
+                (self.v10, self.v11) = (g(x + 1, y), g(x + 1, y + 1));
+            }
+            (-1, 0) => {
+                (self.v10, self.v11) = (self.v00, self.v01);
+                (self.v00, self.v01) = (g(x, y), g(x, y + 1));
+            }
+            (0, 1) => {
+                (self.v00, self.v10) = (self.v01, self.v11);
+                (self.v01, self.v11) = (g(x, y + 1), g(x + 1, y + 1));
+            }
+            (0, -1) => {
+                (self.v01, self.v11) = (self.v00, self.v10);
+                (self.v00, self.v10) = (g(x, y), g(x + 1, y));
+            }
+            _ => {
+                (self.v00, self.v10) = (g(x, y), g(x + 1, y));
+                (self.v01, self.v11) = (g(x, y + 1), g(x + 1, y + 1));
+            }
+        }
+        self.key = (x, y);
+    }
+}
+
+/// Memoized threshold value of one [`SpatialNoise`] field's lattice cell,
+/// for [`SpatialNoise::sample_uniform_cell_cached`] (blockage lookups use
+/// another salt and no interpolation). Same contract as [`LatticeCache`]:
+/// bit-identical, one cache per (field, receiver) pair.
+#[derive(Debug, Clone, Copy)]
+pub struct UniformCache {
+    /// Lattice cell of `val`, [`UNSET`] before the first query.
+    key: (i64, i64),
+    val: f64,
+}
+
+impl Default for UniformCache {
+    fn default() -> Self {
+        Self { key: UNSET, val: 0.0 }
+    }
 }
 
 /// Lattice corners per side of one [`TileMemo`] tile. A constant of the
@@ -116,6 +259,11 @@ impl SpatialNoise {
         Self { seed, corr_len, sigma }
     }
 
+    /// The lattice spacing (correlation length), meters.
+    pub(crate) fn corr_len(&self) -> f64 {
+        self.corr_len
+    }
+
     /// Samples the field at `p`.
     pub fn sample(&self, p: &Point) -> f64 {
         let mut scratch = LatticeCache::default();
@@ -126,25 +274,25 @@ impl SpatialNoise {
     /// `cache`. Bit-identical to [`SpatialNoise::sample`]; the cache must be
     /// dedicated to this field (see [`LatticeCache`]).
     pub fn sample_cached(&self, p: &Point, cache: &mut LatticeCache) -> f64 {
-        let gx = p.x / self.corr_len;
-        let gy = p.y / self.corr_len;
-        let x0 = gx.floor() as i64;
-        let y0 = gy.floor() as i64;
-        if cache.key != Some((x0, y0)) {
-            cache.v00 = hash_gaussian(self.seed, x0, y0);
-            cache.v10 = hash_gaussian(self.seed, x0 + 1, y0);
-            cache.v01 = hash_gaussian(self.seed, x0, y0 + 1);
-            cache.v11 = hash_gaussian(self.seed, x0 + 1, y0 + 1);
-            cache.key = Some((x0, y0));
+        self.sample_located(&LatticePoint::locate(p, self.corr_len), cache)
+    }
+
+    /// Samples the field at the point `at` locates, which must be located
+    /// on this field's spacing ([`SpatialNoise::corr_len`]): the corner
+    /// memo in `cache`, then the blend. Bit-identical to
+    /// [`SpatialNoise::sample`] at that point; same cache contract.
+    #[inline]
+    pub(crate) fn sample_located(&self, at: &LatticePoint, cache: &mut LatticeCache) -> f64 {
+        debug_assert_eq!(at.spacing, self.corr_len, "lattice point located on another spacing");
+        if cache.key != at.key {
+            cache.move_to(self.seed, at.key);
         }
-        let tx = smooth(gx - gx.floor());
-        let ty = smooth(gy - gy.floor());
-        let a = cache.v00 + (cache.v10 - cache.v00) * tx;
-        let b = cache.v01 + (cache.v11 - cache.v01) * tx;
+        let a = cache.v00 + (cache.v10 - cache.v00) * at.tx;
+        let b = cache.v01 + (cache.v11 - cache.v01) * at.tx;
         // Bilinear blending of unit normals shrinks variance away from the
         // lattice corners (to 0.5 at the cell center); 1.2 restores sigma
         // on average over a cell.
-        self.sigma * 1.2 * (a + (b - a) * ty)
+        self.sigma * 1.2 * (a + (b - a) * at.ty)
     }
 
     /// Tight `(min, max)` of the field over the axis-aligned box of
@@ -246,21 +394,25 @@ impl SpatialNoise {
     /// Uniform sample in `[0, 1)` at `p` with no interpolation — used for
     /// threshold events such as mmWave blockage.
     pub fn sample_uniform_cell(&self, p: &Point) -> f64 {
-        let x0 = (p.x / self.corr_len).floor() as i64;
-        let y0 = (p.y / self.corr_len).floor() as i64;
-        hash_uniform(self.seed, x0, y0, 0xb10c_4a6e)
+        self.sample_uniform_cell_cached(p, &mut UniformCache::default())
     }
 
     /// [`SpatialNoise::sample_uniform_cell`] with the per-lattice-cell hash
     /// memoized in `cache`; bit-identical, same cache contract.
-    pub fn sample_uniform_cell_cached(&self, p: &Point, cache: &mut LatticeCache) -> f64 {
-        let x0 = (p.x / self.corr_len).floor() as i64;
-        let y0 = (p.y / self.corr_len).floor() as i64;
-        if cache.ukey != Some((x0, y0)) {
-            cache.uval = hash_uniform(self.seed, x0, y0, 0xb10c_4a6e);
-            cache.ukey = Some((x0, y0));
+    pub fn sample_uniform_cell_cached(&self, p: &Point, cache: &mut UniformCache) -> f64 {
+        self.sample_uniform_located(&LatticePoint::locate(p, self.corr_len), cache)
+    }
+
+    /// [`SpatialNoise::sample_uniform_cell`] at the point `at` locates (on
+    /// this field's spacing), memoized in `cache`; bit-identical.
+    #[inline]
+    pub(crate) fn sample_uniform_located(&self, at: &LatticePoint, cache: &mut UniformCache) -> f64 {
+        debug_assert_eq!(at.spacing, self.corr_len, "lattice point located on another spacing");
+        if cache.key != at.key {
+            cache.val = hash_uniform(self.seed, at.key.0, at.key.1, CELL_SALT);
+            cache.key = at.key;
         }
-        cache.uval
+        cache.val
     }
 }
 
@@ -316,6 +468,9 @@ pub struct TemporalNoise {
     seed: u64,
     corr_s: f64,
     sigma: f64,
+    /// `splitmix64(seed ^ U1_SALT)`, the head of every node's `u1` hash,
+    /// for [`TemporalNoise::ceiling_at`].
+    u1_head: u64,
 }
 
 impl TemporalNoise {
@@ -324,7 +479,7 @@ impl TemporalNoise {
     pub fn new(seed: u64, corr_s: f64, sigma: f64) -> Self {
         assert!(corr_s > 0.0, "correlation time must be positive");
         assert!(sigma >= 0.0, "sigma must be non-negative");
-        Self { seed, corr_s, sigma }
+        Self { seed, corr_s, sigma, u1_head: splitmix64(seed ^ U1_SALT) }
     }
 
     /// Samples the process at time `t` seconds.
@@ -335,6 +490,23 @@ impl TemporalNoise {
         let v0 = hash_gaussian(self.seed, i0, 0);
         let v1 = hash_gaussian(self.seed, i0 + 1, 0);
         self.sigma * (v0 + (v1 - v0) * tt)
+    }
+
+    /// Upper bound on `sample(t)` at exactly `t` with no `ln`, `cos` or
+    /// `u2` hash: `sigma` times a fixed 65-entry table's bound on the
+    /// Box–Muller radius of a node whose `u1` hash has `lz` leading zeros
+    /// (`sqrt(2 (lz+1) ln 2)`, one ulp up, capped at the global bound),
+    /// indexed by the larger count of the two adjacent nodes, since a
+    /// smaller `u1` allows a larger radius. The sample is a convex blend
+    /// of those two nodes, so it never exceeds the ceiling beyond the
+    /// blend's rounding (callers add [`BOUND_EPS_DB`](crate::BOUND_EPS_DB)).
+    /// Never above [`TemporalNoise::global_bound`]; costs four `splitmix64`
+    /// rounds.
+    #[inline]
+    pub(crate) fn ceiling_at(&self, t: f64) -> f64 {
+        let i0 = (t / self.corr_s).floor() as i64;
+        let h = hash_bits(self.u1_head, i0, 0).min(hash_bits(self.u1_head, i0 + 1, 0));
+        self.sigma * node_ceiling()[h.leading_zeros() as usize]
     }
 
     /// Conservative `(min, max)` of the process over `[t0, t1]` — the
@@ -363,7 +535,7 @@ impl TemporalNoise {
     /// screen before paying for the exact node scan of
     /// [`TemporalNoise::sup_over_cached`].
     pub fn global_bound(&self) -> f64 {
-        self.sigma * (-2.0 * 1e-12f64.ln()).sqrt()
+        self.sigma * node_bound()
     }
 
     /// [`TemporalNoise::sample`] with the two node gaussians memoized in
@@ -483,19 +655,126 @@ mod tests {
 
     #[test]
     fn cached_samples_are_bit_identical() {
-        let n = SpatialNoise::new(21, 50.0, 8.0);
-        let mut cache = LatticeCache::default();
-        // walk far enough to cross several lattice cells, in small steps so
-        // the cache both hits and misses
-        for i in 0..2000 {
-            let p = Point::new(i as f64 * 0.3, (i as f64 * 0.11).sin() * 40.0);
-            assert_eq!(n.sample_cached(&p, &mut cache), n.sample(&p), "shadowing diverged at step {i}");
-            assert_eq!(
-                n.sample_uniform_cell_cached(&p, &mut cache),
-                n.sample_uniform_cell(&p),
-                "uniform diverged at step {i}"
-            );
+        use crate::rng::DetRng;
+        let mut rng = DetRng::new(0x010C_A7ED);
+        // steps in lattice cells: the four edge-adjacent cells the corner
+        // shift handles, diagonals, multi-cell jumps and moves inside a cell
+        let steps: [(f64, f64); 12] = [
+            (1.0, 0.0),
+            (-1.0, 0.0),
+            (0.0, 1.0),
+            (0.0, -1.0),
+            (1.0, 1.0),
+            (-1.0, 1.0),
+            (1.0, -1.0),
+            (-1.0, -1.0),
+            (4.0, -3.0),
+            (-6.0, 0.0),
+            (0.0, 5.0),
+            (0.0, 0.0),
+        ];
+        let mut shifts = [0usize; 4];
+        // the 20 m mmWave, 50 m sub-6 and 100 m freeway lattices
+        for (seed, corr) in [(31u64, 20.0), (32, 50.0), (33, 100.0)] {
+            let n = SpatialNoise::new(seed, corr, 9.0);
+            let (mut located, mut cached) = (LatticeCache::default(), LatticeCache::default());
+            let (mut ulocated, mut ucached) = (UniformCache::default(), UniformCache::default());
+            // start a few cells on the negative side of both axes so the
+            // walk crosses zero back and forth
+            let mut cell = (-3.0f64, -2.0f64);
+            for k in 0..6000 {
+                let prev = cell;
+                let (dx, dy) = steps[rng.below(steps.len())];
+                cell = ((cell.0 + dx).clamp(-9.0, 9.0), (cell.1 + dy).clamp(-9.0, 9.0));
+                let (fx, fy) = match k % 5 {
+                    0 => (0.0, 0.0), // exactly on a lattice corner
+                    1 => (rng.range(0.0, 1e-9), 1.0 - 1e-12),
+                    _ => (rng.range(0.0, 1.0), rng.range(0.0, 1.0)),
+                };
+                let p = Point::new((cell.0 + fx) * corr, (cell.1 + fy) * corr);
+                let at = LatticePoint::locate(&p, corr);
+                let want = n.sample(&p);
+                let got = n.sample_located(&at, &mut located);
+                assert_eq!(got.to_bits(), want.to_bits(), "located diverged at step {k} {p:?} (corr {corr})");
+                assert_eq!(n.sample_cached(&p, &mut cached).to_bits(), want.to_bits(), "cached diverged at step {k}");
+                let u = n.sample_uniform_cell(&p);
+                assert_eq!(n.sample_uniform_located(&at, &mut ulocated).to_bits(), u.to_bits(), "uniform at step {k}");
+                assert_eq!(n.sample_uniform_cell_cached(&p, &mut ucached).to_bits(), u.to_bits(), "uniform at {k}");
+                match (cell.0 - prev.0, cell.1 - prev.1) {
+                    (1.0, 0.0) => shifts[0] += 1,
+                    (-1.0, 0.0) => shifts[1] += 1,
+                    (0.0, 1.0) => shifts[2] += 1,
+                    (0.0, -1.0) => shifts[3] += 1,
+                    _ => {}
+                }
+            }
         }
+        assert!(shifts.iter().all(|&c| c >= 500), "one-cell steps per direction: {shifts:?}");
+    }
+
+    /// The draw's conversion of a hash to a uniform in [0, 1).
+    fn unit(h: u64) -> f64 {
+        (h >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn node_ceiling_table_bounds_the_box_muller_radius() {
+        let cap = node_bound();
+        let mut prev = 0.0;
+        for lz in 0..=64usize {
+            let entry = node_ceiling()[lz];
+            let closed = (2.0 * (lz + 1) as f64 * std::f64::consts::LN_2).sqrt();
+            assert!(entry <= cap, "lz {lz}: {entry} above the global bound {cap}");
+            assert!(entry >= closed.min(cap), "lz {lz}: {entry} below sqrt(2 (lz+1) ln 2) = {closed}");
+            assert!(entry <= closed * (1.0 + 1e-12), "lz {lz}: {entry} is loose against {closed}");
+            assert!(entry >= prev, "lz {lz}: table not monotone");
+            // the hash with lz leading zeros and the smallest u1: the
+            // largest radius, with the draw's operations, that entry covers
+            let h1 = if lz == 64 { 0 } else { 1u64 << (63 - lz) };
+            assert_eq!(h1.leading_zeros() as usize, lz);
+            let radius = (-2.0 * unit(h1).max(1e-12).ln()).sqrt();
+            assert!(radius <= entry, "lz {lz}: radius {radius} above {entry}");
+            prev = entry;
+        }
+        // from 2^-40 < 1e-12 on, the u1 clamp is the binding bound
+        assert!(node_ceiling()[38] < cap);
+        assert!(node_ceiling()[39..].iter().all(|&e| e == cap));
+        assert_eq!((-2.0 * unit(0).max(1e-12).ln()).sqrt(), cap, "a zero hash clamps u1 to 1e-12");
+        // the ceiling reads the hash the draw converts to u1
+        for seed in [0u64, 7, 0xFAD0_0001, u64::MAX] {
+            for i in [-3i64, 0, 1, 12_345, i64::MIN + 1] {
+                let head = splitmix64(seed ^ U1_SALT);
+                assert_eq!(unit(hash_bits(head, i, 0)), hash_uniform(seed, i, 0, U1_SALT), "seed {seed} node {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn fading_ceiling_dominates_samples() {
+        use crate::rng::DetRng;
+        use crate::BOUND_EPS_DB;
+        let mut rng = DetRng::new(0x0CE1_11A6);
+        let (mut samples, mut tight) = (0usize, 0usize);
+        for seed in 0..300u64 {
+            // 0.05 s is the fading correlation time; 0.25 s puts node
+            // boundaries on exactly representable times
+            let corr = if seed % 2 == 0 { 0.05 } else { 0.25 };
+            let n = TemporalNoise::new(seed.wrapping_mul(0x9E37_79B9), corr, 1.0 + (seed % 5) as f64);
+            for k in 0..200 {
+                let node = rng.range(-2000.0, 20_000.0).floor();
+                let t = match k % 4 {
+                    0 => node * corr,
+                    1 => (node + 1.0) * corr - 1e-9,
+                    _ => rng.range(-100.0, 1000.0),
+                };
+                let (c, v) = (n.ceiling_at(t), n.sample(t));
+                assert!(c + BOUND_EPS_DB >= v, "ceiling {c} below sample {v} at t={t} (seed {seed})");
+                assert!(c <= n.global_bound(), "ceiling {c} above the global bound at t={t}");
+                samples += 1;
+                tight += usize::from(c < n.global_bound());
+            }
+        }
+        assert_eq!(tight, samples, "a ceiling reached the global bound");
     }
 
     #[test]

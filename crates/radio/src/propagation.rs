@@ -6,18 +6,19 @@
 //! of §4.1 come from blockage plus fast fading.
 
 use crate::band::{Band, BandClass};
-use crate::noise::{LatticeCache, NodeCache, SpatialNoise, TemporalNoise, TileMemo};
+use crate::noise::{LatticeCache, LatticePoint, NodeCache, SpatialNoise, TemporalNoise, TileMemo, UniformCache};
 use fiveg_geo::Point;
 
-/// Per-receiver memo for one cell's stochastic channel: the shadowing and
-/// blockage lattice caches (see [`LatticeCache`]). Pure memoization — a
+/// Per-receiver memo for one cell's stochastic channel: the shadowing
+/// corners (see [`LatticeCache`]) and the blockage cell value (see
+/// [`UniformCache`]), 72 bytes. Pure memoization — a
 /// cached [`Propagation::received_dbm_cached`] call is bit-identical to
 /// [`Propagation::received_dbm`]. One cache belongs to one `Propagation`;
 /// index caches by cell, never share across cells.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChannelCache {
     shadowing: LatticeCache,
-    blockage: LatticeCache,
+    blockage: UniformCache,
 }
 
 /// Static path-loss model parameters for one link class.
@@ -164,26 +165,54 @@ impl Propagation {
         Self::received_from_parts(prefix, self.fading.sample_cached(t, nodes), self.blockage_db_cached(ue, cache))
     }
 
-    /// [`Propagation::prefix_dbm_at`] with the distance term computed here.
+    /// [`Propagation::prefix_dbm_located`] with the distance term and the
+    /// lattice location computed here.
     fn prefix_dbm_cached(&self, site: &Point, ue: &Point, cache: &mut ChannelCache) -> f64 {
-        self.prefix_dbm_at(Self::log_distance(site, ue), ue, cache)
+        let at = LatticePoint::locate(ue, self.shadowing.corr_len());
+        self.prefix_dbm_located(Self::log_distance(site, ue), &at, cache)
     }
 
-    /// The position-only part of the received power at `ue`,
+    /// The shadowing lattice spacing, meters: where a receiver locates
+    /// itself for [`Propagation::prefix_dbm_located`].
+    pub fn shadowing_spacing(&self) -> f64 {
+        self.shadowing.corr_len()
+    }
+
+    /// The blockage lattice spacing, meters: where a receiver locates
+    /// itself for [`Propagation::blockage_db_located`].
+    pub fn blockage_spacing(&self) -> f64 {
+        self.blockage.corr_len()
+    }
+
+    /// The position-only part of the received power at the receiver,
     /// `(tx − PL(d)) + shadowing` in dBm, from the precomputed distance term
-    /// `log_d = Propagation::log_distance(site, ue)`.
+    /// `log_d = Propagation::log_distance(site, ue)` and the receiver `at`
+    /// located on [`Propagation::shadowing_spacing`].
     /// [`Propagation::received_from_parts`] completes it with the
     /// time-varying fading and the blockage loss.
-    pub fn prefix_dbm_at(&self, log_d: f64, ue: &Point, cache: &mut ChannelCache) -> f64 {
-        self.tx_power_dbm - self.path_loss_at(log_d) + self.shadowing.sample_cached(ue, &mut cache.shadowing)
+    #[inline]
+    pub fn prefix_dbm_located(&self, log_d: f64, at: &LatticePoint, cache: &mut ChannelCache) -> f64 {
+        self.tx_power_dbm - self.path_loss_at(log_d) + self.shadowing.sample_located(at, &mut cache.shadowing)
     }
 
     /// Blockage loss at `ue` (dB, position-only): the full loss inside a
     /// blocked lattice cell, else exactly 0.
     pub fn blockage_db_cached(&self, ue: &Point, cache: &mut ChannelCache) -> f64 {
-        let blocked = self.blockage_prob > 0.0
-            && self.blockage.sample_uniform_cell_cached(ue, &mut cache.blockage) < self.blockage_prob;
-        if blocked {
+        self.blockage_db_from(|| self.blockage.sample_uniform_cell_cached(ue, &mut cache.blockage))
+    }
+
+    /// [`Propagation::blockage_db_cached`] at the receiver `at` located on
+    /// [`Propagation::blockage_spacing`].
+    #[inline]
+    pub fn blockage_db_located(&self, at: &LatticePoint, cache: &mut ChannelCache) -> f64 {
+        self.blockage_db_from(|| self.blockage.sample_uniform_located(at, &mut cache.blockage))
+    }
+
+    /// The blockage loss given the receiver's blockage-cell uniform, which
+    /// is drawn only on a channel that can block at all.
+    #[inline]
+    fn blockage_db_from(&self, uniform: impl FnOnce() -> f64) -> f64 {
+        if self.blockage_prob > 0.0 && uniform() < self.blockage_prob {
             self.blockage_loss_db
         } else {
             0.0
@@ -216,6 +245,19 @@ impl Propagation {
     /// per-node scan when the link's margin is already decisive.
     pub fn fading_bound(&self) -> f64 {
         self.fading.global_bound()
+    }
+
+    /// Upper bound on the fading term at exactly time `t` from the two
+    /// interpolated nodes' `u1` hashes alone (four `splitmix64` rounds, no
+    /// `ln`, `cos` or `u2` hash), never above [`Propagation::fading_bound`].
+    /// A node whose `u1` hash has `lz` leading zeros has `u1 >= 2^-(lz+1)`,
+    /// so its Box–Muller radius is at most `sqrt(2 (lz+1) ln 2)`; the
+    /// ceiling is `sigma` times that radius for the larger `lz`, from a fixed
+    /// table rounded up. Callers add [`BOUND_EPS_DB`](crate::BOUND_EPS_DB)
+    /// for the rounding of the two-node blend.
+    #[inline]
+    pub fn fading_ceiling_at(&self, t: f64) -> f64 {
+        self.fading.ceiling_at(t)
     }
 
     /// Upper bound on the fading term at exactly time `t`, from the two

@@ -10,30 +10,42 @@
 //!
 //! 1. **Screen.** Each wanted cell's position-only prefix
 //!    `(tx − PL(d)) + shadowing` is bounded from above by adding a ceiling on
-//!    the fading term: `ub0 = prefix + (fading_bound + ε)`. Each band is
-//!    seeded by pricing its highest-`ub0` cells first, so its cut-off rises
-//!    early.
-//! 2. **Tier 1.** A cell whose `ub0` still reaches its band's `K`-th exact
-//!    rx pays for the position-only losses: `ub1 = (ub0 − blockage) −
-//!    pattern`.
-//! 3. **Price.** Only if `ub1` reaches the cut-off too is the fading term
+//!    the fading term at any time: `ub0 = prefix + (fading_bound + ε)`. Each
+//!    band is seeded by pricing its highest-`ub0` cells first, so its
+//!    cut-off rises early.
+//! 2. **Per-tick ceiling.** Once a band's top list is full, a cell whose
+//!    `ub0` still reaches its `K`-th exact rx pays four hashes for a ceiling
+//!    on the fading term at `t` alone:
+//!    `ub_t = prefix + (σ·CEIL[lz] + ε)` (see
+//!    [`Propagation::fading_ceiling_at`]).
+//! 3. **Tier 1.** A cell whose `ub_t` still reaches the cut-off pays for the
+//!    position-only losses: `ub1 = (ub_t − blockage) − pattern`.
+//! 4. **Price.** Only if `ub1` reaches the cut-off too is the fading term
 //!    drawn: `rx = ((prefix + fading) − blockage) − pattern`, the operation
 //!    order of [`Cell::rx_dbm`], so the value is bit-identical.
 //!
 //! Soundness: IEEE rounding is monotone and blockage and pattern loss are
-//! nonnegative, so `rx ≤ ub1 ≤ ub0` as computed, with no slack beyond the
-//! `ε` that covers the rounding of the fading blend. A cell is culled only
-//! when a bound is strictly below the band's `K`-th exact rx, so it could
-//! never have entered that band's top `K`; ties are priced and ordered by
-//! [`rx_total_order`] (rx descending, then [`CellId`] ascending), the order
-//! [`Deployment::strongest`] produces. Every cell is thus priced at most once
-//! per refresh, and the per-band lists equal the per-band top `K` of
+//! nonnegative, so `rx ≤ ub1 ≤ ub_t ≤ ub0` as computed, with no slack beyond
+//! the `ε` that covers the rounding of the fading blend. The per-tick
+//! ceiling holds because a node whose `u1` hash has `lz` leading zeros has
+//! `u1 ≥ 2^-(lz+1)`, so its Box–Muller radius is at most
+//! `sqrt(2 (lz+1) ln 2)` (and never above the global bound) while `|cos| ≤ 1`;
+//! the sample blends two such nodes. A cell is culled only when a bound is
+//! strictly below the band's `K`-th exact rx, so it could never have entered
+//! that band's top `K`; ties are priced and ordered by [`rx_total_order`]
+//! (rx descending, then [`CellId`] ascending), the order
+//! [`Deployment::strongest`] produces. Every cell is thus priced at most
+//! once per refresh, and the per-band lists equal the per-band top `K` of
 //! [`Deployment::strongest`] bit for bit.
 //!
-//! Co-sited cells (the sectors and bands of one tower) share the UE's
-//! distance term, so each refresh computes its `log10` once per tower and
-//! feeds it to [`Propagation::prefix_dbm_at`] — the same operations on the
-//! same values.
+//! Work a refresh shares across cells is done once per refresh. Co-sited
+//! cells (the sectors and bands of one tower) share the UE's distance term,
+//! so each refresh computes its `log10` once per tower and feeds it to
+//! [`Propagation::prefix_dbm_located`]. Cells on the same noise lattice
+//! share the UE's lattice cell and blend weights, so each refresh locates
+//! the UE once per distinct lattice spacing ([`LatticePoint`]) and each cell
+//! pays only its corner-memo key compare and blend — the same operations on
+//! the same values.
 //!
 //! The buffers (including the per-cell noise-lattice caches, see
 //! [`fiveg_radio::ChannelCache`]) persist across ticks, so the steady-state
@@ -44,7 +56,7 @@
 use crate::cell::{Cell, CellId};
 use crate::deploy::{rx_total_order, Deployment};
 use fiveg_geo::Point;
-use fiveg_radio::{ChannelCache, Propagation, BOUND_EPS_DB};
+use fiveg_radio::{ChannelCache, LatticePoint, Propagation, BOUND_EPS_DB};
 use fiveg_rrc::Pci;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -66,8 +78,11 @@ pub struct RadioSnapshot {
     screened: Vec<Screened>,
     /// Per-cell noise-lattice memo, indexed by `CellId`.
     caches: Vec<ChannelCache>,
-    /// Per-cell index into `bands`, indexed by `CellId`.
-    band_of: Vec<u8>,
+    /// Per-cell indices into `bands` and `lattices`, indexed by `CellId`.
+    slots: Vec<CellSlots>,
+    /// The deployment's distinct noise-lattice spacings, each located at
+    /// the current refresh's position.
+    lattices: Vec<LatticePoint>,
     /// Per-tower `(epoch, Propagation::log_distance)` of the current
     /// refresh, indexed by `TowerId`; an entry is valid while its epoch
     /// equals `epoch`.
@@ -76,6 +91,8 @@ pub struct RadioSnapshot {
     epoch: u64,
     /// Per-band seeds and exact top lists, indexed by `band_of`.
     bands: Vec<BandTop>,
+    /// Cells this refresh paid tier 1 (blockage and pattern loss) for.
+    tier1: usize,
     /// Cells whose fading term this refresh drew.
     priced: usize,
     /// The LTE then the NR per-band top lists, each leg merged in
@@ -83,6 +100,14 @@ pub struct RadioSnapshot {
     legs: Vec<(CellId, f64)>,
     /// Where the NR leg starts in `legs`.
     n_lte: usize,
+}
+
+/// A cell's indices into the snapshot's per-band and per-lattice tables.
+#[derive(Debug, Clone, Copy)]
+struct CellSlots {
+    band: u8,
+    shadowing: u8,
+    blockage: u8,
 }
 
 /// One wanted in-radius cell after the screen.
@@ -95,6 +120,13 @@ struct Screened {
     prefix: f64,
     /// `prefix + fading ceiling`: bounds the cell's rx from above.
     ub0: f64,
+}
+
+/// The per-tick screen bound of `c` at time `t`: `prefix + (ceiling + ε)`
+/// with the fading ceiling of [`Propagation::fading_ceiling_at`]. Never
+/// above the cell's `ub0`, since the ceiling never exceeds the fading bound.
+fn tick_bound(c: &Cell, prefix: f64, t: f64) -> f64 {
+    prefix + (c.propagation.fading_ceiling_at(t) + BOUND_EPS_DB)
 }
 
 /// The exact rx from its parts, in the operation order of
@@ -110,7 +142,7 @@ struct BandTop {
     nr: bool,
     /// `fading_bound() + BOUND_EPS_DB`, maximized over the band's cells:
     /// above any of their fading terms at any time.
-    fading_ceiling: f64,
+    fading_bound: f64,
     /// `(index into screened, ub0)` of up to `PER_BAND` highest bounds.
     seeds: [(usize, f64); RadioSnapshot::PER_BAND],
     n_seeds: usize,
@@ -124,7 +156,7 @@ impl BandTop {
         BandTop {
             name,
             nr,
-            fading_ceiling: f64::NEG_INFINITY,
+            fading_bound: f64::NEG_INFINITY,
             seeds: [(0, 0.0); RadioSnapshot::PER_BAND],
             n_seeds: 0,
             top: [(CellId(0), 0.0); RadioSnapshot::PER_BAND],
@@ -158,6 +190,11 @@ impl BandTop {
     /// True when screened cell `k` is one of the band's seeds.
     fn is_seed(&self, k: usize) -> bool {
         self.seeds[..self.n_seeds].iter().any(|&(s, _)| s == k)
+    }
+
+    /// True once the top list holds `PER_BAND` cells, so a cut-off exists.
+    fn full(&self) -> bool {
+        self.len == RadioSnapshot::PER_BAND
     }
 
     /// True while a cell whose rx is at most `bound` could still enter the
@@ -209,8 +246,12 @@ impl RadioSnapshot {
             b.clear();
         }
         self.screened.clear();
+        self.tier1 = 0;
         self.priced = 0;
         self.epoch += 1;
+        for l in &mut self.lattices {
+            *l = LatticePoint::locate(pos, l.spacing());
+        }
         d.cells_near_into(pos, radius_m, &mut self.near);
         for i in 0..self.near.len() {
             let id = self.near[i];
@@ -219,7 +260,7 @@ impl RadioSnapshot {
                 continue;
             }
             let (prefix, ub0) = self.screen(c, pos);
-            let band = self.band_of[id.0 as usize];
+            let band = self.slots[id.0 as usize].band;
             self.bands[band as usize].offer_seed(self.screened.len(), ub0);
             self.screened.push(Screened { id, band, prefix, ub0 });
         }
@@ -250,12 +291,13 @@ impl RadioSnapshot {
     }
 
     /// Sizes the per-cell and per-tower tables for `d` and assigns each cell
-    /// its band slot.
+    /// its band and lattice slots.
     fn bind(&mut self, d: &Deployment) {
         self.sites = vec![(0, 0.0); d.towers.len()];
         self.caches = vec![ChannelCache::default(); d.cells.len()];
         self.bands.clear();
-        self.band_of.clear();
+        self.lattices.clear();
+        self.slots = Vec::with_capacity(d.cells.len());
         for c in &d.cells {
             let band = match self.bands.iter().position(|b| b.name == c.band.name) {
                 Some(i) => i,
@@ -265,13 +307,28 @@ impl RadioSnapshot {
                 }
             };
             let b = &mut self.bands[band];
-            b.fading_ceiling = b.fading_ceiling.max(c.propagation.fading_bound() + BOUND_EPS_DB);
-            self.band_of.push(u8::try_from(band).expect("more than 256 bands in one deployment"));
+            b.fading_bound = b.fading_bound.max(c.propagation.fading_bound() + BOUND_EPS_DB);
+            let slots = CellSlots {
+                band: u8::try_from(band).expect("more than 256 bands in one deployment"),
+                shadowing: self.lattice_slot(c.propagation.shadowing_spacing()),
+                blockage: self.lattice_slot(c.propagation.blockage_spacing()),
+            };
+            self.slots.push(slots);
         }
     }
 
-    /// Offers screened cell `k` to its band: tier-1 bound, then the exact rx,
-    /// each only while the band's cut-off admits it.
+    /// The index into `lattices` of spacing `spacing`, added if new.
+    fn lattice_slot(&mut self, spacing: f64) -> u8 {
+        let i = self.lattices.iter().position(|l| l.spacing() == spacing).unwrap_or_else(|| {
+            self.lattices.push(LatticePoint::locate(&Point::ORIGIN, spacing));
+            self.lattices.len() - 1
+        });
+        u8::try_from(i).expect("more than 256 noise lattices in one deployment")
+    }
+
+    /// Offers screened cell `k` to its band: per-tick fading ceiling (once
+    /// the band has a cut-off), tier-1 bound, then the exact rx, each only
+    /// while the band's cut-off admits it.
     fn price(&mut self, d: &Deployment, k: usize, pos: &Point, t: f64) {
         let Screened { id, band, prefix, ub0 } = self.screened[k];
         let band_ix = band as usize;
@@ -279,7 +336,14 @@ impl RadioSnapshot {
             return;
         }
         let c = d.cell(id);
-        let (blk, pat, ub1) = self.tier1(c, pos, ub0);
+        // below a full list's cut-off every priced cell is admitted anyway,
+        // so the per-tick ceiling is only worth its hashes once it can cull
+        let ub = if self.bands[band_ix].full() { tick_bound(c, prefix, t) } else { ub0 };
+        if !self.bands[band_ix].admits(ub) {
+            return;
+        }
+        self.tier1 += 1;
+        let (blk, pat, ub1) = self.tier1(c, pos, ub);
         let band = &mut self.bands[band_ix];
         if !band.admits(ub1) {
             return;
@@ -294,16 +358,20 @@ impl RadioSnapshot {
         if site.0 != self.epoch {
             *site = (self.epoch, Propagation::log_distance(&c.site, pos));
         }
-        let prefix = c.propagation.prefix_dbm_at(site.1, pos, &mut self.caches[c.id.0 as usize]);
-        (prefix, prefix + self.bands[self.band_of[c.id.0 as usize] as usize].fading_ceiling)
+        let slots = self.slots[c.id.0 as usize];
+        let at = &self.lattices[slots.shadowing as usize];
+        let prefix = c.propagation.prefix_dbm_located(site.1, at, &mut self.caches[c.id.0 as usize]);
+        (prefix, prefix + self.bands[slots.band as usize].fading_bound)
     }
 
     /// The position-only losses `(blockage, pattern)` of `c` at `pos` and
-    /// the tier-1 bound `ub1 = (ub0 − blockage) − pattern`.
-    fn tier1(&mut self, c: &Cell, pos: &Point, ub0: f64) -> (f64, f64, f64) {
-        let blk = c.propagation.blockage_db_cached(pos, &mut self.caches[c.id.0 as usize]);
+    /// the tier-1 bound `ub1 = (ub − blockage) − pattern` on top of the
+    /// fading bound `ub`.
+    fn tier1(&mut self, c: &Cell, pos: &Point, ub: f64) -> (f64, f64, f64) {
+        let at = &self.lattices[self.slots[c.id.0 as usize].blockage as usize];
+        let blk = c.propagation.blockage_db_located(at, &mut self.caches[c.id.0 as usize]);
         let pat = c.pattern_loss_db(pos);
-        (blk, pat, ub0 - blk - pat)
+        (blk, pat, ub - blk - pat)
     }
 
     /// The refreshed technology leg, strongest first: the
@@ -323,6 +391,11 @@ impl RadioSnapshot {
     /// Wanted in-radius cells the last refresh screened.
     pub fn screened(&self) -> usize {
         self.screened.len()
+    }
+
+    /// Cells the last refresh paid the tier-1 losses for.
+    pub fn tier1_cells(&self) -> usize {
+        self.tier1
     }
 
     /// Cells the last refresh priced exactly (drew the fading term for).
@@ -466,12 +539,12 @@ mod tests {
 
     #[test]
     fn screen_bounds_dominate_exact_rx() {
-        // ub0 >= ub1 >= exact rx, and the parts assemble the engine's rx bit
-        // for bit — over sub-6 cells, blocked mmWave cells and back-sector
-        // positions alike
+        // ub0 >= ub_t >= ub1 >= exact rx, and the parts assemble the engine's
+        // rx bit for bit — over sub-6 cells, blocked mmWave cells and
+        // back-sector positions alike
         let d = deployment(Environment::UrbanDense, Arch::Nsa);
         let mut snap = RadioSnapshot::new();
-        let (mut samples, mut sub6, mut blocked, mut back) = (0, 0, 0, 0);
+        let (mut samples, mut sub6, mut blocked, mut back, mut tight) = (0, 0, 0, 0, 0);
         for i in 0..40 {
             let pos = Point::new(-300.0 + (i % 8) as f64 * 230.0, -200.0 + (i / 8) as f64 * 270.0);
             snap.refresh(&d, &pos, 0.0, 3000.0, true, true);
@@ -480,10 +553,15 @@ mod tests {
                 for k in 0..12 {
                     let t = i as f64 * 1.37 + k as f64 * 0.173;
                     let (prefix, ub0) = snap.screen(c, &pos);
-                    let (blk, pat, ub1) = snap.tier1(c, &pos, ub0);
+                    let ub_t = tick_bound(c, prefix, t);
+                    let (blk, pat, ub1) = snap.tier1(c, &pos, ub_t);
                     let rx = exact_rx(c, prefix, t, blk, pat);
                     assert_eq!(rx.to_bits(), c.rx_dbm(&pos, t).to_bits(), "cell {id:?} at {pos:?} t={t}");
-                    assert!(rx <= ub1 && ub1 <= ub0, "cell {id:?}: rx {rx} ub1 {ub1} ub0 {ub0}");
+                    assert!(
+                        rx <= ub1 && ub1 <= ub_t && ub_t <= ub0,
+                        "cell {id:?}: rx {rx} ub1 {ub1} ub_t {ub_t} ub0 {ub0}"
+                    );
+                    tight += usize::from(ub_t < ub0);
                     samples += 1;
                     sub6 += usize::from(c.band.class() != BandClass::MmWave);
                     blocked += usize::from(blk > 0.0);
@@ -493,6 +571,8 @@ mod tests {
         }
         assert!(samples >= 10_000, "{samples} samples");
         assert!(sub6 >= 1000 && blocked >= 1000 && back >= 1000, "sub6 {sub6} blocked {blocked} back {back}");
+        // the per-tick ceiling is strictly below the global one almost always
+        assert!(tight * 10 >= samples * 9, "ub_t < ub0 on only {tight} of {samples} samples");
     }
 
     #[test]

@@ -119,8 +119,10 @@ run_vivisect() {
 # raw throughput is printed as an advisory comparison, never a failure.
 # tick_bench runs the full scenario set because the committed baseline is
 # full-mode (smoke's smaller scenario has different work counts). It
-# bands the snapshot row's tick count and priced_cells_per_tick and fails
-# on an allocs/tick increase. Its des rows are event-driven fleets of one:
+# bands the snapshot row's tick count and priced_cells_per_tick (the
+# cells whose fading the snapshot drew: about 40 a tick, about 110 without
+# its per-tick fading ceiling, so the band guards that cull tier) and
+# fails on an allocs/tick increase. Its des rows are event-driven fleets of one:
 # each is first proved control-plane-equal to the stepped fleet of one,
 # then the machine-independent skip_ratio >= 0.5 floor is enforced
 # outright and logical tick counts, skip_ratio, plan_tiles (shadowing
