@@ -34,7 +34,6 @@ fn run(carrier: Carrier, seed: u64) -> fiveg_sim::Trace {
         max_duration_s: 900.0,
         workload: Workload::Idle,
         faults: fiveg_sim::FaultConfig::NONE,
-        telemetry: fiveg_sim::TelemetryConfig::OFF,
         force_dual: None,
     }
     .run()

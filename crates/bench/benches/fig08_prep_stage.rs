@@ -17,8 +17,7 @@ fn main() {
     // histogram and per-phase tick-loop timings corroborate the table.
     let tele = Telemetry::new(TelemetryConfig::on());
     let mk = |arch| ScenarioBuilder::freeway(Carrier::OpY, arch, 35.0, 81).duration_s(1100.0).sample_hz(10.0);
-    let scenarios =
-        [mk(Arch::Lte).build(), mk(Arch::Nsa).telemetry(TelemetryConfig::on()).build(), mk(Arch::Sa).build()];
+    let scenarios = [mk(Arch::Lte).build(), mk(Arch::Nsa).build(), mk(Arch::Sa).build()];
     let mut traces = run_ordered(scenarios.len(), default_threads(), |i| match i {
         1 => scenarios[i].run_instrumented(&tele),
         i => scenarios[i].run(),

@@ -23,11 +23,7 @@ fn main() {
         mk(Arch::Lte).build(),
         mk(Arch::Nsa).build(),
         mk(Arch::Sa).build(),
-        ScenarioBuilder::city_loop_dense(Carrier::OpX, 92)
-            .duration_s(1500.0)
-            .sample_hz(10.0)
-            .telemetry(TelemetryConfig::on())
-            .build(),
+        ScenarioBuilder::city_loop_dense(Carrier::OpX, 92).duration_s(1500.0).sample_hz(10.0).build(),
     ];
     let mut traces = run_ordered(scenarios.len(), default_threads(), |i| match i {
         3 => scenarios[i].run_instrumented(&tele),

@@ -110,9 +110,8 @@ fn bench_sim_tick_rate(c: &mut Bencher) {
         helpers::ScenarioBuilder::freeway(helpers::Carrier::OpY, helpers::Arch::Nsa, 2.0, 9)
             .duration_s(30.0)
             .sample_hz(10.0)
-            .telemetry(fiveg_sim::TelemetryConfig::deterministic())
             .build()
-            .run()
+            .run_instrumented(&fiveg_sim::Telemetry::new(fiveg_sim::TelemetryConfig::deterministic()))
             .samples
             .len()
     });

@@ -15,40 +15,42 @@
 //! mode simply adds the 100k point. Summaries stream (no per-UE traces are
 //! retained), `ue_ticks` comes from the deterministic per-UE tick counts in
 //! the [`FleetTrace`], and `bench.allocs` from a counting global allocator.
-//! The report is written as `BENCH_fleet.json` (schema `fiveg-fleet/v3`).
+//! The report is written as `BENCH_fleet.json` (schema `fiveg-fleet/v4`).
 //!
 //! ```text
 //! fleet_bench [--smoke] [--threads N] [--shards N] [--sizes CSV]
 //!             [--event-driven] [--verify-shards] [--tele-summary PATH]
-//!             [--out PATH] [--baseline PATH] [--tol F]
+//!             [--out PATH] [--baseline PATH]
 //! ```
 //!
-//! `--event-driven` times every size twice — fixed-step, then
+//! `--event-driven` runs every size twice — fixed-step, then
 //! [`EngineMode::EventDriven`] — and records per size the skipped work
 //! (`skipped_ue_ticks`, `skip_ratio`), the wheel's wakeup histogram, and
-//! `event_speedup` (fixed elapsed / event elapsed, both measured in the
-//! same process so runner speed cancels). The two runs must agree on
-//! `ue_ticks` exactly — a divergence fails the job before any gating.
-//! Fleets of up to 1k UEs are timed `reps` times (see [`reps`]),
-//! alternating the two engines, and report the mean elapsed per run, so
-//! their sub-second ratios do not follow the machine's momentary speed.
+//! the sleep planner's work: `plan_evals`, the exact channel evaluations
+//! its dry runs paid for (telemetry counter `fleet.plan_evals`), and
+//! `plan_tiles`, the shadowing tiles its screens hashed
+//! (`fleet.plan_tiles`). The two runs must agree on `ue_ticks` exactly — a
+//! divergence fails the job before any gating. `event_speedup` (fixed
+//! elapsed / event elapsed) is reported for reading, not for gating.
 //!
-//! With `--baseline`, the run first refuses a baseline whose `schema`
-//! string differs from this binary's (a v2 baseline silently gating a v3
-//! report would pair the wrong semantics), then gates each size's
+//! With `--baseline`, the run refuses a baseline of another schema
+//! ([`perfgate::load_baseline`]), then gates each size's
 //! **machine-independent** metrics against the committed report, pairing
-//! rows by their `n_ues` value (`perfgate::fleet_metric`, never by array
-//! position) — `ue_ticks` and `skip_ratio` as bands (both deterministic
-//! for the pinned scenario; skip-ratio drift in either direction means the
-//! wakeup planner changed), `allocs_per_ue_tick` lower-is-better and
-//! `event_speedup` higher-is-better — and exits nonzero past the tolerance
-//! (default 15%); this is the gating CI perf job, which pins `--threads 1`
-//! to match the committed baseline's thread count. UE·ticks/sec is printed
-//! as an advisory comparison only: the baseline's wall clock came from a
-//! different machine than the CI runner's (see `fiveg_bench::perfgate`).
+//! rows by their `n_ues` value ([`perfgate::fleet_row`], never by array
+//! position) — `ue_ticks`, `skip_ratio`, `plan_evals` and `plan_tiles` as
+//! bands (all deterministic for the pinned scenario at a fixed geometry;
+//! drift in either direction means the workload or the wakeup planner
+//! changed) and `allocs_per_ue_tick` lower-is-better — and exits nonzero
+//! past [`perfgate::TOL`]; this is the gating CI perf job, which pins
+//! `--threads 1 --shards 16` to match the committed baseline's geometry.
+//! UE·ticks/sec and `event_speedup` are printed as advisory comparisons
+//! only: the baseline's wall clock came from a different machine than the
+//! CI runner's, and even a same-process time ratio moves by a fifth
+//! between two runs of unchanged code (see `fiveg_bench::perfgate`).
 //! Sizes absent from the baseline are skipped so a new size never fails
-//! the job that introduces it, but if *no* measured size matches, the run
-//! fails — a reformatted baseline must not silently disable the gate.
+//! the job that introduces it, but a matched row that lacks a gated key
+//! fails the run, and so does a baseline that matches *no* measured size —
+//! a reformatted baseline must not silently gate less.
 //!
 //! `--verify-shards` is the other machine-independent gate, now three
 //! checks deep: (1) one migration-heavy fleet run on 1 thread × 1 shard and
@@ -62,43 +64,20 @@
 //! every per-UE control-plane field and the load summary. Any divergence
 //! exits nonzero before the timing runs start.
 
-use fiveg_bench::perfgate::{self, Better, Gate};
+use fiveg_bench::perfgate::{self, Better, CountingAlloc, Gate, ALLOCS};
 use fiveg_bench::report::JsonBuf;
 use fiveg_ran::{Arch, Carrier};
 use fiveg_sim::{
     run_fleet_exec_instrumented, EngineMode, FleetExec, FleetSpec, FleetTrace, Scenario, ScenarioBuilder, Telemetry,
     TelemetryConfig,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// The report schema this binary writes and the only one it will gate
 /// against.
-const SCHEMA: &str = "fiveg-fleet/v3";
-
-/// Heap-allocation counter: wraps the system allocator and counts every
-/// `alloc`/`realloc` (same proxy as `tick_bench`).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+const SCHEMA: &str = "fiveg-fleet/v4";
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -113,7 +92,6 @@ struct Args {
     tele_summary: Option<String>,
     out: String,
     baseline: Option<String>,
-    tol: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -127,7 +105,6 @@ fn parse_args() -> Result<Args, String> {
         tele_summary: None,
         out: "BENCH_fleet.json".into(),
         baseline: None,
-        tol: 0.15,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -155,17 +132,10 @@ fn parse_args() -> Result<Args, String> {
             "--tele-summary" => args.tele_summary = Some(it.next().ok_or("--tele-summary needs a value")?),
             "--out" => args.out = it.next().ok_or("--out needs a value")?,
             "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a value")?),
-            "--tol" => {
-                let v = it.next().ok_or("--tol needs a value")?;
-                args.tol = v.parse::<f64>().map_err(|_| format!("bad --tol value: {v}"))?;
-                if !(0.0..1.0).contains(&args.tol) {
-                    return Err("--tol must be in [0, 1)".into());
-                }
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: fleet_bench [--smoke] [--threads N] [--shards N] [--sizes CSV] [--event-driven] \
-                     [--verify-shards] [--tele-summary PATH] [--out PATH] [--baseline PATH] [--tol F]"
+                     [--verify-shards] [--tele-summary PATH] [--out PATH] [--baseline PATH]"
                 );
                 std::process::exit(0);
             }
@@ -202,19 +172,6 @@ fn duration_s(n_ues: u32) -> f64 {
     }
 }
 
-/// Timed runs per fleet size, pinned by size alone like [`duration_s`]. A
-/// small fleet runs for well under a second, so one run's fixed/event ratio
-/// swings with the machine's momentary speed; repeating it, alternating the
-/// two engines, and averaging each engine's time keeps `event_speedup`
-/// steady.
-fn reps(n_ues: u32) -> u32 {
-    match n_ues {
-        0..=10 => 9,
-        11..=1000 => 3,
-        _ => 1,
-    }
-}
-
 /// The pinned base scenario every fleet size derives from (see
 /// EXPERIMENTS.md, "Fleet benchmark"). City loop + SA keeps the fleet
 /// sleep-eligible so the event-driven mode is actually exercised.
@@ -227,12 +184,11 @@ fn spec(n_ues: u32) -> FleetSpec {
 }
 
 /// The event-driven half of a size's measurements. All fields except the
-/// two elapsed-derived ones are deterministic for the pinned scenario.
+/// three elapsed-derived ones are deterministic for the pinned scenario.
 struct EventResult {
-    /// Mean over the `reps` event-driven runs.
     elapsed_s: f64,
     ue_ticks_per_sec: f64,
-    /// fixed elapsed / event elapsed, same process, same machine.
+    /// fixed elapsed / event elapsed, same process, same machine; advisory.
     speedup: f64,
     skipped_ue_ticks: u64,
     /// `skipped_ue_ticks / ue_ticks` — the fraction of the fixed-step work
@@ -241,15 +197,18 @@ struct EventResult {
     sleeps: u64,
     load_wakes: u64,
     wake_hist: [u64; 4],
+    /// Exact channel evaluations of the sleep planner's dry runs.
+    plan_evals: u64,
+    /// Shadowing tiles the sleep planner's screens hashed (per-worker
+    /// memos, so exact at a fixed thread/shard geometry).
+    plan_tiles: u64,
 }
 
 struct SizeResult {
     n_ues: u32,
     duration_s: f64,
-    reps: u32,
     ticks: u64,
     ue_ticks: u64,
-    /// Mean over the `reps` fixed-step runs.
     elapsed_s: f64,
     ue_ticks_per_sec: f64,
     allocs_per_ue_tick: f64,
@@ -261,14 +220,13 @@ struct SizeResult {
 
 fn bench_size(n_ues: u32, exec: FleetExec, event: bool, sink: Option<&Telemetry>) -> Result<SizeResult, String> {
     // journal-less deterministic telemetry: cheap enough to leave on in the
-    // timed region, and it carries the fleet.migrations diagnostic
-    let fixed_tele = || Telemetry::new(TelemetryConfig { enabled: true, journal_capacity: 0, timing: false });
-    let event_exec = exec.engine(EngineMode::EventDriven);
-    let tele = fixed_tele();
+    // timed region, and it carries the fleet.* work counters
+    let counters = || Telemetry::new(TelemetryConfig { enabled: true, journal_capacity: 0, timing: false });
+    let tele = counters();
     let before = ALLOCS.load(Ordering::Relaxed);
     let start = Instant::now();
     let ft: FleetTrace = run_fleet_exec_instrumented(&spec(n_ues), exec, &tele);
-    let mut elapsed_s = start.elapsed().as_secs_f64();
+    let elapsed_s = start.elapsed().as_secs_f64();
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     if let Some(s) = sink {
         s.absorb(&tele);
@@ -278,53 +236,37 @@ fn bench_size(n_ues: u32, exec: FleetExec, event: bool, sink: Option<&Telemetry>
     // absorbed sim.ticks counter; independent of threads and shards)
     let ue_ticks: u64 = ft.ues.iter().map(|u| u.ticks).sum();
 
-    let mut ev_elapsed = 0.0;
-    let sched = if event {
+    let event = if event {
+        let ev_tele = counters();
         let start = Instant::now();
-        let ev: FleetTrace = run_fleet_exec_instrumented(&spec(n_ues), event_exec, &Telemetry::disabled());
-        ev_elapsed = start.elapsed().as_secs_f64();
+        let ev: FleetTrace = run_fleet_exec_instrumented(&spec(n_ues), exec.engine(EngineMode::EventDriven), &ev_tele);
+        let ev_elapsed = start.elapsed().as_secs_f64();
         let ev_ue_ticks: u64 = ev.ues.iter().map(|u| u.ticks).sum();
         if ev_ue_ticks != ue_ticks {
             return Err(format!(
                 "event-driven run diverged at {n_ues} UEs: {ev_ue_ticks} UE·ticks vs fixed {ue_ticks}"
             ));
         }
-        Some(ev.sched.ok_or_else(|| format!("event-driven run at {n_ues} UEs returned no SchedSummary"))?)
+        let sched = ev.sched.ok_or_else(|| format!("event-driven run at {n_ues} UEs returned no SchedSummary"))?;
+        Some(EventResult {
+            elapsed_s: ev_elapsed,
+            ue_ticks_per_sec: ue_ticks as f64 / ev_elapsed,
+            speedup: elapsed_s / ev_elapsed,
+            skipped_ue_ticks: sched.skipped_ue_ticks,
+            skip_ratio: sched.skipped_ue_ticks as f64 / ue_ticks as f64,
+            sleeps: sched.sleeps,
+            load_wakes: sched.load_wakes,
+            wake_hist: sched.wake_hist,
+            plan_evals: ev_tele.counter_value("fleet.plan_evals"),
+            plan_tiles: ev_tele.counter_value("fleet.plan_tiles"),
+        })
     } else {
         None
     };
 
-    // the remaining reps only add time; each flips which engine goes first
-    for rep in 1..reps(n_ues) {
-        for fixed in if rep % 2 == 0 { [true, false] } else { [false, true] } {
-            let start = Instant::now();
-            if fixed {
-                run_fleet_exec_instrumented(&spec(n_ues), exec, &fixed_tele());
-                elapsed_s += start.elapsed().as_secs_f64();
-            } else if event {
-                run_fleet_exec_instrumented(&spec(n_ues), event_exec, &Telemetry::disabled());
-                ev_elapsed += start.elapsed().as_secs_f64();
-            }
-        }
-    }
-    elapsed_s /= f64::from(reps(n_ues));
-    ev_elapsed /= f64::from(reps(n_ues));
-
-    let event = sched.map(|sched| EventResult {
-        elapsed_s: ev_elapsed,
-        ue_ticks_per_sec: ue_ticks as f64 / ev_elapsed,
-        speedup: elapsed_s / ev_elapsed,
-        skipped_ue_ticks: sched.skipped_ue_ticks,
-        skip_ratio: sched.skipped_ue_ticks as f64 / ue_ticks as f64,
-        sleeps: sched.sleeps,
-        load_wakes: sched.load_wakes,
-        wake_hist: sched.wake_hist,
-    });
-
     Ok(SizeResult {
         n_ues,
         duration_s: duration_s(n_ues),
-        reps: reps(n_ues),
         ticks: ft.meta.ticks,
         ue_ticks,
         elapsed_s,
@@ -335,6 +277,24 @@ fn bench_size(n_ues: u32, exec: FleetExec, event: bool, sink: Option<&Telemetry>
         migrations: tele.counter_value("fleet.migrations"),
         event,
     })
+}
+
+/// The gated metrics of one size: report key, measured value and which
+/// drift fails. Every one is a count (or a ratio of counts) that is exact
+/// for the pinned scenario at a fixed geometry; no elapsed time is gated.
+fn gated(r: &SizeResult) -> Vec<(&'static str, f64, Better)> {
+    let mut g = vec![
+        ("ue_ticks", r.ue_ticks as f64, Better::Band),
+        ("allocs_per_ue_tick", r.allocs_per_ue_tick, Better::Lower),
+    ];
+    if let Some(ev) = &r.event {
+        g.extend([
+            ("skip_ratio", ev.skip_ratio, Better::Band),
+            ("plan_evals", ev.plan_evals as f64, Better::Band),
+            ("plan_tiles", ev.plan_tiles as f64, Better::Band),
+        ]);
+    }
+    g
 }
 
 /// The machine-independent equivalence gates: thread and shard invariance of
@@ -442,8 +402,6 @@ fn report(mode: &str, threads: usize, shards: usize, results: &[SizeResult]) -> 
         j.uint(u64::from(r.n_ues));
         j.key("duration_s");
         j.num(r.duration_s);
-        j.key("reps");
-        j.uint(u64::from(r.reps));
         j.key("ticks");
         j.uint(r.ticks);
         j.key("ue_ticks");
@@ -475,6 +433,10 @@ fn report(mode: &str, threads: usize, shards: usize, results: &[SizeResult]) -> 
             j.uint(ev.sleeps);
             j.key("load_wakes");
             j.uint(ev.load_wakes);
+            j.key("plan_evals");
+            j.uint(ev.plan_evals);
+            j.key("plan_tiles");
+            j.uint(ev.plan_tiles);
             // last key in the row: the array holds no '}' so the perfgate
             // row scanner's scope (up to the row's closing brace) survives
             j.key("wake_hist");
@@ -533,13 +495,13 @@ fn main() -> ExitCode {
             }
         };
         println!(
-            "  {:>7} UEs  {:>10} UE·ticks in {:>7.2} s (mean of {}) -> {:>9.0} UE·ticks/s, {:>6.2} allocs/UE·tick, peak cell {:>5}, {:>6} migrations",
-            r.n_ues, r.ue_ticks, r.elapsed_s, r.reps, r.ue_ticks_per_sec, r.allocs_per_ue_tick, r.peak_cell_ues, r.migrations
+            "  {:>7} UEs  {:>10} UE·ticks in {:>7.2} s -> {:>9.0} UE·ticks/s, {:>6.2} allocs/UE·tick, peak cell {:>5}, {:>6} migrations",
+            r.n_ues, r.ue_ticks, r.elapsed_s, r.ue_ticks_per_sec, r.allocs_per_ue_tick, r.peak_cell_ues, r.migrations
         );
         if let Some(ev) = &r.event {
             println!(
-                "          event-driven: {:>7.2} s  -> {:>9.0} UE·ticks/s ({:.2}x), skip ratio {:.3} ({} sleeps, {} load wakes)",
-                ev.elapsed_s, ev.ue_ticks_per_sec, ev.speedup, ev.skip_ratio, ev.sleeps, ev.load_wakes
+                "          event-driven: {:>7.2} s  -> {:>9.0} UE·ticks/s ({:.2}x), skip ratio {:.3} ({} sleeps, {} load wakes), {} plan evals, {} plan tiles",
+                ev.elapsed_s, ev.ue_ticks_per_sec, ev.speedup, ev.skip_ratio, ev.sleeps, ev.load_wakes, ev.plan_evals, ev.plan_tiles
             );
         }
         results.push(r);
@@ -561,80 +523,40 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.baseline {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(s) => s,
+        let committed = match perfgate::load_baseline(path, SCHEMA) {
+            Ok(json) => json,
             Err(e) => {
-                eprintln!("fleet_bench: reading baseline {path}: {e}");
+                eprintln!("fleet_bench: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        // A baseline from a different schema generation must never gate
-        // this report: the rows would pair by n_ues and silently compare
-        // different scenarios or metric semantics. Fail loudly instead.
-        match perfgate::schema_of(&committed) {
-            Some(s) if s == SCHEMA => {}
-            got => {
-                eprintln!(
-                    "fleet_bench: baseline {path} has schema {} but this binary writes {SCHEMA} — \
-                     regenerate the baseline instead of gating across schema versions",
-                    got.map_or_else(|| "(none)".into(), |s| format!("'{s}'"))
-                );
-                return ExitCode::FAILURE;
-            }
-        }
         // Gate the machine-independent metrics per size, pairing rows by
-        // their n_ues value; absolute UE·ticks/sec is advisory (the
-        // baseline's wall clock came from a different machine than this
-        // runner's).
-        println!("  perf gate vs {} (tol {:.0}%):", path, args.tol * 100.0);
+        // their n_ues value; wall-clock numbers are advisory (the
+        // baseline's came from a different machine than this runner's).
+        println!("  perf gate vs {} (tol {:.0}%):", path, perfgate::TOL * 100.0);
         let mut gates = Vec::new();
         for r in &results {
-            let ticks = perfgate::fleet_metric(&committed, r.n_ues, "ue_ticks");
-            let allocs = perfgate::fleet_metric(&committed, r.n_ues, "allocs_per_ue_tick");
-            let tps = perfgate::fleet_metric(&committed, r.n_ues, "ue_ticks_per_sec");
-            let (Some(b_ticks), Some(b_allocs)) = (ticks, allocs) else {
+            if perfgate::fleet_row(&committed, r.n_ues).is_none() {
                 println!("  fleet[{}]: not in baseline, skipped", r.n_ues);
                 continue;
-            };
-            if let Some(b) = tps {
-                perfgate::advise(&format!("fleet[{}] ue_ticks_per_sec", r.n_ues), b, r.ue_ticks_per_sec);
             }
-            gates.push(Gate {
-                what: format!("fleet[{}] ue_ticks", r.n_ues),
-                baseline: b_ticks,
-                current: r.ue_ticks as f64,
-                better: Better::Band,
-            });
-            gates.push(Gate {
-                what: format!("fleet[{}] allocs_per_ue_tick", r.n_ues),
-                baseline: b_allocs,
-                current: r.allocs_per_ue_tick,
-                better: Better::Lower,
-            });
+            let base = |key: &str| perfgate::fleet_metric(&committed, r.n_ues, key);
+            let advise = |key: &str, current: f64| {
+                if let Some(b) = base(key) {
+                    perfgate::advise(&format!("fleet[{}] {key}", r.n_ues), b, current);
+                }
+            };
+            advise("ue_ticks_per_sec", r.ue_ticks_per_sec);
             if let Some(ev) = &r.event {
-                if let Some(b) = perfgate::fleet_metric(&committed, r.n_ues, "event_ue_ticks_per_sec") {
-                    perfgate::advise(&format!("fleet[{}] event UE·ticks/sec", r.n_ues), b, ev.ue_ticks_per_sec);
-                }
-                // skip_ratio is a work count in disguise: deterministic for
-                // the pinned scenario, banded so planner drift in either
-                // direction fails. event_speedup is a same-run ratio, so
-                // runner speed cancels and higher-is-better is gateable.
-                if let Some(b_skip) = perfgate::fleet_metric(&committed, r.n_ues, "skip_ratio") {
-                    gates.push(Gate {
-                        what: format!("fleet[{}] skip_ratio", r.n_ues),
-                        baseline: b_skip,
-                        current: ev.skip_ratio,
-                        better: Better::Band,
-                    });
-                }
-                if let Some(b_spd) = perfgate::fleet_metric(&committed, r.n_ues, "event_speedup") {
-                    gates.push(Gate {
-                        what: format!("fleet[{}] event_speedup", r.n_ues),
-                        baseline: b_spd,
-                        current: ev.speedup,
-                        better: Better::Higher,
-                    });
-                }
+                advise("event_ue_ticks_per_sec", ev.ue_ticks_per_sec);
+                advise("event_speedup", ev.speedup);
+            }
+            for (key, current, better) in gated(r) {
+                let Some(baseline) = base(key) else {
+                    eprintln!("fleet_bench: baseline {path} row fleet[{}] lacks gated key {key}", r.n_ues);
+                    return ExitCode::FAILURE;
+                };
+                gates.push(Gate { what: format!("fleet[{}] {key}", r.n_ues), baseline, current, better });
             }
         }
         // A skipped size is fine (a new size must not fail the job that
@@ -644,10 +566,53 @@ fn main() -> ExitCode {
             eprintln!("fleet_bench: baseline {path} matched none of the measured sizes — reformatted or wrong file?");
             return ExitCode::FAILURE;
         }
-        if !perfgate::evaluate(&gates, args.tol) {
+        if !perfgate::evaluate(&gates) {
             eprintln!("fleet_bench: gated metrics regressed beyond tolerance");
             return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every key the gate reads must come back out of the report this
+    /// binary writes: a key the writer drops would otherwise surface only
+    /// when a regenerated baseline fails to gate it.
+    #[test]
+    fn every_gated_key_round_trips_through_the_report() {
+        let r = SizeResult {
+            n_ues: 100,
+            duration_s: 60.0,
+            ticks: 700,
+            ue_ticks: 60_000,
+            elapsed_s: 2.5,
+            ue_ticks_per_sec: 24_000.0,
+            allocs_per_ue_tick: 0.26,
+            peak_cell_ues: 100,
+            contended_ue_ticks: 59_467,
+            migrations: 3,
+            event: Some(EventResult {
+                elapsed_s: 0.75,
+                ue_ticks_per_sec: 80_000.0,
+                speedup: 3.3,
+                skipped_ue_ticks: 49_630,
+                skip_ratio: 0.827,
+                sleeps: 1198,
+                load_wakes: 327,
+                wake_hist: [1, 2, 3, 4],
+                plan_evals: 123_456,
+                plan_tiles: 789,
+            }),
+        };
+        let keys = gated(&r);
+        assert_eq!(keys.len(), 5, "an event block adds its three gated counts");
+        let json = report("smoke", 1, 16, std::slice::from_ref(&r));
+        assert_eq!(perfgate::schema_of(&json), Some(SCHEMA));
+        for (key, value, _) in keys {
+            assert_eq!(perfgate::fleet_metric(&json, r.n_ues, key), Some(value), "{key}");
+        }
+    }
 }

@@ -28,7 +28,7 @@
 //! leave over.
 //!
 //! ```text
-//! tick_bench [--smoke] [--iters N] [--out PATH] [--baseline PATH] [--tol F]
+//! tick_bench [--smoke] [--iters N] [--out PATH] [--baseline PATH]
 //! ```
 //!
 //! The snapshot row also reports `priced_cells_per_tick`: cells whose exact
@@ -47,12 +47,12 @@
 //! the committed report — the snapshot row's tick count and priced cells
 //! per tick (bands) and its allocs/tick (lower is better), and each des
 //! row's tick count, skip ratio, planner tile count and planner evaluation
-//! count (bands) — and exits nonzero past the tolerance (default 15%); this
-//! is the gating CI perf job. Absolute ticks/sec is printed as an advisory
+//! count (bands) — and exits nonzero past [`perfgate::TOL`]; this is the
+//! gating CI perf job. Absolute ticks/sec is printed as an advisory
 //! comparison only, because the baseline's wall clock came from a different
 //! machine than the CI runner's (see `fiveg_bench::perfgate`).
 
-use fiveg_bench::perfgate::{self, Better, Gate};
+use fiveg_bench::perfgate::{self, Better, CountingAlloc, Gate, ALLOCS};
 use fiveg_bench::report::JsonBuf;
 use fiveg_geo::Point;
 use fiveg_ran::{Arch, Carrier, Deployment, RadioSnapshot};
@@ -60,33 +60,13 @@ use fiveg_sim::{
     engine, run_fleet_exec, run_fleet_exec_instrumented, EngineMode, FleetExec, FleetSpec, FleetTrace, Scenario,
     ScenarioBuilder, Telemetry, TelemetryConfig, Trace,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-/// Heap-allocation counter: wraps the system allocator and counts every
-/// `alloc`/`realloc`. Coarse by design — it is a proxy for hot-loop churn,
-/// not a profiler — but it is exact and deterministic for a fixed workload.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+/// The report schema this binary writes and the only one it will gate
+/// against.
+const SCHEMA: &str = "fiveg-tick/v3";
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -96,11 +76,10 @@ struct Args {
     iters: usize,
     out: String,
     baseline: Option<String>,
-    tol: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { smoke: false, iters: 3, out: "BENCH_tick.json".into(), baseline: None, tol: 0.15 };
+    let mut args = Args { smoke: false, iters: 3, out: "BENCH_tick.json".into(), baseline: None };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -114,15 +93,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out = it.next().ok_or("--out needs a value")?,
             "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a value")?),
-            "--tol" => {
-                let v = it.next().ok_or("--tol needs a value")?;
-                args.tol = v.parse::<f64>().map_err(|_| format!("bad --tol value: {v}"))?;
-                if !(0.0..1.0).contains(&args.tol) {
-                    return Err("--tol must be in [0, 1)".into());
-                }
-            }
             "--help" | "-h" => {
-                println!("usage: tick_bench [--smoke] [--iters N] [--out PATH] [--baseline PATH] [--tol F]");
+                println!("usage: tick_bench [--smoke] [--iters N] [--out PATH] [--baseline PATH]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument: {other}")),
@@ -314,7 +286,7 @@ fn report(mode: &str, iters: usize, set: &[(&'static str, Scenario)], p: &Snapsh
     let mut j = JsonBuf::new();
     j.open('{');
     j.key("schema");
-    j.str_val("fiveg-tick/v3");
+    j.str_val(SCHEMA);
     j.key("mode");
     j.str_val(mode);
     j.key("iters");
@@ -459,27 +431,13 @@ fn main() -> ExitCode {
     // counts, allocs, skip ratios); absolute ticks/sec is advisory because
     // the committed baseline's wall clock came from a different machine.
     if let Some(path) = &args.baseline {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(s) => s,
+        let committed = match perfgate::load_baseline(path, SCHEMA) {
+            Ok(json) => json,
             Err(e) => {
-                eprintln!("tick_bench: reading baseline {path}: {e}");
+                eprintln!("tick_bench: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        // A baseline from a different schema generation must never gate
-        // this report (see fleet_bench): anchors would pair rows whose
-        // metrics no longer mean the same thing. Fail loudly instead.
-        match perfgate::schema_of(&committed) {
-            Some("fiveg-tick/v3") => {}
-            got => {
-                eprintln!(
-                    "tick_bench: baseline {path} has schema {} but this binary writes fiveg-tick/v3 — \
-                     regenerate the baseline instead of gating across schema versions",
-                    got.map_or_else(|| "(none)".into(), |s| format!("'{s}'"))
-                );
-                return ExitCode::FAILURE;
-            }
-        }
         let snap = |metric: &str| perfgate::metric_after(&committed, r#""path":"snapshot""#, metric);
         let (Some(b_ticks), Some(b_apt), Some(b_priced), Some(b_tps)) =
             (snap("ticks"), snap("allocs_per_tick"), snap("priced_cells_per_tick"), snap("ticks_per_sec"))
@@ -507,7 +465,7 @@ fn main() -> ExitCode {
                 better: Better::Band,
             },
         ];
-        println!("  perf gate vs {} (tol {:.0}%):", path, args.tol * 100.0);
+        println!("  perf gate vs {} (tol {:.0}%):", path, perfgate::TOL * 100.0);
         perfgate::advise("snapshot ticks_per_sec", b_tps, snapshot.ticks_per_sec);
         // des gates: logical work count, skip ratio, planner tiles and
         // planner evaluations are exact and machine-independent, so all four
@@ -557,7 +515,7 @@ fn main() -> ExitCode {
                 better: Better::Band,
             });
         }
-        if !perfgate::evaluate(&gates, args.tol) {
+        if !perfgate::evaluate(&gates) {
             eprintln!("tick_bench: gated metrics regressed beyond tolerance");
             return ExitCode::FAILURE;
         }

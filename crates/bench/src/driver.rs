@@ -68,16 +68,6 @@ impl PrognosRun {
         ClassMetrics::from_labels(&truth, &pred, 0u8)
     }
 
-    /// Tolerance-matched metrics: a positive prediction is a true positive
-    /// when a HO of the predicted type occurs within `tol_windows` windows
-    /// of it (event-prediction matching — an early warning is early, not
-    /// wrong). Each truth event consumes at most the predictions in its
-    /// tolerance span; unmatched positives are false positives, unmatched
-    /// truths false negatives.
-    pub fn metrics_tolerant(&self, tol_windows: usize) -> ClassMetrics {
-        metrics_tolerant_from(&self.windows.iter().map(|w| (w.truth, w.pred)).collect::<Vec<_>>(), tol_windows)
-    }
-
     /// Event-level metrics: the system predicts continuously; an HO counts
     /// as predicted (TP) when a same-type episode overlaps
     /// `[t_cmd − lookback_s, t_cmd + slack_s]`; unmatched episodes are false
@@ -129,47 +119,6 @@ pub fn metrics_events_from(
     let wrong = fp + fn_;
     let accuracy =
         if total_windows == 0 { 0.0 } else { ((total_windows.saturating_sub(wrong)) as f64) / total_windows as f64 };
-    ClassMetrics { precision, recall, f1, accuracy }
-}
-
-/// Tolerance-matched metrics over a window-aligned (truth, pred) series.
-/// Shared by the Prognos run and the offline baselines so Table 3 compares
-/// every approach under the same matching rule.
-pub fn metrics_tolerant_from(series: &[(Option<HoType>, Option<HoType>)], tol_windows: usize) -> ClassMetrics {
-    let n = series.len();
-    let mut pred_used = vec![false; n];
-    let mut tp = 0usize;
-    let mut fn_ = 0usize;
-    let mut correct_bg = 0usize;
-    // match each truth event to the nearest same-type prediction within
-    // [i - tol, i + tol]
-    for i in 0..n {
-        if let Some(t) = series[i].0 {
-            let lo = i.saturating_sub(tol_windows);
-            let hi = (i + tol_windows).min(n - 1);
-            let hit = (lo..=hi).find(|&j| !pred_used[j] && series[j].1 == Some(t));
-            match hit {
-                Some(j) => {
-                    pred_used[j] = true;
-                    tp += 1;
-                }
-                None => fn_ += 1,
-            }
-        }
-    }
-    // remaining positive predictions are false alarms
-    let mut fp = 0usize;
-    for (i, w) in series.iter().enumerate() {
-        if w.1.is_some() && !pred_used[i] {
-            fp += 1;
-        } else if w.1.is_none() && w.0.is_none() {
-            correct_bg += 1;
-        }
-    }
-    let precision = if tp + fp == 0 { 0.0 } else { tp as f64 / (tp + fp) as f64 };
-    let recall = if tp + fn_ == 0 { 0.0 } else { tp as f64 / (tp + fn_) as f64 };
-    let f1 = if precision + recall == 0.0 { 0.0 } else { 2.0 * precision * recall / (precision + recall) };
-    let accuracy = if n == 0 { 0.0 } else { (tp + correct_bg) as f64 / n as f64 };
     ClassMetrics { precision, recall, f1, accuracy }
 }
 
@@ -486,68 +435,5 @@ mod tests {
         let f = gt_score_fn(&t);
         // far beyond the last HO
         assert_eq!(f(t.meta.duration_s + 100.0), 1.0);
-    }
-
-    // --- metrics_tolerant_from edge cases ---
-
-    fn series(pairs: &[(usize, usize)]) -> Vec<(Option<HoType>, Option<HoType>)> {
-        pairs.iter().map(|&(t, p)| (to_ho(t), to_ho(p))).collect()
-    }
-
-    #[test]
-    fn tolerant_empty_series_is_all_zero() {
-        let m = metrics_tolerant_from(&[], 2);
-        assert_eq!((m.precision, m.recall, m.f1, m.accuracy), (0.0, 0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn tolerant_zero_tolerance_is_strict_alignment() {
-        // truth at 1, prediction at 2: a hit with tol 1, a miss with tol 0
-        let s = series(&[(0, 0), (1, 0), (0, 1), (0, 0)]);
-        let m0 = metrics_tolerant_from(&s, 0);
-        assert_eq!(m0.recall, 0.0);
-        assert_eq!(m0.precision, 0.0);
-        let m1 = metrics_tolerant_from(&s, 1);
-        assert_eq!(m1.recall, 1.0);
-        assert_eq!(m1.precision, 1.0);
-    }
-
-    #[test]
-    fn tolerant_boundary_truths_do_not_overflow() {
-        // truths at both ends of the series with a tolerance wider than
-        // the series itself: index arithmetic must saturate, not panic
-        let s = series(&[(1, 0), (0, 0), (0, 1)]);
-        let m = metrics_tolerant_from(&s, 10);
-        assert_eq!(m.recall, 1.0);
-        assert_eq!(m.precision, 1.0);
-    }
-
-    #[test]
-    fn tolerant_prediction_consumed_once() {
-        // two truths share one same-type prediction within tolerance: only
-        // one can match it, the other is a miss
-        let s = series(&[(1, 0), (0, 1), (1, 0)]);
-        let m = metrics_tolerant_from(&s, 1);
-        assert_eq!(m.recall, 0.5);
-        assert_eq!(m.precision, 1.0);
-    }
-
-    #[test]
-    fn tolerant_wrong_type_within_span_is_no_match() {
-        // a type-2 prediction near a type-1 truth: miss + false alarm
-        let s = series(&[(1, 0), (0, 2), (0, 0)]);
-        let m = metrics_tolerant_from(&s, 2);
-        assert_eq!(m.recall, 0.0);
-        assert_eq!(m.precision, 0.0);
-        // background windows still count toward accuracy (index 2 only)
-        assert!((m.accuracy - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tolerant_all_background_is_perfect_accuracy_zero_f1() {
-        let s = series(&[(0, 0), (0, 0), (0, 0)]);
-        let m = metrics_tolerant_from(&s, 2);
-        assert_eq!(m.accuracy, 1.0);
-        assert_eq!(m.f1, 0.0);
     }
 }

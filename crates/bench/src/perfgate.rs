@@ -1,5 +1,8 @@
 //! Perf-gate support: compare a fresh benchmark report against a committed
-//! baseline (`BENCH_tick.json`, `BENCH_fleet.json`) and fail on regression.
+//! baseline (`BENCH_tick.json`, `BENCH_fleet.json`, `BENCH_serve.json`) and
+//! fail on regression. The gating binaries share everything here: the
+//! baseline loader ([`load_baseline`]), the tolerance ([`TOL`]) and the
+//! allocation counter ([`CountingAlloc`]).
 //!
 //! The reports are written by [`crate::report::JsonBuf`] — single-line JSON
 //! with a fixed key order and no whitespace — so the extractor here is a
@@ -18,30 +21,69 @@
 //! cover only **machine-independent** metrics:
 //!
 //! * work counts (`ticks`, `ue_ticks`, the radio snapshot's
-//!   `priced_cells_per_tick`): deterministic for a pinned workload, gated
-//!   as a *band* — drift in either direction means the workload (or the
-//!   work done per tick) silently changed. The priced-cell band also guards
-//!   the snapshot's cull tiers: without its per-tick fading ceiling the
-//!   count goes from about 40 back to about 110 and fails the band;
+//!   `priced_cells_per_tick`, the event-driven engine's `skip_ratio`, and
+//!   the sleep planner's `plan_evals` and `plan_tiles`): deterministic for
+//!   a pinned workload, gated as a *band* — drift in either direction means
+//!   the workload (or the work done per tick) silently changed. The
+//!   priced-cell band also guards the snapshot's cull tiers: without its
+//!   per-tick fading ceiling the count goes from about 40 back to about 110
+//!   and fails the band;
 //! * allocation proxies (`allocs_per_tick`, `allocs_per_ue_tick`): counted
-//!   by a deterministic global allocator, gated *lower-is-better*;
-//! * the fleet's fixed-vs-event `event_speedup` ratio: both sides are
-//!   measured in the same process on the same machine, so runner speed
-//!   cancels to first order, gated *higher-is-better*; `skip_ratio` — a
-//!   deterministic work count in disguise — as a *band*.
+//!   by [`CountingAlloc`], gated *lower-is-better*.
 //!
-//! Before any of that, gating callers compare [`schema_of`] the baseline
-//! against the schema string they themselves write and fail loudly on a
-//! mismatch — cross-schema gating would silently compare rows whose
-//! metrics no longer mean the same thing.
+//! No gate is built from an elapsed time. Even a same-process ratio such as
+//! the fleet's fixed-vs-event `event_speedup` moves by 20% between two runs
+//! of unchanged code on a shared machine, so it would fail on noise — and
+//! a baseline loose enough to absorb that passes real regressions. Where
+//! the event-driven engine saves time, the saving is work it skips, and the
+//! work counts above pin that.
 //!
-//! Absolute throughput (ticks/sec) is still compared — via [`advise`] — but
-//! only as a printed hint; it can never fail the job.
+//! Before any of that, [`load_baseline`] refuses a baseline whose
+//! [`schema_of`] differs from the schema the caller writes — cross-schema
+//! gating would silently compare rows whose metrics no longer mean the same
+//! thing.
+//!
+//! Absolute throughput (ticks/sec) and time ratios are still compared — via
+//! [`advise`] — but only as a printed hint; they can never fail the job.
 //!
 //! Tolerance semantics per [`Better`] direction: a run **fails** only when
 //! the current value leaves the tolerance band on its bad side. Moves past
 //! the band on the good side are reported as a hint to refresh the
 //! committed baseline, but do not fail the job.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The gate tolerance: a gated metric may move 15% on its bad side before
+/// the job fails.
+pub const TOL: f64 = 0.15;
+
+/// Heap allocations counted by [`CountingAlloc`] since process start.
+pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Heap-allocation counter: wraps the system allocator and counts every
+/// `alloc`/`realloc` into [`ALLOCS`]. Coarse by design — it is a proxy for
+/// hot-loop churn, not a profiler — but it is exact and deterministic for a
+/// fixed workload. A benchmark binary installs it with its own
+/// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;`; the
+/// library never does, so a binary that links it may pick another allocator.
+pub struct CountingAlloc;
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
 
 /// Which direction of drift counts as a regression for a gated metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,10 +118,10 @@ impl Gate {
         self.current / self.baseline
     }
 
-    /// True when the current value left the tolerance band on its bad side.
-    pub fn regressed(&self, tol: f64) -> bool {
-        let low = self.current < self.baseline * (1.0 - tol);
-        let high = self.current > self.baseline * (1.0 + tol);
+    /// True when the current value left the [`TOL`] band on its bad side.
+    pub fn regressed(&self) -> bool {
+        let low = self.current < self.baseline * (1.0 - TOL);
+        let high = self.current > self.baseline * (1.0 + TOL);
         match self.better {
             Better::Higher => low,
             Better::Lower => high,
@@ -87,22 +129,22 @@ impl Gate {
         }
     }
 
-    /// True when the current value beats the baseline by more than the
-    /// tolerance — time to re-commit the baseline file. Never true for
+    /// True when the current value beats the baseline by more than [`TOL`]
+    /// — time to re-commit the baseline file. Never true for
     /// [`Better::Band`] gates, where any exit from the band is a failure.
-    pub fn improved(&self, tol: f64) -> bool {
+    pub fn improved(&self) -> bool {
         match self.better {
-            Better::Higher => self.current > self.baseline * (1.0 + tol),
-            Better::Lower => self.current < self.baseline * (1.0 - tol),
+            Better::Higher => self.current > self.baseline * (1.0 + TOL),
+            Better::Lower => self.current < self.baseline * (1.0 - TOL),
             Better::Band => false,
         }
     }
 
     /// One human-readable verdict line for the job log.
-    pub fn verdict(&self, tol: f64) -> String {
-        let state = if self.regressed(tol) {
+    pub fn verdict(&self) -> String {
+        let state = if self.regressed() {
             "FAIL (regression)"
-        } else if self.improved(tol) {
+        } else if self.improved() {
             "ok (better; consider refreshing the baseline)"
         } else {
             "ok"
@@ -118,17 +160,38 @@ impl Gate {
     }
 }
 
-/// Extracts the report's `"schema"` string (e.g. `fiveg-fleet/v3`), `None`
-/// when the key is absent. Gating callers must compare this against the
-/// schema they write and **fail loudly on a mismatch**: the row extractors
-/// below pair entries by anchor value, so a baseline from an older schema
-/// generation would silently line up rows whose metrics mean different
-/// things (a different pinned scenario, a renamed field) instead of
-/// refusing to gate.
+/// Extracts the report's `"schema"` string (e.g. `fiveg-fleet/v4`), `None`
+/// when the key is absent.
 pub fn schema_of(json: &str) -> Option<&str> {
     const KEY: &str = "\"schema\":\"";
     let rest = &json[json.find(KEY)? + KEY.len()..];
     Some(&rest[..rest.find('"')?])
+}
+
+/// Reads the committed baseline at `path` and returns it only when its
+/// [`schema_of`] is `schema`, the one the caller writes. A mismatch is an
+/// error, never a silent pass: the row extractors below pair entries by
+/// anchor value, so a baseline from an older schema generation would line
+/// up rows whose metrics mean different things (a different pinned
+/// scenario, a renamed field) instead of refusing to gate.
+pub fn load_baseline(path: &str, schema: &str) -> Result<String, String> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("reading baseline {path}: {e}"))?;
+    match schema_of(&json) {
+        Some(s) if s == schema => Ok(json),
+        got => Err(format!(
+            "baseline {path} has schema {} but this binary writes {schema} — \
+             regenerate the baseline instead of gating across schema versions",
+            got.map_or_else(|| "(none)".into(), |s| format!("'{s}'"))
+        )),
+    }
+}
+
+/// Parses the number after `"metric":` in `scope`.
+fn number_in(scope: &str, metric: &str) -> Option<f64> {
+    let key = format!("\"{metric}\":");
+    let tail = &scope[scope.find(&key)? + key.len()..];
+    let stop = tail.find([',', '}']).unwrap_or(tail.len());
+    tail[..stop].trim().parse::<f64>().ok()
 }
 
 /// Extracts the numeric value of `metric` from the entry object of `json`
@@ -139,11 +202,7 @@ pub fn schema_of(json: &str) -> Option<&str> {
 /// metric is absent, so callers can treat a missing entry as "not gated".
 pub fn metric_after(json: &str, anchor: &str, metric: &str) -> Option<f64> {
     let rest = &json[json.find(anchor)? + anchor.len()..];
-    let scope = &rest[..rest.find('}').unwrap_or(rest.len())];
-    let key = format!("\"{metric}\":");
-    let tail = &scope[scope.find(&key)? + key.len()..];
-    let stop = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..stop].trim().parse::<f64>().ok()
+    number_in(&rest[..rest.find('}').unwrap_or(rest.len())], metric)
 }
 
 /// Extracts a top-of-report scalar such as `speedup`, which lives *outside*
@@ -151,10 +210,7 @@ pub fn metric_after(json: &str, anchor: &str, metric: &str) -> Option<f64> {
 /// so per-entry fields that happen to share a name never shadow the
 /// report-level one (report-level keys are emitted after the entry arrays).
 pub fn metric_anywhere(json: &str, metric: &str) -> Option<f64> {
-    let key = format!("\"{metric}\":");
-    let tail = &json[json.rfind(&key)? + key.len()..];
-    let stop = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..stop].trim().parse::<f64>().ok()
+    number_in(&json[json.rfind(&format!("\"{metric}\":"))?..], metric)
 }
 
 /// Extracts the **string** value of `metric` from the entry object of
@@ -171,50 +227,51 @@ pub fn str_after<'a>(json: &'a str, anchor: &str, metric: &str) -> Option<&'a st
     Some(&tail[..tail.find('"')?])
 }
 
-/// Extracts `metric` from the fleet-report entry whose `"n_ues"` **value**
-/// equals `n_ues`. Every `"n_ues":` occurrence is parsed and compared
-/// numerically, so the pairing is keyed by size — a reordered or extended
-/// baseline can never line a measurement up against the wrong row, and a
-/// prefix size (`100` vs `1000`) or a trailing `}` instead of `,` cannot
-/// confuse the match the way a literal-substring anchor could. Like
-/// [`metric_after`], the metric must follow the key inside the same object
-/// (true for every report this crate writes, where `n_ues` is emitted
-/// first). Returns `None` when the size or the metric is absent.
-pub fn fleet_metric(json: &str, n_ues: u32, metric: &str) -> Option<f64> {
+/// The fleet-report entry whose `"n_ues"` **value** equals `n_ues`, from
+/// that key to the entry's closing brace. Every `"n_ues":` occurrence is
+/// parsed and compared numerically, so the pairing is keyed by size — a
+/// reordered or extended baseline can never line a measurement up against
+/// the wrong row, and a prefix size (`100` vs `1000`) or a trailing `}`
+/// instead of `,` cannot confuse the match the way a literal-substring
+/// anchor could. `None` when no entry has that size.
+pub fn fleet_row(json: &str, n_ues: u32) -> Option<&str> {
     const KEY: &str = "\"n_ues\":";
     let mut from = 0;
     while let Some(pos) = json[from..].find(KEY) {
         from += pos + KEY.len();
         let tail = &json[from..];
         let stop = tail.find([',', '}']).unwrap_or(tail.len());
-        if tail[..stop].trim().parse::<u64>() != Ok(u64::from(n_ues)) {
-            continue;
+        if tail[..stop].trim().parse::<u64>() == Ok(u64::from(n_ues)) {
+            return Some(&tail[..tail.find('}').unwrap_or(tail.len())]);
         }
-        let scope = &tail[..tail.find('}').unwrap_or(tail.len())];
-        let key = format!("\"{metric}\":");
-        let m = &scope[scope.find(&key)? + key.len()..];
-        let mstop = m.find([',', '}']).unwrap_or(m.len());
-        return m[..mstop].trim().parse::<f64>().ok();
     }
     None
 }
 
-/// Evaluates a set of gates against a tolerance, printing one verdict line
-/// each, and returns whether every gate passed. An empty set passes here —
-/// callers that *expected* matches must treat zero gates as their own
-/// failure (a reformatted baseline silently matching nothing must not turn
-/// the gate into a no-op; see `fleet_bench`).
-pub fn evaluate(gates: &[Gate], tol: f64) -> bool {
+/// Extracts `metric` from the [`fleet_row`] of size `n_ues`. Like
+/// [`metric_after`], the metric must follow the key inside the same object
+/// (true for every report this crate writes, where `n_ues` is emitted
+/// first). Returns `None` when the size or the metric is absent.
+pub fn fleet_metric(json: &str, n_ues: u32, metric: &str) -> Option<f64> {
+    number_in(fleet_row(json, n_ues)?, metric)
+}
+
+/// Evaluates a set of gates, printing one verdict line each, and returns
+/// whether every gate passed. An empty set passes here — callers that
+/// *expected* matches must treat zero gates as their own failure (a
+/// reformatted baseline silently matching nothing must not turn the gate
+/// into a no-op; see `fleet_bench`).
+pub fn evaluate(gates: &[Gate]) -> bool {
     let mut ok = true;
     for g in gates {
-        println!("{}", g.verdict(tol));
-        ok &= !g.regressed(tol);
+        println!("{}", g.verdict());
+        ok &= !g.regressed();
     }
     ok
 }
 
 /// Prints a non-gating comparison line for a machine-dependent metric
-/// (absolute throughput). The numbers are worth seeing next to the gated
+/// (absolute throughput, elapsed-time ratios). The numbers are worth seeing next to the gated
 /// verdicts, but a slow shared runner must never fail the job on them.
 pub fn advise(what: &str, baseline: f64, current: f64) {
     println!(
@@ -259,6 +316,20 @@ mod tests {
     }
 
     #[test]
+    fn load_baseline_refuses_a_foreign_schema() {
+        let path = std::env::temp_dir().join(format!("perfgate-baseline-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        std::fs::write(path, FLEET).unwrap();
+        assert_eq!(load_baseline(path, "fiveg-fleet/v2").as_deref(), Ok(FLEET));
+        let err = load_baseline(path, "fiveg-fleet/v4").unwrap_err();
+        assert!(err.contains("'fiveg-fleet/v2'") && err.contains("fiveg-fleet/v4"), "{err}");
+        std::fs::write(path, r#"{"sizes":[]}"#).unwrap();
+        assert!(load_baseline(path, "fiveg-fleet/v2").unwrap_err().contains("(none)"));
+        std::fs::remove_file(path).unwrap();
+        assert!(load_baseline(path, "fiveg-fleet/v2").unwrap_err().starts_with("reading baseline"));
+    }
+
+    #[test]
     fn extracts_the_anchored_entry_not_its_neighbors() {
         assert_eq!(metric_after(TICK, r#""path":"snapshot""#, "ticks_per_sec"), Some(106960.0));
         assert_eq!(metric_after(TICK, r#""path":"reference""#, "ticks_per_sec"), Some(71642.0));
@@ -297,6 +368,13 @@ mod tests {
         let j = r#"[{"n_ues":10},{"n_ues":100,"ue_ticks":5.0}]"#;
         assert_eq!(fleet_metric(j, 100, "ue_ticks"), Some(5.0));
         assert_eq!(fleet_metric(j, 10, "ue_ticks"), None, "entry exists but lacks the metric");
+    }
+
+    #[test]
+    fn fleet_row_tells_a_missing_row_from_a_missing_key() {
+        assert!(fleet_row(FLEET, 100).is_some_and(|row| row.contains("80000.0")));
+        assert!(fleet_row(FLEET, 100).is_some() && fleet_metric(FLEET, 100, "skip_ratio").is_none());
+        assert_eq!(fleet_row(FLEET, 500), None);
     }
 
     #[test]
@@ -341,37 +419,37 @@ mod tests {
 
     #[test]
     fn higher_is_better_fails_only_on_drop() {
-        assert!(gate(100.0, 84.9, Better::Higher).regressed(0.15));
-        assert!(!gate(100.0, 85.1, Better::Higher).regressed(0.15));
+        assert!(gate(100.0, 84.9, Better::Higher).regressed());
+        assert!(!gate(100.0, 85.1, Better::Higher).regressed());
         let g = gate(100.0, 300.0, Better::Higher);
-        assert!(!g.regressed(0.15), "an improvement must never fail the gate");
-        assert!(g.improved(0.15));
+        assert!(!g.regressed(), "an improvement must never fail the gate");
+        assert!(g.improved());
     }
 
     #[test]
     fn lower_is_better_fails_only_on_rise() {
-        assert!(gate(100.0, 115.1, Better::Lower).regressed(0.15));
-        assert!(!gate(100.0, 114.9, Better::Lower).regressed(0.15));
+        assert!(gate(100.0, 115.1, Better::Lower).regressed());
+        assert!(!gate(100.0, 114.9, Better::Lower).regressed());
         let g = gate(100.0, 50.0, Better::Lower);
-        assert!(!g.regressed(0.15), "fewer allocations must never fail the gate");
-        assert!(g.improved(0.15));
+        assert!(!g.regressed(), "fewer allocations must never fail the gate");
+        assert!(g.improved());
     }
 
     #[test]
     fn band_fails_on_drift_in_either_direction() {
-        assert!(gate(100.0, 84.9, Better::Band).regressed(0.15));
-        assert!(gate(100.0, 115.1, Better::Band).regressed(0.15));
+        assert!(gate(100.0, 84.9, Better::Band).regressed());
+        assert!(gate(100.0, 115.1, Better::Band).regressed());
         let inside = gate(100.0, 100.0, Better::Band);
-        assert!(!inside.regressed(0.15));
-        assert!(!gate(100.0, 200.0, Better::Band).improved(0.15), "a band gate never 'improves'");
+        assert!(!inside.regressed());
+        assert!(!gate(100.0, 200.0, Better::Band).improved(), "a band gate never 'improves'");
     }
 
     #[test]
     fn evaluate_aggregates_all_gates() {
         let pass = gate(100.0, 98.0, Better::Higher);
         let fail = gate(100.0, 50.0, Better::Higher);
-        assert!(evaluate(std::slice::from_ref(&pass), 0.15));
-        assert!(!evaluate(&[pass, fail], 0.15));
-        assert!(evaluate(&[], 0.15), "no gates means nothing to fail");
+        assert!(evaluate(std::slice::from_ref(&pass)));
+        assert!(!evaluate(&[pass, fail]));
+        assert!(evaluate(&[]), "no gates means nothing to fail");
     }
 }

@@ -328,10 +328,8 @@ mod tests {
 
     #[test]
     fn clean_instrumented_run_passes_all_checks() {
-        let mut s =
-            ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 6.0, 51).duration_s(180.0).sample_hz(10.0).build();
-        s.telemetry = TelemetryConfig::deterministic();
-        let tele = Telemetry::new(s.telemetry);
+        let s = ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 6.0, 51).duration_s(180.0).sample_hz(10.0).build();
+        let tele = Telemetry::new(TelemetryConfig::deterministic());
         let tr = s.run_instrumented(&tele);
         let v = check_trace(&tr, s.faults, Some(&tele));
         assert!(v.is_empty(), "{:?}", v.iter().map(|x| x.to_string()).collect::<Vec<_>>());
@@ -342,8 +340,7 @@ mod tests {
         let mut s =
             ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 6.0, 52).duration_s(180.0).sample_hz(10.0).build();
         s.faults = FaultConfig { mr_loss_prob: 0.3, ho_failure_prob: 0.5 };
-        s.telemetry = TelemetryConfig::deterministic();
-        let tele = Telemetry::new(s.telemetry);
+        let tele = Telemetry::new(TelemetryConfig::deterministic());
         let tr = s.run_instrumented(&tele);
         let v = check_trace(&tr, s.faults, Some(&tele));
         assert!(v.is_empty(), "{:?}", v.iter().map(|x| x.to_string()).collect::<Vec<_>>());
@@ -381,10 +378,8 @@ mod tests {
 
     #[test]
     fn counter_mismatch_is_flagged() {
-        let mut s =
-            ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 6.0, 56).duration_s(180.0).sample_hz(10.0).build();
-        s.telemetry = TelemetryConfig::deterministic();
-        let tele = Telemetry::new(s.telemetry);
+        let s = ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 6.0, 56).duration_s(180.0).sample_hz(10.0).build();
+        let tele = Telemetry::new(TelemetryConfig::deterministic());
         let mut tr = s.run_instrumented(&tele);
         tr.samples.pop(); // now sim.ticks != samples.len()
         let v = check_trace(&tr, s.faults, Some(&tele));

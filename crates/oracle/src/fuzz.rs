@@ -148,8 +148,7 @@ impl FuzzCase {
         }
     }
 
-    /// Builds the concrete scenario this case denotes (telemetry always in
-    /// deterministic mode, so the counter algebra is checkable).
+    /// Builds the concrete scenario this case denotes.
     pub fn scenario(&self) -> Scenario {
         let b = match self.route {
             FuzzRoute::Freeway(km) => ScenarioBuilder::freeway(self.carrier, self.arch, km, self.seed),
@@ -161,7 +160,6 @@ impl FuzzCase {
             .duration_s(self.duration_s)
             .sample_hz(self.sample_hz)
             .faults(FaultConfig { mr_loss_prob: self.mr_loss_prob, ho_failure_prob: self.ho_failure_prob })
-            .telemetry(TelemetryConfig::deterministic())
             .build()
     }
 
@@ -320,7 +318,8 @@ impl CaseResult {
 /// the event-driven fleet scheduler differentially.
 pub fn run_case(case: &FuzzCase) -> CaseResult {
     let s = case.scenario();
-    let tele = Telemetry::new(s.telemetry);
+    // deterministic telemetry, so the counter algebra is checkable
+    let tele = Telemetry::new(TelemetryConfig::deterministic());
     let mut oracle = Oracle::new(s.arch, case.seed);
     let trace = engine::run_hooked(&s, &tele, &mut oracle);
 

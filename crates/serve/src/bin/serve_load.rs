@@ -12,14 +12,15 @@
 //!
 //! ```text
 //! serve_load --pinned --uds /tmp/fiveg.sock --sessions 8 \
-//!     --out BENCH_serve.json --baseline BENCH_serve.json --tol 0.15
+//!     --out BENCH_serve.json --baseline BENCH_serve.json
 //! ```
 //!
 //! The report (schema `fiveg-serve/v1`) separates machine-independent
 //! `gated` fields (counts, mismatches, the digest) from machine-dependent
 //! `advisory` ones (latency percentiles, throughput). Exit codes: 0 ok,
 //! 1 usage/connection/gate failure, 2 wire-vs-offline prediction
-//! mismatch, 3 baseline schema mismatch.
+//! mismatch, 3 baseline unreadable or of another schema
+//! ([`perfgate::load_baseline`]). Gates allow [`perfgate::TOL`].
 
 use fiveg_bench::perfgate::{self, Better, Gate};
 use fiveg_bench::JsonBuf;
@@ -208,13 +209,12 @@ struct Args {
     slo_ms: f64,
     out: String,
     baseline: Option<String>,
-    tol: f64,
 }
 
 fn usage() -> ExitCode {
     println!(
         "usage: serve_load --pinned (--tcp ADDR | --uds PATH) [--sessions N] \
-         [--rate F] [--slo-ms F] [--out PATH] [--baseline PATH] [--tol F]"
+         [--rate F] [--slo-ms F] [--out PATH] [--baseline PATH]"
     );
     ExitCode::FAILURE
 }
@@ -228,7 +228,6 @@ fn parse_args() -> Result<Args, String> {
         slo_ms: 50.0,
         out: "BENCH_serve.json".into(),
         baseline: None,
-        tol: 0.15,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -243,7 +242,6 @@ fn parse_args() -> Result<Args, String> {
             "--slo-ms" => args.slo_ms = val("--slo-ms")?.parse().map_err(|_| "bad --slo-ms")?,
             "--out" => args.out = val("--out")?,
             "--baseline" => args.baseline = Some(val("--baseline")?),
-            "--tol" => args.tol = val("--tol")?.parse().map_err(|_| "bad --tol")?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -436,26 +434,13 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.baseline {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(s) => s,
+        let committed = match perfgate::load_baseline(path, SCHEMA) {
+            Ok(json) => json,
             Err(e) => {
-                eprintln!("serve_load: reading baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // refuse to gate across schema generations (see fleet_bench):
-        // rows from an older schema mean different things
-        match perfgate::schema_of(&committed) {
-            Some(s) if s == SCHEMA => {}
-            got => {
-                eprintln!(
-                    "serve_load: baseline {path} has schema {} but this binary writes {SCHEMA} — \
-                     regenerate the baseline instead of gating across schema versions",
-                    got.map_or_else(|| "(none)".into(), |s| format!("'{s}'"))
-                );
+                eprintln!("serve_load: {e}");
                 return ExitCode::from(3);
             }
-        }
+        };
         let gated = |metric: &str| perfgate::metric_after(&committed, r#""gated":"#, metric);
         let (Some(b_sessions), Some(b_frames), Some(b_preds), Some(b_pos), Some(b_mis)) = (
             gated("sessions_completed"),
@@ -471,7 +456,7 @@ fn main() -> ExitCode {
             eprintln!("serve_load: baseline {path} is missing the equivalence digest");
             return ExitCode::FAILURE;
         };
-        println!("  perf gate vs {} (tol {:.0}%):", path, args.tol * 100.0);
+        println!("  perf gate vs {} (tol {:.0}%):", path, perfgate::TOL * 100.0);
         if let Some(b_pps) = perfgate::metric_anywhere(&committed, "predictions_per_sec") {
             perfgate::advise("predictions_per_sec", b_pps, totals.predictions as f64 / elapsed_s.max(1e-9));
         }
@@ -519,7 +504,7 @@ fn main() -> ExitCode {
         if !mis_ok {
             println!("  {:<34} baseline {:>16}  current {:>16}  FAIL", "serve mismatches", b_mis, totals.mismatches);
         }
-        if !perfgate::evaluate(&gates, args.tol) || !digest_ok || !mis_ok {
+        if !perfgate::evaluate(&gates) || !digest_ok || !mis_ok {
             eprintln!("serve_load: gated metrics regressed beyond tolerance");
             return ExitCode::FAILURE;
         }

@@ -1308,9 +1308,8 @@ mod telemetry_tests {
     #[test]
     fn telemetry_does_not_perturb_trace() {
         let off = scenario(21).run();
-        let mut s = scenario(21);
-        s.telemetry = TelemetryConfig::on();
-        let tele = Telemetry::new(s.telemetry);
+        let s = scenario(21);
+        let tele = Telemetry::new(TelemetryConfig::on());
         let on = s.run_instrumented(&tele);
         assert_eq!(off.encode(), on.encode(), "instrumentation must not perturb the trace");
     }
@@ -1318,9 +1317,8 @@ mod telemetry_tests {
     #[test]
     fn enabled_journal_is_deterministic() {
         let journal = || {
-            let mut s = scenario(22);
-            s.telemetry = TelemetryConfig::on();
-            let tele = Telemetry::new(s.telemetry);
+            let s = scenario(22);
+            let tele = Telemetry::new(TelemetryConfig::on());
             s.run_instrumented(&tele);
             tele.journal_jsonl()
         };
@@ -1340,9 +1338,8 @@ mod telemetry_tests {
 
     #[test]
     fn counters_match_trace_stats() {
-        let mut s = scenario(23);
-        s.telemetry = TelemetryConfig::on();
-        let tele = Telemetry::new(s.telemetry);
+        let s = scenario(23);
+        let tele = Telemetry::new(TelemetryConfig::on());
         let tr = s.run_instrumented(&tele);
         assert_eq!(tele.counter_value("sim.ticks"), tr.samples.len() as u64);
         assert_eq!(tele.counter_value("sim.handovers"), tr.handovers.len() as u64);
@@ -1359,8 +1356,7 @@ mod telemetry_tests {
     fn fault_injections_are_counted() {
         let mut s = scenario(24);
         s.faults = FaultConfig { mr_loss_prob: 0.5, ho_failure_prob: 0.5 };
-        s.telemetry = TelemetryConfig::on();
-        let tele = Telemetry::new(s.telemetry);
+        let tele = Telemetry::new(TelemetryConfig::on());
         let tr = s.run_instrumented(&tele);
         assert!(tele.counter_value("faults.mr_loss") > 0);
         assert_eq!(tele.counter_value("faults.ho_failure"), tr.ho_failures);
@@ -1368,9 +1364,8 @@ mod telemetry_tests {
 
     #[test]
     fn summary_reports_at_least_six_phases() {
-        let mut s = scenario(25);
-        s.telemetry = TelemetryConfig::on();
-        let tele = Telemetry::new(s.telemetry);
+        let s = scenario(25);
+        let tele = Telemetry::new(TelemetryConfig::on());
         s.run_instrumented(&tele);
         let summary = tele.summary();
         for phase in ["mobility", "ho_state_machine", "channel", "measurement", "policy", "link", "trace_append"] {

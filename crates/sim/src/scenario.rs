@@ -17,7 +17,7 @@ use crate::trace::Trace;
 use fiveg_geo::{routes, Point, Polyline};
 use fiveg_link::Cca;
 use fiveg_ran::{Arch, Carrier, Environment};
-use fiveg_telemetry::{Telemetry, TelemetryConfig};
+use fiveg_telemetry::Telemetry;
 use fiveg_ue::SpeedProfile;
 
 /// The traffic the UE runs during the scenario.
@@ -59,8 +59,6 @@ pub struct Scenario {
     pub workload: Workload,
     /// Fault injection.
     pub faults: FaultConfig,
-    /// Instrumentation (off by default; deterministic when on).
-    pub telemetry: TelemetryConfig,
     /// Forces the NSA bearer mode everywhere (`Some(true)` = dual,
     /// `Some(false)` = 5G-only); `None` follows the deployment's per-area
     /// configuration. Used by the §4.2 mode comparison.
@@ -70,7 +68,7 @@ pub struct Scenario {
 impl Scenario {
     /// Runs the scenario to completion and returns the recorded trace.
     pub fn run(&self) -> Trace {
-        engine::run_with(self, &Telemetry::new(self.telemetry), None)
+        engine::run_with(self, &Telemetry::disabled(), None)
     }
 
     /// Runs the scenario recording into a caller-owned [`Telemetry`] handle,
@@ -109,7 +107,6 @@ impl ScenarioBuilder {
                 max_duration_s: 3600.0,
                 workload: Workload::Idle,
                 faults: FaultConfig::NONE,
-                telemetry: TelemetryConfig::OFF,
                 force_dual: None,
             },
         }
@@ -199,12 +196,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Enables/configures telemetry (see [`TelemetryConfig`]).
-    pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.s.telemetry = cfg;
-        self
-    }
-
     /// Forces the NSA bearer mode for the whole area (§4.2's comparison).
     pub fn force_dual(mut self, dual: bool) -> Self {
         self.s.force_dual = Some(dual);
@@ -227,13 +218,6 @@ mod tests {
         assert_eq!(s.sample_hz, 20.0);
         assert_eq!(s.arch, Arch::Nsa);
         assert_eq!(s.workload, Workload::Idle);
-        assert_eq!(s.telemetry, TelemetryConfig::OFF);
-    }
-
-    #[test]
-    fn telemetry_opt_in() {
-        let s = ScenarioBuilder::city_loop(Carrier::OpX, 1).telemetry(TelemetryConfig::on()).build();
-        assert!(s.telemetry.enabled);
     }
 
     #[test]

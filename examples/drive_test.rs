@@ -37,11 +37,7 @@ fn main() {
     // instrumented: the summary below shows per-phase tick-loop timings,
     // HO counters, and the journaled event stream.
     let tele = Telemetry::new(TelemetryConfig::on());
-    let sa = ScenarioBuilder::freeway(Carrier::OpY, Arch::Sa, 20.0, 7)
-        .sample_hz(10.0)
-        .telemetry(TelemetryConfig::on())
-        .build()
-        .run_instrumented(&tele);
+    let sa = ScenarioBuilder::freeway(Carrier::OpY, Arch::Sa, 20.0, 7).sample_hz(10.0).build().run_instrumented(&tele);
     println!(
         "OpY SA bonus run: one MCGH every {:.2} km (paper: 0.9 km; NSA is ~2x more frequent)",
         km_per_ho(&sa, |_| true)
