@@ -136,14 +136,20 @@ fn bench_snapshot_refresh(c: &mut Bencher) {
         let d = Deployment::generate(&s.route, s.carrier, s.env, s.arch, s.seed);
         let ticks: Vec<(Point, f64)> = s.run().samples.iter().map(|x| (Point::new(x.pos.0, x.pos.1), x.t)).collect();
         let mut snap = RadioSnapshot::new();
-        let (mut screened, mut priced) = (0, 0);
+        let (mut screened, mut priced, mut sites) = (0, 0, 0);
         for &(pos, t) in &ticks {
             snap.refresh(&d, &pos, t, fiveg_sim::engine::SEARCH_RADIUS_M, true, true);
             screened += snap.screened();
             priced += snap.priced();
+            sites += snap.sites_located();
         }
         let n = ticks.len() as f64;
-        println!("{name:<36} {:>8.0} cells screened, {:>6.0} priced", screened as f64 / n, priced as f64 / n);
+        println!(
+            "{name:<36} {:>8.0} cells screened, {:>6.0} priced, {:>5.0} towers located",
+            screened as f64 / n,
+            priced as f64 / n,
+            sites as f64 / n
+        );
         let mut i = 0;
         c.bench_function(name, || {
             let (pos, t) = ticks[i % ticks.len()];

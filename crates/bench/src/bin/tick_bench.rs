@@ -38,8 +38,10 @@
 //! engine's traces — the engine's per-tick refresh calls — so they are
 //! exact and machine-independent. The printed summary also gives the cells
 //! per tick that passed the per-tick fading ceiling and paid for tier 1
-//! (blockage and pattern loss), so it shows which tier does the culling;
-//! that count is advisory and not in the report.
+//! (blockage and pattern loss), so it shows which tier does the culling,
+//! and the towers per tick whose geometry the refresh located
+//! ([`RadioSnapshot::sites_located`]); both counts are advisory and not in
+//! the report.
 //!
 //! Wall-clock numbers are machine-dependent by nature; the committed
 //! `BENCH_tick.json` records them on the development machine. With
@@ -178,6 +180,8 @@ struct SnapshotWork {
     tier1: u64,
     /// Cells whose exact rx was computed.
     priced: u64,
+    /// Towers whose geometry was located.
+    sites: u64,
 }
 
 fn snapshot_work(s: &Scenario, tr: &Trace) -> SnapshotWork {
@@ -190,6 +194,7 @@ fn snapshot_work(s: &Scenario, tr: &Trace) -> SnapshotWork {
         w.screened += snap.screened() as u64;
         w.tier1 += snap.tier1_cells() as u64;
         w.priced += snap.priced() as u64;
+        w.sites += snap.sites_located() as u64;
     }
     w
 }
@@ -376,6 +381,7 @@ fn main() -> ExitCode {
         work.screened += w.screened;
         work.tier1 += w.tier1;
         work.priced += w.priced;
+        work.sites += w.sites;
     }
     let per_tick = |n: u64| n as f64 / work.ticks as f64;
     let cells_per_tick = (per_tick(work.screened), per_tick(work.priced));
@@ -402,8 +408,9 @@ fn main() -> ExitCode {
     );
     let (screened, snapshot_priced) = cells_per_tick;
     println!(
-        "  snapshot prices {snapshot_priced:.1} of {screened:.1} screened cells/tick ({:.1} reach tier 1)",
-        per_tick(work.tier1)
+        "  snapshot prices {snapshot_priced:.1} of {screened:.1} screened cells/tick ({:.1} reach tier 1, {:.1} towers located)",
+        per_tick(work.tier1),
+        per_tick(work.sites)
     );
 
     let mut des_results = Vec::new();

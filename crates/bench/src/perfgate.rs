@@ -149,15 +149,29 @@ impl Gate {
         } else {
             "ok"
         };
-        format!(
-            "  {:<34} baseline {:>12.1}  current {:>12.1}  ratio {:>5.2}  {}",
-            self.what,
-            self.baseline,
-            self.current,
-            self.ratio(),
-            state
-        )
+        line(&self.what, self.baseline, self.current, state)
     }
+}
+
+/// `v` with four significant digits and at least one decimal, so a gated
+/// ratio such as `skip_ratio` 0.797 prints as `0.7970`, not `0.8`, and a
+/// drift well inside the [`TOL`] band can be read from the job log.
+fn num(v: f64) -> String {
+    let decimals = if v != 0.0 && v.is_finite() { (3 - v.abs().log10().floor() as i32).clamp(1, 8) } else { 1 };
+    format!("{v:.*}", decimals as usize)
+}
+
+/// One comparison line of the job log: baseline, current, their ratio and
+/// the verdict `state`.
+fn line(what: &str, baseline: f64, current: f64, state: &str) -> String {
+    format!(
+        "  {:<34} baseline {:>12}  current {:>12}  ratio {:>6.3}  {}",
+        what,
+        num(baseline),
+        num(current),
+        current / baseline,
+        state
+    )
 }
 
 /// Extracts the report's `"schema"` string (e.g. `fiveg-fleet/v4`), `None`
@@ -274,13 +288,7 @@ pub fn evaluate(gates: &[Gate]) -> bool {
 /// (absolute throughput, elapsed-time ratios). The numbers are worth seeing next to the gated
 /// verdicts, but a slow shared runner must never fail the job on them.
 pub fn advise(what: &str, baseline: f64, current: f64) {
-    println!(
-        "  {:<34} baseline {:>12.1}  current {:>12.1}  ratio {:>5.2}  advisory (machine-dependent, not gated)",
-        what,
-        baseline,
-        current,
-        current / baseline
-    );
+    println!("{}", line(what, baseline, current, "advisory (machine-dependent, not gated)"));
 }
 
 #[cfg(test)]
@@ -304,6 +312,28 @@ mod tests {
 
     fn gate(baseline: f64, current: f64, better: Better) -> Gate {
         Gate { what: "x".into(), baseline, current, better }
+    }
+
+    #[test]
+    fn gate_lines_show_drift_inside_the_band() {
+        // a 4.6% drift of a ratio-valued gate, well inside TOL, must be
+        // readable from the line: one decimal would print 0.8 twice
+        let g = Gate { what: "des city-sa skip_ratio".into(), baseline: 0.797, current: 0.760, better: Better::Band };
+        assert_eq!(
+            g.verdict(),
+            "  des city-sa skip_ratio             baseline       0.7970  current       0.7600  ratio  0.954  ok"
+        );
+        assert_eq!(
+            line("snapshot allocs_per_tick", 3.4512, 3.4487, "ok"),
+            "  snapshot allocs_per_tick           baseline        3.451  current        3.449  ratio  0.999  ok"
+        );
+        assert_eq!(num(40.241), "40.24");
+        assert_eq!(num(9037.0), "9037.0");
+        assert_eq!(num(525_895.4), "525895.4");
+        assert_eq!(num(0.0012346), "0.001235");
+        assert_eq!(num(0.0), "0.0");
+        assert_eq!(num(-0.5), "-0.5000");
+        assert_eq!(num(f64::NAN), "NaN");
     }
 
     #[test]

@@ -27,7 +27,9 @@ pub mod smoothing;
 
 pub use band::{Band, BandClass};
 pub use capacity::shannon_capacity_mbps;
-pub use noise::{LatticeCache, LatticePoint, NodeCache, SpatialNoise, TemporalNoise, TileMemo, UniformCache};
+pub use noise::{
+    LatticeCache, LatticePoint, NodeCache, NodePoint, SpatialNoise, TemporalNoise, TileMemo, UniformCache,
+};
 pub use propagation::{ChannelCache, PathLoss, Propagation};
 pub use rng::{hash2, DetRng};
 pub use rrs::{combine_dbm, compute_rrs, compute_rrs_with_mw, Rrs, NOISE_FLOOR_DBM};

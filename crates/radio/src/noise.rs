@@ -119,6 +119,37 @@ impl LatticePoint {
     }
 }
 
+/// Where a query time falls on a temporal process's node clock: its node
+/// `floor(t / corr_s)` and the smoothstep blend weight toward the next
+/// node, computed with the operations of [`TemporalNoise::sample`]. The
+/// time twin of [`LatticePoint`].
+///
+/// The location depends on the time and the correlation time only, not on
+/// any process's seed or sigma, so every process on the same clock can
+/// share one: a receiver that samples many cells' fading at one time
+/// locates it once per distinct correlation time (see
+/// [`Propagation::fading_db_located`](crate::Propagation::fading_db_located)).
+#[derive(Debug, Clone, Copy)]
+pub struct NodePoint {
+    corr_s: f64,
+    i0: i64,
+    w: f64,
+}
+
+impl NodePoint {
+    /// Locates `t` on the node clock of correlation time `corr_s` seconds.
+    #[inline]
+    pub fn locate(t: f64, corr_s: f64) -> Self {
+        let g = t / corr_s;
+        Self { corr_s, i0: g.floor() as i64, w: smooth(g - g.floor()) }
+    }
+
+    /// The correlation time this point was located on, seconds.
+    pub fn corr_s(&self) -> f64 {
+        self.corr_s
+    }
+}
+
 /// Key of a memo that holds nothing yet. No supported query locates there:
 /// a lattice coordinate of `i64::MAX` is the saturated cast of a position
 /// beyond ±9.2e18 lattice cells, where the blend's `x0 + 1` corner would
@@ -482,14 +513,27 @@ impl TemporalNoise {
         Self { seed, corr_s, sigma, u1_head: splitmix64(seed ^ U1_SALT) }
     }
 
+    /// The correlation time (node spacing), seconds: where a receiver
+    /// locates itself for [`TemporalNoise::sample_located`].
+    pub(crate) fn corr_s(&self) -> f64 {
+        self.corr_s
+    }
+
     /// Samples the process at time `t` seconds.
     pub fn sample(&self, t: f64) -> f64 {
-        let g = t / self.corr_s;
-        let i0 = g.floor() as i64;
-        let tt = smooth(g - g.floor());
-        let v0 = hash_gaussian(self.seed, i0, 0);
-        let v1 = hash_gaussian(self.seed, i0 + 1, 0);
-        self.sigma * (v0 + (v1 - v0) * tt)
+        self.sample_located(&NodePoint::locate(t, self.corr_s))
+    }
+
+    /// Samples the process at the time `at` locates, which must be located
+    /// on this process's clock ([`TemporalNoise::corr_s`]): the two node
+    /// gaussians, then the blend. The one definition behind
+    /// [`TemporalNoise::sample`].
+    #[inline]
+    pub(crate) fn sample_located(&self, at: &NodePoint) -> f64 {
+        debug_assert_eq!(at.corr_s, self.corr_s, "node point located on another clock");
+        let v0 = hash_gaussian(self.seed, at.i0, 0);
+        let v1 = hash_gaussian(self.seed, at.i0 + 1, 0);
+        self.sigma * (v0 + (v1 - v0) * at.w)
     }
 
     /// Upper bound on `sample(t)` at exactly `t` with no `ln`, `cos` or
@@ -503,9 +547,17 @@ impl TemporalNoise {
     /// Never above [`TemporalNoise::global_bound`]; costs four `splitmix64`
     /// rounds.
     #[inline]
-    pub(crate) fn ceiling_at(&self, t: f64) -> f64 {
-        let i0 = (t / self.corr_s).floor() as i64;
-        let h = hash_bits(self.u1_head, i0, 0).min(hash_bits(self.u1_head, i0 + 1, 0));
+    pub fn ceiling_at(&self, t: f64) -> f64 {
+        self.ceiling_located(&NodePoint::locate(t, self.corr_s))
+    }
+
+    /// [`TemporalNoise::ceiling_at`] at the time `at` locates (on this
+    /// process's clock): the bound on the two nodes
+    /// [`TemporalNoise::sample_located`] blends at that point.
+    #[inline]
+    pub(crate) fn ceiling_located(&self, at: &NodePoint) -> f64 {
+        debug_assert_eq!(at.corr_s, self.corr_s, "node point located on another clock");
+        let h = hash_bits(self.u1_head, at.i0, 0).min(hash_bits(self.u1_head, at.i0 + 1, 0));
         self.sigma * node_ceiling()[h.leading_zeros() as usize]
     }
 
@@ -541,12 +593,10 @@ impl TemporalNoise {
     /// [`TemporalNoise::sample`] with the two node gaussians memoized in
     /// `nodes`; bit-identical, same cache contract as [`NodeCache`].
     pub fn sample_cached(&self, t: f64, nodes: &mut NodeCache) -> f64 {
-        let g = t / self.corr_s;
-        let i0 = g.floor() as i64;
-        let tt = smooth(g - g.floor());
-        let v0 = nodes.node(self.seed, i0);
-        let v1 = nodes.node(self.seed, i0 + 1);
-        self.sigma * (v0 + (v1 - v0) * tt)
+        let at = NodePoint::locate(t, self.corr_s);
+        let v0 = nodes.node(self.seed, at.i0);
+        let v1 = nodes.node(self.seed, at.i0 + 1);
+        self.sigma * (v0 + (v1 - v0) * at.w)
     }
 
     /// Upper bound on `sample(t)` at exactly `t`: the sample is a convex
@@ -775,6 +825,45 @@ mod tests {
             }
         }
         assert_eq!(tight, samples, "a ceiling reached the global bound");
+    }
+
+    #[test]
+    fn located_fading_forms_are_bit_identical() {
+        // the located forms against the per-call operations they replace:
+        // the node index and smoothstep weight of `t`, the two-node blend,
+        // and the ceiling of the two nodes' `u1` hashes
+        let reference = |n: &TemporalNoise, t: f64| {
+            let g = t / n.corr_s;
+            let i0 = g.floor() as i64;
+            let tt = smooth(g - g.floor());
+            let (v0, v1) = (hash_gaussian(n.seed, i0, 0), hash_gaussian(n.seed, i0 + 1, 0));
+            let h = hash_bits(n.u1_head, i0, 0).min(hash_bits(n.u1_head, i0 + 1, 0));
+            (n.sigma * (v0 + (v1 - v0) * tt), n.sigma * node_ceiling()[h.leading_zeros() as usize])
+        };
+        let mut checked = 0;
+        for (seed, corr) in [(3u64, 0.05), (4, 0.25), (5, 0.1), (6, 0.037)] {
+            let n = TemporalNoise::new(seed, corr, 2.0 + seed as f64);
+            let mut clock = -3.0; // a 10 Hz clock accumulated the way the engine steps it
+            for k in -400i64..400 {
+                clock += 0.1;
+                let times = [
+                    k as f64 * corr,                 // exact node boundaries
+                    (k as f64 + 1.0) * corr - 1e-12, // just below the next one
+                    k as f64 * 0.0137,               // negative and positive off-node times
+                    clock,
+                ];
+                for t in times {
+                    let at = NodePoint::locate(t, n.corr_s());
+                    let (sample, ceiling) = reference(&n, t);
+                    assert_eq!(n.sample_located(&at).to_bits(), sample.to_bits(), "sample at t={t} (corr {corr})");
+                    assert_eq!(n.sample(t).to_bits(), sample.to_bits(), "sample(t) at t={t} (corr {corr})");
+                    assert_eq!(n.ceiling_located(&at).to_bits(), ceiling.to_bits(), "ceiling at t={t}");
+                    assert_eq!(n.ceiling_at(t).to_bits(), ceiling.to_bits(), "ceiling_at(t) at t={t}");
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 4 * 800 * 4);
     }
 
     #[test]

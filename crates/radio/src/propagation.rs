@@ -6,7 +6,9 @@
 //! of §4.1 come from blockage plus fast fading.
 
 use crate::band::{Band, BandClass};
-use crate::noise::{LatticeCache, LatticePoint, NodeCache, SpatialNoise, TemporalNoise, TileMemo, UniformCache};
+use crate::noise::{
+    LatticeCache, LatticePoint, NodeCache, NodePoint, SpatialNoise, TemporalNoise, TileMemo, UniformCache,
+};
 use fiveg_geo::Point;
 
 /// Per-receiver memo for one cell's stochastic channel: the shadowing
@@ -123,7 +125,14 @@ impl Propagation {
     /// clamped to 10 m like [`PathLoss::loss_db`]. It depends on the site
     /// only, so co-sited cells can share it.
     pub fn log_distance(site: &Point, ue: &Point) -> f64 {
-        site.distance(ue).max(10.0).log10()
+        Self::log_distance_m(site.distance(ue))
+    }
+
+    /// [`Propagation::log_distance`] of a link `dist_m` meters long, for a
+    /// caller that already holds the distance.
+    #[inline]
+    pub fn log_distance_m(dist_m: f64) -> f64 {
+        dist_m.max(10.0).log10()
     }
 
     /// The band this channel carries.
@@ -224,6 +233,19 @@ impl Propagation {
         self.fading.sample(t)
     }
 
+    /// The fading correlation time, seconds: the clock a receiver locates
+    /// the current time on for [`Propagation::fading_db_located`].
+    pub fn fading_corr_s(&self) -> f64 {
+        self.fading.corr_s()
+    }
+
+    /// [`Propagation::fading_db`] at the time `at` locates on
+    /// [`Propagation::fading_corr_s`]; bit-identical.
+    #[inline]
+    pub fn fading_db_located(&self, at: &NodePoint) -> f64 {
+        self.fading.sample_located(at)
+    }
+
     /// Assembles a received power from its parts: `(prefix + fading) −
     /// blockage`. The one definition of the operation order — every
     /// `received_dbm*` goes through it. Subtracting an exact 0 is the
@@ -247,17 +269,19 @@ impl Propagation {
         self.fading.global_bound()
     }
 
-    /// Upper bound on the fading term at exactly time `t` from the two
-    /// interpolated nodes' `u1` hashes alone (four `splitmix64` rounds, no
-    /// `ln`, `cos` or `u2` hash), never above [`Propagation::fading_bound`].
-    /// A node whose `u1` hash has `lz` leading zeros has `u1 >= 2^-(lz+1)`,
-    /// so its Box–Muller radius is at most `sqrt(2 (lz+1) ln 2)`; the
-    /// ceiling is `sigma` times that radius for the larger `lz`, from a fixed
-    /// table rounded up. Callers add [`BOUND_EPS_DB`](crate::BOUND_EPS_DB)
-    /// for the rounding of the two-node blend.
+    /// Upper bound on the fading term at exactly the time `at` locates (on
+    /// [`Propagation::fading_corr_s`]) from the two interpolated nodes' `u1`
+    /// hashes alone (four `splitmix64` rounds, no `ln`, `cos` or `u2` hash),
+    /// never above [`Propagation::fading_bound`]. A node whose `u1` hash has
+    /// `lz` leading zeros has `u1 >= 2^-(lz+1)`, so its Box–Muller radius is
+    /// at most `sqrt(2 (lz+1) ln 2)`; the ceiling is `sigma` times that
+    /// radius for the larger `lz`, from a fixed table rounded up (see
+    /// [`TemporalNoise::ceiling_at`]). Callers add
+    /// [`BOUND_EPS_DB`](crate::BOUND_EPS_DB) for the rounding of the
+    /// two-node blend.
     #[inline]
-    pub fn fading_ceiling_at(&self, t: f64) -> f64 {
-        self.fading.ceiling_at(t)
+    pub fn fading_ceiling_located(&self, at: &NodePoint) -> f64 {
+        self.fading.ceiling_located(at)
     }
 
     /// Upper bound on the fading term at exactly time `t`, from the two

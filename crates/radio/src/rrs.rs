@@ -60,19 +60,22 @@ pub fn combine_dbm(values: &[f64]) -> f64 {
 /// the serving cell's own contribution to RSSI.
 pub fn compute_rrs(serving_dbm: f64, interferers_dbm: &[f64], noise_dbm: f64) -> Rrs {
     let i: f64 = interferers_dbm.iter().copied().map(dbm_to_mw).sum();
-    compute_rrs_with_mw(serving_dbm, i, noise_dbm)
+    compute_rrs_with_mw(serving_dbm, i, dbm_to_mw(noise_dbm))
 }
 
-/// [`compute_rrs`] with the interference already power-summed in milliwatts.
+/// [`compute_rrs`] with the interference already power-summed and the
+/// noise floor converted, both in milliwatts.
 ///
 /// Hot-path variant: a caller maintaining a per-candidate interference table
-/// can accumulate `dbm_to_mw` terms itself and skip the slice round-trip.
-/// `compute_rrs` delegates here, so the two are result-identical as long as
-/// the caller sums terms in the same order the slice would.
-pub fn compute_rrs_with_mw(serving_dbm: f64, interference_mw: f64, noise_dbm: f64) -> Rrs {
+/// can accumulate `dbm_to_mw` terms itself and skip the slice round-trip,
+/// and a fixed noise floor is converted once, not per call. `compute_rrs`
+/// delegates here, so the two are result-identical as long as the caller
+/// sums terms in the same order the slice would and converts the floor with
+/// [`dbm_to_mw`].
+pub fn compute_rrs_with_mw(serving_dbm: f64, interference_mw: f64, noise_mw: f64) -> Rrs {
     let s = dbm_to_mw(serving_dbm);
     let i = interference_mw;
-    let n = dbm_to_mw(noise_dbm);
+    let n = noise_mw;
     let sinr_db = 10.0 * (s / (i + n)).log10();
     let rssi_dbm = mw_to_dbm(s + i + n);
     let rsrq_db = (serving_dbm - rssi_dbm - 3.0).clamp(-20.0, -3.0);

@@ -7,6 +7,7 @@
 use fiveg_geo::Point;
 use fiveg_radio::{Band, ChannelCache, NodeCache, Propagation, NOISE_FLOOR_DBM};
 use fiveg_rrc::Pci;
+use std::f64::consts::{PI, TAU};
 
 /// Dense index of a cell within a deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,6 +26,9 @@ pub struct Cell {
     pub pci: Pci,
     /// Carrier band (decides LTE vs NR and the band class).
     pub band: Band,
+    /// Index of `band` in [`Deployment::bands`](crate::Deployment::bands):
+    /// two cells share a band exactly when their indices are equal.
+    pub band_ix: u8,
     /// The hosting tower.
     pub tower: TowerId,
     /// Antenna position (the tower's position).
@@ -36,10 +40,11 @@ pub struct Cell {
     pub azimuth: Option<f64>,
     /// The stochastic channel from this cell to any UE position/time.
     pub propagation: Propagation,
-    /// Receiver noise floor over this cell's bandwidth, dBm — precomputed at
-    /// deployment-generation time (see [`Cell::noise_floor_dbm`]) so the
-    /// per-tick RRS path skips the log-bandwidth term.
-    pub noise_dbm: f64,
+    /// Receiver noise floor over this cell's bandwidth in milliwatts,
+    /// `dbm_to_mw(Cell::noise_floor_dbm(band))` — precomputed at
+    /// deployment-generation time so the per-tick RRS path skips the
+    /// log-bandwidth term and the conversion.
+    pub noise_mw: f64,
 }
 
 /// 3GPP-style sector-pattern half-power beamwidth, radians (65°).
@@ -57,14 +62,26 @@ impl Cell {
     pub fn pattern_loss_db(&self, ue: &Point) -> f64 {
         match self.azimuth {
             None => 0.0,
-            Some(boresight) => {
-                let bearing = self.site.bearing(ue);
-                let mut delta = (bearing - boresight).abs() % std::f64::consts::TAU;
-                if delta > std::f64::consts::PI {
-                    delta = std::f64::consts::TAU - delta;
-                }
-                (12.0 * (delta / SECTOR_BEAMWIDTH).powi(2)).min(SECTOR_MAX_ATT)
-            }
+            Some(_) => self.pattern_loss_toward(self.site.bearing(ue)),
+        }
+    }
+
+    /// [`Cell::pattern_loss_db`] toward a UE at `bearing` from the site
+    /// (`site.bearing(ue)`), so co-sited cells can share one bearing.
+    ///
+    /// The off-boresight angle folds `x = |bearing − boresight|` into
+    /// `[0, TAU)` without `fmod` where it can: `x` below `TAU` is kept,
+    /// `x − TAU` is taken below `2·TAU` and `x − 2·TAU` below `3·TAU`. By
+    /// Sterbenz's lemma (`y/2 ≤ x ≤ 2y` makes `x − y` exact) each
+    /// subtraction is exact, and so is `fmod`, so the fold equals
+    /// `x % TAU` bit for bit. Bearings lie in `[−π, π]` and the generator's
+    /// azimuths in `[0, 10π/3)`, so `x < 13π/3 < 3·TAU`; `%` remains the
+    /// fallback for anything larger.
+    #[inline]
+    pub fn pattern_loss_toward(&self, bearing: f64) -> f64 {
+        match self.azimuth {
+            None => 0.0,
+            Some(boresight) => sector_loss(off_boresight(bearing, boresight)),
         }
     }
 
@@ -87,13 +104,8 @@ impl Cell {
             return 0.0;
         }
         let dtheta = (reach_m / dist).asin();
-        let bearing = self.site.bearing(ue);
-        let mut delta0 = (bearing - boresight).abs() % std::f64::consts::TAU;
-        if delta0 > std::f64::consts::PI {
-            delta0 = std::f64::consts::TAU - delta0;
-        }
-        let d_lo = (delta0 - dtheta).max(0.0);
-        (12.0 * (d_lo / SECTOR_BEAMWIDTH).powi(2)).min(SECTOR_MAX_ATT)
+        let delta0 = off_boresight(self.site.bearing(ue), boresight);
+        sector_loss((delta0 - dtheta).max(0.0))
     }
 
     /// Received power at `ue` and time `t`, in dBm.
@@ -113,6 +125,38 @@ impl Cell {
     pub fn noise_floor_dbm(band: Band) -> f64 {
         NOISE_FLOOR_DBM + 10.0 * (band.bandwidth_mhz / 20.0).log10()
     }
+}
+
+/// `x % TAU` for `x ≥ 0`, by the exact subtractions of
+/// [`Cell::pattern_loss_toward`] below `3·TAU`.
+#[inline]
+fn fold_tau(x: f64) -> f64 {
+    if x < TAU {
+        x
+    } else if x < 2.0 * TAU {
+        x - TAU
+    } else if x < 3.0 * TAU {
+        x - 2.0 * TAU
+    } else {
+        x % TAU
+    }
+}
+
+/// The angle in `[0, π]` between `bearing` and `boresight`.
+#[inline]
+fn off_boresight(bearing: f64, boresight: f64) -> f64 {
+    let delta = fold_tau((bearing - boresight).abs());
+    if delta > PI {
+        TAU - delta
+    } else {
+        delta
+    }
+}
+
+/// Sector-pattern loss at `delta` radians off boresight, dB.
+#[inline]
+fn sector_loss(delta: f64) -> f64 {
+    (12.0 * (delta / SECTOR_BEAMWIDTH).powi(2)).min(SECTOR_MAX_ATT)
 }
 
 /// A physical tower hosting one or more cells.
@@ -141,11 +185,12 @@ mod tests {
             id: CellId(0),
             pci: Pci(100),
             band,
+            band_ix: 0,
             tower: TowerId(0),
             site: Point::ORIGIN,
             azimuth: None,
             propagation: Propagation::new(1, band, 46.0),
-            noise_dbm: Cell::noise_floor_dbm(band),
+            noise_mw: fiveg_radio::rrs::dbm_to_mw(Cell::noise_floor_dbm(band)),
         }
     }
 
@@ -250,6 +295,42 @@ mod tests {
             samples >= 10_000 && blocked >= 1_000 && back >= 1_000,
             "{samples} samples, {blocked} blocked, {back} back"
         );
+    }
+
+    #[test]
+    fn tau_fold_equals_fmod_bit_for_bit() {
+        // bearings over [−π, π] (ends included) against boresights over the
+        // generator's [0, 10π/3): |bearing − boresight| reaches past 2·TAU
+        let mut c = cell(N71);
+        let (mut second, mut third) = (0, 0);
+        for i in 0..=720 {
+            let bearing = -PI + i as f64 * (TAU / 720.0);
+            for j in 0..600 {
+                let boresight = j as f64 * (10.0 * PI / 3.0 / 600.0);
+                let x = (bearing - boresight).abs();
+                assert_eq!(fold_tau(x).to_bits(), (x % TAU).to_bits(), "x = {x}");
+                c.azimuth = Some(boresight);
+                let mut delta = x % TAU;
+                if delta > PI {
+                    delta = TAU - delta;
+                }
+                let want = (12.0 * (delta / SECTOR_BEAMWIDTH).powi(2)).min(SECTOR_MAX_ATT);
+                assert_eq!(c.pattern_loss_toward(bearing).to_bits(), want.to_bits(), "{bearing} vs {boresight}");
+                second += usize::from((TAU..2.0 * TAU).contains(&x));
+                third += usize::from(x >= 2.0 * TAU);
+            }
+            for x in [bearing.abs() + 2.0 * TAU, bearing.abs() + 3.0 * TAU, 1e3 + bearing, 1e300] {
+                assert_eq!(fold_tau(x).to_bits(), (x % TAU).to_bits(), "x = {x}");
+            }
+        }
+        assert!(second >= 10_000 && third >= 1_000, "{second} in [TAU, 2·TAU), {third} at or past 2·TAU");
+        // the boundaries themselves and the largest value below each
+        for x in [0.0, TAU, 2.0 * TAU, 3.0 * TAU] {
+            let below = f64::from_bits(x.to_bits().saturating_sub(1));
+            assert_eq!(fold_tau(x).to_bits(), (x % TAU).to_bits(), "x = {x}");
+            assert_eq!(fold_tau(below).to_bits(), (below % TAU).to_bits(), "x = {below}");
+        }
+        assert!(fold_tau(f64::NAN).is_nan());
     }
 
     #[test]

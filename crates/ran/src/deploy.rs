@@ -21,6 +21,7 @@ use crate::carrier::{Carrier, Environment};
 use crate::cell::{Cell, CellId, Tower, TowerId};
 use crate::ho::Arch;
 use fiveg_geo::{Point, Polyline};
+use fiveg_radio::rrs::dbm_to_mw;
 use fiveg_radio::{hash2, Band, BandClass, DetRng, Propagation, SpatialNoise};
 use fiveg_rrc::Pci;
 use std::collections::HashMap;
@@ -131,6 +132,9 @@ pub struct Deployment {
     pub towers: Vec<Tower>,
     /// All cells.
     pub cells: Vec<Cell>,
+    /// The distinct bands of `cells` in order of first use; [`Cell::band_ix`]
+    /// indexes it.
+    bands: Vec<Band>,
     lte_ids: Vec<CellId>,
     nr_ids: Vec<CellId>,
     /// Spatial index over cell sites, built once generation is complete.
@@ -156,6 +160,7 @@ impl Deployment {
             arch,
             towers: Vec::new(),
             cells: Vec::new(),
+            bands: Vec::new(),
             lte_ids: Vec::new(),
             nr_ids: Vec::new(),
             grid: GridIndex::default(),
@@ -336,10 +341,15 @@ impl Deployment {
             Environment::Urban => (1.2, 0.9),
             Environment::UrbanDense => (1.0, 1.0),
         };
+        let band_ix = self.bands.iter().position(|b| b.name == band.name).unwrap_or_else(|| {
+            self.bands.push(band);
+            self.bands.len() - 1
+        });
         let cell = Cell {
             id,
             pci,
             band,
+            band_ix: u8::try_from(band_ix).expect("more than 256 bands in one deployment"),
             tower,
             site,
             azimuth,
@@ -350,7 +360,7 @@ impl Deployment {
                 corr_scale,
                 sigma_scale,
             ),
-            noise_dbm: Cell::noise_floor_dbm(band),
+            noise_mw: dbm_to_mw(Cell::noise_floor_dbm(band)),
         };
         self.towers[tower.0 as usize].cells.push(id);
         if band.is_nr() {
@@ -382,6 +392,12 @@ impl Deployment {
         &self.cells[id.0 as usize]
     }
 
+    /// The distinct bands of the deployment's cells, in order of first use;
+    /// [`Cell::band_ix`] indexes this list.
+    pub fn bands(&self) -> &[Band] {
+        &self.bands
+    }
+
     /// The x-extent of the spatial grid index as `(x0, columns, bin_m)`:
     /// column `c` (`0 <= c < columns`) covers world x in
     /// `[(x0 + c) * bin_m, (x0 + c + 1) * bin_m)`. This is the partitioning
@@ -403,18 +419,24 @@ impl Deployment {
     /// first) — lets per-tick callers reuse one allocation across ticks.
     pub fn cells_near_into(&self, pos: &Point, radius_m: f64, out: &mut Vec<CellId>) {
         out.clear();
-        let r = (radius_m / GRID).ceil() as i64;
-        let cx = (pos.x / GRID).floor() as i64;
-        let cy = (pos.y / GRID).floor() as i64;
-        for dx in -r..=r {
-            for dy in -r..=r {
-                for &id in self.grid.bin(cx + dx, cy + dy) {
-                    if self.cell(id).site.distance(pos) <= radius_m {
-                        out.push(id);
-                    }
-                }
-            }
+        for bin in self.bins_near(pos, radius_m) {
+            out.extend(bin.iter().copied().filter(|&id| self.cell(id).site.distance(pos) <= radius_m));
         }
+    }
+
+    /// The grid bins that can hold a site within `radius_m` of `pos`, in
+    /// scan order (columns ascending, then rows ascending within a column;
+    /// ids in `CellId` order within a bin). Every radius scan walks these
+    /// bins, so [`Deployment::cells_near`] and the radio snapshot see
+    /// in-radius cells in one order. The square of bins around `pos` is
+    /// clamped to the index's extent: the bins outside it are empty.
+    pub(crate) fn bins_near(&self, pos: &Point, radius_m: f64) -> impl Iterator<Item = &[CellId]> + '_ {
+        let r = (radius_m / GRID).ceil() as i64;
+        let (cx, cy) = ((pos.x / GRID).floor() as i64, (pos.y / GRID).floor() as i64);
+        let g = &self.grid;
+        let (kx0, kx1) = (cx.saturating_sub(r).max(g.x0), cx.saturating_add(r).min(g.x0 + g.w - 1));
+        let (ky0, ky1) = (cy.saturating_sub(r).max(g.y0), cy.saturating_add(r).min(g.y0 + g.h - 1));
+        (kx0..=kx1).flat_map(move |kx| (ky0..=ky1).map(move |ky| g.bin(kx, ky)))
     }
 
     /// The strongest cells of a technology at `pos`/`t`, sorted by received
@@ -610,6 +632,29 @@ mod tests {
             let pos = Point::new(i as f64 * 1800.0, 40.0);
             d.cells_near_into(&pos, 3000.0, &mut buf);
             assert_eq!(buf, d.cells_near(&pos, 3000.0));
+        }
+    }
+
+    #[test]
+    fn cells_sit_at_their_tower_and_index_their_band() {
+        // the radio snapshot computes geometry per tower and keys bands by
+        // index, so both must stand in for the per-cell values exactly
+        for (carrier, env, arch) in [
+            (Carrier::OpX, Environment::UrbanDense, Arch::Nsa),
+            (Carrier::OpY, Environment::Urban, Arch::Sa),
+            (Carrier::OpZ, Environment::Freeway, Arch::Lte),
+            (Carrier::OpY, Environment::Freeway, Arch::Nsa),
+        ] {
+            let d = deployment(carrier, env, arch);
+            assert!(!d.cells.is_empty());
+            for c in &d.cells {
+                let tower = &d.towers[c.tower.0 as usize];
+                assert_eq!((c.site.x.to_bits(), c.site.y.to_bits()), (tower.pos.x.to_bits(), tower.pos.y.to_bits()));
+                assert_eq!(d.bands()[c.band_ix as usize].name, c.band.name, "cell {:?}", c.id);
+            }
+            for (i, b) in d.bands().iter().enumerate() {
+                assert!(d.bands()[..i].iter().all(|o| o.name != b.name), "band {} listed twice", b.name);
+            }
         }
     }
 

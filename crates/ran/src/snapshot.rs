@@ -17,7 +17,7 @@
 //!    `ub0` still reaches its `K`-th exact rx pays four hashes for a ceiling
 //!    on the fading term at `t` alone:
 //!    `ub_t = prefix + (σ·CEIL[lz] + ε)` (see
-//!    [`Propagation::fading_ceiling_at`]).
+//!    [`Propagation::fading_ceiling_located`]).
 //! 3. **Tier 1.** A cell whose `ub_t` still reaches the cut-off pays for the
 //!    position-only losses: `ub1 = (ub_t − blockage) − pattern`.
 //! 4. **Price.** Only if `ub1` reaches the cut-off too is the fading term
@@ -38,25 +38,38 @@
 //! once per refresh, and the per-band lists equal the per-band top `K` of
 //! [`Deployment::strongest`] bit for bit.
 //!
-//! Work a refresh shares across cells is done once per refresh. Co-sited
-//! cells (the sectors and bands of one tower) share the UE's distance term,
-//! so each refresh computes its `log10` once per tower and feeds it to
-//! [`Propagation::prefix_dbm_located`]. Cells on the same noise lattice
-//! share the UE's lattice cell and blend weights, so each refresh locates
-//! the UE once per distinct lattice spacing ([`LatticePoint`]) and each cell
-//! pays only its corner-memo key compare and blend — the same operations on
-//! the same values.
+//! Work a refresh shares across cells is done once per refresh, in the
+//! operations the per-cell form would use, so every value is the same:
+//!
+//! - **Towers.** Co-sited cells (the sectors and bands of one tower) share
+//!   the UE's geometry. The first wanted cell of a tower the grid scan
+//!   meets locates the tower: one `hypot` for the radius test (every
+//!   [`Cell::site`] is a copy of its tower's position) and, in radius, one
+//!   `log10` for the distance term fed to
+//!   [`Propagation::prefix_dbm_located`]. The bearing (one `atan2`) is
+//!   computed only when a sector of the tower reaches tier 1, and feeds
+//!   [`Cell::pattern_loss_toward`].
+//! - **Noise lattices.** Cells on the same noise lattice share the UE's
+//!   lattice cell and blend weights, so each refresh locates the UE once
+//!   per distinct lattice spacing ([`LatticePoint`]) and each cell pays
+//!   only its corner-memo key compare and blend.
+//! - **Fading clocks.** Cells with the same fading correlation time share
+//!   the node index and smoothstep weight of `t`, so each refresh locates
+//!   `t` once per distinct correlation time ([`NodePoint`]); the per-tick
+//!   ceiling and the exact fading draw both read that location.
 //!
 //! The buffers (including the per-cell noise-lattice caches, see
 //! [`fiveg_radio::ChannelCache`]) persist across ticks, so the steady-state
 //! tick allocates nothing here.
 //!
 //! [`Cell::rx_dbm`]: crate::Cell::rx_dbm
+//! [`Cell::site`]: crate::Cell::site
+//! [`Cell::pattern_loss_toward`]: crate::Cell::pattern_loss_toward
 
-use crate::cell::{Cell, CellId};
+use crate::cell::{Cell, CellId, TowerId};
 use crate::deploy::{rx_total_order, Deployment};
 use fiveg_geo::Point;
-use fiveg_radio::{ChannelCache, LatticePoint, Propagation, BOUND_EPS_DB};
+use fiveg_radio::{ChannelCache, LatticePoint, NodePoint, Propagation, BOUND_EPS_DB};
 use fiveg_rrc::Pci;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -72,24 +85,25 @@ use std::collections::HashMap;
 /// fresh snapshot per simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct RadioSnapshot {
-    /// Scratch for the grid scan ([`Deployment::cells_near_into`]).
-    near: Vec<CellId>,
     /// The wanted in-radius cells of this refresh with their screen bounds.
     screened: Vec<Screened>,
     /// Per-cell noise-lattice memo, indexed by `CellId`.
     caches: Vec<ChannelCache>,
-    /// Per-cell indices into `bands` and `lattices`, indexed by `CellId`.
+    /// Per-cell indices into `lattices` and `clocks`, indexed by `CellId`.
     slots: Vec<CellSlots>,
     /// The deployment's distinct noise-lattice spacings, each located at
     /// the current refresh's position.
     lattices: Vec<LatticePoint>,
-    /// Per-tower `(epoch, Propagation::log_distance)` of the current
-    /// refresh, indexed by `TowerId`; an entry is valid while its epoch
-    /// equals `epoch`.
-    sites: Vec<(u64, f64)>,
+    /// The deployment's distinct fading correlation times, each located at
+    /// the current refresh's time.
+    clocks: Vec<NodePoint>,
+    /// Per-tower geometry of the current refresh, indexed by `TowerId`.
+    sites: Vec<Site>,
     /// Refresh counter that dates the `sites` entries.
     epoch: u64,
-    /// Per-band seeds and exact top lists, indexed by `band_of`.
+    /// Towers the current refresh located.
+    located: usize,
+    /// Per-band seeds and exact top lists, indexed by [`Cell::band_ix`].
     bands: Vec<BandTop>,
     /// Cells this refresh paid tier 1 (blockage and pattern loss) for.
     tier1: usize,
@@ -102,12 +116,25 @@ pub struct RadioSnapshot {
     n_lte: usize,
 }
 
-/// A cell's indices into the snapshot's per-band and per-lattice tables.
+/// A cell's indices into the snapshot's per-lattice and per-clock tables.
 #[derive(Debug, Clone, Copy)]
 struct CellSlots {
-    band: u8,
     shadowing: u8,
     blockage: u8,
+    fading: u8,
+}
+
+/// One tower's geometry toward the UE, filled lazily per refresh. An entry
+/// is valid while its `epoch` equals the snapshot's.
+#[derive(Debug, Clone, Copy, Default)]
+struct Site {
+    epoch: u64,
+    /// `pos.distance(ue)`, meters.
+    dist: f64,
+    /// [`Propagation::log_distance_m`] of `dist`; set when `dist` is in radius.
+    log_d: f64,
+    /// `pos.bearing(ue)`; NaN until a sector of the tower reaches tier 1.
+    bearing: f64,
 }
 
 /// One wanted in-radius cell after the screen.
@@ -122,23 +149,23 @@ struct Screened {
     ub0: f64,
 }
 
-/// The per-tick screen bound of `c` at time `t`: `prefix + (ceiling + ε)`
-/// with the fading ceiling of [`Propagation::fading_ceiling_at`]. Never
-/// above the cell's `ub0`, since the ceiling never exceeds the fading bound.
-fn tick_bound(c: &Cell, prefix: f64, t: f64) -> f64 {
-    prefix + (c.propagation.fading_ceiling_at(t) + BOUND_EPS_DB)
+/// The per-tick screen bound of `c` at the time `at` locates:
+/// `prefix + (ceiling + ε)` with the fading ceiling of
+/// [`Propagation::fading_ceiling_located`]. Never above the cell's `ub0`, since
+/// the ceiling never exceeds the fading bound.
+fn tick_bound(c: &Cell, prefix: f64, at: &NodePoint) -> f64 {
+    prefix + (c.propagation.fading_ceiling_located(at) + BOUND_EPS_DB)
 }
 
-/// The exact rx from its parts, in the operation order of
-/// [`Cell::rx_dbm`].
-fn exact_rx(c: &Cell, prefix: f64, t: f64, blk: f64, pat: f64) -> f64 {
-    Propagation::received_from_parts(prefix, c.propagation.fading_db(t), blk) - pat
+/// The exact rx from its parts at the time `at` locates, in the operation
+/// order of [`Cell::rx_dbm`].
+fn exact_rx(c: &Cell, prefix: f64, at: &NodePoint, blk: f64, pat: f64) -> f64 {
+    Propagation::received_from_parts(prefix, c.propagation.fading_db_located(at), blk) - pat
 }
 
 /// One band's seeds (its highest screen bounds) and its exact top list.
 #[derive(Debug, Clone, Copy)]
 struct BandTop {
-    name: &'static str,
     nr: bool,
     /// `fading_bound() + BOUND_EPS_DB`, maximized over the band's cells:
     /// above any of their fading terms at any time.
@@ -152,9 +179,8 @@ struct BandTop {
 }
 
 impl BandTop {
-    fn new(name: &'static str, nr: bool) -> Self {
+    fn new(nr: bool) -> Self {
         BandTop {
-            name,
             nr,
             fading_bound: f64::NEG_INFINITY,
             seeds: [(0, 0.0); RadioSnapshot::PER_BAND],
@@ -248,32 +274,40 @@ impl RadioSnapshot {
         self.screened.clear();
         self.tier1 = 0;
         self.priced = 0;
+        self.located = 0;
         self.epoch += 1;
         for l in &mut self.lattices {
             *l = LatticePoint::locate(pos, l.spacing());
         }
-        d.cells_near_into(pos, radius_m, &mut self.near);
-        for i in 0..self.near.len() {
-            let id = self.near[i];
-            let c = d.cell(id);
-            if !(if c.is_nr() { want_nr } else { want_lte }) {
-                continue;
+        for c in &mut self.clocks {
+            *c = NodePoint::locate(t, c.corr_s());
+        }
+        // the scan order of `Deployment::cells_near`, with the radius test
+        // done once per tower
+        for bin in d.bins_near(pos, radius_m) {
+            for &id in bin {
+                let c = d.cell(id);
+                if !(if c.is_nr() { want_nr } else { want_lte }) {
+                    continue;
+                }
+                let Some(log_d) = self.site(d, c.tower, pos, radius_m) else {
+                    continue;
+                };
+                let (prefix, ub0) = self.screen(c, log_d);
+                self.bands[c.band_ix as usize].offer_seed(self.screened.len(), ub0);
+                self.screened.push(Screened { id, band: c.band_ix, prefix, ub0 });
             }
-            let (prefix, ub0) = self.screen(c, pos);
-            let band = self.slots[id.0 as usize].band;
-            self.bands[band as usize].offer_seed(self.screened.len(), ub0);
-            self.screened.push(Screened { id, band, prefix, ub0 });
         }
         // seed every band with its highest bounds, then sweep the rest
         // against the cut-offs the seeds set
         for b in 0..self.bands.len() {
             for s in 0..self.bands[b].n_seeds {
-                self.price(d, self.bands[b].seeds[s].0, pos, t);
+                self.price(d, self.bands[b].seeds[s].0, pos);
             }
         }
         for k in 0..self.screened.len() {
             if !self.bands[self.screened[k].band as usize].is_seed(k) {
-                self.price(d, k, pos, t);
+                self.price(d, k, pos);
             }
         }
         self.legs.clear();
@@ -291,27 +325,23 @@ impl RadioSnapshot {
     }
 
     /// Sizes the per-cell and per-tower tables for `d` and assigns each cell
-    /// its band and lattice slots.
+    /// its lattice and clock slots.
     fn bind(&mut self, d: &Deployment) {
-        self.sites = vec![(0, 0.0); d.towers.len()];
+        self.sites = vec![Site::default(); d.towers.len()];
         self.caches = vec![ChannelCache::default(); d.cells.len()];
-        self.bands.clear();
+        self.bands = d.bands().iter().map(|b| BandTop::new(b.is_nr())).collect();
         self.lattices.clear();
+        self.clocks.clear();
         self.slots = Vec::with_capacity(d.cells.len());
         for c in &d.cells {
-            let band = match self.bands.iter().position(|b| b.name == c.band.name) {
-                Some(i) => i,
-                None => {
-                    self.bands.push(BandTop::new(c.band.name, c.is_nr()));
-                    self.bands.len() - 1
-                }
-            };
-            let b = &mut self.bands[band];
+            // the per-tower geometry stands in for the cell's own
+            debug_assert!(c.site == d.towers[c.tower.0 as usize].pos, "cell {:?} is not at its tower", c.id);
+            let b = &mut self.bands[c.band_ix as usize];
             b.fading_bound = b.fading_bound.max(c.propagation.fading_bound() + BOUND_EPS_DB);
             let slots = CellSlots {
-                band: u8::try_from(band).expect("more than 256 bands in one deployment"),
                 shadowing: self.lattice_slot(c.propagation.shadowing_spacing()),
                 blockage: self.lattice_slot(c.propagation.blockage_spacing()),
+                fading: self.clock_slot(c.propagation.fading_corr_s()),
             };
             self.slots.push(slots);
         }
@@ -326,51 +356,83 @@ impl RadioSnapshot {
         u8::try_from(i).expect("more than 256 noise lattices in one deployment")
     }
 
+    /// The index into `clocks` of correlation time `corr_s`, added if new.
+    fn clock_slot(&mut self, corr_s: f64) -> u8 {
+        let i = self.clocks.iter().position(|c| c.corr_s() == corr_s).unwrap_or_else(|| {
+            self.clocks.push(NodePoint::locate(0.0, corr_s));
+            self.clocks.len() - 1
+        });
+        u8::try_from(i).expect("more than 256 fading clocks in one deployment")
+    }
+
+    /// The distance term of `tower` toward `pos` if the tower lies within
+    /// `radius_m` (inclusive, like [`Deployment::cells_near`]), locating
+    /// the tower on its first visit of the refresh.
+    fn site(&mut self, d: &Deployment, tower: TowerId, pos: &Point, radius_m: f64) -> Option<f64> {
+        let s = &mut self.sites[tower.0 as usize];
+        if s.epoch != self.epoch {
+            let dist = d.towers[tower.0 as usize].pos.distance(pos);
+            let log_d = if dist <= radius_m { Propagation::log_distance_m(dist) } else { f64::NAN };
+            *s = Site { epoch: self.epoch, dist, log_d, bearing: f64::NAN };
+            self.located += 1;
+        }
+        (s.dist <= radius_m).then_some(s.log_d)
+    }
+
+    /// The bearing of `pos` from `tower`, a tower this refresh located:
+    /// computed on first use.
+    fn bearing(&mut self, d: &Deployment, tower: TowerId, pos: &Point) -> f64 {
+        let s = &mut self.sites[tower.0 as usize];
+        debug_assert_eq!(s.epoch, self.epoch, "bearing of a tower this refresh did not locate");
+        if s.bearing.is_nan() {
+            s.bearing = d.towers[tower.0 as usize].pos.bearing(pos);
+        }
+        s.bearing
+    }
+
     /// Offers screened cell `k` to its band: per-tick fading ceiling (once
     /// the band has a cut-off), tier-1 bound, then the exact rx, each only
     /// while the band's cut-off admits it.
-    fn price(&mut self, d: &Deployment, k: usize, pos: &Point, t: f64) {
+    fn price(&mut self, d: &Deployment, k: usize, pos: &Point) {
         let Screened { id, band, prefix, ub0 } = self.screened[k];
         let band_ix = band as usize;
         if !self.bands[band_ix].admits(ub0) {
             return;
         }
         let c = d.cell(id);
+        let at = self.clocks[self.slots[id.0 as usize].fading as usize];
         // below a full list's cut-off every priced cell is admitted anyway,
         // so the per-tick ceiling is only worth its hashes once it can cull
-        let ub = if self.bands[band_ix].full() { tick_bound(c, prefix, t) } else { ub0 };
+        let ub = if self.bands[band_ix].full() { tick_bound(c, prefix, &at) } else { ub0 };
         if !self.bands[band_ix].admits(ub) {
             return;
         }
         self.tier1 += 1;
-        let (blk, pat, ub1) = self.tier1(c, pos, ub);
+        let (blk, pat, ub1) = self.tier1(d, c, pos, ub);
         let band = &mut self.bands[band_ix];
         if !band.admits(ub1) {
             return;
         }
         self.priced += 1;
-        band.insert((id, exact_rx(c, prefix, t, blk, pat)));
+        band.insert((id, exact_rx(c, prefix, &at, blk, pat)));
     }
 
-    /// The position-only prefix of `c` at `pos` and its screen bound `ub0`.
-    fn screen(&mut self, c: &Cell, pos: &Point) -> (f64, f64) {
-        let site = &mut self.sites[c.tower.0 as usize];
-        if site.0 != self.epoch {
-            *site = (self.epoch, Propagation::log_distance(&c.site, pos));
-        }
-        let slots = self.slots[c.id.0 as usize];
-        let at = &self.lattices[slots.shadowing as usize];
-        let prefix = c.propagation.prefix_dbm_located(site.1, at, &mut self.caches[c.id.0 as usize]);
-        (prefix, prefix + self.bands[slots.band as usize].fading_bound)
+    /// The position-only prefix of `c` from its tower's distance term
+    /// `log_d` and its screen bound `ub0`.
+    fn screen(&mut self, c: &Cell, log_d: f64) -> (f64, f64) {
+        let at = &self.lattices[self.slots[c.id.0 as usize].shadowing as usize];
+        let prefix = c.propagation.prefix_dbm_located(log_d, at, &mut self.caches[c.id.0 as usize]);
+        (prefix, prefix + self.bands[c.band_ix as usize].fading_bound)
     }
 
     /// The position-only losses `(blockage, pattern)` of `c` at `pos` and
     /// the tier-1 bound `ub1 = (ub − blockage) − pattern` on top of the
     /// fading bound `ub`.
-    fn tier1(&mut self, c: &Cell, pos: &Point, ub: f64) -> (f64, f64, f64) {
+    fn tier1(&mut self, d: &Deployment, c: &Cell, pos: &Point, ub: f64) -> (f64, f64, f64) {
         let at = &self.lattices[self.slots[c.id.0 as usize].blockage as usize];
         let blk = c.propagation.blockage_db_located(at, &mut self.caches[c.id.0 as usize]);
-        let pat = c.pattern_loss_db(pos);
+        // an omni cell has no pattern loss and needs no bearing
+        let pat = if c.azimuth.is_some() { c.pattern_loss_toward(self.bearing(d, c.tower, pos)) } else { 0.0 };
         (blk, pat, ub - blk - pat)
     }
 
@@ -401,6 +463,13 @@ impl RadioSnapshot {
     /// Cells the last refresh priced exactly (drew the fading term for).
     pub fn priced(&self) -> usize {
         self.priced
+    }
+
+    /// Towers whose geometry (distance, and the bearing where a sector
+    /// reached tier 1) the last refresh computed: those with a wanted cell
+    /// in a scanned grid bin.
+    pub fn sites_located(&self) -> usize {
+        self.located
     }
 }
 
@@ -526,6 +595,54 @@ mod tests {
         }
     }
 
+    /// Refreshes `snap` at `(pos, t, radius)` with both legs wanted and
+    /// checks it against the referee, and its screen against every cell of
+    /// `d` whose site lies within `radius` (inclusive).
+    fn assert_refresh_exact(d: &Deployment, snap: &mut RadioSnapshot, pos: &Point, t: f64, radius: f64) {
+        snap.refresh(d, pos, t, radius, true, true);
+        for nr in [false, true] {
+            assert_eq!(snap.strongest(nr), &per_band_top(d, pos, t, nr, radius)[..], "nr={nr} at {pos:?} r={radius}");
+        }
+        let in_radius = d.cells.iter().filter(|c| c.site.distance(pos) <= radius).count();
+        assert_eq!(snap.screened(), in_radius, "at {pos:?} r={radius}");
+        let towers = d.towers.iter().filter(|tw| tw.pos.distance(pos) <= radius).count();
+        assert!(snap.sites_located() >= towers, "{} towers located, {towers} in radius", snap.sites_located());
+    }
+
+    #[test]
+    fn tower_exactly_at_the_radius_is_screened() {
+        // the radius bound is inclusive: a tower at exactly `radius` is in,
+        // one ulp less leaves its cells out
+        let d = deployment(Environment::UrbanDense, Arch::Nsa);
+        let mut snap = RadioSnapshot::new();
+        let pos = Point::new(311.7, -143.2);
+        for tw in d.towers.iter().step_by(7) {
+            let radius = tw.pos.distance(&pos);
+            assert_refresh_exact(&d, &mut snap, &pos, 4.2, radius);
+            let screened = snap.screened();
+            assert_refresh_exact(&d, &mut snap, &pos, 4.2, f64::from_bits(radius.to_bits() - 1));
+            assert!(snap.screened() + tw.cells.len() <= screened, "tower {:?} at r={radius}", tw.id);
+        }
+    }
+
+    #[test]
+    fn radius_beyond_the_deployment_clamps_the_scan() {
+        // a short freeway leg: a few bins of grid index, scanned with radii
+        // that reach far past it, from inside and from outside its extent
+        let route = routes::freeway_leg(Point::ORIGIN, 0.3, 2_500.0);
+        let d = Deployment::generate(&route, Carrier::OpY, Environment::Freeway, Arch::Nsa, 23);
+        let mut snap = RadioSnapshot::new();
+        for (i, pos) in
+            [Point::new(900.0, 250.0), Point::new(-40_000.0, 35_000.0), Point::new(1e6, -1e6)].iter().enumerate()
+        {
+            for radius in [8_000.0, 60_000.0, 5e6] {
+                assert_refresh_exact(&d, &mut snap, pos, i as f64 * 0.7, radius);
+            }
+        }
+        assert_eq!(snap.screened(), d.cells.len(), "a 5000 km radius holds every cell");
+        assert_eq!(snap.sites_located(), d.towers.len());
+    }
+
     #[test]
     fn unwanted_legs_stay_empty() {
         let d = deployment(Environment::Freeway, Arch::Nsa);
@@ -552,10 +669,12 @@ mod tests {
                 let c = d.cell(id);
                 for k in 0..12 {
                     let t = i as f64 * 1.37 + k as f64 * 0.173;
-                    let (prefix, ub0) = snap.screen(c, &pos);
-                    let ub_t = tick_bound(c, prefix, t);
-                    let (blk, pat, ub1) = snap.tier1(c, &pos, ub_t);
-                    let rx = exact_rx(c, prefix, t, blk, pat);
+                    let log_d = snap.site(&d, c.tower, &pos, 3000.0).expect("an in-radius tower");
+                    let (prefix, ub0) = snap.screen(c, log_d);
+                    let at = NodePoint::locate(t, c.propagation.fading_corr_s());
+                    let ub_t = tick_bound(c, prefix, &at);
+                    let (blk, pat, ub1) = snap.tier1(&d, c, &pos, ub_t);
+                    let rx = exact_rx(c, prefix, &at, blk, pat);
                     assert_eq!(rx.to_bits(), c.rx_dbm(&pos, t).to_bits(), "cell {id:?} at {pos:?} t={t}");
                     assert!(
                         rx <= ub1 && ub1 <= ub_t && ub_t <= ub0,
@@ -596,7 +715,7 @@ mod tests {
                 if rev {
                     order.reverse();
                 }
-                let mut b = BandTop::new("n41", true);
+                let mut b = BandTop::new(true);
                 for e in order {
                     b.insert(e);
                 }
@@ -605,7 +724,7 @@ mod tests {
         }
         // the cut-off admits ties (a lower CellId would outrank the last
         // entry) and culls anything strictly weaker
-        let mut b = BandTop::new("n41", true);
+        let mut b = BandTop::new(true);
         for e in entries {
             b.insert(e);
         }

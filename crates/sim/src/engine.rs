@@ -72,26 +72,26 @@ struct LegScratch {
     mw_adj: Vec<f64>,
 }
 
-/// Fixed-capacity inline per-band counter — replaces the transient
-/// `HashMap<&str, usize>` the leg view used to rebuild twice per tick. A leg
-/// sees at most a handful of bands (bounded by the carrier profile), so a
-/// linear scan wins and nothing allocates.
+/// Fixed-capacity inline per-band counter keyed by [`fiveg_ran::Cell::band_ix`]
+/// — replaces the transient `HashMap<&str, usize>` the leg view used to
+/// rebuild twice per tick. A leg sees at most a handful of bands (bounded by
+/// the carrier profile), so a linear scan wins and nothing allocates.
 struct BandTally {
-    entries: [(&'static str, usize); 16],
+    entries: [(u8, usize); 16],
     len: usize,
 }
 
 impl BandTally {
     fn new() -> Self {
-        BandTally { entries: [("", 0); 16], len: 0 }
+        BandTally { entries: [(0, 0); 16], len: 0 }
     }
 
-    /// True when `name` has been taken fewer than `cap` times so far,
+    /// True when band `ix` has been taken fewer than `cap` times so far,
     /// incrementing its count — the `entry().or_insert()`-then-compare idiom
     /// it replaces.
-    fn take_below(&mut self, name: &'static str, cap: usize) -> bool {
+    fn take_below(&mut self, ix: u8, cap: usize) -> bool {
         for e in self.entries[..self.len].iter_mut() {
-            if e.0 == name {
+            if e.0 == ix {
                 if e.1 < cap {
                     e.1 += 1;
                     return true;
@@ -100,7 +100,7 @@ impl BandTally {
             }
         }
         assert!(self.len < self.entries.len(), "more than {} bands in one leg", self.entries.len());
-        self.entries[self.len] = (name, 1);
+        self.entries[self.len] = (ix, 1);
         self.len += 1;
         true
     }
@@ -175,11 +175,11 @@ fn fill_leg_view(
         let me = d.cell(id);
         let mut i_mw = 0.0;
         for (k, &(other, _)) in ranked.iter().enumerate() {
-            if other != id && d.cell(other).band.name == me.band.name {
+            if other != id && d.cell(other).band_ix == me.band_ix {
                 i_mw += mw_adj[k];
             }
         }
-        compute_rrs_with_mw(rx, i_mw, me.noise_dbm)
+        compute_rrs_with_mw(rx, i_mw, me.noise_mw)
     };
 
     for &(id, _) in ranked.iter() {
@@ -216,7 +216,7 @@ fn fill_leg_view(
         if Some(id) == serving {
             continue;
         }
-        if nb_per_band.take_below(d.cell(id).band.name, 2) {
+        if nb_per_band.take_below(d.cell(id).band_ix, 2) {
             view.neighbors.push(Measurement {
                 pci: d.cell(id).pci,
                 rrs: rrs_of(id, rx),

@@ -558,11 +558,12 @@ mod tests {
                     id: CellId(0),
                     pci: Pci(1),
                     band,
+                    band_ix: 0,
                     tower: TowerId(0),
                     site: Point::ORIGIN,
                     azimuth: None,
                     propagation: Propagation::new(seed, band, tx),
-                    noise_dbm: Cell::noise_floor_dbm(band),
+                    noise_mw: fiveg_radio::rrs::dbm_to_mw(Cell::noise_floor_dbm(band)),
                 };
                 let p = c.propagation;
                 let mut tiles = TileMemo::default();
