@@ -15,7 +15,6 @@
 //! mode simply adds the 100k point. Summaries stream (no per-UE traces are
 //! retained), `ue_ticks` comes from the deterministic per-UE tick counts in
 //! the [`FleetTrace`], and `bench.allocs` from a counting global allocator.
-//! The report is written as `BENCH_fleet.json` (schema `fiveg-fleet/v4`).
 //!
 //! ```text
 //! fleet_bench [--smoke] [--threads N] [--shards N] [--sizes CSV]
@@ -30,27 +29,17 @@
 //! its dry runs paid for (telemetry counter `fleet.plan_evals`), and
 //! `plan_tiles`, the shadowing tiles its screens hashed
 //! (`fleet.plan_tiles`). The two runs must agree on `ue_ticks` exactly — a
-//! divergence fails the job before any gating. `event_speedup` (fixed
-//! elapsed / event elapsed) is reported for reading, not for gating.
+//! divergence fails the job before any gating.
 //!
-//! With `--baseline`, the run refuses a baseline of another schema
-//! ([`perfgate::load_baseline`]), then gates each size's
-//! **machine-independent** metrics against the committed report, pairing
-//! rows by their `n_ues` value ([`perfgate::fleet_row`], never by array
-//! position) — `ue_ticks`, `skip_ratio`, `plan_evals` and `plan_tiles` as
-//! bands (all deterministic for the pinned scenario at a fixed geometry;
-//! drift in either direction means the workload or the wakeup planner
-//! changed) and `allocs_per_ue_tick` lower-is-better — and exits nonzero
-//! past [`perfgate::TOL`]; this is the gating CI perf job, which pins
-//! `--threads 1 --shards 16` to match the committed baseline's geometry.
-//! UE·ticks/sec and `event_speedup` are printed as advisory comparisons
-//! only: the baseline's wall clock came from a different machine than the
-//! CI runner's, and even a same-process time ratio moves by a fifth
-//! between two runs of unchanged code (see `fiveg_bench::perfgate`).
-//! Sizes absent from the baseline are skipped so a new size never fails
-//! the job that introduces it, but a matched row that lacks a gated key
-//! fails the run, and so does a baseline that matches *no* measured size —
-//! a reformatted baseline must not silently gate less.
+//! The report (`BENCH_fleet.json`, schema `fiveg-fleet/v5`) holds the
+//! pinned configuration (threads, shards, event-driven or not, the base
+//! scenario) and one gated [`row`] per size; with `--baseline` the run
+//! gates them against the committed report, pairing rows by `n_ues` value,
+//! and exits nonzero past [`perfgate::TOL`] (see `fiveg_bench::perfgate`).
+//! A baseline of another configuration is refused before anything runs:
+//! `plan_tiles` counts per-worker memos, so it is exact only at a fixed
+//! geometry. UE·ticks/s, the event-driven speedup and the ungated counts
+//! are printed only.
 //!
 //! `--verify-shards` is the other machine-independent gate, now three
 //! checks deep: (1) one migration-heavy fleet run on 1 thread × 1 shard and
@@ -64,12 +53,11 @@
 //! every per-UE control-plane field and the load summary. Any divergence
 //! exits nonzero before the timing runs start.
 
-use fiveg_bench::perfgate::{self, Better, CountingAlloc, Gate, ALLOCS};
-use fiveg_bench::report::JsonBuf;
+use fiveg_bench::perfgate::{self, Baseline, CountingAlloc, Row, ALLOCS};
 use fiveg_ran::{Arch, Carrier};
 use fiveg_sim::{
     run_fleet_exec_instrumented, EngineMode, FleetExec, FleetSpec, FleetTrace, Scenario, ScenarioBuilder, Telemetry,
-    TelemetryConfig,
+    TelemetryConfig, UeSummary,
 };
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
@@ -77,7 +65,7 @@ use std::time::Instant;
 
 /// The report schema this binary writes and the only one it will gate
 /// against.
-const SCHEMA: &str = "fiveg-fleet/v4";
+const SCHEMA: &str = "fiveg-fleet/v5";
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -183,20 +171,11 @@ fn spec(n_ues: u32) -> FleetSpec {
     FleetSpec::new(base_scenario(duration_s(n_ues)), n_ues).stagger_s(10.0).speed_jitter(0.1)
 }
 
-/// The event-driven half of a size's measurements. All fields except the
-/// three elapsed-derived ones are deterministic for the pinned scenario.
+/// The gated values of the event-driven run of one size.
 struct EventResult {
-    elapsed_s: f64,
-    ue_ticks_per_sec: f64,
-    /// fixed elapsed / event elapsed, same process, same machine; advisory.
-    speedup: f64,
-    skipped_ue_ticks: u64,
     /// `skipped_ue_ticks / ue_ticks` — the fraction of the fixed-step work
     /// the scheduler proved inert and never executed.
     skip_ratio: f64,
-    sleeps: u64,
-    load_wakes: u64,
-    wake_hist: [u64; 4],
     /// Exact channel evaluations of the sleep planner's dry runs.
     plan_evals: u64,
     /// Shadowing tiles the sleep planner's screens hashed (per-worker
@@ -204,20 +183,16 @@ struct EventResult {
     plan_tiles: u64,
 }
 
+/// The gated values of one size.
 struct SizeResult {
     n_ues: u32,
-    duration_s: f64,
-    ticks: u64,
     ue_ticks: u64,
-    elapsed_s: f64,
-    ue_ticks_per_sec: f64,
     allocs_per_ue_tick: f64,
-    peak_cell_ues: u32,
-    contended_ue_ticks: u64,
-    migrations: u64,
     event: Option<EventResult>,
 }
 
+/// Runs one size fixed-step (and, with `event`, event-driven), printing
+/// the throughput and the ungated counts.
 fn bench_size(n_ues: u32, exec: FleetExec, event: bool, sink: Option<&Telemetry>) -> Result<SizeResult, String> {
     // journal-less deterministic telemetry: cheap enough to leave on in the
     // timed region, and it carries the fleet.* work counters
@@ -235,6 +210,17 @@ fn bench_size(n_ues: u32, exec: FleetExec, event: bool, sink: Option<&Telemetry>
     // deterministic work count, straight from the trace (equals the
     // absorbed sim.ticks counter; independent of threads and shards)
     let ue_ticks: u64 = ft.ues.iter().map(|u| u.ticks).sum();
+    let allocs_per_ue_tick = allocs as f64 / ue_ticks as f64;
+    println!(
+        "  {:>7} UEs  {:>10} UE·ticks in {:>7.2} s -> {:>9.0} UE·ticks/s, {:>6.2} allocs/UE·tick, peak cell {:>5}, {:>6} migrations",
+        n_ues,
+        ue_ticks,
+        elapsed_s,
+        ue_ticks as f64 / elapsed_s,
+        allocs_per_ue_tick,
+        ft.load.peak_cell_ues,
+        tele.counter_value("fleet.migrations")
+    );
 
     let event = if event {
         let ev_tele = counters();
@@ -248,53 +234,70 @@ fn bench_size(n_ues: u32, exec: FleetExec, event: bool, sink: Option<&Telemetry>
             ));
         }
         let sched = ev.sched.ok_or_else(|| format!("event-driven run at {n_ues} UEs returned no SchedSummary"))?;
-        Some(EventResult {
-            elapsed_s: ev_elapsed,
-            ue_ticks_per_sec: ue_ticks as f64 / ev_elapsed,
-            speedup: elapsed_s / ev_elapsed,
-            skipped_ue_ticks: sched.skipped_ue_ticks,
+        let r = EventResult {
             skip_ratio: sched.skipped_ue_ticks as f64 / ue_ticks as f64,
-            sleeps: sched.sleeps,
-            load_wakes: sched.load_wakes,
-            wake_hist: sched.wake_hist,
             plan_evals: ev_tele.counter_value("fleet.plan_evals"),
             plan_tiles: ev_tele.counter_value("fleet.plan_tiles"),
-        })
+        };
+        println!(
+            "          event-driven: {:>7.2} s  -> {:>9.0} UE·ticks/s ({:.2}x), skip ratio {:.3} ({} sleeps, {} load wakes, wake hist {:?}), {} plan evals, {} plan tiles",
+            ev_elapsed,
+            ue_ticks as f64 / ev_elapsed,
+            elapsed_s / ev_elapsed,
+            r.skip_ratio,
+            sched.sleeps,
+            sched.load_wakes,
+            sched.wake_hist,
+            r.plan_evals,
+            r.plan_tiles
+        );
+        Some(r)
     } else {
         None
     };
 
-    Ok(SizeResult {
-        n_ues,
-        duration_s: duration_s(n_ues),
-        ticks: ft.meta.ticks,
-        ue_ticks,
-        elapsed_s,
-        ue_ticks_per_sec: ue_ticks as f64 / elapsed_s,
-        allocs_per_ue_tick: allocs as f64 / ue_ticks as f64,
-        peak_cell_ues: ft.load.peak_cell_ues,
-        contended_ue_ticks: ft.load.contended_ue_ticks,
-        migrations: tele.counter_value("fleet.migrations"),
-        event,
-    })
+    Ok(SizeResult { n_ues, ue_ticks, allocs_per_ue_tick, event })
 }
 
-/// The gated metrics of one size: report key, measured value and which
-/// drift fails. Every one is a count (or a ratio of counts) that is exact
-/// for the pinned scenario at a fixed geometry; no elapsed time is gated.
-fn gated(r: &SizeResult) -> Vec<(&'static str, f64, Better)> {
-    let mut g = vec![
-        ("ue_ticks", r.ue_ticks as f64, Better::Band),
-        ("allocs_per_ue_tick", r.allocs_per_ue_tick, Better::Lower),
-    ];
-    if let Some(ev) = &r.event {
-        g.extend([
-            ("skip_ratio", ev.skip_ratio, Better::Band),
-            ("plan_evals", ev.plan_evals as f64, Better::Band),
-            ("plan_tiles", ev.plan_tiles as f64, Better::Band),
-        ]);
+/// The gated row of one size: `ue_ticks`, and with an event-driven run
+/// `skip_ratio`, `plan_evals` and `plan_tiles`, as bands (each a count, or
+/// a ratio of counts, exact for the pinned scenario at a fixed geometry),
+/// plus `allocs_per_ue_tick`, lower is better. No elapsed time is gated.
+fn row(r: &SizeResult) -> Row {
+    let row = Row::new("n_ues", u64::from(r.n_ues))
+        .band("ue_ticks", r.ue_ticks as f64)
+        .lower("allocs_per_ue_tick", r.allocs_per_ue_tick);
+    match &r.event {
+        Some(ev) => row
+            .band("skip_ratio", ev.skip_ratio)
+            .band("plan_evals", ev.plan_evals as f64)
+            .band("plan_tiles", ev.plan_tiles as f64),
+        None => row,
     }
-    g
+}
+
+/// The pinned configuration every size's gated row depends on.
+fn config(threads: usize, shards: usize, event: bool) -> String {
+    let base = base_scenario(duration_s(1));
+    perfgate::config(|j| {
+        j.key("threads");
+        j.uint(threads as u64);
+        j.key("shards");
+        j.uint(shards as u64);
+        j.key("event_driven");
+        j.bool_val(event);
+        j.key("base");
+        j.open('{');
+        j.key("seed");
+        j.uint(base.seed);
+        j.key("sample_hz");
+        j.num(base.sample_hz);
+        j.key("stagger_s");
+        j.num(10.0);
+        j.key("speed_jitter");
+        j.num(0.1);
+        j.close('}');
+    })
 }
 
 /// The machine-independent equivalence gates: thread and shard invariance of
@@ -348,20 +351,7 @@ fn verify_shards(threads: usize) -> bool {
         return false;
     }
     for (f, e) in fixed.ues.iter().zip(event.ues.iter()) {
-        let control = |u: &fiveg_sim::UeSummary| {
-            (
-                u.ue,
-                u.seed,
-                u.start_tick,
-                u.reversed,
-                u.ticks,
-                u.traveled_m,
-                u.handovers,
-                u.ho_failures,
-                u.rlf_count,
-                u.reports,
-            )
-        };
+        let control = |u: &UeSummary| ((u.ue, u.seed, u.start_tick, u.reversed), u.control());
         if control(f) != control(e) {
             eprintln!("fleet_bench: fixed vs event-driven control plane diverged for UE {}", f.ue);
             return false;
@@ -369,88 +359,6 @@ fn verify_shards(threads: usize) -> bool {
     }
     println!("  control identity: fixed == event-driven over {} UEs  ok", fixed.ues.len());
     true
-}
-
-fn report(mode: &str, threads: usize, shards: usize, results: &[SizeResult]) -> String {
-    let base = base_scenario(duration_s(1));
-    let mut j = JsonBuf::new();
-    j.open('{');
-    j.key("schema");
-    j.str_val(SCHEMA);
-    j.key("mode");
-    j.str_val(mode);
-    j.key("threads");
-    j.uint(threads as u64);
-    j.key("shards");
-    j.uint(shards as u64);
-    j.key("base");
-    j.open('{');
-    j.key("seed");
-    j.uint(base.seed);
-    j.key("sample_hz");
-    j.num(base.sample_hz);
-    j.key("stagger_s");
-    j.num(10.0);
-    j.key("speed_jitter");
-    j.num(0.1);
-    j.close('}');
-    j.key("sizes");
-    j.open('[');
-    for r in results {
-        j.open('{');
-        j.key("n_ues");
-        j.uint(u64::from(r.n_ues));
-        j.key("duration_s");
-        j.num(r.duration_s);
-        j.key("ticks");
-        j.uint(r.ticks);
-        j.key("ue_ticks");
-        j.uint(r.ue_ticks);
-        j.key("elapsed_s");
-        j.num(r.elapsed_s);
-        j.key("ue_ticks_per_sec");
-        j.num(r.ue_ticks_per_sec);
-        j.key("allocs_per_ue_tick");
-        j.num(r.allocs_per_ue_tick);
-        j.key("peak_cell_ues");
-        j.uint(u64::from(r.peak_cell_ues));
-        j.key("contended_ue_ticks");
-        j.uint(r.contended_ue_ticks);
-        j.key("migrations");
-        j.uint(r.migrations);
-        if let Some(ev) = &r.event {
-            j.key("event_elapsed_s");
-            j.num(ev.elapsed_s);
-            j.key("event_ue_ticks_per_sec");
-            j.num(ev.ue_ticks_per_sec);
-            j.key("event_speedup");
-            j.num(ev.speedup);
-            j.key("skipped_ue_ticks");
-            j.uint(ev.skipped_ue_ticks);
-            j.key("skip_ratio");
-            j.num(ev.skip_ratio);
-            j.key("sleeps");
-            j.uint(ev.sleeps);
-            j.key("load_wakes");
-            j.uint(ev.load_wakes);
-            j.key("plan_evals");
-            j.uint(ev.plan_evals);
-            j.key("plan_tiles");
-            j.uint(ev.plan_tiles);
-            // last key in the row: the array holds no '}' so the perfgate
-            // row scanner's scope (up to the row's closing brace) survives
-            j.key("wake_hist");
-            j.open('[');
-            for &b in &ev.wake_hist {
-                j.uint(b);
-            }
-            j.close(']');
-        }
-        j.close('}');
-    }
-    j.close(']');
-    j.close('}');
-    j.finish_line()
 }
 
 fn main() -> ExitCode {
@@ -466,6 +374,14 @@ fn main() -> ExitCode {
     let set: Vec<u32> = args.sizes.clone().unwrap_or_else(|| sizes(args.smoke).to_vec());
     let exec = FleetExec::threads(args.threads).shards(args.shards);
     let shards_shown = if args.shards == 0 { args.threads } else { args.shards };
+    let config = config(args.threads, shards_shown, args.event);
+    let baseline = match args.baseline.as_deref().map(|p| Baseline::load(p, SCHEMA, &config)).transpose() {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("fleet_bench: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     println!(
         "fleet bench '{}': sizes {:?}, {} thread(s), {} shard(s){}",
         mode,
@@ -485,30 +401,18 @@ fn main() -> ExitCode {
     // warmup (untimed): page in code and let the allocator settle
     run_fleet_exec_instrumented(&spec(1), exec, &Telemetry::disabled());
 
-    let mut results = Vec::new();
+    let mut rows = Vec::new();
     for &n in &set {
-        let r = match bench_size(n, exec, args.event, sink.as_ref()) {
-            Ok(r) => r,
+        match bench_size(n, exec, args.event, sink.as_ref()) {
+            Ok(r) => rows.push(row(&r)),
             Err(e) => {
                 eprintln!("fleet_bench: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        println!(
-            "  {:>7} UEs  {:>10} UE·ticks in {:>7.2} s -> {:>9.0} UE·ticks/s, {:>6.2} allocs/UE·tick, peak cell {:>5}, {:>6} migrations",
-            r.n_ues, r.ue_ticks, r.elapsed_s, r.ue_ticks_per_sec, r.allocs_per_ue_tick, r.peak_cell_ues, r.migrations
-        );
-        if let Some(ev) = &r.event {
-            println!(
-                "          event-driven: {:>7.2} s  -> {:>9.0} UE·ticks/s ({:.2}x), skip ratio {:.3} ({} sleeps, {} load wakes), {} plan evals, {} plan tiles",
-                ev.elapsed_s, ev.ue_ticks_per_sec, ev.speedup, ev.skip_ratio, ev.sleeps, ev.load_wakes, ev.plan_evals, ev.plan_tiles
-            );
         }
-        results.push(r);
     }
 
-    let json = report(mode, args.threads, shards_shown, &results);
-    if let Err(e) = std::fs::write(&args.out, &json) {
+    if let Err(e) = std::fs::write(&args.out, perfgate::report(SCHEMA, &config, &rows)) {
         eprintln!("fleet_bench: writing {}: {e}", args.out);
         return ExitCode::FAILURE;
     }
@@ -522,97 +426,38 @@ fn main() -> ExitCode {
         println!("  telemetry summary -> {path}");
     }
 
-    if let Some(path) = &args.baseline {
-        let committed = match perfgate::load_baseline(path, SCHEMA) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("fleet_bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // Gate the machine-independent metrics per size, pairing rows by
-        // their n_ues value; wall-clock numbers are advisory (the
-        // baseline's came from a different machine than this runner's).
-        println!("  perf gate vs {} (tol {:.0}%):", path, perfgate::TOL * 100.0);
-        let mut gates = Vec::new();
-        for r in &results {
-            if perfgate::fleet_row(&committed, r.n_ues).is_none() {
-                println!("  fleet[{}]: not in baseline, skipped", r.n_ues);
-                continue;
-            }
-            let base = |key: &str| perfgate::fleet_metric(&committed, r.n_ues, key);
-            let advise = |key: &str, current: f64| {
-                if let Some(b) = base(key) {
-                    perfgate::advise(&format!("fleet[{}] {key}", r.n_ues), b, current);
-                }
-            };
-            advise("ue_ticks_per_sec", r.ue_ticks_per_sec);
-            if let Some(ev) = &r.event {
-                advise("event_ue_ticks_per_sec", ev.ue_ticks_per_sec);
-                advise("event_speedup", ev.speedup);
-            }
-            for (key, current, better) in gated(r) {
-                let Some(baseline) = base(key) else {
-                    eprintln!("fleet_bench: baseline {path} row fleet[{}] lacks gated key {key}", r.n_ues);
-                    return ExitCode::FAILURE;
-                };
-                gates.push(Gate { what: format!("fleet[{}] {key}", r.n_ues), baseline, current, better });
-            }
-        }
-        // A skipped size is fine (a new size must not fail the job that
-        // introduces it); *every* size missing means the baseline was
-        // reformatted or the wrong file — refuse to become a silent no-op.
-        if gates.is_empty() {
-            eprintln!("fleet_bench: baseline {path} matched none of the measured sizes — reformatted or wrong file?");
-            return ExitCode::FAILURE;
-        }
-        if !perfgate::evaluate(&gates) {
+    match baseline.map(|b| b.gate(&rows)) {
+        None | Some(Ok(true)) => ExitCode::SUCCESS,
+        Some(Ok(false)) => {
             eprintln!("fleet_bench: gated metrics regressed beyond tolerance");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
+        }
+        Some(Err(e)) => {
+            eprintln!("fleet_bench: {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every key the gate reads must come back out of the report this
-    /// binary writes: a key the writer drops would otherwise surface only
-    /// when a regenerated baseline fails to gate it.
+    /// Every gated entry comes back out of the report this binary writes:
+    /// an entry the writer drops would otherwise surface only when a
+    /// regenerated baseline fails to gate it.
     #[test]
-    fn every_gated_key_round_trips_through_the_report() {
-        let r = SizeResult {
-            n_ues: 100,
-            duration_s: 60.0,
-            ticks: 700,
-            ue_ticks: 60_000,
-            elapsed_s: 2.5,
-            ue_ticks_per_sec: 24_000.0,
-            allocs_per_ue_tick: 0.26,
-            peak_cell_ues: 100,
-            contended_ue_ticks: 59_467,
-            migrations: 3,
-            event: Some(EventResult {
-                elapsed_s: 0.75,
-                ue_ticks_per_sec: 80_000.0,
-                speedup: 3.3,
-                skipped_ue_ticks: 49_630,
-                skip_ratio: 0.827,
-                sleeps: 1198,
-                load_wakes: 327,
-                wake_hist: [1, 2, 3, 4],
-                plan_evals: 123_456,
-                plan_tiles: 789,
-            }),
-        };
-        let keys = gated(&r);
-        assert_eq!(keys.len(), 5, "an event block adds its three gated counts");
-        let json = report("smoke", 1, 16, std::slice::from_ref(&r));
-        assert_eq!(perfgate::schema_of(&json), Some(SCHEMA));
-        for (key, value, _) in keys {
-            assert_eq!(perfgate::fleet_metric(&json, r.n_ues, key), Some(value), "{key}");
-        }
+    fn every_gated_entry_round_trips_through_the_report() {
+        let event = EventResult { skip_ratio: 0.8271666666666667, plan_evals: 736_276, plan_tiles: 672 };
+        let sizes = [
+            SizeResult { n_ues: 100, ue_ticks: 60_000, allocs_per_ue_tick: 0.26035, event: Some(event) },
+            SizeResult { n_ues: 1000, ue_ticks: 600_000, allocs_per_ue_tick: 0.250475, event: None },
+        ];
+        let rows: Vec<Row> = sizes.iter().map(row).collect();
+        let config = config(1, 16, true);
+        let own = perfgate::report(SCHEMA, &config, &rows);
+        let gates = Baseline::parse("own report", own, SCHEMA, &config).unwrap().gates(&rows).unwrap();
+        assert_eq!(gates.len(), 7, "an event run adds its three gated counts");
+        assert!(gates.iter().all(|g| g.baseline == g.current), "{gates:?}");
     }
 }

@@ -1,61 +1,40 @@
-//! Tick-throughput microbenchmark of the snapshot engine, reporting
-//! ticks/sec, an allocations-per-tick proxy and the radio snapshot's work
-//! per tick.
+//! Tick-throughput benchmark of the snapshot engine: ticks/sec, an
+//! allocations-per-tick proxy and the radio snapshot's work per tick.
 //!
 //! A fixed-seed scenario set runs through the production engine
-//! ([`Scenario::run_instrumented`]). Throughput counters flow
-//! through `fiveg-telemetry` (`sim.ticks` from the instrumented runs,
-//! `bench.allocs` from a counting global allocator), and the report is
-//! written as `BENCH_tick.json` (schema `fiveg-tick/v3`).
+//! ([`Scenario::run_instrumented`]), [`ITERS`] timed passes after one
+//! untimed warmup. Tick counts come from the `sim.ticks` telemetry counter
+//! and allocations from a counting global allocator. The snapshot row also
+//! reports `priced_cells_per_tick`: cells whose exact rx the radio
+//! snapshot's bound-and-cull screen computed per tick, from replaying
+//! [`RadioSnapshot::refresh`] at every recorded `(pos, t)` of the engine's
+//! traces — the engine's per-tick refresh calls — so it is exact and
+//! machine-independent.
 //!
-//! The `des` section benchmarks the event-driven engine on sleep-eligible
-//! SA scenarios: each is a fleet of one run on [`EngineMode::EventDriven`],
-//! the same event loop every larger fleet uses. It reports UE·ticks
-//! simulated per wall-second (skipped ticks count — they are simulated in
-//! closed form, not dropped) and the fraction of ticks fast-forwarded
-//! (`skip_ratio`), both taken from the run's `SchedSummary`. Before
-//! timing, every des scenario is checked against the same fleet of one on
-//! [`EngineMode::Stepped`]: identical control-plane summary and identical
-//! logical tick count, so the skip ratio is never bought with less work.
-//! `skip_ratio` is exact and machine-independent; the run fails outright if
-//! it drops below [`SKIP_FLOOR`] on any des scenario. Each des row also
-//! reports `plan_tiles`, the shadowing tiles the sleep planner's screen
-//! hashed (telemetry counter `fleet.plan_tiles`): the screen builds a tile
-//! only when a travel box first touches it, so the count follows the route,
-//! not the deployment's extent. It also reports `plan_evals`, the exact
-//! channel evaluations the planner's dry run paid for (serving series plus
-//! neighbor replays, counter `fleet.plan_evals`): the work its screens
-//! leave over.
+//! The `des` rows benchmark the event-driven engine on sleep-eligible SA
+//! scenarios: each is a fleet of one on [`EngineMode::EventDriven`], the
+//! same event loop every larger fleet uses, first checked against the same
+//! fleet of one on [`EngineMode::Stepped`] (identical control-plane
+//! summary and logical tick count, so the skip ratio is never bought with
+//! less work). Each row reports logical `ticks`, the exact `skip_ratio`,
+//! `plan_tiles` (shadowing tiles the sleep planner's screen hashed,
+//! counter `fleet.plan_tiles`) and `plan_evals` (exact channel evaluations
+//! its dry run paid for, counter `fleet.plan_evals`). The run fails
+//! outright when `skip_ratio` drops below [`SKIP_FLOOR`].
 //!
 //! ```text
-//! tick_bench [--smoke] [--iters N] [--out PATH] [--baseline PATH]
+//! tick_bench [--smoke] [--out PATH] [--baseline PATH]
 //! ```
 //!
-//! The snapshot row also reports `priced_cells_per_tick`: cells whose exact
-//! rx the radio snapshot's bound-and-cull screen computed per tick, out of
-//! `screened_cells_per_tick` in-radius cells it bounded. Both come from
-//! replaying [`RadioSnapshot::refresh`] at every recorded `(pos, t)` of the
-//! engine's traces — the engine's per-tick refresh calls — so they are
-//! exact and machine-independent. The printed summary also gives the cells
-//! per tick that passed the per-tick fading ceiling and paid for tier 1
-//! (blockage and pattern loss), so it shows which tier does the culling,
-//! and the towers per tick whose geometry the refresh located
-//! ([`RadioSnapshot::sites_located`]); both counts are advisory and not in
-//! the report.
-//!
-//! Wall-clock numbers are machine-dependent by nature; the committed
-//! `BENCH_tick.json` records them on the development machine. With
-//! `--baseline`, the run gates the **machine-independent** metrics against
-//! the committed report — the snapshot row's tick count and priced cells
-//! per tick (bands) and its allocs/tick (lower is better), and each des
-//! row's tick count, skip ratio, planner tile count and planner evaluation
-//! count (bands) — and exits nonzero past [`perfgate::TOL`]; this is the
-//! gating CI perf job. Absolute ticks/sec is printed as an advisory
-//! comparison only, because the baseline's wall clock came from a different
-//! machine than the CI runner's (see `fiveg_bench::perfgate`).
+//! The report (`BENCH_tick.json`, schema `fiveg-tick/v4`) holds the pinned
+//! configuration and the gated [`rows`]; with `--baseline` the run gates
+//! them against the committed report and exits nonzero past
+//! [`perfgate::TOL`] (see `fiveg_bench::perfgate`). Ticks/s, UE·ticks/s and
+//! the ungated counts — screened and tier-1 cells and towers located per
+//! tick ([`RadioSnapshot::sites_located`]), skipped ticks and sleeps — are
+//! printed only.
 
-use fiveg_bench::perfgate::{self, Better, CountingAlloc, Gate, ALLOCS};
-use fiveg_bench::report::JsonBuf;
+use fiveg_bench::perfgate::{self, Baseline, CountingAlloc, Row, ALLOCS};
 use fiveg_geo::Point;
 use fiveg_ran::{Arch, Carrier, Deployment, RadioSnapshot};
 use fiveg_sim::{
@@ -68,35 +47,32 @@ use std::time::Instant;
 
 /// The report schema this binary writes and the only one it will gate
 /// against.
-const SCHEMA: &str = "fiveg-tick/v3";
+const SCHEMA: &str = "fiveg-tick/v4";
+
+/// Timed passes over the scenario set. The gated snapshot `ticks` is
+/// summed over them (3 × 6,987 = 20,961 on the full set), so the count is
+/// pinned with the scenarios.
+const ITERS: usize = 3;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 struct Args {
     smoke: bool,
-    iters: usize,
     out: String,
     baseline: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { smoke: false, iters: 3, out: "BENCH_tick.json".into(), baseline: None };
+    let mut args = Args { smoke: false, out: "BENCH_tick.json".into(), baseline: None };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => args.smoke = true,
-            "--iters" => {
-                let v = it.next().ok_or("--iters needs a value")?;
-                args.iters = v.parse::<usize>().map_err(|_| format!("bad --iters value: {v}"))?;
-                if args.iters == 0 {
-                    return Err("--iters must be >= 1".into());
-                }
-            }
             "--out" => args.out = it.next().ok_or("--out needs a value")?,
             "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a value")?),
             "--help" | "-h" => {
-                println!("usage: tick_bench [--smoke] [--iters N] [--out PATH] [--baseline PATH]");
+                println!("usage: tick_bench [--smoke] [--out PATH] [--baseline PATH]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument: {other}")),
@@ -160,13 +136,12 @@ fn des_scenarios(smoke: bool) -> Vec<(&'static str, Scenario)> {
     ]
 }
 
+/// The snapshot row's gated values.
 struct SnapshotResult {
+    /// Ticks over the [`ITERS`] timed passes.
     ticks: u64,
-    elapsed_s: f64,
-    ticks_per_sec: f64,
     allocs_per_tick: f64,
-    /// `(screened, priced)` cells per tick.
-    cells_per_tick: (f64, f64),
+    priced_cells_per_tick: f64,
 }
 
 /// The radio snapshot's work over `tr`, replaying its per-tick refresh at
@@ -199,25 +174,19 @@ fn snapshot_work(s: &Scenario, tr: &Trace) -> SnapshotWork {
     w
 }
 
+/// The des row's gated values, per run.
 struct DesResult {
     label: &'static str,
-    /// Logical ticks simulated per iteration (skipped ticks included).
+    /// Logical ticks simulated (skipped ticks included).
     ticks: u64,
-    /// Ticks fast-forwarded in closed form per iteration.
-    skipped_ticks: u64,
-    /// Sleep windows granted per iteration.
-    sleeps: u64,
     /// `skipped_ticks / ticks` — exact and machine-independent.
     skip_ratio: f64,
-    /// Shadowing tiles the sleep planner built per run — exact and
-    /// machine-independent at the fixed one-thread geometry.
+    /// Shadowing tiles the sleep planner built — exact at the fixed
+    /// one-thread geometry.
     plan_tiles: u64,
-    /// Exact channel evaluations of the sleep planner's dry run per run —
-    /// a pure function of the scenario, like `ticks`.
+    /// Exact channel evaluations of the sleep planner's dry run — a pure
+    /// function of the scenario, like `ticks`.
     plan_evals: u64,
-    elapsed_s: f64,
-    /// Logical UE·ticks simulated per wall-second over the timed passes.
-    ue_ticks_per_sec: f64,
 }
 
 /// A fleet of one on `engine`: the event-driven single-UE engine, or its
@@ -226,38 +195,45 @@ fn fleet_of_one(s: &Scenario, engine: EngineMode) -> FleetTrace {
     run_fleet_exec(&FleetSpec::new(s.clone(), 1), FleetExec::threads(1).engine(engine))
 }
 
-/// Times an event-driven fleet of one over one scenario (untimed warmup,
-/// then `iters` passes). The returned work counts are per-iteration, the
-/// throughput is aggregated over all timed passes.
-fn bench_des(label: &'static str, s: &Scenario, iters: usize) -> DesResult {
-    // the warmup doubles as the counted run: counters only, no timers
+/// Runs an event-driven fleet of one over one scenario: a counted run,
+/// then [`ITERS`] timed passes whose throughput is printed.
+fn bench_des(label: &'static str, s: &Scenario) -> DesResult {
+    // the counted run doubles as the warmup: counters only, no timers
     let tele = Telemetry::new(TelemetryConfig::deterministic());
     let exec = FleetExec::threads(1).engine(EngineMode::EventDriven);
-    run_fleet_exec_instrumented(&FleetSpec::new(s.clone(), 1), exec, &tele);
+    let run = run_fleet_exec_instrumented(&FleetSpec::new(s.clone(), 1), exec, &tele);
     let start = Instant::now();
-    let mut last = fleet_of_one(s, EngineMode::EventDriven);
-    for _ in 1..iters {
-        last = fleet_of_one(s, EngineMode::EventDriven);
+    for _ in 0..ITERS {
+        fleet_of_one(s, EngineMode::EventDriven);
     }
     let elapsed_s = start.elapsed().as_secs_f64();
-    let ticks = last.ues[0].ticks;
-    let sched = last.sched.expect("event-driven runs record a SchedSummary");
-    DesResult {
+    let ticks = run.ues[0].ticks;
+    let sched = run.sched.expect("event-driven runs record a SchedSummary");
+    let d = DesResult {
         label,
         ticks,
-        skipped_ticks: sched.skipped_ue_ticks,
-        sleeps: sched.sleeps,
         skip_ratio: if ticks == 0 { 0.0 } else { sched.skipped_ue_ticks as f64 / ticks as f64 },
         plan_tiles: tele.counter_value("fleet.plan_tiles"),
         plan_evals: tele.counter_value("fleet.plan_evals"),
-        elapsed_s,
-        ue_ticks_per_sec: (ticks * iters as u64) as f64 / elapsed_s,
-    }
+    };
+    println!(
+        "  des {:<12} {:>6} ticks ({} slept in {} windows, skip {:.3}, {} plan tiles, {} plan evals)  -> {:>9.0} UE·ticks/s",
+        label,
+        ticks,
+        sched.skipped_ue_ticks,
+        sched.sleeps,
+        d.skip_ratio,
+        d.plan_tiles,
+        d.plan_evals,
+        (ticks * ITERS as u64) as f64 / elapsed_s
+    );
+    d
 }
 
-/// Runs every scenario through the engine `iters` times (after one untimed
-/// warmup pass) and aggregates the throughput over the timed runs.
-fn bench_snapshot(set: &[(&'static str, Scenario)], iters: usize, cells_per_tick: (f64, f64)) -> SnapshotResult {
+/// Runs every scenario through the engine [`ITERS`] times after one
+/// untimed warmup pass, counting ticks and allocations and printing the
+/// throughput.
+fn bench_snapshot(set: &[(&'static str, Scenario)], priced_cells_per_tick: f64) -> SnapshotResult {
     // warmup (untimed): page in code and let the allocator settle
     let warm = Telemetry::new(TelemetryConfig::on());
     for (_, s) in set {
@@ -267,7 +243,7 @@ fn bench_snapshot(set: &[(&'static str, Scenario)], iters: usize, cells_per_tick
     let tele = Telemetry::new(TelemetryConfig::on());
     let allocs = tele.counter("bench.allocs");
     let mut elapsed_s = 0.0;
-    for _ in 0..iters {
+    for _ in 0..ITERS {
         for (_, s) in set {
             let before = ALLOCS.load(Ordering::Relaxed);
             let start = Instant::now();
@@ -278,87 +254,63 @@ fn bench_snapshot(set: &[(&'static str, Scenario)], iters: usize, cells_per_tick
     }
 
     let ticks = tele.counter_value("sim.ticks");
-    SnapshotResult {
+    let r = SnapshotResult {
+        ticks,
+        allocs_per_tick: tele.counter_value("bench.allocs") as f64 / ticks as f64,
+        priced_cells_per_tick,
+    };
+    println!(
+        "  snapshot {:>8} ticks in {:>6.2} s  -> {:>8.0} ticks/s, {:>7.1} allocs/tick",
         ticks,
         elapsed_s,
-        ticks_per_sec: ticks as f64 / elapsed_s,
-        allocs_per_tick: tele.counter_value("bench.allocs") as f64 / ticks as f64,
-        cells_per_tick,
-    }
+        ticks as f64 / elapsed_s,
+        r.allocs_per_tick
+    );
+    r
 }
 
-fn report(mode: &str, iters: usize, set: &[(&'static str, Scenario)], p: &SnapshotResult, des: &[DesResult]) -> String {
-    let mut j = JsonBuf::new();
-    j.open('{');
-    j.key("schema");
-    j.str_val(SCHEMA);
-    j.key("mode");
-    j.str_val(mode);
-    j.key("iters");
-    j.uint(iters as u64);
-    j.key("scenarios");
-    j.open('[');
-    for (label, s) in set {
-        j.open('{');
-        j.key("label");
-        j.str_val(label);
-        j.key("seed");
-        j.uint(s.seed);
-        j.key("duration_s");
-        j.num(s.max_duration_s);
-        j.key("sample_hz");
-        j.num(s.sample_hz);
-        j.close('}');
-    }
-    j.close(']');
-    j.key("paths");
-    j.open('[');
-    j.open('{');
-    j.key("path");
-    j.str_val("snapshot");
-    j.key("ticks");
-    j.uint(p.ticks);
-    j.key("elapsed_s");
-    j.num(p.elapsed_s);
-    j.key("ticks_per_sec");
-    j.num(p.ticks_per_sec);
-    j.key("allocs_per_tick");
-    j.num(p.allocs_per_tick);
-    j.key("screened_cells_per_tick");
-    j.num(p.cells_per_tick.0);
-    j.key("priced_cells_per_tick");
-    j.num(p.cells_per_tick.1);
-    j.close('}');
-    j.close(']');
-    j.key("des_skip_floor");
-    j.num(SKIP_FLOOR);
-    j.key("des");
-    j.open('[');
-    for d in des {
-        j.open('{');
-        j.key("des");
-        j.str_val(d.label);
-        j.key("ticks");
-        j.uint(d.ticks);
-        j.key("skipped_ticks");
-        j.uint(d.skipped_ticks);
-        j.key("sleeps");
-        j.uint(d.sleeps);
-        j.key("skip_ratio");
-        j.num(d.skip_ratio);
-        j.key("plan_tiles");
-        j.uint(d.plan_tiles);
-        j.key("plan_evals");
-        j.uint(d.plan_evals);
-        j.key("elapsed_s");
-        j.num(d.elapsed_s);
-        j.key("ue_ticks_per_sec");
-        j.num(d.ue_ticks_per_sec);
-        j.close('}');
-    }
-    j.close(']');
-    j.close('}');
-    j.finish_line()
+/// The pinned configuration: mode, passes and the snapshot scenario set
+/// (the des scenarios are fixed by the mode).
+fn config(mode: &str, set: &[(&'static str, Scenario)]) -> String {
+    perfgate::config(|j| {
+        j.key("mode");
+        j.str_val(mode);
+        j.key("iters");
+        j.uint(ITERS as u64);
+        j.key("scenarios");
+        j.open('[');
+        for (label, s) in set {
+            j.open('{');
+            j.key("label");
+            j.str_val(label);
+            j.key("seed");
+            j.uint(s.seed);
+            j.key("duration_s");
+            j.num(s.max_duration_s);
+            j.key("sample_hz");
+            j.num(s.sample_hz);
+            j.close('}');
+        }
+        j.close(']');
+    })
+}
+
+/// The gated rows: the snapshot row's tick count and priced cells per tick
+/// (bands) and allocs/tick (lower is better), and each des row's tick
+/// count, skip ratio, planner tiles and planner evaluations (bands).
+fn rows(p: &SnapshotResult, des: &[DesResult]) -> Vec<Row> {
+    let mut rows = vec![Row::new("path", "snapshot")
+        .band("ticks", p.ticks as f64)
+        .lower("allocs_per_tick", p.allocs_per_tick)
+        .band("priced_cells_per_tick", p.priced_cells_per_tick)];
+    rows.extend(des.iter().map(|d| {
+        Row::new("des", d.label)
+            .band("ticks", d.ticks as f64)
+            .band("skip_ratio", d.skip_ratio)
+            .band("plan_tiles", d.plan_tiles as f64)
+            .band("plan_evals", d.plan_evals as f64)
+    }));
+    rows
 }
 
 fn main() -> ExitCode {
@@ -372,7 +324,15 @@ fn main() -> ExitCode {
 
     let set = scenarios(args.smoke);
     let mode = if args.smoke { "smoke" } else { "full" };
-    println!("tick bench '{}': {} scenario(s), {} iter(s)", mode, set.len(), args.iters);
+    let config = config(mode, &set);
+    let baseline = match args.baseline.as_deref().map(|p| Baseline::load(p, SCHEMA, &config)).transpose() {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("tick_bench: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!("tick bench '{}': {} scenario(s), {} iter(s)", mode, set.len(), ITERS);
 
     let mut work = SnapshotWork::default();
     for (_, s) in &set {
@@ -384,9 +344,8 @@ fn main() -> ExitCode {
         work.sites += w.sites;
     }
     let per_tick = |n: u64| n as f64 / work.ticks as f64;
-    let cells_per_tick = (per_tick(work.screened), per_tick(work.priced));
 
-    // the des section must do the stepped engine's work: identical control
+    // the des rows must do the stepped engine's work: identical control
     // plane and identical logical tick count, or the skip ratio measures a
     // different workload
     let des_set = des_scenarios(args.smoke);
@@ -401,25 +360,18 @@ fn main() -> ExitCode {
         }
     }
 
-    let snapshot = bench_snapshot(&set, args.iters, cells_per_tick);
+    let snapshot = bench_snapshot(&set, per_tick(work.priced));
     println!(
-        "  snapshot {:>8} ticks in {:>6.2} s  -> {:>8.0} ticks/s, {:>7.1} allocs/tick",
-        snapshot.ticks, snapshot.elapsed_s, snapshot.ticks_per_sec, snapshot.allocs_per_tick
-    );
-    let (screened, snapshot_priced) = cells_per_tick;
-    println!(
-        "  snapshot prices {snapshot_priced:.1} of {screened:.1} screened cells/tick ({:.1} reach tier 1, {:.1} towers located)",
+        "  snapshot prices {:.1} of {:.1} screened cells/tick ({:.1} reach tier 1, {:.1} towers located)",
+        per_tick(work.priced),
+        per_tick(work.screened),
         per_tick(work.tier1),
         per_tick(work.sites)
     );
 
     let mut des_results = Vec::new();
     for (label, s) in &des_set {
-        let d = bench_des(label, s, args.iters);
-        println!(
-            "  des {:<12} {:>6} ticks ({} slept in {} windows, skip {:.3}, {} plan tiles, {} plan evals)  -> {:>9.0} UE·ticks/s",
-            d.label, d.ticks, d.skipped_ticks, d.sleeps, d.skip_ratio, d.plan_tiles, d.plan_evals, d.ue_ticks_per_sec
-        );
+        let d = bench_des(label, s);
         if d.skip_ratio < SKIP_FLOOR {
             eprintln!("tick_bench: skip_ratio {:.3} on {} fell below the {SKIP_FLOOR} floor", d.skip_ratio, d.label);
             return ExitCode::FAILURE;
@@ -427,105 +379,41 @@ fn main() -> ExitCode {
         des_results.push(d);
     }
 
-    let json = report(mode, args.iters, &set, &snapshot, &des_results);
-    if let Err(e) = std::fs::write(&args.out, &json) {
+    let rows = rows(&snapshot, &des_results);
+    if let Err(e) = std::fs::write(&args.out, perfgate::report(SCHEMA, &config, &rows)) {
         eprintln!("tick_bench: writing {}: {e}", args.out);
         return ExitCode::FAILURE;
     }
     println!("  report -> {}", args.out);
 
-    // Perf gate: the gated metrics are the machine-independent ones (work
-    // counts, allocs, skip ratios); absolute ticks/sec is advisory because
-    // the committed baseline's wall clock came from a different machine.
-    if let Some(path) = &args.baseline {
-        let committed = match perfgate::load_baseline(path, SCHEMA) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("tick_bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let snap = |metric: &str| perfgate::metric_after(&committed, r#""path":"snapshot""#, metric);
-        let (Some(b_ticks), Some(b_apt), Some(b_priced), Some(b_tps)) =
-            (snap("ticks"), snap("allocs_per_tick"), snap("priced_cells_per_tick"), snap("ticks_per_sec"))
-        else {
-            eprintln!("tick_bench: baseline {path} is missing snapshot metrics — reformatted or wrong file?");
-            return ExitCode::FAILURE;
-        };
-        let mut gates = vec![
-            Gate {
-                what: "snapshot ticks".into(),
-                baseline: b_ticks,
-                current: snapshot.ticks as f64,
-                better: Better::Band,
-            },
-            Gate {
-                what: "snapshot allocs_per_tick".into(),
-                baseline: b_apt,
-                current: snapshot.allocs_per_tick,
-                better: Better::Lower,
-            },
-            Gate {
-                what: "snapshot priced_cells_per_tick".into(),
-                baseline: b_priced,
-                current: snapshot_priced,
-                better: Better::Band,
-            },
-        ];
-        println!("  perf gate vs {} (tol {:.0}%):", path, perfgate::TOL * 100.0);
-        perfgate::advise("snapshot ticks_per_sec", b_tps, snapshot.ticks_per_sec);
-        // des gates: logical work count, skip ratio, planner tiles and
-        // planner evaluations are exact and machine-independent, so all four
-        // are banded against the baseline; the tile band catches a screen
-        // that goes back to hashing the whole deployment, the evaluation
-        // band a screen that stops pruning. Wall-clock throughput stays
-        // advisory like the snapshot row's.
-        for d in &des_results {
-            let needle = format!(r#""des":"{}""#, d.label);
-            let des_metric = |metric: &str| perfgate::metric_after(&committed, &needle, metric);
-            let (Some(b_dticks), Some(b_skip), Some(b_tiles), Some(b_evals), Some(b_utps)) = (
-                des_metric("ticks"),
-                des_metric("skip_ratio"),
-                des_metric("plan_tiles"),
-                des_metric("plan_evals"),
-                des_metric("ue_ticks_per_sec"),
-            ) else {
-                eprintln!(
-                    "tick_bench: baseline {path} is missing des metrics for {} — reformatted or wrong file?",
-                    d.label
-                );
-                return ExitCode::FAILURE;
-            };
-            perfgate::advise(&format!("des {} ue_ticks_per_sec", d.label), b_utps, d.ue_ticks_per_sec);
-            gates.push(Gate {
-                what: format!("des {} ticks", d.label),
-                baseline: b_dticks,
-                current: d.ticks as f64,
-                better: Better::Band,
-            });
-            gates.push(Gate {
-                what: format!("des {} skip_ratio", d.label),
-                baseline: b_skip,
-                current: d.skip_ratio,
-                better: Better::Band,
-            });
-            gates.push(Gate {
-                what: format!("des {} plan_tiles", d.label),
-                baseline: b_tiles,
-                current: d.plan_tiles as f64,
-                better: Better::Band,
-            });
-            gates.push(Gate {
-                what: format!("des {} plan_evals", d.label),
-                baseline: b_evals,
-                current: d.plan_evals as f64,
-                better: Better::Band,
-            });
-        }
-        if !perfgate::evaluate(&gates) {
+    match baseline.map(|b| b.gate(&rows)) {
+        None | Some(Ok(true)) => ExitCode::SUCCESS,
+        Some(Ok(false)) => {
             eprintln!("tick_bench: gated metrics regressed beyond tolerance");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
+        }
+        Some(Err(e)) => {
+            eprintln!("tick_bench: {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every gated entry comes back out of the report this binary writes.
+    #[test]
+    fn every_gated_entry_round_trips_through_the_report() {
+        let snapshot = SnapshotResult { ticks: 20961, allocs_per_tick: 3.4487, priced_cells_per_tick: 40.241 };
+        let des =
+            [DesResult { label: "city-sa", ticks: 2001, skip_ratio: 0.8406, plan_tiles: 1342, plan_evals: 17096 }];
+        let rows = rows(&snapshot, &des);
+        let config = config("full", &scenarios(true));
+        let own = perfgate::report(SCHEMA, &config, &rows);
+        let gates = Baseline::parse("own report", own, SCHEMA, &config).unwrap().gates(&rows).unwrap();
+        assert_eq!(gates.len(), 7);
+        assert!(gates.iter().all(|g| g.baseline == g.current), "{gates:?}");
+    }
 }

@@ -10,7 +10,7 @@
 
 use crate::driver::run_prognos;
 use crate::pool::run_ordered;
-use crate::report::JsonBuf;
+use crate::JsonBuf;
 use fiveg_oracle::{run_case, shrink, CaseResult, FuzzCase};
 use prognos::PrognosConfig;
 use std::path::Path;

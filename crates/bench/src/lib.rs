@@ -16,8 +16,9 @@
 //! * [`fuzz`] — the scenario-fuzz campaign driver behind `scenario_fuzz`
 //!   (seeded case fan-out → oracle verdicts → corpus replay →
 //!   `BENCH_fuzz.json`);
-//! * [`perfgate`] — baseline comparison for the CI perf gate
-//!   (`tick_bench`/`fleet_bench` `--baseline` flags);
+//! * [`perfgate`] — the gated-row reports and their baseline comparison
+//!   behind the CI perf gate (`tick_bench`, `fleet_bench` and `serve_load`
+//!   `--baseline`);
 //! * [`vivisect`] — the handover vivisection harness behind `ho_vivisect`
 //!   (span assembly + shadow oracle per UE → telemetry reconciliation →
 //!   `BENCH_vivisect.json`).
@@ -29,15 +30,13 @@ pub mod fmt;
 pub mod fuzz;
 pub mod perfgate;
 pub mod pool;
-pub mod report;
 pub mod vivisect;
 
 pub use datasets::{d1_traces, d2_traces};
 pub use driver::{label_windows, run_prognos, PrognosRun, WindowOutcome};
 pub use features::{gbc_dataset, lstm_sequences};
+pub use fiveg_telemetry::json::JsonBuf;
 pub use fuzz::{campaign_report, replay_corpus, run_campaign, FuzzOutcome, FUZZ_SCHEMA};
-pub use perfgate::{evaluate, fleet_metric, metric_after, Gate};
-pub use report::JsonBuf;
 pub use vivisect::{
     matrix, reconcile, report as vivisect_report, run_cell, run_matrix, CellOutcome, VivisectCell, VivisectObserver,
     VIVISECT_SCHEMA,

@@ -1,57 +1,62 @@
-//! Perf-gate support: compare a fresh benchmark report against a committed
-//! baseline (`BENCH_tick.json`, `BENCH_fleet.json`, `BENCH_serve.json`) and
-//! fail on regression. The gating binaries share everything here: the
-//! baseline loader ([`load_baseline`]), the tolerance ([`TOL`]) and the
-//! allocation counter ([`CountingAlloc`]).
+//! Perf-gate support for the gating benchmarks (`tick_bench`, `fleet_bench`,
+//! `serve_load`). Each binary lists what it gates once, as a table of
+//! [`Row`]s; [`report`] writes the committed report from those rows and
+//! [`Baseline::gate`] reads the committed report back through the same
+//! rows, so a gated key is spelled in one place per binary.
 //!
-//! The reports are written by [`crate::report::JsonBuf`] — single-line JSON
-//! with a fixed key order and no whitespace — so the extractor here is a
-//! deliberately small string scanner instead of a JSON parser: it finds the
-//! entry object by a literal anchor (`"path":"snapshot"`, [`metric_after`])
-//! or by the parsed value of its `"n_ues"` key ([`fleet_metric`]) and
-//! reads one numeric metric out of that same object. This keeps the gate
-//! dependency-free, like the rest of the workspace.
+//! # Report format
+//!
+//! One line of JSON ([`JsonBuf`], fixed key order, no whitespace):
+//! `{"schema":S,"config":{..},"rows":[{..},..]}`. `config` is the pinned
+//! configuration the gated values depend on (mode and scenario set,
+//! threads and shards, sessions). Each row object opens with its
+//! identifying key (`"path":"snapshot"`, `"des":"city-sa"`, `"n_ues":100`,
+//! `"serve":"pinned"`) and holds only scalars: its gated entries. Gate lines
+//! and EXPERIMENTS.md name a row by its [`Row::label`], `n_ues[100]`.
+//! Nothing else is written: wall-clock numbers and ungated counts go to
+//! stdout, where no baseline is compared against them.
 //!
 //! # What gets gated
 //!
-//! The committed baselines are recorded on the development machine while CI
-//! runs on shared runners whose absolute speed differs and drifts run to
-//! run by more than any sane tolerance — gating raw ticks/sec against them
-//! would fail on a slow runner, not on a slow commit. The gates therefore
-//! cover only **machine-independent** metrics:
+//! The committed baselines are recorded on one machine and CI runs on
+//! shared runners whose speed differs and drifts run to run by more than
+//! any sane tolerance, so gates cover only **machine-independent** values:
 //!
 //! * work counts (`ticks`, `ue_ticks`, the radio snapshot's
-//!   `priced_cells_per_tick`, the event-driven engine's `skip_ratio`, and
-//!   the sleep planner's `plan_evals` and `plan_tiles`): deterministic for
-//!   a pinned workload, gated as a *band* — drift in either direction means
-//!   the workload (or the work done per tick) silently changed. The
+//!   `priced_cells_per_tick`, the event-driven engine's `skip_ratio`, the
+//!   sleep planner's `plan_evals` and `plan_tiles`, the serve workload's
+//!   frame and prediction counts): deterministic for a pinned workload,
+//!   gated as a [`Better::Band`] — drift in either direction means the
+//!   workload, or the work done per tick, silently changed. The
 //!   priced-cell band also guards the snapshot's cull tiers: without its
-//!   per-tick fading ceiling the count goes from about 40 back to about 110
-//!   and fails the band;
-//! * allocation proxies (`allocs_per_tick`, `allocs_per_ue_tick`): counted
-//!   by [`CountingAlloc`], gated *lower-is-better*.
+//!   per-tick fading ceiling the count goes from about 40 back to about 110;
+//! * allocation proxies (`allocs_per_tick`, `allocs_per_ue_tick`) and the
+//!   serve `mismatches`: counted exactly, gated [`Better::Lower`];
+//! * the serve prediction-equivalence digest: [`Better::Exact`].
 //!
 //! No gate is built from an elapsed time. Even a same-process ratio such as
-//! the fleet's fixed-vs-event `event_speedup` moves by 20% between two runs
-//! of unchanged code on a shared machine, so it would fail on noise — and
-//! a baseline loose enough to absorb that passes real regressions. Where
-//! the event-driven engine saves time, the saving is work it skips, and the
-//! work counts above pin that.
+//! the fleet's fixed-vs-event speedup moves by 20% between two runs of
+//! unchanged code on a shared machine; where the event-driven engine saves
+//! time, the saving is work it skips, and the work counts pin that.
 //!
-//! Before any of that, [`load_baseline`] refuses a baseline whose
-//! [`schema_of`] differs from the schema the caller writes — cross-schema
-//! gating would silently compare rows whose metrics no longer mean the same
-//! thing.
+//! # Refusals
 //!
-//! Absolute throughput (ticks/sec) and time ratios are still compared — via
-//! [`advise`] — but only as a printed hint; they can never fail the job.
+//! [`Baseline::load`] refuses a baseline of another schema or another
+//! pinned configuration, before the benchmark runs: rows paired across
+//! either would compare values that no longer mean the same thing.
+//! [`Baseline::gate`] pairs rows by label, never by position. A run row the
+//! baseline lacks is skipped, so a new fleet size does not fail the run
+//! that introduces it; a matched row that lacks a gated key fails, and so
+//! does a baseline that matches no row — a reformatted baseline must not
+//! silently gate less.
 //!
-//! Tolerance semantics per [`Better`] direction: a run **fails** only when
-//! the current value leaves the tolerance band on its bad side. Moves past
-//! the band on the good side are reported as a hint to refresh the
-//! committed baseline, but do not fail the job.
+//! A numeric gate **fails** only when the current value leaves the [`TOL`]
+//! band on its bad side; a `Lower` value that beats the band prints a hint
+//! to refresh the committed baseline.
 
+use crate::JsonBuf;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The gate tolerance: a gated metric may move 15% on its bad side before
@@ -85,59 +90,229 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Which direction of drift counts as a regression for a gated metric.
+/// Which drift of a gated entry counts as a regression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Better {
-    /// Throughput-like: regress when `current` drops below the band.
-    Higher,
     /// Cost-like (allocation counts): regress when `current` rises above
     /// the band.
     Lower,
     /// Invariant-like (work counts): regress when `current` leaves the
     /// band in *either* direction — the workload itself changed.
     Band,
+    /// Digest-like: regress on any difference; a digest has no band.
+    Exact,
 }
 
-/// One gated comparison: a labelled metric against its committed baseline.
+/// A row's identifying value or a gated value: a number or a string.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// Written with Rust's shortest round-trip formatting (`20961`, `40.24…`).
+    Num(f64),
+    /// Written as a JSON string.
+    Str(String),
+}
+
+impl Value {
+    /// One scalar token of a report read back: a quoted string or a number.
+    fn parse(token: &str) -> Option<Value> {
+        match token.strip_prefix('"') {
+            Some(s) => s.strip_suffix('"').map(|s| Value::Str(s.into())),
+            None => token.parse().ok().map(Value::Num),
+        }
+    }
+
+    fn write(&self, j: &mut JsonBuf) {
+        match self {
+            Value::Num(v) => j.num(*v),
+            Value::Str(s) => j.str_val(s),
+        }
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Num(v) => write!(f, "{v}"),
+            Value::Str(s) => f.write_str(s),
+        }
+    }
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Value {
+        Value::Num(v as f64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.into())
+    }
+}
+
+/// One row of a benchmark's report: its identifying key and value, then
+/// its gated entries in report order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    id: (&'static str, Value),
+    entries: Vec<(&'static str, Value, Better)>,
+}
+
+impl Row {
+    /// An empty row identified by `key` = `id`, e.g. `Row::new("n_ues", 100)`.
+    pub fn new(key: &'static str, id: impl Into<Value>) -> Row {
+        Row { id: (key, id.into()), entries: Vec::new() }
+    }
+
+    /// Adds a [`Better::Band`] entry.
+    pub fn band(self, key: &'static str, v: f64) -> Row {
+        self.with(key, Value::Num(v), Better::Band)
+    }
+
+    /// Adds a [`Better::Lower`] entry.
+    pub fn lower(self, key: &'static str, v: f64) -> Row {
+        self.with(key, Value::Num(v), Better::Lower)
+    }
+
+    /// Adds a [`Better::Exact`] string entry.
+    pub fn exact(self, key: &'static str, v: &str) -> Row {
+        self.with(key, Value::Str(v.into()), Better::Exact)
+    }
+
+    fn with(mut self, key: &'static str, v: Value, better: Better) -> Row {
+        self.entries.push((key, v, better));
+        self
+    }
+
+    /// The row's name in gate lines and docs: `n_ues[100]`, `des[city-sa]`.
+    pub fn label(&self) -> String {
+        label(self.id.0, &self.id.1)
+    }
+}
+
+fn label(key: &str, id: &Value) -> String {
+    format!("{key}[{id}]")
+}
+
+/// Renders the pinned configuration: the keys `f` writes, as one JSON
+/// object. [`report`] embeds it verbatim and [`Baseline::load`] compares
+/// it byte for byte.
+pub fn config(f: impl FnOnce(&mut JsonBuf)) -> String {
+    let mut j = JsonBuf::new();
+    j.open('{');
+    f(&mut j);
+    j.close('}');
+    j.as_str().to_string()
+}
+
+/// The report: schema, pinned configuration and gated rows, one line.
+pub fn report(schema: &str, config: &str, rows: &[Row]) -> String {
+    let mut j = JsonBuf::new();
+    j.open('[');
+    for r in rows {
+        j.open('{');
+        j.key(r.id.0);
+        r.id.1.write(&mut j);
+        for (key, v, _) in &r.entries {
+            j.key(key);
+            v.write(&mut j);
+        }
+        j.close('}');
+    }
+    j.close(']');
+    format!("{{\"schema\":\"{schema}\",\"config\":{config},\"rows\":{}}}\n", j.as_str())
+}
+
+/// The report's `"schema"` string (e.g. `fiveg-fleet/v5`), `None` when the
+/// key is absent.
+fn schema_of(json: &str) -> Option<&str> {
+    const KEY: &str = "\"schema\":\"";
+    let rest = &json[json.find(KEY)? + KEY.len()..];
+    Some(&rest[..rest.find('"')?])
+}
+
+/// The report's `"config"` object, verbatim; `None` when absent or
+/// unbalanced.
+fn config_of(json: &str) -> Option<&str> {
+    const KEY: &str = "\"config\":{";
+    let start = json.find(KEY)? + KEY.len() - 1;
+    let mut depth = 0;
+    for (i, c) in json[start..].char_indices() {
+        match c {
+            '{' | '[' => depth += 1,
+            '}' | ']' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(&json[start..=start + i]);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// A report row read back: its [`Row::label`] and its `(key, value)`
+/// entries.
+pub type ReadRow<'a> = (String, Vec<(&'a str, Value)>);
+
+/// The rows of a report, in report order; `None` when the `"rows"` array is
+/// absent or a row does not parse. Rows hold only scalars, so the scan
+/// splits on the writer's separators instead of parsing JSON.
+pub fn rows_of(json: &str) -> Option<Vec<ReadRow<'_>>> {
+    const KEY: &str = "\"rows\":[";
+    let rest = &json[json.find(KEY)? + KEY.len()..];
+    let body = &rest[..rest.find(']')?];
+    if body.is_empty() {
+        return Some(Vec::new());
+    }
+    body.strip_prefix('{')?
+        .strip_suffix('}')?
+        .split("},{")
+        .map(|obj| {
+            let entries = obj
+                .split(',')
+                .map(|kv| {
+                    let (k, v) = kv.split_once(':')?;
+                    Some((k.strip_prefix('"')?.strip_suffix('"')?, Value::parse(v)?))
+                })
+                .collect::<Option<Vec<_>>>()?;
+            let (id_key, id) = entries.first()?;
+            Some((label(id_key, id), entries[1..].to_vec()))
+        })
+        .collect()
+}
+
+/// One gated comparison: a labelled entry against its committed value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
-    /// What is being compared, e.g. `snapshot allocs_per_tick` or
-    /// `fleet[100] ue_ticks`.
+    /// The row label and key, e.g. `n_ues[100] ue_ticks`.
     pub what: String,
     /// The committed value.
-    pub baseline: f64,
+    pub baseline: Value,
     /// The value measured by this run.
-    pub current: f64,
-    /// Which drift direction fails the gate.
+    pub current: Value,
+    /// Which drift fails the gate.
     pub better: Better,
 }
 
 impl Gate {
-    /// `current / baseline` — above 1.0 means a larger current value.
-    pub fn ratio(&self) -> f64 {
-        self.current / self.baseline
-    }
-
-    /// True when the current value left the [`TOL`] band on its bad side.
+    /// True when the current value left the [`TOL`] band on its bad side,
+    /// or, for an exact entry or a baseline of another type, differs.
     pub fn regressed(&self) -> bool {
-        let low = self.current < self.baseline * (1.0 - TOL);
-        let high = self.current > self.baseline * (1.0 + TOL);
-        match self.better {
-            Better::Higher => low,
-            Better::Lower => high,
-            Better::Band => low || high,
+        match (&self.baseline, &self.current, self.better) {
+            (Value::Num(b), Value::Num(c), Better::Lower) => *c > b * (1.0 + TOL),
+            (Value::Num(b), Value::Num(c), Better::Band) => *c < b * (1.0 - TOL) || *c > b * (1.0 + TOL),
+            (b, c, _) => b != c,
         }
     }
 
-    /// True when the current value beats the baseline by more than [`TOL`]
-    /// — time to re-commit the baseline file. Never true for
-    /// [`Better::Band`] gates, where any exit from the band is a failure.
+    /// True when a [`Better::Lower`] value beats the baseline by more than
+    /// [`TOL`] — time to re-commit the baseline file. Band and exact gates
+    /// never improve: any exit from them is a failure.
     pub fn improved(&self) -> bool {
-        match self.better {
-            Better::Higher => self.current > self.baseline * (1.0 + TOL),
-            Better::Lower => self.current < self.baseline * (1.0 - TOL),
-            Better::Band => false,
-        }
+        matches!((&self.baseline, &self.current, self.better),
+            (Value::Num(b), Value::Num(c), Better::Lower) if *c < b * (1.0 - TOL))
     }
 
     /// One human-readable verdict line for the job log.
@@ -149,7 +324,19 @@ impl Gate {
         } else {
             "ok"
         };
-        line(&self.what, self.baseline, self.current, state)
+        match (&self.baseline, &self.current) {
+            (Value::Num(b), Value::Num(c)) => {
+                // a zero baseline (serve `mismatches`) has no ratio
+                let ratio = if *b == 0.0 { "-".into() } else { format!("{:.3}", c / b) };
+                format!(
+                    "  {:<36} baseline {:>12}  current {:>12}  ratio {ratio:>6}  {state}",
+                    self.what,
+                    num(*b),
+                    num(*c)
+                )
+            }
+            (b, c) => format!("  {:<36} baseline {:>12}  current {:>12}  {state}", self.what, b, c),
+        }
     }
 }
 
@@ -161,171 +348,221 @@ fn num(v: f64) -> String {
     format!("{v:.*}", decimals as usize)
 }
 
-/// One comparison line of the job log: baseline, current, their ratio and
-/// the verdict `state`.
-fn line(what: &str, baseline: f64, current: f64, state: &str) -> String {
-    format!(
-        "  {:<34} baseline {:>12}  current {:>12}  ratio {:>6.3}  {}",
-        what,
-        num(baseline),
-        num(current),
-        current / baseline,
-        state
-    )
+/// A committed report whose schema and pinned configuration are this run's.
+#[derive(Debug)]
+pub struct Baseline {
+    path: String,
+    json: String,
 }
 
-/// Extracts the report's `"schema"` string (e.g. `fiveg-fleet/v4`), `None`
-/// when the key is absent.
-pub fn schema_of(json: &str) -> Option<&str> {
-    const KEY: &str = "\"schema\":\"";
-    let rest = &json[json.find(KEY)? + KEY.len()..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Reads the committed baseline at `path` and returns it only when its
-/// [`schema_of`] is `schema`, the one the caller writes. A mismatch is an
-/// error, never a silent pass: the row extractors below pair entries by
-/// anchor value, so a baseline from an older schema generation would line
-/// up rows whose metrics mean different things (a different pinned
-/// scenario, a renamed field) instead of refusing to gate.
-pub fn load_baseline(path: &str, schema: &str) -> Result<String, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("reading baseline {path}: {e}"))?;
-    match schema_of(&json) {
-        Some(s) if s == schema => Ok(json),
-        got => Err(format!(
-            "baseline {path} has schema {} but this binary writes {schema} — \
-             regenerate the baseline instead of gating across schema versions",
-            got.map_or_else(|| "(none)".into(), |s| format!("'{s}'"))
-        )),
+impl Baseline {
+    /// Reads the committed report at `path` and accepts it only under
+    /// [`Baseline::parse`]'s rules.
+    pub fn load(path: &str, schema: &str, config: &str) -> Result<Baseline, String> {
+        let json = std::fs::read_to_string(path).map_err(|e| format!("reading baseline {path}: {e}"))?;
+        Baseline::parse(path, json, schema, config)
     }
-}
 
-/// Parses the number after `"metric":` in `scope`.
-fn number_in(scope: &str, metric: &str) -> Option<f64> {
-    let key = format!("\"{metric}\":");
-    let tail = &scope[scope.find(&key)? + key.len()..];
-    let stop = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..stop].trim().parse::<f64>().ok()
-}
-
-/// Extracts the numeric value of `metric` from the entry object of `json`
-/// identified by `anchor` (a literal substring such as `"path":"snapshot"`).
-/// The metric must appear after the anchor and before the object's closing
-/// brace — true for every report this crate writes, where the identifying
-/// key is emitted first. Returns `None` when either the anchor or the
-/// metric is absent, so callers can treat a missing entry as "not gated".
-pub fn metric_after(json: &str, anchor: &str, metric: &str) -> Option<f64> {
-    let rest = &json[json.find(anchor)? + anchor.len()..];
-    number_in(&rest[..rest.find('}').unwrap_or(rest.len())], metric)
-}
-
-/// Extracts a top-of-report scalar such as `speedup`, which lives *outside*
-/// any anchored entry object. Scans for the **last** occurrence of the key
-/// so per-entry fields that happen to share a name never shadow the
-/// report-level one (report-level keys are emitted after the entry arrays).
-pub fn metric_anywhere(json: &str, metric: &str) -> Option<f64> {
-    number_in(&json[json.rfind(&format!("\"{metric}\":"))?..], metric)
-}
-
-/// Extracts the **string** value of `metric` from the entry object of
-/// `json` identified by `anchor`, with the same scoping rules as
-/// [`metric_after`]. This is how non-numeric gated fields — the serve
-/// report's prediction-equivalence `equiv_digest` — are compared: string
-/// gates are exact-match (a digest has no tolerance band). Returns `None`
-/// when the anchor, the metric, or the closing quote is absent.
-pub fn str_after<'a>(json: &'a str, anchor: &str, metric: &str) -> Option<&'a str> {
-    let rest = &json[json.find(anchor)? + anchor.len()..];
-    let scope = &rest[..rest.find('}').unwrap_or(rest.len())];
-    let key = format!("\"{metric}\":\"");
-    let tail = &scope[scope.find(&key)? + key.len()..];
-    Some(&tail[..tail.find('"')?])
-}
-
-/// The fleet-report entry whose `"n_ues"` **value** equals `n_ues`, from
-/// that key to the entry's closing brace. Every `"n_ues":` occurrence is
-/// parsed and compared numerically, so the pairing is keyed by size — a
-/// reordered or extended baseline can never line a measurement up against
-/// the wrong row, and a prefix size (`100` vs `1000`) or a trailing `}`
-/// instead of `,` cannot confuse the match the way a literal-substring
-/// anchor could. `None` when no entry has that size.
-pub fn fleet_row(json: &str, n_ues: u32) -> Option<&str> {
-    const KEY: &str = "\"n_ues\":";
-    let mut from = 0;
-    while let Some(pos) = json[from..].find(KEY) {
-        from += pos + KEY.len();
-        let tail = &json[from..];
-        let stop = tail.find([',', '}']).unwrap_or(tail.len());
-        if tail[..stop].trim().parse::<u64>() == Ok(u64::from(n_ues)) {
-            return Some(&tail[..tail.find('}').unwrap_or(tail.len())]);
+    /// Accepts `json` (read from `path`) only when its `"schema"` is
+    /// `schema` and its pinned configuration is `config`, the run's own.
+    /// A mismatch is an error, never a silent pass.
+    pub fn parse(path: &str, json: String, schema: &str, config: &str) -> Result<Baseline, String> {
+        match schema_of(&json) {
+            Some(s) if s == schema => {}
+            got => {
+                return Err(format!(
+                    "baseline {path} has schema {} but this binary writes {schema} — \
+                     regenerate the baseline instead of gating across schema versions",
+                    got.map_or_else(|| "(none)".into(), |s| format!("'{s}'"))
+                ))
+            }
+        }
+        match config_of(&json) {
+            Some(c) if c == config => Ok(Baseline { path: path.into(), json }),
+            got => Err(format!(
+                "baseline {path} pins config {} but this run's is {config} — \
+                 rerun with the baseline's configuration instead of gating across it",
+                got.unwrap_or("(none)")
+            )),
         }
     }
-    None
-}
 
-/// Extracts `metric` from the [`fleet_row`] of size `n_ues`. Like
-/// [`metric_after`], the metric must follow the key inside the same object
-/// (true for every report this crate writes, where `n_ues` is emitted
-/// first). Returns `None` when the size or the metric is absent.
-pub fn fleet_metric(json: &str, n_ues: u32, metric: &str) -> Option<f64> {
-    number_in(fleet_row(json, n_ues)?, metric)
-}
-
-/// Evaluates a set of gates, printing one verdict line each, and returns
-/// whether every gate passed. An empty set passes here — callers that
-/// *expected* matches must treat zero gates as their own failure (a
-/// reformatted baseline silently matching nothing must not turn the gate
-/// into a no-op; see `fleet_bench`).
-pub fn evaluate(gates: &[Gate]) -> bool {
-    let mut ok = true;
-    for g in gates {
-        println!("{}", g.verdict());
-        ok &= !g.regressed();
+    /// Pairs each run row with the baseline row of the same label and
+    /// returns one [`Gate`] per gated entry. A row the baseline lacks is
+    /// skipped with a printed line; a matched row that lacks a gated key,
+    /// or no matched row at all, is an error.
+    pub fn gates(&self, rows: &[Row]) -> Result<Vec<Gate>, String> {
+        let path = &self.path;
+        let committed = rows_of(&self.json).ok_or_else(|| format!("baseline {path} has no readable rows"))?;
+        let mut gates = Vec::new();
+        for row in rows {
+            let label = row.label();
+            let Some((_, entries)) = committed.iter().find(|(l, _)| *l == label) else {
+                println!("  {label}: not in baseline, skipped");
+                continue;
+            };
+            for (key, current, better) in &row.entries {
+                let Some((_, baseline)) = entries.iter().find(|(k, _)| k == key) else {
+                    return Err(format!("baseline {path} row {label} lacks gated key {key}"));
+                };
+                let (baseline, current) = (baseline.clone(), current.clone());
+                gates.push(Gate { what: format!("{label} {key}"), baseline, current, better: *better });
+            }
+        }
+        if gates.is_empty() {
+            return Err(format!("baseline {path} matched none of this run's rows — reformatted or wrong file?"));
+        }
+        Ok(gates)
     }
-    ok
-}
 
-/// Prints a non-gating comparison line for a machine-dependent metric
-/// (absolute throughput, elapsed-time ratios). The numbers are worth seeing next to the gated
-/// verdicts, but a slow shared runner must never fail the job on them.
-pub fn advise(what: &str, baseline: f64, current: f64) {
-    println!("{}", line(what, baseline, current, "advisory (machine-dependent, not gated)"));
+    /// Gates `rows`, printing one verdict line per entry; `Ok(false)` when
+    /// any entry regressed.
+    pub fn gate(&self, rows: &[Row]) -> Result<bool, String> {
+        println!("  perf gate vs {} (tol {:.0}%):", self.path, TOL * 100.0);
+        let gates = self.gates(rows)?;
+        let mut ok = true;
+        for g in &gates {
+            println!("{}", g.verdict());
+            ok &= !g.regressed();
+        }
+        Ok(ok)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const TICK: &str = concat!(
-        r#"{"schema":"fiveg-tick/v2","mode":"smoke","iters":3,"#,
-        r#""paths":[{"path":"reference","ticks":1662,"elapsed_s":0.02,"ticks_per_sec":71642.0,"allocs_per_tick":17.0},"#,
-        r#"{"path":"snapshot","ticks":1662,"elapsed_s":0.02,"ticks_per_sec":106960.0,"allocs_per_tick":3.0}],"#,
-        r#""speedup":1.49,"des_skip_floor":0.5,"#,
-        r#""des":[{"des":"city-sa","ticks":600,"skipped_ticks":539,"sleeps":10,"skip_ratio":0.898,"ue_ticks_per_sec":1912.0},"#,
-        r#"{"des":"walking-sa","ticks":600,"skipped_ticks":503,"sleeps":23,"skip_ratio":0.838,"ue_ticks_per_sec":35176.0}]}"#
-    );
+    fn fleet_config(threads: u64) -> String {
+        config(|j| {
+            j.key("threads");
+            j.uint(threads);
+            j.key("shards");
+            j.uint(16);
+            j.key("base");
+            j.open('{');
+            j.key("seed");
+            j.uint(201);
+            j.close('}');
+        })
+    }
 
-    const FLEET: &str = concat!(
-        r#"{"schema":"fiveg-fleet/v2","sizes":[{"n_ues":1,"ue_ticks_per_sec":90000.0},"#,
-        r#"{"n_ues":10,"ue_ticks_per_sec":85000.0},{"n_ues":100,"ue_ticks_per_sec":80000.0},"#,
-        r#"{"n_ues":1000,"ue_ticks_per_sec":76000.0}]}"#
-    );
+    /// Rows shaped like each gating binary's: string and numeric ids,
+    /// fractional ratios, large counts, a digest.
+    fn rows() -> Vec<Row> {
+        vec![
+            Row::new("path", "snapshot").band("ticks", 20961.0).lower("allocs_per_tick", 3.448).band("priced", 40.2413),
+            Row::new("des", "city-sa").band("skip_ratio", 0.8405797101449275).band("plan_evals", 17096.0),
+            Row::new("n_ues", 1000).band("ue_ticks", 600_000.0).band("plan_evals", 75_001_653.0),
+            Row::new("n_ues", 100).band("ue_ticks", 60_000.0),
+            Row::new("serve", "pinned").lower("mismatches", 0.0).exact("equiv_digest", "5da2ba60f4a46758"),
+        ]
+    }
+
+    fn baseline(json: String) -> Result<Baseline, String> {
+        Baseline::parse("fixture", json, "fiveg-x/v1", &fleet_config(1))
+    }
 
     fn gate(baseline: f64, current: f64, better: Better) -> Gate {
-        Gate { what: "x".into(), baseline, current, better }
+        Gate { what: "x".into(), baseline: Value::Num(baseline), current: Value::Num(current), better }
+    }
+
+    #[test]
+    fn the_report_holds_schema_config_and_rows_only() {
+        let json = report("fiveg-x/v1", &fleet_config(1), &rows()[3..4]);
+        assert_eq!(
+            json,
+            "{\"schema\":\"fiveg-x/v1\",\"config\":{\"threads\":1,\"shards\":16,\"base\":{\"seed\":201}},\
+             \"rows\":[{\"n_ues\":100,\"ue_ticks\":60000}]}\n"
+        );
+        assert_eq!(schema_of(&json), Some("fiveg-x/v1"));
+        assert_eq!(config_of(&json), Some(fleet_config(1).as_str()));
+        assert_eq!(schema_of(r#"{"rows":[]}"#), None, "missing schema must be None, not a panic");
+        assert_eq!(rows_of(r#"{"rows":[]}"#), Some(Vec::new()));
+        assert_eq!(rows_of(""), None);
+    }
+
+    #[test]
+    fn every_gated_entry_round_trips_through_the_report() {
+        let rows = rows();
+        let gates = baseline(report("fiveg-x/v1", &fleet_config(1), &rows)).unwrap().gates(&rows).unwrap();
+        assert_eq!(gates.len(), 10);
+        for g in &gates {
+            assert_eq!(g.baseline, g.current, "{}", g.what);
+            assert!(!g.regressed() && !g.improved(), "{}", g.what);
+        }
+        assert_eq!(gates[9].what, "serve[pinned] equiv_digest");
+    }
+
+    #[test]
+    fn rows_pair_by_label_not_position() {
+        let json = report("fiveg-x/v1", &fleet_config(1), &rows());
+        let mut reordered = rows();
+        reordered.reverse();
+        let gates = baseline(json.clone()).unwrap().gates(&reordered).unwrap();
+        assert!(gates.iter().all(|g| g.baseline == g.current));
+        // a prefix size (`100` vs `1000`) is a different row
+        let committed = rows_of(&json).unwrap();
+        let row = |l: &str| committed.iter().find(|(label, _)| label == l).map(|(_, e)| e.clone());
+        assert_eq!(row("n_ues[100]"), Some(vec![("ue_ticks", Value::Num(60_000.0))]));
+        assert_eq!(row("n_ues[10]"), None);
+    }
+
+    #[test]
+    fn a_missing_row_is_skipped_but_a_missing_key_or_no_match_fails() {
+        let b = baseline(report("fiveg-x/v1", &fleet_config(1), &rows())).unwrap();
+        let new_size = [Row::new("n_ues", 100).band("ue_ticks", 60_000.0), Row::new("n_ues", 7).band("ue_ticks", 1.0)];
+        assert_eq!(b.gates(&new_size).unwrap().len(), 1);
+        let err = b.gates(&[Row::new("n_ues", 100).band("skip_ratio", 0.8)]).unwrap_err();
+        assert!(err.contains("n_ues[100] lacks gated key skip_ratio"), "{err}");
+        let err = b.gates(&[Row::new("n_ues", 7).band("ue_ticks", 1.0)]).unwrap_err();
+        assert!(err.contains("matched none"), "{err}");
+    }
+
+    #[test]
+    fn a_baseline_of_another_schema_or_config_is_refused() {
+        let json = report("fiveg-x/v1", &fleet_config(1), &rows());
+        let err = Baseline::parse("b.json", json.clone(), "fiveg-x/v2", &fleet_config(1)).unwrap_err();
+        assert!(err.contains("schema 'fiveg-x/v1'") && err.contains("fiveg-x/v2"), "{err}");
+        let err = Baseline::parse("b.json", json, "fiveg-x/v1", &fleet_config(2)).unwrap_err();
+        assert!(
+            err.contains(r#"pins config {"threads":1,"#) && err.contains(r#"this run's is {"threads":2,"#),
+            "{err}"
+        );
+        let err = baseline(r#"{"schema":"fiveg-x/v1","rows":[]}"#.into()).unwrap_err();
+        assert!(err.contains("pins config (none)"), "{err}");
+    }
+
+    #[test]
+    fn load_reads_the_file_and_applies_the_same_refusals() {
+        let path = std::env::temp_dir().join(format!("perfgate-baseline-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        std::fs::write(path, report("fiveg-x/v1", &fleet_config(1), &rows())).unwrap();
+        assert!(Baseline::load(path, "fiveg-x/v1", &fleet_config(1)).is_ok());
+        assert!(Baseline::load(path, "fiveg-x/v1", &fleet_config(2)).unwrap_err().contains("pins config"));
+        std::fs::remove_file(path).unwrap();
+        assert!(Baseline::load(path, "fiveg-x/v1", &fleet_config(1)).unwrap_err().starts_with("reading baseline"));
     }
 
     #[test]
     fn gate_lines_show_drift_inside_the_band() {
         // a 4.6% drift of a ratio-valued gate, well inside TOL, must be
         // readable from the line: one decimal would print 0.8 twice
-        let g = Gate { what: "des city-sa skip_ratio".into(), baseline: 0.797, current: 0.760, better: Better::Band };
+        let mut g = gate(0.797, 0.760, Better::Band);
+        g.what = "des[city-sa] skip_ratio".into();
         assert_eq!(
             g.verdict(),
-            "  des city-sa skip_ratio             baseline       0.7970  current       0.7600  ratio  0.954  ok"
+            "  des[city-sa] skip_ratio              baseline       0.7970  current       0.7600  ratio  0.954  ok"
         );
+        let d = Gate {
+            what: "serve[pinned] equiv_digest".into(),
+            baseline: "5da2ba60f4a46758".into(),
+            current: "5da2ba60f4a46759".into(),
+            better: Better::Exact,
+        };
         assert_eq!(
-            line("snapshot allocs_per_tick", 3.4512, 3.4487, "ok"),
-            "  snapshot allocs_per_tick           baseline        3.451  current        3.449  ratio  0.999  ok"
+            d.verdict(),
+            "  serve[pinned] equiv_digest           baseline 5da2ba60f4a46758  current 5da2ba60f4a46759  FAIL (regression)"
         );
         assert_eq!(num(40.241), "40.24");
         assert_eq!(num(9037.0), "9037.0");
@@ -337,132 +574,15 @@ mod tests {
     }
 
     #[test]
-    fn schema_of_reads_the_version_string() {
-        assert_eq!(schema_of(TICK), Some("fiveg-tick/v2"));
-        assert_eq!(schema_of(FLEET), Some("fiveg-fleet/v2"));
-        assert_eq!(schema_of(r#"{"schema":"fiveg-fleet/v3","sizes":[]}"#), Some("fiveg-fleet/v3"));
-        assert_eq!(schema_of(r#"{"sizes":[]}"#), None, "missing schema must be None, not a panic");
-        assert_eq!(schema_of(""), None);
-    }
-
-    #[test]
-    fn load_baseline_refuses_a_foreign_schema() {
-        let path = std::env::temp_dir().join(format!("perfgate-baseline-{}.json", std::process::id()));
-        let path = path.to_str().unwrap();
-        std::fs::write(path, FLEET).unwrap();
-        assert_eq!(load_baseline(path, "fiveg-fleet/v2").as_deref(), Ok(FLEET));
-        let err = load_baseline(path, "fiveg-fleet/v4").unwrap_err();
-        assert!(err.contains("'fiveg-fleet/v2'") && err.contains("fiveg-fleet/v4"), "{err}");
-        std::fs::write(path, r#"{"sizes":[]}"#).unwrap();
-        assert!(load_baseline(path, "fiveg-fleet/v2").unwrap_err().contains("(none)"));
-        std::fs::remove_file(path).unwrap();
-        assert!(load_baseline(path, "fiveg-fleet/v2").unwrap_err().starts_with("reading baseline"));
-    }
-
-    #[test]
-    fn extracts_the_anchored_entry_not_its_neighbors() {
-        assert_eq!(metric_after(TICK, r#""path":"snapshot""#, "ticks_per_sec"), Some(106960.0));
-        assert_eq!(metric_after(TICK, r#""path":"reference""#, "ticks_per_sec"), Some(71642.0));
-        assert_eq!(metric_after(TICK, r#""path":"snapshot""#, "allocs_per_tick"), Some(3.0));
-        // the v2 des entries anchor on their label key, so gates can pick a
-        // scenario without being fooled by the array key or a neighbor entry
-        assert_eq!(metric_after(TICK, r#""des":"city-sa""#, "skip_ratio"), Some(0.898));
-        assert_eq!(metric_after(TICK, r#""des":"walking-sa""#, "skip_ratio"), Some(0.838));
-        assert_eq!(metric_after(TICK, r#""des":"walking-sa""#, "ticks"), Some(600.0));
-    }
-
-    #[test]
-    fn fleet_metric_disambiguates_prefix_sizes() {
-        assert_eq!(fleet_metric(FLEET, 100, "ue_ticks_per_sec"), Some(80000.0));
-        assert_eq!(fleet_metric(FLEET, 1000, "ue_ticks_per_sec"), Some(76000.0));
-        assert_eq!(fleet_metric(FLEET, 1, "ue_ticks_per_sec"), Some(90000.0));
-        assert_eq!(fleet_metric(FLEET, 10, "ue_ticks_per_sec"), Some(85000.0));
-    }
-
-    #[test]
-    fn fleet_metric_is_keyed_by_value_not_position() {
-        // entries deliberately out of size order, with an extra unrelated
-        // size in the middle: the pairing must follow the n_ues value
-        let reordered = concat!(
-            r#"{"schema":"fiveg-fleet/v2","sizes":[{"n_ues":1000,"ue_ticks":9.0},"#,
-            r#"{"n_ues":7,"ue_ticks":3.0},{"n_ues":100,"ue_ticks":5.0},{"n_ues":1,"ue_ticks":1.0}]}"#
-        );
-        assert_eq!(fleet_metric(reordered, 1, "ue_ticks"), Some(1.0));
-        assert_eq!(fleet_metric(reordered, 100, "ue_ticks"), Some(5.0));
-        assert_eq!(fleet_metric(reordered, 1000, "ue_ticks"), Some(9.0));
-    }
-
-    #[test]
-    fn fleet_metric_matches_entries_closed_by_a_brace() {
-        // n_ues as the only key: the value is terminated by '}' not ','
-        let j = r#"[{"n_ues":10},{"n_ues":100,"ue_ticks":5.0}]"#;
-        assert_eq!(fleet_metric(j, 100, "ue_ticks"), Some(5.0));
-        assert_eq!(fleet_metric(j, 10, "ue_ticks"), None, "entry exists but lacks the metric");
-    }
-
-    #[test]
-    fn fleet_row_tells_a_missing_row_from_a_missing_key() {
-        assert!(fleet_row(FLEET, 100).is_some_and(|row| row.contains("80000.0")));
-        assert!(fleet_row(FLEET, 100).is_some() && fleet_metric(FLEET, 100, "skip_ratio").is_none());
-        assert_eq!(fleet_row(FLEET, 500), None);
-    }
-
-    #[test]
-    fn missing_anchor_or_metric_is_none_not_a_panic() {
-        assert_eq!(fleet_metric(FLEET, 500, "ue_ticks_per_sec"), None);
-        assert_eq!(fleet_metric(FLEET, 100, "nonexistent"), None);
-        assert_eq!(fleet_metric("", 100, "ue_ticks_per_sec"), None);
-        assert_eq!(metric_after(TICK, r#""path":"snapshot""#, "nonexistent"), None);
-        assert_eq!(metric_after("", r#""path":"snapshot""#, "ticks_per_sec"), None);
-    }
-
-    #[test]
-    fn metric_lookup_stays_inside_the_anchored_object() {
-        // "elapsed_s" exists only in the *next* object; the scan must stop
-        // at the closing brace of the anchored one
-        let j = r#"[{"n_ues":1,"a":2.0},{"n_ues":10,"elapsed_s":9.0}]"#;
-        assert_eq!(metric_after(j, r#""n_ues":1,"#, "elapsed_s"), None);
-    }
-
-    #[test]
-    fn str_after_reads_string_fields_inside_the_anchored_object() {
-        let j = concat!(
-            r#"{"schema":"fiveg-serve/v1","gated":{"sessions_completed":8,"#,
-            r#""equiv_digest":"00f3a9b2c4d5e6f7","mismatches":0},"#,
-            r#""advisory":{"note":"other"}}"#
-        );
-        assert_eq!(str_after(j, r#""gated":"#, "equiv_digest"), Some("00f3a9b2c4d5e6f7"));
-        assert_eq!(str_after(j, r#""gated":"#, "note"), None, "scope ends at the first brace");
-        assert_eq!(str_after(j, r#""advisory":"#, "note"), Some("other"));
-        assert_eq!(str_after(j, r#""missing":"#, "equiv_digest"), None);
-        assert_eq!(str_after(j, r#""gated":"#, "sessions_completed"), None, "numeric field is not a string");
-        assert_eq!(str_after("", r#""gated":"#, "equiv_digest"), None);
-    }
-
-    #[test]
-    fn metric_anywhere_reads_report_level_scalars() {
-        assert_eq!(metric_anywhere(TICK, "speedup"), Some(1.49));
-        assert_eq!(metric_anywhere(TICK, "iters"), Some(3.0));
-        assert_eq!(metric_anywhere(TICK, "nonexistent"), None);
-        assert_eq!(metric_anywhere("", "speedup"), None);
-    }
-
-    #[test]
-    fn higher_is_better_fails_only_on_drop() {
-        assert!(gate(100.0, 84.9, Better::Higher).regressed());
-        assert!(!gate(100.0, 85.1, Better::Higher).regressed());
-        let g = gate(100.0, 300.0, Better::Higher);
-        assert!(!g.regressed(), "an improvement must never fail the gate");
-        assert!(g.improved());
-    }
-
-    #[test]
     fn lower_is_better_fails_only_on_rise() {
         assert!(gate(100.0, 115.1, Better::Lower).regressed());
         assert!(!gate(100.0, 114.9, Better::Lower).regressed());
         let g = gate(100.0, 50.0, Better::Lower);
         assert!(!g.regressed(), "fewer allocations must never fail the gate");
         assert!(g.improved());
+        let zero = gate(0.0, 1.0, Better::Lower);
+        assert!(zero.regressed(), "a zero baseline has no slack");
+        assert!(zero.verdict().contains("ratio      -  FAIL"), "{}", zero.verdict());
     }
 
     #[test]
@@ -475,11 +595,10 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_aggregates_all_gates() {
-        let pass = gate(100.0, 98.0, Better::Higher);
-        let fail = gate(100.0, 50.0, Better::Higher);
-        assert!(evaluate(std::slice::from_ref(&pass)));
-        assert!(!evaluate(&[pass, fail]));
-        assert!(evaluate(&[]), "no gates means nothing to fail");
+    fn exact_fails_on_any_difference_and_on_a_baseline_of_another_type() {
+        assert!(gate(1.0, 1.0 + 1e-12, Better::Exact).regressed());
+        assert!(!gate(1.0, 1.0, Better::Exact).regressed());
+        let mistyped = Gate { baseline: "40".into(), ..gate(40.0, 40.0, Better::Band) };
+        assert!(mistyped.regressed(), "a string baseline for a numeric key must not pass");
     }
 }

@@ -20,7 +20,7 @@
 //! runs to lock that in.
 
 use crate::pool::run_ordered;
-use crate::report::JsonBuf;
+use crate::JsonBuf;
 use fiveg_oracle::Oracle;
 use fiveg_ran::{Arch, Carrier, HandoverRecord, HoPhase, HoType, RadioTech};
 use fiveg_rrc::ReconfigAction;

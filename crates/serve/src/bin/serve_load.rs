@@ -15,15 +15,16 @@
 //!     --out BENCH_serve.json --baseline BENCH_serve.json
 //! ```
 //!
-//! The report (schema `fiveg-serve/v1`) separates machine-independent
-//! `gated` fields (counts, mismatches, the digest) from machine-dependent
-//! `advisory` ones (latency percentiles, throughput). Exit codes: 0 ok,
-//! 1 usage/connection/gate failure, 2 wire-vs-offline prediction
-//! mismatch, 3 baseline unreadable or of another schema
-//! ([`perfgate::load_baseline`]). Gates allow [`perfgate::TOL`].
+//! The report (schema `fiveg-serve/v2`) holds the pinned configuration
+//! (sessions and the pinned fleet) and one gated row of machine-independent
+//! values: counts, mismatches and the digest. Latency percentiles,
+//! throughput, SLO misses and the per-session digests are printed only.
+//! Exit codes: 0 ok, 1 usage/connection/gate failure, 2 wire-vs-offline
+//! prediction mismatch, 3 baseline refused (unreadable, of another schema
+//! or pinned configuration, or missing a gated key; see
+//! `fiveg_bench::perfgate`). Gates allow [`perfgate::TOL`].
 
-use fiveg_bench::perfgate::{self, Better, Gate};
-use fiveg_bench::JsonBuf;
+use fiveg_bench::perfgate::{self, Baseline, Row};
 use fiveg_ran::{Arch, Carrier};
 use fiveg_serve::digest::{combine_sessions, digest_replies, hex16};
 use fiveg_serve::proto::{self, Frame};
@@ -38,7 +39,7 @@ use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 use std::time::Instant;
 
-const SCHEMA: &str = "fiveg-serve/v1";
+const SCHEMA: &str = "fiveg-serve/v2";
 
 /// The pinned workload: a small SA city fleet, staggered starts, traces
 /// kept so each session has a full per-tick frame sequence to replay.
@@ -248,83 +249,38 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn write_report(args: &Args, transport: &str, outcomes: &[SessionOutcome], totals: &Totals, elapsed_s: f64) -> String {
-    let mut j = JsonBuf::new();
-    j.open('{');
-    j.key("schema");
-    j.str_val(SCHEMA);
-    j.key("mode");
-    j.str_val("pinned");
-    j.key("transport");
-    j.str_val(transport);
-    j.key("sessions");
-    j.uint(args.sessions as u64);
-    j.key("fleet_ues");
-    j.uint(u64::from(PINNED_UES));
-    // every field in `gated` must stay machine-independent and scalar:
-    // perfgate's extractors scope an anchor to the first closing brace
-    j.key("gated");
-    j.open('{');
-    j.key("sessions_completed");
-    j.uint(outcomes.len() as u64);
-    j.key("frames_sent");
-    j.uint(totals.frames_sent);
-    j.key("predictions");
-    j.uint(totals.predictions);
-    j.key("ho_predictions");
-    j.uint(totals.positives);
-    j.key("mismatches");
-    j.uint(totals.mismatches);
-    j.key("equiv_digest");
-    j.str_val(&totals.digest);
-    j.close('}');
-    j.key("per_session");
-    j.open('[');
-    for o in outcomes {
-        j.open('{');
-        j.key("ue");
-        j.uint(u64::from(o.ue));
-        j.key("predictions");
-        j.uint(o.replies.len() as u64);
-        j.key("positives");
-        j.uint(o.offline_counts.positives);
-        j.key("mismatches");
-        j.uint(o.mismatches);
-        j.key("digest");
-        j.str_val(&hex16(digest_replies(&o.replies)));
-        j.close('}');
-    }
-    j.close(']');
-    j.key("advisory");
-    j.open('{');
-    j.key("elapsed_s");
-    j.num(elapsed_s);
-    j.key("predictions_per_sec");
-    j.num(totals.predictions as f64 / elapsed_s.max(1e-9));
-    j.key("rtt_ms_p50");
-    j.num(totals.rtt_ms.percentile(0.50));
-    j.key("rtt_ms_p99");
-    j.num(totals.rtt_ms.percentile(0.99));
-    j.key("rtt_ms_p999");
-    j.num(totals.rtt_ms.percentile(0.999));
-    j.key("slo_ms");
-    j.num(args.slo_ms);
-    j.key("slo_miss");
-    j.uint(totals.slo_miss);
-    j.key("slo_miss_rate");
-    j.num(totals.slo_miss as f64 / (totals.predictions as f64).max(1.0));
-    j.close('}');
-    j.close('}');
-    j.finish_line()
+/// The pinned configuration the gated counts depend on.
+fn config(sessions: usize) -> String {
+    perfgate::config(|j| {
+        j.key("sessions");
+        j.uint(sessions as u64);
+        j.key("fleet_ues");
+        j.uint(u64::from(PINNED_UES));
+        j.key("seed");
+        j.uint(PINNED_SEED);
+    })
 }
 
+/// The gated row: every count is exact for the pinned workload, so each is
+/// a band — drift either way means the workload silently changed; a
+/// mismatch count above the baseline's (0) fails, and the digest must
+/// match exactly (equal digest ⇔ bit-identical predictions).
+fn rows(sessions_completed: usize, totals: &Totals) -> Vec<Row> {
+    vec![Row::new("serve", "pinned")
+        .band("sessions_completed", sessions_completed as f64)
+        .band("frames_sent", totals.frames_sent as f64)
+        .band("predictions", totals.predictions as f64)
+        .band("ho_predictions", totals.positives as f64)
+        .lower("mismatches", totals.mismatches as f64)
+        .exact("equiv_digest", &totals.digest)]
+}
+
+/// The run's gated totals.
 struct Totals {
     frames_sent: u64,
     predictions: u64,
     positives: u64,
     mismatches: u64,
-    slo_miss: u64,
-    rtt_ms: Histogram,
     digest: String,
 }
 
@@ -343,6 +299,14 @@ fn main() -> ExitCode {
     let Some(ep) = args.endpoint.clone() else {
         eprintln!("serve_load: no endpoint; pass --tcp or --uds");
         return usage();
+    };
+    let config = config(args.sessions);
+    let baseline = match args.baseline.as_deref().map(|p| Baseline::load(p, SCHEMA, &config)).transpose() {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("serve_load: {e}");
+            return ExitCode::from(3);
+        }
     };
 
     let traces = pinned_traces();
@@ -376,15 +340,8 @@ fn main() -> ExitCode {
     }
     let elapsed_s = t0.elapsed().as_secs_f64();
 
-    let mut totals = Totals {
-        frames_sent: 0,
-        predictions: 0,
-        positives: 0,
-        mismatches: 0,
-        slo_miss: 0,
-        rtt_ms: Histogram::new(),
-        digest: String::new(),
-    };
+    let mut totals = Totals { frames_sent: 0, predictions: 0, positives: 0, mismatches: 0, digest: String::new() };
+    let (mut slo_miss, mut rtt_ms) = (0, Histogram::new());
     let mut wire = Vec::new();
     let mut offline = Vec::new();
     for o in &outcomes {
@@ -392,10 +349,19 @@ fn main() -> ExitCode {
         totals.predictions += o.replies.len() as u64;
         totals.positives += o.offline_counts.positives;
         totals.mismatches += o.mismatches;
-        totals.slo_miss += o.slo_miss;
-        totals.rtt_ms.merge(&o.rtt_ms);
-        wire.push((o.ue, digest_replies(&o.replies)));
+        slo_miss += o.slo_miss;
+        rtt_ms.merge(&o.rtt_ms);
+        let digest = digest_replies(&o.replies);
+        wire.push((o.ue, digest));
         offline.push((o.ue, digest_replies(&o.offline_replies)));
+        println!(
+            "  ue {}: {} predictions, {} positives, {} mismatches, digest {}",
+            o.ue,
+            o.replies.len(),
+            o.offline_counts.positives,
+            o.mismatches,
+            hex16(digest)
+        );
     }
     let wire_digest = hex16(combine_sessions(&wire));
     let offline_digest = hex16(combine_sessions(&offline));
@@ -408,17 +374,18 @@ fn main() -> ExitCode {
         wire_digest
     );
     println!(
-        "serve_load: p50 {:.3} ms p99 {:.3} ms, {}/{} slo misses (slo {} ms), {:.0} predictions/s",
-        totals.rtt_ms.percentile(0.50),
-        totals.rtt_ms.percentile(0.99),
-        totals.slo_miss,
+        "serve_load: p50 {:.3} ms p99 {:.3} ms p99.9 {:.3} ms, {}/{} slo misses (slo {} ms), {:.0} predictions/s",
+        rtt_ms.percentile(0.50),
+        rtt_ms.percentile(0.99),
+        rtt_ms.percentile(0.999),
+        slo_miss,
         totals.predictions,
         args.slo_ms,
         totals.predictions as f64 / elapsed_s.max(1e-9)
     );
 
-    let report = write_report(&args, ep.transport(), &outcomes, &totals, elapsed_s);
-    if let Err(e) = std::fs::write(&args.out, &report) {
+    let rows = rows(outcomes.len(), &totals);
+    if let Err(e) = std::fs::write(&args.out, perfgate::report(SCHEMA, &config, &rows)) {
         eprintln!("serve_load: writing {}: {e}", args.out);
         return ExitCode::FAILURE;
     }
@@ -433,81 +400,38 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    if let Some(path) = &args.baseline {
-        let committed = match perfgate::load_baseline(path, SCHEMA) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("serve_load: {e}");
-                return ExitCode::from(3);
-            }
-        };
-        let gated = |metric: &str| perfgate::metric_after(&committed, r#""gated":"#, metric);
-        let (Some(b_sessions), Some(b_frames), Some(b_preds), Some(b_pos), Some(b_mis)) = (
-            gated("sessions_completed"),
-            gated("frames_sent"),
-            gated("predictions"),
-            gated("ho_predictions"),
-            gated("mismatches"),
-        ) else {
-            eprintln!("serve_load: baseline {path} is missing gated metrics — reformatted or wrong file?");
-            return ExitCode::FAILURE;
-        };
-        let Some(b_digest) = perfgate::str_after(&committed, r#""gated":"#, "equiv_digest") else {
-            eprintln!("serve_load: baseline {path} is missing the equivalence digest");
-            return ExitCode::FAILURE;
-        };
-        println!("  perf gate vs {} (tol {:.0}%):", path, perfgate::TOL * 100.0);
-        if let Some(b_pps) = perfgate::metric_anywhere(&committed, "predictions_per_sec") {
-            perfgate::advise("predictions_per_sec", b_pps, totals.predictions as f64 / elapsed_s.max(1e-9));
-        }
-        // every count is exact for the pinned workload, so all gates are
-        // bands — drift either way means the workload silently changed.
-        // The digest is a string gate: exact match or fail, no tolerance.
-        let gates = [
-            Gate {
-                what: "serve sessions_completed".into(),
-                baseline: b_sessions,
-                current: outcomes.len() as f64,
-                better: Better::Band,
-            },
-            Gate {
-                what: "serve frames_sent".into(),
-                baseline: b_frames,
-                current: totals.frames_sent as f64,
-                better: Better::Band,
-            },
-            Gate {
-                what: "serve predictions".into(),
-                baseline: b_preds,
-                current: totals.predictions as f64,
-                better: Better::Band,
-            },
-            Gate {
-                what: "serve ho_predictions".into(),
-                baseline: b_pos,
-                current: totals.positives as f64,
-                better: Better::Band,
-            },
-        ];
-        let digest_ok = b_digest == wire_digest;
-        println!(
-            "  {:<34} baseline {:>16}  current {:>16}  {}",
-            "serve equiv_digest",
-            b_digest,
-            wire_digest,
-            if digest_ok { "ok" } else { "FAIL (prediction drift)" }
-        );
-        // a mismatch count above the baseline's (0) can only mean the wire
-        // diverged, which already exited above — but gate it anyway so a
-        // nonzero committed baseline is caught the day someone commits one
-        let mis_ok = totals.mismatches as f64 <= b_mis;
-        if !mis_ok {
-            println!("  {:<34} baseline {:>16}  current {:>16}  FAIL", "serve mismatches", b_mis, totals.mismatches);
-        }
-        if !perfgate::evaluate(&gates) || !digest_ok || !mis_ok {
+    match baseline.map(|b| b.gate(&rows)) {
+        None | Some(Ok(true)) => ExitCode::SUCCESS,
+        Some(Ok(false)) => {
             eprintln!("serve_load: gated metrics regressed beyond tolerance");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
+        }
+        Some(Err(e)) => {
+            eprintln!("serve_load: {e}");
+            ExitCode::from(3)
         }
     }
-    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every gated entry, the digest included, comes back out of the
+    /// report this binary writes.
+    #[test]
+    fn every_gated_entry_round_trips_through_the_report() {
+        let totals = Totals {
+            frames_sent: 4860,
+            predictions: 2400,
+            positives: 93,
+            mismatches: 0,
+            digest: "5da2ba60f4a46758".into(),
+        };
+        let rows = rows(8, &totals);
+        let own = perfgate::report(SCHEMA, &config(8), &rows);
+        let gates = Baseline::parse("own report", own, SCHEMA, &config(8)).unwrap().gates(&rows).unwrap();
+        assert_eq!(gates.len(), 6);
+        assert!(gates.iter().all(|g| g.baseline == g.current), "{gates:?}");
+    }
 }

@@ -24,7 +24,7 @@
 //!   gate in CI.
 //!
 //! Binaries: `serve` (the server) and `serve_load` (the load generator,
-//! which writes `BENCH_serve.json`, schema `fiveg-serve/v1`).
+//! which writes `BENCH_serve.json`, schema `fiveg-serve/v2`).
 
 pub mod digest;
 pub mod proto;

@@ -1,10 +1,10 @@
 //! Minimal deterministic JSON assembly.
 //!
 //! Every machine-readable artifact in the workspace — the benchmark reports
-//! (`fiveg-tick/v3`, `fiveg-fleet/v4`, `fiveg-fuzz/v1`, `fiveg-vivisect/v1`)
-//! and the flight-recorder dumps (`fiveg-flightrec/v1`) — is diffed
-//! byte-for-byte by the determinism CI, so serialization must not depend
-//! on any serializer's formatting choices. [`JsonBuf`] is the
+//! (`fiveg-tick/v4`, `fiveg-fleet/v5`, `fiveg-serve/v2`, `fiveg-fuzz/v1`,
+//! `fiveg-vivisect/v1`) and the flight-recorder dumps (`fiveg-flightrec/v1`)
+//! — is diffed byte-for-byte by the determinism CI, so serialization must
+//! not depend on any serializer's formatting choices. [`JsonBuf`] is the
 //! shared std-only writer they all use. It lives in the telemetry crate
 //! (the workspace's dependency-free observability root) so producers above
 //! and below the bench layer can emit identical bytes.

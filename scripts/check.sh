@@ -110,47 +110,14 @@ run_vivisect() {
     echo "  reports are byte-identical; flight-recorder dump carries the span timeline"
 }
 
-# Gating perf job: rerun both benchmarks and compare against the committed
-# BENCH_*.json baselines with a ±15% tolerance (fiveg_bench::perfgate::TOL)
-# — the binaries exit nonzero on a regression. Only machine-independent
-# metrics are gated, and no gate reads a stopwatch: work counts, allocs
-# per tick and skip ratios. The baselines' absolute ticks/s were recorded
-# on the development machine, shared CI runners drift more than any sane
-# tolerance, and even a same-run time ratio such as the fleet's
-# event_speedup moves by a fifth between two runs of unchanged code, so
-# wall-clock numbers are printed as advisory comparisons, never failures.
-# tick_bench runs the full scenario set because the committed baseline is
-# full-mode (smoke's smaller scenario has different work counts). It
-# bands the snapshot row's tick count and priced_cells_per_tick (the
-# cells whose fading the snapshot drew: about 40 a tick, about 110 without
-# its per-tick fading ceiling, so the band guards that cull tier) and
-# fails on an allocs/tick increase. Its des rows are event-driven fleets of one:
-# each is first proved control-plane-equal to the stepped fleet of one,
-# then the machine-independent skip_ratio >= 0.5 floor is enforced
-# outright and logical tick counts, skip_ratio, plan_tiles (shadowing
-# tiles the sleep planner hashed — the guard against its screen going back
-# to a deployment-wide scan) and plan_evals (the planner's exact channel
-# evaluations — the guard against its screens no longer pruning) are
-# banded against the baseline (UE·ticks/s stays advisory).
-# fleet_bench runs --smoke, whose per-size parameters match the full
-# mode's up to the 10k-UE point (full adds only 100k), and pins
-# --threads 1 --shards 16 to match the committed baseline's geometry
-# (plan_tiles counts per-worker memos, so it is exact only at a fixed
-# geometry). Baseline rows are paired by their n_ues value, so a
-# reordered or extended baseline can never gate against the wrong row,
-# and a matched row missing a gated key fails the run.
-# --verify-shards adds the other machine-independent gates: the same fleet
-# run on 1 thread x 1 shard and on 2 threads x 4 shards must produce
-# identical FleetTraces (whatever --threads says, so a multi-worker
-# boundary exchange is always exercised), and the
-# event-driven scheduler must be byte-identical to its EngineMode::Referee
-# run (plus control-plane-identical to the plain fixed path) before
-# any timing starts. --event-driven then runs every size once in each of
-# the fixed-step and event-driven modes and bands the event run's
-# skip_ratio, plan_evals and plan_tiles: the work the scheduler skips and
-# the work its sleep planner pays for, both deterministic for the pinned
-# scenario. CI uploads BENCH_tick_ci.json / BENCH_fleet_ci.json as
-# artifacts.
+# Gating perf job: rerun both benchmarks and gate their rows against the
+# committed BENCH_*.json baselines; what is gated, and why no gate reads a
+# stopwatch, is documented once in the fiveg_bench::perfgate module docs.
+# tick_bench runs the full scenario set and fleet_bench the smoke sizes at
+# the baseline's pinned --threads 1 --shards 16 --event-driven config (a
+# baseline of another config is refused). --verify-shards first proves
+# 1x1 == 2x4 threads x shards and referee == event-driven byte identity.
+# Wall-clock goes to stdout only; CI keeps it as a log artifact.
 run_perf() {
     echo "== perf gate (tick_bench + fleet_bench vs committed baselines, tol 15%)"
     cargo build -q --release -p fiveg-bench --bin tick_bench --bin fleet_bench
@@ -163,14 +130,10 @@ run_perf() {
 }
 
 # The serving gate, end to end on the real binaries: a `serve` server on a
-# Unix socket, `serve_load` replaying the pinned fleet workload against it
-# at 8-session fan-out. Every wire PROGNOSIS is compared field-by-field
-# against an offline Prognos replay of the same frames (serve_load exits 2
-# on any divergence), and the machine-independent report fields — session
-# and frame counts, prediction counts, the FNV-1a-64 equivalence digest —
-# gate against the committed BENCH_serve.json. Latency percentiles and
-# predictions/s are advisory only: the baseline's wall clock came from a
-# different machine. CI uploads BENCH_serve_ci.json as an artifact.
+# Unix socket and `serve_load` replaying the pinned fleet workload at
+# 8-session fan-out. serve_load exits 2 when a wire PROGNOSIS differs from
+# the offline Prognos replay, and gates its counts and the equivalence
+# digest against BENCH_serve.json (see the fiveg_bench::perfgate docs).
 run_serve() {
     echo "== serve gate (UDS server + serve_load replay vs committed baseline, tol 15%)"
     cargo build -q --release -p fiveg-serve --bin serve --bin serve_load
