@@ -1,7 +1,7 @@
 //! Fleet-throughput benchmark: UE·ticks/sec versus fleet size, reporting
 //! how close the per-UE cost of the sharded, load-coupled fleet engine
 //! stays to the single-UE hot path — and, with `--event-driven`, how much
-//! the calendar-wheel scheduler recovers by skipping quiescent UEs.
+//! the event-driven scheduler recovers by skipping quiescent UEs.
 //!
 //! Every size runs the same pinned base scenario (city loop, OpY, SA, seed
 //! 201) through [`fiveg_sim::fleet`] with the default heterogeneity
@@ -24,11 +24,11 @@
 //!
 //! `--event-driven` runs every size twice — fixed-step, then
 //! [`EngineMode::EventDriven`] — and records per size the skipped work
-//! (`skipped_ue_ticks`, `skip_ratio`), the wheel's wakeup histogram, and
-//! the sleep planner's work: `plan_evals`, the exact channel evaluations
-//! its dry runs paid for (telemetry counter `fleet.plan_evals`), and
-//! `plan_tiles`, the shadowing tiles its screens hashed
-//! (`fleet.plan_tiles`). The two runs must agree on `ue_ticks` exactly — a
+//! (`skipped_ue_ticks`, `skip_ratio`), the histogram of realized sleep
+//! lengths, and the sleep planner's work: `plan_evals`, the exact channel
+//! evaluations its dry runs paid for (telemetry counter
+//! `fleet.plan_evals`), and `plan_tiles`, the shadowing tiles its screens
+//! hashed (`fleet.plan_tiles`). The two runs must agree on `ue_ticks` exactly — a
 //! divergence fails the job before any gating.
 //!
 //! The report (`BENCH_fleet.json`, schema `fiveg-fleet/v5`) holds the

@@ -59,7 +59,7 @@ pub enum FuzzEngine {
     /// A staggered fleet of `ues` run under the referee (steps every tick,
     /// full control plane, unsampled while asleep) at 1 thread × 1 shard
     /// and event-driven at `threads` × `shards` must produce byte-identical
-    /// [`fiveg_sim::FleetTrace`]s — the axis that exercises calendar-wheel
+    /// [`fiveg_sim::FleetTrace`]s — the axis that exercises scheduled
     /// wakeups racing shard migration under real cell-load coupling.
     /// Traces stay off: a UE that records samples never sleeps, so only the
     /// summary pair actually walks the scheduler.
@@ -350,8 +350,8 @@ pub fn run_case(case: &FuzzCase) -> CaseResult {
     // finalize) adds nothing. A trace-recording UE never plans a sleep, so
     // this axis proves no sleep window sound; the event axis does: a
     // staggered multi-UE fleet run under the referee and event-driven at
-    // the fuzzed geometry must match byte-for-byte, so calendar-wheel
-    // wakeups racing shard migration and load-coupled early wakes cannot
+    // the fuzzed geometry must match byte-for-byte, so scheduled wakeups
+    // racing shard migration and load-coupled early wakes cannot
     // bend the output. Traces are deliberately off on the event axis, so
     // that pair really sleeps.
     if divergence.is_none() {
@@ -602,7 +602,7 @@ mod tests {
         assert!(r.ticks >= 590 && r.ticks <= 601, "{} ticks for a 60 s / 10 Hz run", r.ticks);
     }
 
-    /// The event axis at its raciest geometry: calendar-wheel wakeups and
+    /// The event axis at its raciest geometry: scheduled wakeups and
     /// load-coupled early wakes racing shard migration on a city loop must
     /// still match the stepped fleet byte-for-byte.
     #[test]

@@ -685,6 +685,79 @@ mod tests {
         assert!(try_read_frame(&buf).is_err());
     }
 
+    /// Parses `buf` and checks the only outcomes the reader may have: "read
+    /// more" (0), a frame no longer than the buffer (1), or an error (2),
+    /// returned as that index. A panic inside the parser fails the caller.
+    fn outcome(buf: &[u8]) -> usize {
+        match try_read_frame(buf) {
+            Ok(None) => 0,
+            Ok(Some((_, used))) => {
+                assert!(used <= buf.len(), "consumed {used} of a {}-byte buffer", buf.len());
+                1
+            }
+            Err(_) => 2,
+        }
+    }
+
+    /// `len` header values that lie about a frame of `body` bytes.
+    fn lying_lengths(body: usize) -> [u32; 8] {
+        let b = body as u32;
+        [0, 1, b - 1, b + 1, b + 9, MAX_FRAME as u32, MAX_FRAME as u32 + 1, u32::MAX]
+    }
+
+    #[test]
+    fn relabelled_and_mislengthed_frames_never_panic() {
+        // every truncation is `partial_buffers_ask_for_more_at_every_cut`
+        for f in sample_frames() {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &f);
+            for len in lying_lengths(buf.len() - 4) {
+                let mut b = buf.clone();
+                b[..4].copy_from_slice(&len.to_be_bytes());
+                outcome(&b);
+                // padded, so a longer claim can be satisfied by junk
+                b.resize(b.len() + 16, 0xA5);
+                outcome(&b);
+            }
+            for kind in 0..=u8::MAX {
+                let mut b = buf.clone();
+                b[4] = kind;
+                outcome(&b);
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_frames_never_panic() {
+        use proptest::Strategy;
+        // 1–5 edits per case, each (op, position or length, byte); the ops
+        // are bit flip, byte overwrite, truncation, lying length, junk append
+        let edits = proptest::collection::vec((0u8..5, proptest::any::<u32>(), proptest::any::<u8>()), 1..6);
+        let mut rng = proptest::Rng::new(0x5E7E_F4A3_0000_0001);
+        let frames = sample_frames();
+        let mut seen = [0u32; 3];
+        for case in 0..4000 {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &frames[case % frames.len()]);
+            for (op, at, byte) in edits.sample(&mut rng) {
+                let i = at as usize % buf.len().max(1);
+                match op {
+                    0 if !buf.is_empty() => buf[i] ^= 1 << (byte % 8),
+                    1 if !buf.is_empty() => buf[i] = byte,
+                    2 => buf.truncate(i),
+                    3 if buf.len() >= 4 => {
+                        let len = lying_lengths(buf.len().max(5) - 4)[byte as usize % 8];
+                        buf[..4].copy_from_slice(&len.to_be_bytes());
+                    }
+                    _ => buf.resize(buf.len() + at as usize % 32, byte),
+                }
+            }
+            seen[outcome(&buf)] += 1;
+        }
+        // the mutations must reach every outcome, or the sweep is vacuous
+        assert!(seen.iter().all(|&n| n > 0), "outcomes (more, frame, error): {seen:?}");
+    }
+
     #[test]
     fn ho_wire_tags_are_a_bijection() {
         for ho in HoType::ALL {

@@ -244,7 +244,7 @@ pub(crate) fn run_with(s: &Scenario, tele: &Telemetry, mut hook: Option<&mut (dy
     let mut radio = RadioSnapshot::new();
     let mut ue = UeSim::new(s.clone(), &d, tele, &mut radio, hook.as_deref_mut(), true);
     while ue.active() {
-        ue.step(hook.as_deref_mut(), &CellLoadView::SOLO, &mut radio);
+        ue.step(hook.as_deref_mut(), &CellLoadView::SOLO, &mut radio, true);
     }
     ue.finish(hook).1.expect("the single-UE engine records samples")
 }
@@ -273,7 +273,7 @@ pub(crate) struct UeRunStats {
 /// over [`UeSim::step`] with [`CellLoadView::SOLO`] and a [`RadioSnapshot`]
 /// of its own. The fleet engine ([`crate::fleet`]) drives many `UeSim`s
 /// against one shared deployment, stepped every tick or, event-driven,
-/// parked on a calendar wheel and replayed with [`UeSim::catch_up`]; it
+/// left asleep in its shard slot and replayed with [`UeSim::catch_up`]; it
 /// feeds each step the fleet's per-cell attach counts through a
 /// [`CellLoadView`] and shares one snapshot per shard. A fleet of one reproduces
 /// [`Scenario::run`]'s trace byte for byte.
@@ -534,18 +534,11 @@ impl<'d> UeSim<'d> {
 
     /// Conservative count of future ticks whose control plane is provably
     /// inert — see [`wakeup::plan_sleep`]. `0` means the UE must step next
-    /// tick. Test convenience; the fleet uses [`UeSim::plan_sleep_with`].
-    #[cfg(test)]
-    pub(crate) fn plan_sleep(&self, max_ticks: u64) -> u64 {
-        wakeup::plan_sleep(self, max_ticks, &mut wakeup::PlanScratch::default())
-    }
-
-    /// [`UeSim::plan_sleep`] with caller-owned scratch buffers — the fleet
-    /// threads one [`wakeup::PlanScratch`] per shard through every plan so
-    /// steady-state planning never allocates. The plan is a pure function of
-    /// UE state; the scratch only recycles capacity.
-    pub(crate) fn plan_sleep_with(&self, max_ticks: u64, scratch: &mut wakeup::PlanScratch) -> u64 {
-        wakeup::plan_sleep(self, max_ticks, scratch)
+    /// tick. The fleet threads one [`wakeup::PlanScratch`] per worker through
+    /// every plan so steady-state planning never allocates. The plan is a
+    /// pure function of UE state; the scratch only recycles capacity.
+    pub(crate) fn plan_sleep(&self, scratch: &mut wakeup::PlanScratch) -> u64 {
+        wakeup::plan_sleep(self, scratch)
     }
 
     /// Control-plane digest for equivalence assertions: every field must be
@@ -575,26 +568,17 @@ impl<'d> UeSim<'d> {
     /// [`CellLoadView::SOLO`] both shares are exactly `1.0` and the
     /// multiplications are bit-for-bit no-ops (see
     /// [`fiveg_link::load_share`]).
+    ///
+    /// `sample` makes the data plane optional. With `sample` false the
+    /// control plane still runs in full — mobility, HO state machine,
+    /// channel views, RLF, measurements, policy, decisions — but the
+    /// data-plane tail (PHY-measurement tally, link-layer shares/flows,
+    /// trace sample, tick hook) is skipped. The referee fleet mode uses
+    /// `sample = false` for virtually-slept ticks: it proves dynamically that
+    /// a sleeping UE's control plane would have stayed inert, while the data
+    /// plane — which never feeds back into the radio state — is consistently
+    /// absent from both scheduled modes, keeping their outputs byte-identical.
     pub(crate) fn step(
-        &mut self,
-        hook: Option<&mut (dyn SimHook + '_)>,
-        load: &CellLoadView,
-        radio: &mut RadioSnapshot,
-    ) {
-        self.step_sampled(hook, load, radio, true)
-    }
-
-    /// [`UeSim::step`] with the data plane made optional. With `sample` true
-    /// this IS `step`. With `sample` false the control plane still runs in
-    /// full — mobility, HO state machine, channel views, RLF, measurements,
-    /// policy, decisions — but the data-plane tail (PHY-measurement tally,
-    /// link-layer shares/flows, trace sample, tick hook) is skipped. The
-    /// event-driven fleet modes use `sample = false` for virtually-slept
-    /// ticks: the referee mode proves dynamically that a parked UE's control
-    /// plane would have stayed inert, while the data plane — which never
-    /// feeds back into the radio state — is consistently absent from both
-    /// scheduled modes, keeping their outputs byte-identical.
-    pub(crate) fn step_sampled(
         &mut self,
         mut hook: Option<&mut (dyn SimHook + '_)>,
         load: &CellLoadView,
@@ -1481,22 +1465,25 @@ mod wakeup_tests {
         let mut stepper = sim_for(s, &d, &tele, &mut radio_a);
         let mut skipper = sim_for(s, &d, &tele, &mut radio_b);
         let (mut plans, mut planned_ticks) = (0u64, 0u64);
+        // one scratch for both sides: the second plan reads memos the first
+        // warmed, and must still agree
+        let mut scratch = wakeup::PlanScratch::default();
         while stepper.active() {
-            let w = stepper.plan_sleep(126);
-            assert_eq!(w, skipper.plan_sleep(126), "the plan must be a pure function of UE state");
+            let w = stepper.plan_sleep(&mut scratch);
+            assert_eq!(w, skipper.plan_sleep(&mut scratch), "the plan must be a pure function of UE state");
             if w > 0 {
                 plans += 1;
                 planned_ticks += w;
                 // referee side: w unsampled steps, full control plane
                 for _ in 0..w {
-                    stepper.step_sampled(None, &CellLoadView::SOLO, &mut radio_a, false);
+                    stepper.step(None, &CellLoadView::SOLO, &mut radio_a, false);
                 }
                 // event side: one analytic catch-up
                 skipper.catch_up(w);
             }
             // both take the next real tick sampled
-            stepper.step_sampled(None, &CellLoadView::SOLO, &mut radio_a, true);
-            skipper.step_sampled(None, &CellLoadView::SOLO, &mut radio_b, true);
+            stepper.step(None, &CellLoadView::SOLO, &mut radio_a, true);
+            skipper.step(None, &CellLoadView::SOLO, &mut radio_b, true);
             assert_eq!(
                 stepper.control_digest(),
                 skipper.control_digest(),

@@ -69,8 +69,8 @@
 //!
 //! # Execution modes
 //!
-//! Every [`EngineMode`] runs the same loop: the same load table, calendar
-//! wheel and finalize. The mode decides only whether UEs plan sleeps and
+//! Every [`EngineMode`] runs the same loop: the same load table, resident
+//! sweep and finalize. The mode decides only whether UEs plan sleeps and
 //! what a sleeping UE does:
 //!
 //! * [`EngineMode::Stepped`] (default) — the scheduler with planning off:
@@ -80,16 +80,18 @@
 //!   `crate::engine::wakeup` for a conservative *inertness window*: the
 //!   number of future ticks in which the UE's control plane provably does
 //!   nothing (no event arms, no RLF, no HO, no RNG draw). A UE with a
-//!   window sleeps on the shard's **calendar wheel** (a 128-slot
-//!   [`crate::wheel::EventQueue`] — no steady-state allocation) and is
-//!   skipped entirely until its wake tick; on wakeup
+//!   window sleeps in its own slot, which records its wake tick. The
+//!   shard's per-tick sweep over its residents already visits every
+//!   sleeper (it reads the sleeper's serving-cell counts for the load-wake
+//!   check), so it wakes the UE in place when that tick arrives; until then
+//!   the UE is skipped entirely. On wakeup
 //!   `crate::engine::UeSim::catch_up` replays the skipped prologues (clock,
 //!   tick counter, mobility) in one analytic burst. A sleeper's serving
 //!   cells stay published in the load table, and it is woken early when a
 //!   neighbor's attach/detach changes the [`fiveg_link::load_share`] at its
 //!   serving cell.
 //! * [`EngineMode::Referee`] — the referee: runs the *same* scheduler
-//!   decisions as `EventDriven` (same sleeps, same wakes, same wheel), but
+//!   decisions as `EventDriven` (same sleeps, same wakes), but
 //!   instead of skipping a sleeping UE it steps it every tick with
 //!   sampling disabled — the full control plane still executes. If a
 //!   wakeup bound were ever unsound, the control plane would act during a
@@ -110,14 +112,12 @@ use crate::engine::{UeRunStats, UeSim};
 use crate::hook::SimHook;
 use crate::scenario::Scenario;
 use crate::trace::Trace;
-use crate::wheel::EventQueue;
 use fiveg_geo::Point;
 use fiveg_link::{load_share, load_share_shifted};
 use fiveg_radio::hash2;
 use fiveg_ran::{Arch, Carrier, CellId, Deployment, Environment, RadioSnapshot};
 use fiveg_telemetry::{Telemetry, TelemetryConfig};
 use fiveg_ue::SpeedProfile;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
@@ -160,15 +160,15 @@ pub enum EngineMode {
     /// Every active UE steps every tick — the v2 reference semantics.
     #[default]
     Stepped,
-    /// Runs the event-driven schedule (same sleeps, wakes and wheel as
+    /// Runs the event-driven schedule (same sleeps and wakes as
     /// [`EngineMode::EventDriven`]) but steps sleeping UEs every tick with
     /// sampling disabled, so their full control plane still executes. The
     /// referee mode: byte-equality with `EventDriven` proves every wakeup
     /// bound sound.
     Referee,
-    /// Skips provably-inert UEs entirely: sleeping UEs are parked on a
-    /// per-shard calendar wheel and replay the skipped ticks analytically
-    /// on wakeup.
+    /// Skips provably-inert UEs entirely: a sleeping UE stays in its
+    /// shard slot until the sweep reaches its wake tick, then replays the
+    /// skipped ticks analytically.
     EventDriven,
 }
 
@@ -579,12 +579,6 @@ where
     (ft, hooks.expect("factory was provided"))
 }
 
-/// Near-wheel slot count for each shard's [`EventQueue`]. The planner is
-/// capped at `WHEEL_SLOTS - 2` ticks, so the longest wakeup offset is
-/// `WHEEL_SLOTS - 1` and every entry stays in the queue's allocation-free
-/// level 1 — the overflow level never fills in production.
-const WHEEL_SLOTS: usize = 128;
-
 /// Awake ticks to skip re-planning after a failed plan: a UE that just
 /// proved un-sleepable rarely becomes sleepable one tick later, and the
 /// planner's dry run is a few ticks' worth of channel math.
@@ -596,8 +590,6 @@ const PLAN_BACKOFF: u8 = 3;
 struct SchedState {
     /// The UE is inside a sleep window.
     asleep: bool,
-    /// The wheel marked this UE's wake tick as due.
-    due: bool,
     /// Global tick at which the sleep window ends and the UE must step.
     wake_tick: u64,
     /// Global tick of the last real (sampled) step — the tick the UE fell
@@ -627,14 +619,10 @@ struct ShardUes<'d, H: SimHook> {
     teles: Vec<Telemetry>,
     /// Scheduler slot of each resident UE (SoA like the rest).
     scheds: Vec<SchedState>,
-    /// Fleet index → current slot, maintained across `swap_remove`s so
-    /// wheel entries survive residents shuffling.
-    local_of: HashMap<u32, usize>,
 }
 
 impl<'d, H: SimHook> ShardUes<'d, H> {
     fn push(&mut self, ue: Migrant<'d, H>) {
-        self.local_of.insert(ue.idx, self.idx.len());
         self.idx.push(ue.idx);
         self.sims.push(ue.sim);
         self.hooks.push(ue.hook);
@@ -644,18 +632,13 @@ impl<'d, H: SimHook> ShardUes<'d, H> {
 
     /// Takes slot `j`'s UE out; the last resident moves into slot `j`.
     fn swap_remove(&mut self, j: usize) -> Migrant<'d, H> {
-        let ue = Migrant {
+        Migrant {
             idx: self.idx.swap_remove(j),
             sim: self.sims.swap_remove(j),
             hook: self.hooks.swap_remove(j),
             tele: self.teles.swap_remove(j),
             sched: self.scheds.swap_remove(j),
-        };
-        self.local_of.remove(&ue.idx);
-        if let Some(&moved) = self.idx.get(j) {
-            self.local_of.insert(moved, j);
         }
-        ue
     }
 }
 
@@ -679,12 +662,6 @@ struct Shard<'d, H: SimHook> {
     /// from `(pos, t)` on miss, so sharing is invisible in the output —
     /// it only trades per-UE cache memory for a lower hit rate.
     arena: RadioSnapshot,
-    /// Calendar wheel: the shard-local [`crate::wheel::EventQueue`],
-    /// drained once per tick (empty unless the mode plans sleeps). The
-    /// planner cap keeps every wakeup inside one revolution, so the queue's
-    /// overflow level stays empty and steady-state scheduling allocates
-    /// nothing.
-    wheel: EventQueue,
     /// `(cell, ±1)` serving transitions this shard's steps produced during
     /// the current tick; the leader folds them into the persistent table at
     /// the boundary.
@@ -706,13 +683,11 @@ impl<'d, H: SimHook> Shard<'d, H> {
                 hooks: Vec::new(),
                 teles: Vec::new(),
                 scheds: Vec::new(),
-                local_of: HashMap::new(),
             },
             outbox: Vec::new(),
             alive: 0,
             stepped: 0,
             arena: RadioSnapshot::new(),
-            wheel: EventQueue::with_slots(WHEEL_SLOTS),
             deltas: Vec::new(),
             departs: Vec::new(),
             totals: SchedSummary::default(),
@@ -729,9 +704,8 @@ struct Migrant<'d, H: SimHook> {
     hook: Option<H>,
     tele: Telemetry,
     /// Scheduler slot travels with the UE: it records which cells the UE
-    /// has published in the load table. Only awake UEs migrate (sleepers
-    /// stay parked until their wake tick), so no wheel entry ever needs to
-    /// move between shards.
+    /// has published in the load table. Only awake UEs migrate: a sleeper
+    /// stays in its shard's slot, where the sweep wakes it.
     sched: SchedState,
 }
 
@@ -965,8 +939,7 @@ fn run_fleet_core<H: SimHook + Send>(
                     let count_at = |c: CellId| global[c.0 as usize].load(Ordering::Relaxed);
                     for s in (w..shards_n).step_by(threads) {
                         let mut g = shards[s].lock().unwrap();
-                        let Shard { pending, run, outbox, alive, stepped, arena, wheel, deltas, departs, totals } =
-                            &mut *g;
+                        let Shard { pending, run, outbox, alive, stepped, arena, deltas, departs, totals } = &mut *g;
                         *alive = 0;
                         *stepped = 0;
                         // --- activate UEs whose start tick arrived
@@ -985,27 +958,17 @@ fn run_fleet_core<H: SimHook + Send>(
                             );
                             run.push(Migrant { idx: i, sim, hook, tele: ue_tele, sched: SchedState::default() });
                         }
-                        // --- calendar wheel: mark this tick's due wakeups.
-                        // The queue filters stale entries itself (an early
-                        // load-wake disarms below); the re-check against
-                        // the live slot is belt and braces.
-                        wheel.pop_due(k, |fi| {
-                            if let Some(&j) = run.local_of.get(&fi) {
-                                let sc = &mut run.scheds[j];
-                                if sc.asleep && sc.wake_tick == k {
-                                    sc.due = true;
-                                }
-                            }
-                        });
                         // --- step every resident UE against the load
-                        // table as the last boundary left it
+                        // table as the last boundary left it; a sleeper
+                        // wakes here at its wake tick or on a load change
                         let mut j = 0;
                         while j < run.sims.len() {
                             let mut sample = true;
                             if run.sims[j].active() {
                                 if run.scheds[j].asleep {
                                     let sc = &mut run.scheds[j];
-                                    let wake = if sc.due {
+                                    let due = sc.wake_tick == k;
+                                    let wake = if due {
                                         true
                                     } else if sc.load_lte == u32::MAX {
                                         // first slept tick: the table now
@@ -1020,15 +983,8 @@ fn run_fleet_core<H: SimHook + Send>(
                                     };
                                     if wake {
                                         let missed = k - sc.slept_tick - 1;
-                                        totals.record_wake(missed, !sc.due);
-                                        if !sc.due {
-                                            // early load-wake: disarm the
-                                            // queued wakeup; the ring entry
-                                            // is dropped as stale
-                                            wheel.cancel(run.idx[j]);
-                                        }
+                                        totals.record_wake(missed, !due);
                                         sc.asleep = false;
-                                        sc.due = false;
                                         if missed > 0 {
                                             // declare the hook-stream gap so
                                             // checkers can tell a sanctioned
@@ -1050,7 +1006,7 @@ fn run_fleet_core<H: SimHook + Send>(
                                             run.sims[j].catch_up(missed);
                                         }
                                     } else {
-                                        assert!(k < sc.wake_tick, "calendar wheel missed a wakeup");
+                                        assert!(k < sc.wake_tick, "a sleeper overslept its wake tick");
                                         if event {
                                             // skipped outright; still counted
                                             // as live so the tick bookkeeping
@@ -1066,7 +1022,7 @@ fn run_fleet_core<H: SimHook + Send>(
                                         sample = false;
                                     }
                                 }
-                                run.sims[j].step_sampled(
+                                run.sims[j].step(
                                     run.hooks[j].as_mut().map(|h| h as &mut dyn SimHook),
                                     &read,
                                     arena,
@@ -1099,10 +1055,9 @@ fn run_fleet_core<H: SimHook + Send>(
                                     if sc.backoff > 0 {
                                         sc.backoff -= 1;
                                     } else {
-                                        let win = run.sims[j].plan_sleep_with((WHEEL_SLOTS - 2) as u64, &mut scratch);
+                                        let win = run.sims[j].plan_sleep(&mut scratch);
                                         if win > 0 {
                                             sc.asleep = true;
-                                            sc.due = false;
                                             sc.slept_tick = k;
                                             sc.wake_tick = k + win + 1;
                                             // load-wake reference recorded on
@@ -1110,7 +1065,6 @@ fn run_fleet_core<H: SimHook + Send>(
                                             sc.load_lte = u32::MAX;
                                             sc.load_nr = u32::MAX;
                                             totals.sleeps += 1;
-                                            wheel.schedule(run.idx[j], sc.wake_tick);
                                         } else {
                                             sc.backoff = PLAN_BACKOFF;
                                         }

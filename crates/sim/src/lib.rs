@@ -24,9 +24,8 @@
 //! * [`fault`] — fault injection (MR loss, HO failures) in the smoltcp
 //!   tradition of making adverse conditions reproducible;
 //! * [`hook`] — observation hooks for external invariant checkers;
-//! * [`fleet`] — N load-coupled UEs against one shared deployment;
-//! * [`wheel`] — the hierarchical calendar-wheel [`EventQueue`] behind the
-//!   event-driven engine mode.
+//! * [`fleet`] — N load-coupled UEs against one shared deployment, stepped
+//!   every tick or event-driven (provably inert UE·ticks skipped).
 
 pub mod engine;
 pub mod fault;
@@ -34,7 +33,6 @@ pub mod fleet;
 pub mod hook;
 pub mod scenario;
 pub mod trace;
-pub mod wheel;
 
 pub use engine::run_hooked;
 pub use fault::FaultConfig;
@@ -46,4 +44,3 @@ pub use fleet::{
 pub use hook::{AttachReason, ServingCells, SimHook, TickView};
 pub use scenario::{Scenario, ScenarioBuilder, Workload};
 pub use trace::{CellDictEntry, FlowLog, MrRecord, Trace, TraceMeta, TraceSample};
-pub use wheel::EventQueue;

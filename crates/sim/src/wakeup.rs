@@ -68,6 +68,12 @@ use fiveg_radio::{ChannelCache, NodeCache, TileMemo, BOUND_EPS_DB};
 use fiveg_ran::{Arch, Cell, CellId, Deployment};
 use fiveg_rrc::{EventConfig, EventKind, MeasQuantity};
 
+/// Longest sleep [`plan_sleep`] grants, in ticks: a bound on the dry run's
+/// cost, not on soundness. A plan replays up to this many future ticks, so a
+/// longer cap trades fewer re-plans for more work per plan that an early
+/// load-wake throws away; a UE still inert at the cap re-plans on waking.
+const MAX_SLEEP_TICKS: u64 = 126;
+
 /// Reusable buffers for [`plan_sleep`]. The fleet keeps one per worker and
 /// threads it through every resident UE's plan, so steady-state planning
 /// allocates nothing.
@@ -124,10 +130,10 @@ impl PlanScratch {
 
 /// Plans a sleep for `ue`: the number of consecutive future ticks that are
 /// provably inert, `0` when the UE must step next tick. Capped at
-/// `max_ticks` (the fleet caps by wheel horizon and remaining boundary
-/// work). Pure: reads only UE + deployment state, so a plan is identical at
-/// any thread/shard count regardless of which scratch is threaded in.
-pub(crate) fn plan_sleep(ue: &UeSim<'_>, max_ticks: u64, scratch: &mut PlanScratch) -> u64 {
+/// [`MAX_SLEEP_TICKS`]. Pure: reads only UE + deployment state, so a plan is
+/// identical at any thread/shard count regardless of which scratch is
+/// threaded in.
+pub(crate) fn plan_sleep(ue: &UeSim<'_>, scratch: &mut PlanScratch) -> u64 {
     if !eligible(ue) {
         return 0;
     }
@@ -135,7 +141,7 @@ pub(crate) fn plan_sleep(ue: &UeSim<'_>, max_ticks: u64, scratch: &mut PlanScrat
     // replay the mobility prologue: the horizon stops one tick short of the
     // first tick whose pre-step `active()` check would fail, so a sleep
     // never carries the UE across its route end or duration clamp
-    let (horizon, travel) = mobility_pass(ue, max_ticks, pos, t);
+    let (horizon, travel) = mobility_pass(ue, pos, t);
     if horizon == 0 {
         return 0;
     }
@@ -216,7 +222,7 @@ fn eligible(ue: &UeSim<'_>) -> bool {
     true
 }
 
-/// Replays the per-tick prologue for up to `max_ticks` future ticks:
+/// Replays the per-tick prologue for up to [`MAX_SLEEP_TICKS`] future ticks:
 /// `(pos, t)` after each prologue, in [`UeSim::catch_up`]'s exact
 /// accumulation order. Returns `(horizon, travel)` — the longest grantable
 /// window and the exact path distance covered over it. The fleet checks
@@ -224,18 +230,18 @@ fn eligible(ue: &UeSim<'_>) -> bool {
 /// re-checking, so a grant of `W` requires the UE to stay active through
 /// its wake tick `W + 1`: the horizon ends *two* ticks short of a route
 /// finish or duration clamp.
-fn mobility_pass(ue: &UeSim<'_>, max_ticks: u64, pos: &mut Vec<Point>, t: &mut Vec<f64>) -> (u64, f64) {
+fn mobility_pass(ue: &UeSim<'_>, pos: &mut Vec<Point>, t: &mut Vec<f64>) -> (u64, f64) {
     pos.clear();
     t.clear();
     let mut peek = ue.mob.peek();
     let mut clock = ue.t;
-    for k in 1..=max_ticks + 1 {
+    for k in 1..=MAX_SLEEP_TICKS + 1 {
         // `active()` as the fleet would check it before tick k: the state
         // after k-1 prologues
         if peek.finished() || clock >= ue.s.max_duration_s {
-            return (k.saturating_sub(2).min(max_ticks), peek.travel());
+            return (k.saturating_sub(2).min(MAX_SLEEP_TICKS), peek.travel());
         }
-        if k > max_ticks {
+        if k > MAX_SLEEP_TICKS {
             break;
         }
         clock += ue.dt;
@@ -243,7 +249,7 @@ fn mobility_pass(ue: &UeSim<'_>, max_ticks: u64, pos: &mut Vec<Point>, t: &mut V
         pos.push(peek.position());
         t.push(clock);
     }
-    (max_ticks, peek.travel())
+    (MAX_SLEEP_TICKS, peek.travel())
 }
 
 /// One leg's exact serving series: computes the engine-clamped serving RSRP
@@ -441,12 +447,12 @@ mod tests {
     /// serving refusal. Returns the plan and whether a neighbor decided it.
     ///
     /// [`Cell::rx_dbm`]: fiveg_ran::Cell::rx_dbm
-    fn plan_exhaustive(ue: &UeSim<'_>, max_ticks: u64) -> (u64, bool) {
+    fn plan_exhaustive(ue: &UeSim<'_>) -> (u64, bool) {
         if !eligible(ue) {
             return (0, false);
         }
         let (mut pos, mut t, mut near) = (Vec::new(), Vec::new(), Vec::new());
-        let (horizon, travel) = mobility_pass(ue, max_ticks, &mut pos, &mut t);
+        let (horizon, travel) = mobility_pass(ue, &mut pos, &mut t);
         let arch = ue.s.arch;
         // (serving, configs, nr, rlf, anchor_only) per present leg
         let mut legs = Vec::new();
@@ -525,15 +531,15 @@ mod tests {
         while ue.active() {
             if eligible(&ue) {
                 if seen % stride == 0 {
-                    let (want, neighbor) = plan_exhaustive(&ue, 126);
-                    assert_eq!(plan_sleep(&ue, 126, &mut scratch), want, "screened plan diverged at t={}", ue.t);
+                    let (want, neighbor) = plan_exhaustive(&ue);
+                    assert_eq!(plan_sleep(&ue, &mut scratch), want, "screened plan diverged at t={}", ue.t);
                     compared += 1;
                     nonzero += (want > 0) as u32;
                     by_neighbor += neighbor as u32;
                 }
                 seen += 1;
             }
-            ue.step_sampled(None, &CellLoadView::SOLO, &mut radio, true);
+            ue.step(None, &CellLoadView::SOLO, &mut radio, true);
         }
         (compared, nonzero, by_neighbor)
     }

@@ -96,7 +96,7 @@ fn des_trace_of(s: &Scenario, threads: usize, shards: usize) -> Trace {
 #[test]
 fn des_traces_are_byte_identical_to_run() {
     // Leg 1: transparency. Trace recording pins the planner to zero-length
-    // windows, and the whole DES path — wheel, scheduler state, load
+    // windows, and the whole DES path — resident sweep, scheduler state, load
     // publication — must be invisible in the output, at any geometry.
     for (name, s) in matrix() {
         let stepped = s.run();

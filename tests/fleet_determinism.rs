@@ -205,15 +205,24 @@ fn event_driven_matrix_is_byte_identical_across_geometries() {
     // schedule that depends on which shard owns a UE, or on how wakeups
     // interleave with migration, shows up here as a single-cell divergence
     let spec = FleetSpec::new(quiet_base(44), 10);
-    let baseline = run_fleet_exec(&spec, FleetExec::threads(1).shards(1).engine(EngineMode::EventDriven));
-    assert!(
-        baseline.sched.as_ref().is_some_and(|s| s.sleeps > 0 && s.skipped_ue_ticks > 0),
-        "the quiet fleet must actually sleep or the matrix is vacuous"
-    );
-    for threads in [1, 2, 4] {
-        for shards in [1, 2, 8] {
-            let run = run_fleet_exec(&spec, FleetExec::threads(threads).shards(shards).engine(EngineMode::EventDriven));
-            assert_same_fleet(&baseline, &run, &format!("event-driven output changed at {threads}t / {shards}s"));
+    for engine in [EngineMode::EventDriven, EngineMode::Referee] {
+        let baseline = run_fleet_exec(&spec, FleetExec::threads(1).shards(1).engine(engine));
+        assert!(
+            baseline.sched.as_ref().is_some_and(|s| s.sleeps > 0 && s.skipped_ue_ticks > 0),
+            "the quiet fleet must actually sleep or the matrix is vacuous"
+        );
+        for threads in [1, 2, 4] {
+            for shards in [1, 2, 8] {
+                let run = run_fleet_exec(&spec, FleetExec::threads(threads).shards(shards).engine(engine));
+                let what = format!("{engine:?} output at {threads}t / {shards}s");
+                assert_same_fleet(&baseline, &run, &format!("{what} changed"));
+                // every sleep ends in exactly one wake: each wake fills one
+                // histogram bucket (a dropped or doubled wakeup breaks the
+                // sum), and a load-wake is one kind of wake
+                let s = run.sched.as_ref().expect("scheduled mode records a SchedSummary");
+                assert_eq!(s.wake_hist.iter().sum::<u64>(), s.sleeps, "{what}: wakes do not match sleeps: {s:?}");
+                assert!(s.load_wakes <= s.sleeps, "{what}: more load-wakes than sleeps: {s:?}");
+            }
         }
     }
 }
