@@ -1,57 +1,54 @@
-//! Fleet-throughput benchmark: UE·ticks/sec versus fleet size, reporting
-//! how close the per-UE cost of the sharded, load-coupled fleet engine
-//! stays to the single-UE hot path — and, with `--event-driven`, how much
-//! the event-driven scheduler recovers by skipping quiescent UEs.
+//! Fleet-throughput benchmark: UE·ticks/sec versus fleet size for the
+//! sharded, load-coupled, event-driven fleet engine, and how much work its
+//! scheduler skips by leaving quiescent UEs asleep.
 //!
 //! Every size runs the same pinned base scenario (city loop, OpY, SA, seed
 //! 201) through [`fiveg_sim::fleet`] with the default heterogeneity
 //! narrowed to a 10 s stagger window. The city/SA point is deliberately
-//! sleep-eligible (idle workload, RSRP-only events) so the event-driven
-//! mode has quiescence to harvest; an NSA fleet would never sleep (its B1
-//! trigger is SINR-quantity, see `fiveg_sim::wakeup`). Simulated duration
-//! is pinned **per size** (60 s up to 10k UEs, 30 s at 100k, 10 s at 1M
-//! and beyond) so the big sizes stay runnable while per-size numbers remain
-//! comparable across commits and between `--smoke` and full mode — full
-//! mode simply adds the 100k point. Summaries stream (no per-UE traces are
-//! retained), `ue_ticks` comes from the deterministic per-UE tick counts in
-//! the [`FleetTrace`], and `bench.allocs` from a counting global allocator.
+//! sleep-eligible (idle workload, RSRP-only events) so the scheduler has
+//! quiescence to harvest; an NSA fleet would never sleep (its B1 trigger is
+//! SINR-quantity, see `fiveg_sim::wakeup`). Simulated duration is pinned
+//! **per size** (60 s up to 10k UEs, 30 s at 100k, 10 s at 1M and beyond)
+//! so the big sizes stay runnable while per-size numbers remain comparable
+//! across commits and between `--smoke` and full mode — full mode simply
+//! adds the 100k point. Summaries stream (no per-UE traces are retained),
+//! `ue_ticks` comes from the deterministic per-UE tick counts in the
+//! [`FleetTrace`], and `bench.allocs` from a counting global allocator.
 //!
 //! ```text
 //! fleet_bench [--smoke] [--threads N] [--shards N] [--sizes CSV]
-//!             [--event-driven] [--verify-shards] [--tele-summary PATH]
+//!             [--verify-shards] [--tele-summary PATH]
 //!             [--out PATH] [--baseline PATH]
 //! ```
 //!
-//! `--event-driven` runs every size twice — fixed-step, then
-//! [`EngineMode::EventDriven`] — and records per size the skipped work
-//! (`skipped_ue_ticks`, `skip_ratio`), the histogram of realized sleep
-//! lengths, and the sleep planner's work: `plan_evals`, the exact channel
-//! evaluations its dry runs paid for (telemetry counter
+//! Each size runs once, on [`EngineMode::EventDriven`], and records the
+//! skipped work (`skipped_ue_ticks`, `skip_ratio`), the histogram of
+//! realized sleep lengths, and the sleep planner's work: `plan_evals`, the
+//! exact channel evaluations its dry runs paid for (telemetry counter
 //! `fleet.plan_evals`), and `plan_tiles`, the shadowing tiles its screens
-//! hashed (`fleet.plan_tiles`). The two runs must agree on `ue_ticks` exactly — a
-//! divergence fails the job before any gating.
+//! hashed (`fleet.plan_tiles`).
 //!
-//! The report (`BENCH_fleet.json`, schema `fiveg-fleet/v5`) holds the
-//! pinned configuration (threads, shards, event-driven or not, the base
-//! scenario) and one gated [`row`] per size; with `--baseline` the run
-//! gates them against the committed report, pairing rows by `n_ues` value,
-//! and exits nonzero past [`perfgate::TOL`] (see `fiveg_bench::perfgate`).
-//! A baseline of another configuration is refused before anything runs:
-//! `plan_tiles` counts per-worker memos, so it is exact only at a fixed
-//! geometry. UE·ticks/s, the event-driven speedup and the ungated counts
-//! are printed only.
+//! The report (`BENCH_fleet.json`, schema `fiveg-fleet/v6`) holds the
+//! pinned configuration (threads, shards, the base scenario) and one gated
+//! [`row`] per size; with `--baseline` the run gates them against the
+//! committed report, pairing rows by `n_ues` value, and exits nonzero past
+//! [`perfgate::TOL`] (see `fiveg_bench::perfgate`). A baseline of another
+//! configuration is refused before anything runs: `plan_tiles` counts
+//! per-worker memos, so it is exact only at a fixed geometry. UE·ticks/s
+//! and the ungated counts are printed only.
 //!
-//! `--verify-shards` is the other machine-independent gate, now three
-//! checks deep: (1) one migration-heavy fleet run on 1 thread × 1 shard and
-//! on 2 threads × 4 shards must produce identical output, traces included —
-//! at any `--threads`, so a multi-worker boundary exchange always runs;
-//! (2) the same fleet run in [`EngineMode::Referee`] (the referee: sleeping
-//! UEs still step, unsampled) and [`EngineMode::EventDriven`] (sleeping UEs
-//! skipped) must produce byte-identical [`FleetTrace`]s across different
-//! shard counts — with a non-vacuity check that sleep actually happened;
-//! (3) the plain fixed-step run must agree with the event-driven run on
-//! every per-UE control-plane field and the load summary. Any divergence
-//! exits nonzero before the timing runs start.
+//! `--verify-shards` is the other machine-independent gate, three checks
+//! deep: (1) one migration-heavy fleet run with traces kept on 1 thread × 1
+//! shard and on 2 threads × 4 shards must produce identical output, traces
+//! included — at any `--threads`, so a multi-worker boundary exchange
+//! always runs; (2) the same fleet without traces run in
+//! [`EngineMode::Referee`] (the referee: sleeping UEs still step,
+//! unsampled) and [`EngineMode::EventDriven`] (sleeping UEs skipped) must
+//! produce byte-identical [`FleetTrace`]s across different shard counts —
+//! with a non-vacuity check that sleep actually happened; (3) the
+//! trace-keeping run of check 1, which never sleeps, must agree with the
+//! event-driven run on every per-UE control-plane field and the load
+//! summary. Any divergence exits nonzero before the timed runs start.
 
 use fiveg_bench::perfgate::{self, Baseline, CountingAlloc, Row, ALLOCS};
 use fiveg_ran::{Arch, Carrier};
@@ -65,7 +62,7 @@ use std::time::Instant;
 
 /// The report schema this binary writes and the only one it will gate
 /// against.
-const SCHEMA: &str = "fiveg-fleet/v5";
+const SCHEMA: &str = "fiveg-fleet/v6";
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -75,7 +72,6 @@ struct Args {
     threads: usize,
     shards: usize,
     sizes: Option<Vec<u32>>,
-    event: bool,
     verify_shards: bool,
     tele_summary: Option<String>,
     out: String,
@@ -88,7 +84,6 @@ fn parse_args() -> Result<Args, String> {
         threads: 0,
         shards: 0,
         sizes: None,
-        event: false,
         verify_shards: false,
         tele_summary: None,
         out: "BENCH_fleet.json".into(),
@@ -115,15 +110,14 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.sizes = Some(sizes);
             }
-            "--event-driven" => args.event = true,
             "--verify-shards" => args.verify_shards = true,
             "--tele-summary" => args.tele_summary = Some(it.next().ok_or("--tele-summary needs a value")?),
             "--out" => args.out = it.next().ok_or("--out needs a value")?,
             "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a value")?),
             "--help" | "-h" => {
                 println!(
-                    "usage: fleet_bench [--smoke] [--threads N] [--shards N] [--sizes CSV] [--event-driven] \
-                     [--verify-shards] [--tele-summary PATH] [--out PATH] [--baseline PATH]"
+                    "usage: fleet_bench [--smoke] [--threads N] [--shards N] [--sizes CSV] [--verify-shards] \
+                     [--tele-summary PATH] [--out PATH] [--baseline PATH]"
                 );
                 std::process::exit(0);
             }
@@ -149,7 +143,7 @@ fn sizes(smoke: bool) -> &'static [u32] {
 
 /// Pinned simulated duration for a fleet size: long enough to dominate
 /// setup cost, short enough that the big sizes finish. Pinned per size (not
-/// per mode) so every run of a given size executes the same work.
+/// per run) so every run of a given size executes the same work.
 fn duration_s(n_ues: u32) -> f64 {
     if n_ues <= 10_000 {
         60.0
@@ -162,7 +156,7 @@ fn duration_s(n_ues: u32) -> f64 {
 
 /// The pinned base scenario every fleet size derives from (see
 /// EXPERIMENTS.md, "Fleet benchmark"). City loop + SA keeps the fleet
-/// sleep-eligible so the event-driven mode is actually exercised.
+/// sleep-eligible so the scheduler is actually exercised.
 fn base_scenario(duration: f64) -> Scenario {
     ScenarioBuilder::city_loop(Carrier::OpY, 201).arch(Arch::Sa).duration_s(duration).sample_hz(10.0).build()
 }
@@ -171,8 +165,11 @@ fn spec(n_ues: u32) -> FleetSpec {
     FleetSpec::new(base_scenario(duration_s(n_ues)), n_ues).stagger_s(10.0).speed_jitter(0.1)
 }
 
-/// The gated values of the event-driven run of one size.
-struct EventResult {
+/// The gated values of one size.
+struct SizeResult {
+    n_ues: u32,
+    ue_ticks: u64,
+    allocs_per_ue_tick: f64,
     /// `skipped_ue_ticks / ue_ticks` — the fraction of the fixed-step work
     /// the scheduler proved inert and never executed.
     skip_ratio: f64,
@@ -183,21 +180,11 @@ struct EventResult {
     plan_tiles: u64,
 }
 
-/// The gated values of one size.
-struct SizeResult {
-    n_ues: u32,
-    ue_ticks: u64,
-    allocs_per_ue_tick: f64,
-    event: Option<EventResult>,
-}
-
-/// Runs one size fixed-step (and, with `event`, event-driven), printing
-/// the throughput and the ungated counts.
-fn bench_size(n_ues: u32, exec: FleetExec, event: bool, sink: Option<&Telemetry>) -> Result<SizeResult, String> {
+/// Runs one size, printing the throughput and the ungated counts.
+fn bench_size(n_ues: u32, exec: FleetExec, sink: Option<&Telemetry>) -> SizeResult {
     // journal-less deterministic telemetry: cheap enough to leave on in the
     // timed region, and it carries the fleet.* work counters
-    let counters = || Telemetry::new(TelemetryConfig { enabled: true, journal_capacity: 0, timing: false });
-    let tele = counters();
+    let tele = Telemetry::new(TelemetryConfig { enabled: true, journal_capacity: 0, timing: false });
     let before = ALLOCS.load(Ordering::Relaxed);
     let start = Instant::now();
     let ft: FleetTrace = run_fleet_exec_instrumented(&spec(n_ues), exec, &tele);
@@ -210,82 +197,53 @@ fn bench_size(n_ues: u32, exec: FleetExec, event: bool, sink: Option<&Telemetry>
     // deterministic work count, straight from the trace (equals the
     // absorbed sim.ticks counter; independent of threads and shards)
     let ue_ticks: u64 = ft.ues.iter().map(|u| u.ticks).sum();
-    let allocs_per_ue_tick = allocs as f64 / ue_ticks as f64;
+    let sched = ft.sched.expect("every fleet run records a SchedSummary");
+    let r = SizeResult {
+        n_ues,
+        ue_ticks,
+        allocs_per_ue_tick: allocs as f64 / ue_ticks as f64,
+        skip_ratio: sched.skipped_ue_ticks as f64 / ue_ticks as f64,
+        plan_evals: tele.counter_value("fleet.plan_evals"),
+        plan_tiles: tele.counter_value("fleet.plan_tiles"),
+    };
     println!(
         "  {:>7} UEs  {:>10} UE·ticks in {:>7.2} s -> {:>9.0} UE·ticks/s, {:>6.2} allocs/UE·tick, peak cell {:>5}, {:>6} migrations",
         n_ues,
         ue_ticks,
         elapsed_s,
         ue_ticks as f64 / elapsed_s,
-        allocs_per_ue_tick,
+        r.allocs_per_ue_tick,
         ft.load.peak_cell_ues,
         tele.counter_value("fleet.migrations")
     );
-
-    let event = if event {
-        let ev_tele = counters();
-        let start = Instant::now();
-        let ev: FleetTrace = run_fleet_exec_instrumented(&spec(n_ues), exec.engine(EngineMode::EventDriven), &ev_tele);
-        let ev_elapsed = start.elapsed().as_secs_f64();
-        let ev_ue_ticks: u64 = ev.ues.iter().map(|u| u.ticks).sum();
-        if ev_ue_ticks != ue_ticks {
-            return Err(format!(
-                "event-driven run diverged at {n_ues} UEs: {ev_ue_ticks} UE·ticks vs fixed {ue_ticks}"
-            ));
-        }
-        let sched = ev.sched.ok_or_else(|| format!("event-driven run at {n_ues} UEs returned no SchedSummary"))?;
-        let r = EventResult {
-            skip_ratio: sched.skipped_ue_ticks as f64 / ue_ticks as f64,
-            plan_evals: ev_tele.counter_value("fleet.plan_evals"),
-            plan_tiles: ev_tele.counter_value("fleet.plan_tiles"),
-        };
-        println!(
-            "          event-driven: {:>7.2} s  -> {:>9.0} UE·ticks/s ({:.2}x), skip ratio {:.3} ({} sleeps, {} load wakes, wake hist {:?}), {} plan evals, {} plan tiles",
-            ev_elapsed,
-            ue_ticks as f64 / ev_elapsed,
-            elapsed_s / ev_elapsed,
-            r.skip_ratio,
-            sched.sleeps,
-            sched.load_wakes,
-            sched.wake_hist,
-            r.plan_evals,
-            r.plan_tiles
-        );
-        Some(r)
-    } else {
-        None
-    };
-
-    Ok(SizeResult { n_ues, ue_ticks, allocs_per_ue_tick, event })
+    println!(
+        "          skip ratio {:.3} ({} sleeps, {} load wakes, wake hist {:?}), {} plan evals, {} plan tiles",
+        r.skip_ratio, sched.sleeps, sched.load_wakes, sched.wake_hist, r.plan_evals, r.plan_tiles
+    );
+    r
 }
 
-/// The gated row of one size: `ue_ticks`, and with an event-driven run
-/// `skip_ratio`, `plan_evals` and `plan_tiles`, as bands (each a count, or
-/// a ratio of counts, exact for the pinned scenario at a fixed geometry),
-/// plus `allocs_per_ue_tick`, lower is better. No elapsed time is gated.
+/// The gated row of one size: `ue_ticks`, `skip_ratio`, `plan_evals` and
+/// `plan_tiles` as bands (each a count, or a ratio of counts, exact for the
+/// pinned scenario at a fixed geometry), plus `allocs_per_ue_tick`, lower
+/// is better. No elapsed time is gated.
 fn row(r: &SizeResult) -> Row {
-    let row = Row::new("n_ues", u64::from(r.n_ues))
+    Row::new("n_ues", u64::from(r.n_ues))
         .band("ue_ticks", r.ue_ticks as f64)
-        .lower("allocs_per_ue_tick", r.allocs_per_ue_tick);
-    match &r.event {
-        Some(ev) => row
-            .band("skip_ratio", ev.skip_ratio)
-            .band("plan_evals", ev.plan_evals as f64)
-            .band("plan_tiles", ev.plan_tiles as f64),
-        None => row,
-    }
+        .lower("allocs_per_ue_tick", r.allocs_per_ue_tick)
+        .band("skip_ratio", r.skip_ratio)
+        .band("plan_evals", r.plan_evals as f64)
+        .band("plan_tiles", r.plan_tiles as f64)
 }
 
 /// The pinned configuration every size's gated row depends on.
-fn config(threads: usize, shards: usize, event: bool) -> String {
+fn config(threads: usize, shards: usize) -> String {
     let base = base_scenario(duration_s(1));
     perfgate::config(|j| {
         j.key("threads");
         j.uint(threads as u64);
         j.key("shards");
         j.uint(shards as u64);
-        j.key("event_driven");
-        j.bool_val(event);
         j.key("base");
         j.open('{');
         j.key("seed");
@@ -301,19 +259,25 @@ fn config(threads: usize, shards: usize, event: bool) -> String {
 }
 
 /// The machine-independent equivalence gates: thread and shard invariance of
-/// the fixed path, byte-identity of referee vs event-driven scheduling, and
-/// control-plane agreement of fixed vs event-driven. Returns false (and
-/// prints why) on any divergence.
+/// a never-sleeping (trace-keeping) fleet, byte-identity of referee vs
+/// event-driven scheduling, and control-plane agreement of the
+/// never-sleeping run with the event-driven one. Returns false (and prints
+/// why) on any divergence.
 fn verify_shards(threads: usize) -> bool {
     let spec = FleetSpec::new(base_scenario(20.0), 64).stagger_s(10.0).speed_jitter(0.1);
 
-    // 1. fixed path, 1 thread x 1 shard vs 2 threads x 4 shards, traces
-    //    retained: whatever --threads is, a multi-worker exchange runs
+    // 1. traces retained (so no UE ever sleeps), 1 thread x 1 shard vs 2
+    //    threads x 4 shards: whatever --threads is, a multi-worker exchange
+    //    runs
     let kept = spec.clone().keep_traces(true);
     let one = fiveg_sim::run_fleet_exec(&kept, FleetExec::threads(1).shards(1));
     let four = fiveg_sim::run_fleet_exec(&kept, FleetExec::threads(2).shards(4));
     if one != four {
         eprintln!("fleet_bench: FleetTrace differs between 1x1 and 2x4 threads x shards — exchange broke determinism");
+        return false;
+    }
+    if one.sched.as_ref().map_or(0, |s| s.sleeps) != 0 {
+        eprintln!("fleet_bench: a trace-keeping fleet slept — it is no fixed-step reference");
         return false;
     }
     println!("  geometry invariance: 1x1 == 2x4 threads x shards over {} UEs ({} ticks)  ok", 64, one.meta.ticks);
@@ -342,22 +306,22 @@ fn verify_shards(threads: usize) -> bool {
         sched.sleeps, sched.skipped_ue_ticks
     );
 
-    // 3. fixed vs event-driven: the control plane and the load summary must
-    //    agree; only the data-plane sampling aggregates (mean_capacity and
-    //    friends) may differ, because sleeping UEs do not sample.
-    let fixed = fiveg_sim::run_fleet_exec(&spec, FleetExec::threads(threads).shards(4));
-    if fixed.meta != event.meta || fixed.load != event.load {
-        eprintln!("fleet_bench: fixed vs event-driven meta/load summary diverged");
+    // 3. never-sleeping vs event-driven: the control plane and the load
+    //    summary must agree; only the data-plane sampling aggregates
+    //    (mean_capacity and friends) may differ, because sleeping UEs do not
+    //    sample.
+    if one.meta != event.meta || one.load != event.load {
+        eprintln!("fleet_bench: never-sleeping vs event-driven meta/load summary diverged");
         return false;
     }
-    for (f, e) in fixed.ues.iter().zip(event.ues.iter()) {
+    for (f, e) in one.ues.iter().zip(event.ues.iter()) {
         let control = |u: &UeSummary| ((u.ue, u.seed, u.start_tick, u.reversed), u.control());
         if control(f) != control(e) {
-            eprintln!("fleet_bench: fixed vs event-driven control plane diverged for UE {}", f.ue);
+            eprintln!("fleet_bench: never-sleeping vs event-driven control plane diverged for UE {}", f.ue);
             return false;
         }
     }
-    println!("  control identity: fixed == event-driven over {} UEs  ok", fixed.ues.len());
+    println!("  control identity: never-sleeping == event-driven over {} UEs  ok", one.ues.len());
     true
 }
 
@@ -374,7 +338,7 @@ fn main() -> ExitCode {
     let set: Vec<u32> = args.sizes.clone().unwrap_or_else(|| sizes(args.smoke).to_vec());
     let exec = FleetExec::threads(args.threads).shards(args.shards);
     let shards_shown = if args.shards == 0 { args.threads } else { args.shards };
-    let config = config(args.threads, shards_shown, args.event);
+    let config = config(args.threads, shards_shown);
     let baseline = match args.baseline.as_deref().map(|p| Baseline::load(p, SCHEMA, &config)).transpose() {
         Ok(b) => b,
         Err(e) => {
@@ -382,14 +346,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
-        "fleet bench '{}': sizes {:?}, {} thread(s), {} shard(s){}",
-        mode,
-        set,
-        args.threads,
-        shards_shown,
-        if args.event { ", + event-driven" } else { "" }
-    );
+    println!("fleet bench '{}': sizes {:?}, {} thread(s), {} shard(s)", mode, set, args.threads, shards_shown);
 
     if args.verify_shards && !verify_shards(args.threads) {
         return ExitCode::FAILURE;
@@ -401,16 +358,7 @@ fn main() -> ExitCode {
     // warmup (untimed): page in code and let the allocator settle
     run_fleet_exec_instrumented(&spec(1), exec, &Telemetry::disabled());
 
-    let mut rows = Vec::new();
-    for &n in &set {
-        match bench_size(n, exec, args.event, sink.as_ref()) {
-            Ok(r) => rows.push(row(&r)),
-            Err(e) => {
-                eprintln!("fleet_bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let rows: Vec<Row> = set.iter().map(|&n| row(&bench_size(n, exec, sink.as_ref()))).collect();
 
     if let Err(e) = std::fs::write(&args.out, perfgate::report(SCHEMA, &config, &rows)) {
         eprintln!("fleet_bench: writing {}: {e}", args.out);
@@ -448,16 +396,29 @@ mod tests {
     /// regenerated baseline fails to gate it.
     #[test]
     fn every_gated_entry_round_trips_through_the_report() {
-        let event = EventResult { skip_ratio: 0.8271666666666667, plan_evals: 736_276, plan_tiles: 672 };
         let sizes = [
-            SizeResult { n_ues: 100, ue_ticks: 60_000, allocs_per_ue_tick: 0.26035, event: Some(event) },
-            SizeResult { n_ues: 1000, ue_ticks: 600_000, allocs_per_ue_tick: 0.250475, event: None },
+            SizeResult {
+                n_ues: 100,
+                ue_ticks: 60_000,
+                allocs_per_ue_tick: 0.26035,
+                skip_ratio: 0.8271666666666667,
+                plan_evals: 736_276,
+                plan_tiles: 672,
+            },
+            SizeResult {
+                n_ues: 1000,
+                ue_ticks: 600_000,
+                allocs_per_ue_tick: 0.250475,
+                skip_ratio: 0.822655,
+                plan_evals: 7_519_344,
+                plan_tiles: 672,
+            },
         ];
         let rows: Vec<Row> = sizes.iter().map(row).collect();
-        let config = config(1, 16, true);
+        let config = config(1, 16);
         let own = perfgate::report(SCHEMA, &config, &rows);
         let gates = Baseline::parse("own report", own, SCHEMA, &config).unwrap().gates(&rows).unwrap();
-        assert_eq!(gates.len(), 7, "an event run adds its three gated counts");
+        assert_eq!(gates.len(), 10, "five gated entries per size");
         assert!(gates.iter().all(|g| g.baseline == g.current), "{gates:?}");
     }
 }

@@ -13,14 +13,14 @@
 //!
 //! The `des` rows benchmark the event-driven engine on sleep-eligible SA
 //! scenarios: each is a fleet of one on [`EngineMode::EventDriven`], the
-//! same event loop every larger fleet uses, first checked against the same
-//! fleet of one on [`EngineMode::Stepped`] (identical control-plane
-//! summary and logical tick count, so the skip ratio is never bought with
-//! less work). Each row reports logical `ticks`, the exact `skip_ratio`,
-//! `plan_tiles` (shadowing tiles the sleep planner's screen hashed,
-//! counter `fleet.plan_tiles`) and `plan_evals` (exact channel evaluations
-//! its dry run paid for, counter `fleet.plan_evals`). The run fails
-//! outright when `skip_ratio` drops below [`SKIP_FLOOR`].
+//! same event loop every larger fleet uses, first checked byte for byte
+//! against the same fleet of one on [`EngineMode::Referee`], which steps
+//! every slept tick with the full control plane (so the skip ratio is
+//! never bought with less work). Each row reports logical `ticks`, the
+//! exact `skip_ratio`, `plan_tiles` (shadowing tiles the sleep planner's
+//! screen hashed, counter `fleet.plan_tiles`) and `plan_evals` (exact
+//! channel evaluations its dry run paid for, counter `fleet.plan_evals`).
+//! The run fails outright when `skip_ratio` drops below [`SKIP_FLOOR`].
 //!
 //! ```text
 //! tick_bench [--smoke] [--out PATH] [--baseline PATH]
@@ -190,7 +190,7 @@ struct DesResult {
 }
 
 /// A fleet of one on `engine`: the event-driven single-UE engine, or its
-/// stepped twin.
+/// referee.
 fn fleet_of_one(s: &Scenario, engine: EngineMode) -> FleetTrace {
     run_fleet_exec(&FleetSpec::new(s.clone(), 1), FleetExec::threads(1).engine(engine))
 }
@@ -345,17 +345,14 @@ fn main() -> ExitCode {
     }
     let per_tick = |n: u64| n as f64 / work.ticks as f64;
 
-    // the des rows must do the stepped engine's work: identical control
-    // plane and identical logical tick count, or the skip ratio measures a
-    // different workload
+    // the des rows must do the referee's work — the same schedule with
+    // every slept tick stepped — byte for byte, or the skip ratio measures
+    // a different workload
     let des_set = des_scenarios(args.smoke);
     for (label, s) in &des_set {
-        let (des, stepped) = (fleet_of_one(s, EngineMode::EventDriven), fleet_of_one(s, EngineMode::Stepped));
-        if des.ues[0].control() != stepped.ues[0].control() {
-            eprintln!(
-                "tick_bench: des and stepped summaries diverge on {label}: {:?} vs {:?}",
-                des.ues[0], stepped.ues[0]
-            );
+        let (des, referee) = (fleet_of_one(s, EngineMode::EventDriven), fleet_of_one(s, EngineMode::Referee));
+        if des != referee {
+            eprintln!("tick_bench: des and referee runs diverge on {label}: {:?} vs {:?}", des.ues[0], referee.ues[0]);
             return ExitCode::FAILURE;
         }
     }

@@ -35,7 +35,7 @@
 //! * the serve prediction-equivalence digest: [`Better::Exact`].
 //!
 //! No gate is built from an elapsed time. Even a same-process ratio such as
-//! the fleet's fixed-vs-event speedup moves by 20% between two runs of
+//! a fixed-vs-event fleet speedup moves by 20% between two runs of
 //! unchanged code on a shared machine; where the event-driven engine saves
 //! time, the saving is work it skips, and the work counts pin that.
 //!
@@ -223,7 +223,7 @@ pub fn report(schema: &str, config: &str, rows: &[Row]) -> String {
     format!("{{\"schema\":\"{schema}\",\"config\":{config},\"rows\":{}}}\n", j.as_str())
 }
 
-/// The report's `"schema"` string (e.g. `fiveg-fleet/v5`), `None` when the
+/// The report's `"schema"` string (e.g. `fiveg-fleet/v6`), `None` when the
 /// key is absent.
 fn schema_of(json: &str) -> Option<&str> {
     const KEY: &str = "\"schema\":\"";

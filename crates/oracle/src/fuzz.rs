@@ -49,12 +49,12 @@ impl FuzzRoute {
     }
 }
 
-/// Engine-mode axis of a fuzz case: which scheduled-engine differential the
+/// Engine-mode axis of a fuzz case: which fleet-engine differential the
 /// case runs on top of the radio-trajectory check.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FuzzEngine {
-    /// The historical check: an event-driven fleet of one must reproduce
-    /// the fixed-step single-UE trace byte-for-byte.
+    /// A trace-keeping fleet of one, which never sleeps, must reproduce the
+    /// fixed-step single-UE trace byte-for-byte (corpus name `stepped`).
     Stepped,
     /// A staggered fleet of `ues` run under the referee (steps every tick,
     /// full control plane, unsampled while asleep) at 1 thread × 1 shard
@@ -105,7 +105,7 @@ pub struct FuzzCase {
     /// Also probe the Prognos predictor over the finished trace (exercised
     /// by the `scenario_fuzz` binary; the core checks ignore it).
     pub prognos: bool,
-    /// Engine-mode axis: stepped-vs-event-driven differential shape.
+    /// Engine-mode axis: which fleet differential the case runs.
     pub engine: FuzzEngine,
 }
 
@@ -295,8 +295,8 @@ pub struct CaseResult {
     pub violations: Vec<Violation>,
     /// Total violation count including ones beyond the retention cap.
     pub total_violations: u64,
-    /// The first radio-trajectory mismatch, or the first difference between
-    /// the stepped and event-driven runs, when either check failed.
+    /// The first radio-trajectory mismatch, or the first difference of the
+    /// engine-axis differential, when either check failed.
     pub divergence: Option<String>,
     /// Ticks the run executed.
     pub ticks: usize,
@@ -344,7 +344,7 @@ pub fn run_case(case: &FuzzCase) -> CaseResult {
 
     let mut divergence = check::check_radio_trajectory(&s, &trace).err().map(|e| format!("radio trajectory: {e}"));
 
-    // the scheduled engine, differentially. Stepped axis: a trace-keeping
+    // the fleet engine, differentially. Stepped axis: a trace-keeping
     // fleet of one under `EventDriven` must reproduce the single-UE run's
     // trace exactly — the fleet loop itself (activation, load publish,
     // finalize) adds nothing. A trace-recording UE never plans a sleep, so

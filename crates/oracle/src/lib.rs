@@ -1,11 +1,12 @@
 //! Cross-layer invariant checker and deterministic scenario fuzzer.
 //!
 //! Every result in the repo is built on one engine: the snapshot tick loop,
-//! stepped per tick or scheduled event-driven by the fleet. Its radio
-//! snapshot is held bit for bit to the exhaustive per-band scan of
-//! `fiveg_ran::per_band_top`, and the event-driven schedule byte for byte
-//! to the stepped one. This crate turns those contracts into a standing
-//! correctness tool with two halves:
+//! stepped per tick by the single-UE engine or scheduled event-driven by
+//! the fleet. Its radio snapshot is held bit for bit to the exhaustive
+//! per-band scan of `fiveg_ran::per_band_top`, and the event-driven
+//! schedule byte for byte to runs that never skip a tick: the single-UE
+//! trace and the fleet's referee mode. This crate turns those contracts
+//! into a standing correctness tool with two halves:
 //!
 //! * [`shadow::Oracle`] — a [`fiveg_sim::SimHook`] that replays every
 //!   engine transition against an independent shadow state machine *while
@@ -21,7 +22,8 @@
 //!
 //! [`fuzz`] drives both across a seeded random scenario space (route ×
 //! carrier × arch × faults), checks each case's radio trajectory and runs
-//! it through the stepped and event-driven schedulers differentially,
+//! it through the event-driven fleet differentially (against the single-UE
+//! trace, or against the referee),
 //! shrinks failures to minimal repro cases, and speaks the
 //! corpus TOML format that `tests/corpus/` replays in CI. [`mutate`] is the
 //! oracle's own regression harness: it corrupts the hook stream in known

@@ -101,6 +101,8 @@ pub struct RadioSnapshot {
     sites: Vec<Site>,
     /// Refresh counter that dates the `sites` entries.
     epoch: u64,
+    /// The position of the current refresh.
+    pos: Point,
     /// Towers the current refresh located.
     located: usize,
     /// Per-band seeds and exact top lists, indexed by [`Cell::band_ix`].
@@ -276,6 +278,7 @@ impl RadioSnapshot {
         self.priced = 0;
         self.located = 0;
         self.epoch += 1;
+        self.pos = *pos;
         for l in &mut self.lattices {
             *l = LatticePoint::locate(pos, l.spacing());
         }
@@ -434,6 +437,30 @@ impl RadioSnapshot {
         // an omni cell has no pattern loss and needs no bearing
         let pat = if c.azimuth.is_some() { c.pattern_loss_toward(self.bearing(d, c.tower, pos)) } else { 0.0 };
         (blk, pat, ub - blk - pat)
+    }
+
+    /// The exact rx of any cell of `d` at the current refresh's `(pos, t)`,
+    /// in radius or not: [`Cell::rx_dbm`]'s bits, from the refresh's located
+    /// lattices and clocks, the cell's channel memo and its tower's geometry
+    /// (located here when no scanned bin held the tower). Counts toward none
+    /// of the refresh's work counters.
+    pub fn rx_dbm(&mut self, d: &Deployment, id: CellId) -> f64 {
+        let c = d.cell(id);
+        let pos = self.pos;
+        let s = &mut self.sites[c.tower.0 as usize];
+        if s.epoch != self.epoch {
+            let dist = d.towers[c.tower.0 as usize].pos.distance(&pos);
+            *s = Site { epoch: self.epoch, dist, log_d: f64::NAN, bearing: f64::NAN };
+        }
+        if s.log_d.is_nan() {
+            // out of radius: the screen never needed the distance term
+            s.log_d = Propagation::log_distance_m(s.dist);
+        }
+        let log_d = s.log_d;
+        let (prefix, _) = self.screen(c, log_d);
+        let at = self.clocks[self.slots[id.0 as usize].fading as usize];
+        let (blk, pat, _) = self.tier1(d, c, &pos, 0.0);
+        exact_rx(c, prefix, &at, blk, pat)
     }
 
     /// The refreshed technology leg, strongest first: the
@@ -641,6 +668,35 @@ mod tests {
         }
         assert_eq!(snap.screened(), d.cells.len(), "a 5000 km radius holds every cell");
         assert_eq!(snap.sites_located(), d.towers.len());
+    }
+
+    #[test]
+    fn any_cell_prices_to_its_own_rx_after_a_refresh() {
+        // in radius or not, every cell of the deployment reads back
+        // `Cell::rx_dbm`'s exact bits, and leaves the refresh's counters as
+        // they were
+        for env in [Environment::Freeway, Environment::UrbanDense] {
+            let d = deployment(env, Arch::Nsa);
+            let mut snap = RadioSnapshot::new();
+            let mut outside = 0;
+            for i in 0..12 {
+                let pos = Point::new(-500.0 + i as f64 * 410.0, 35.0 - i as f64 * 9.0);
+                let t = i as f64 * 0.9;
+                snap.refresh(&d, &pos, t, 1500.0, true, i % 3 != 0);
+                let work = (snap.screened(), snap.tier1_cells(), snap.priced(), snap.sites_located());
+                for c in &d.cells {
+                    outside += usize::from(c.site.distance(&pos) > 1500.0);
+                    assert_eq!(
+                        snap.rx_dbm(&d, c.id).to_bits(),
+                        c.rx_dbm(&pos, t).to_bits(),
+                        "{env:?} {:?} at {i}",
+                        c.id
+                    );
+                }
+                assert_eq!(work, (snap.screened(), snap.tier1_cells(), snap.priced(), snap.sites_located()));
+            }
+            assert!(outside > 0, "{env:?}: no cell lay outside the radius");
+        }
     }
 
     #[test]

@@ -112,19 +112,15 @@ impl BandTally {
 const ANCHOR_MIN_FREQ_MHZ: f64 = 1700.0;
 
 /// Computes RRS for every relevant cell of one leg into `view`, reusing the
-/// view's and `scratch`'s buffers across ticks. `all` is the leg's slice of
-/// the per-tick [`RadioSnapshot`]: each band's [`RadioSnapshot::PER_BAND`]
-/// strongest cells, strongest first. A serving cell outside that slice is
-/// priced directly with [`fiveg_ran::Cell::rx_dbm`]; nothing else here reads
-/// radio state.
-#[allow(clippy::too_many_arguments)]
+/// view's and `scratch`'s buffers across ticks, from the tick's refreshed
+/// [`RadioSnapshot`]: the leg's slice of each band's
+/// [`RadioSnapshot::PER_BAND`] strongest cells, strongest first, and
+/// [`RadioSnapshot::rx_dbm`] for a serving cell outside that slice.
 fn fill_leg_view(
     view: &mut LegView,
     scratch: &mut LegScratch,
     d: &Deployment,
-    all: &[(CellId, f64)],
-    pos: &Point,
-    t: f64,
+    radio: &mut RadioSnapshot,
     nr: bool,
     serving: Option<CellId>,
     anchor_only: bool,
@@ -140,7 +136,7 @@ fn fill_leg_view(
     // band cannot crowd the others out of the measured set (inter-frequency
     // events need those entries)
     let mut serving_rx = None;
-    for &(id, rx) in all {
+    for &(id, rx) in radio.strongest(nr) {
         if anchor_only && d.cell(id).band.freq_mhz < ANCHOR_MIN_FREQ_MHZ {
             continue;
         }
@@ -156,7 +152,7 @@ fn fill_leg_view(
     // ranked set (at most 12 entries)
     if let Some(s) = serving {
         if serving_rx.is_none() {
-            let rx = d.cell(s).rx_dbm(pos, t);
+            let rx = radio.rx_dbm(d, s);
             scratch.ranked.push((s, rx));
             serving_rx = Some(rx);
         }
@@ -272,8 +268,8 @@ pub(crate) struct UeRunStats {
 /// The single-UE engine ([`Scenario::run`], [`run_hooked`]) is a thin loop
 /// over [`UeSim::step`] with [`CellLoadView::SOLO`] and a [`RadioSnapshot`]
 /// of its own. The fleet engine ([`crate::fleet`]) drives many `UeSim`s
-/// against one shared deployment, stepped every tick or, event-driven,
-/// left asleep in its shard slot and replayed with [`UeSim::catch_up`]; it
+/// against one shared deployment, each stepped every tick or, while a sleep
+/// window holds, left in its shard slot and replayed with [`UeSim::catch_up`]; it
 /// feeds each step the fleet's per-cell attach counts through a
 /// [`CellLoadView`] and shares one snapshot per shard. A fleet of one reproduces
 /// [`Scenario::run`]'s trace byte for byte.
@@ -685,9 +681,7 @@ impl<'d> UeSim<'d> {
                 &mut self.lte_leg,
                 &mut self.scratch,
                 d,
-                radio.strongest(false),
-                &pos,
-                t,
+                radio,
                 false,
                 self.sm.serving_lte(),
                 arch == Arch::Nsa,
@@ -697,17 +691,7 @@ impl<'d> UeSim<'d> {
             None
         };
         let nr_view: Option<&LegView> = if arch != Arch::Lte {
-            fill_leg_view(
-                &mut self.nr_leg,
-                &mut self.scratch,
-                d,
-                radio.strongest(true),
-                &pos,
-                t,
-                true,
-                self.sm.serving_nr(),
-                false,
-            );
+            fill_leg_view(&mut self.nr_leg, &mut self.scratch, d, radio, true, self.sm.serving_nr(), false);
             Some(&self.nr_leg)
         } else {
             None

@@ -69,19 +69,16 @@
 //!
 //! # Execution modes
 //!
-//! Every [`EngineMode`] runs the same loop: the same load table, resident
-//! sweep and finalize. The mode decides only whether UEs plan sleeps and
-//! what a sleeping UE does:
+//! Both [`EngineMode`]s run the same loop: the same load table, resident
+//! sweep, sleep planner and finalize. The mode decides only what a
+//! sleeping UE does:
 //!
-//! * [`EngineMode::Stepped`] (default) — the scheduler with planning off:
-//!   no UE ever sleeps, so every active UE steps every tick. The reference
-//!   semantics.
-//! * [`EngineMode::EventDriven`] — after each real step the shard asks
-//!   `crate::engine::wakeup` for a conservative *inertness window*: the
-//!   number of future ticks in which the UE's control plane provably does
-//!   nothing (no event arms, no RLF, no HO, no RNG draw). A UE with a
-//!   window sleeps in its own slot, which records its wake tick. The
-//!   shard's per-tick sweep over its residents already visits every
+//! * [`EngineMode::EventDriven`] (default) — after each real step the
+//!   shard asks `crate::engine::wakeup` for a conservative *inertness
+//!   window*: the number of future ticks in which the UE's control plane
+//!   provably does nothing (no event arms, no RLF, no HO, no RNG draw). A
+//!   UE with a window sleeps in its own slot, which records its wake tick.
+//!   The shard's per-tick sweep over its residents already visits every
 //!   sleeper (it reads the sleeper's serving-cell counts for the load-wake
 //!   check), so it wakes the UE in place when that tick arrives; until then
 //!   the UE is skipped entirely. On wakeup
@@ -99,11 +96,16 @@
 //!   diverge; `tests/des_equivalence.rs` and the fleet gates byte-compare
 //!   them to prove the bound.
 //!
+//! A UE that records per-tick samples ([`FleetSpec::keep_traces`]) or runs
+//! a data-plane flow is never granted a window, so a trace-keeping fleet
+//! never sleeps: it steps every active UE every tick and is the fixed-step
+//! reference the equivalence tests compare a sleeping fleet against.
+//!
 //! Scheduling is a pure function of per-UE state and the load table, so
-//! every mode stays byte-identical at any thread/shard count. The
-//! scheduled modes share one invariant with `Stepped`: ticks, distance,
-//! handovers, reports, RLFs and the whole [`LoadSummary`] are equal; only
-//! the data-plane sampling aggregates (`mean_capacity_mbps`,
+//! both modes stay byte-identical at any thread/shard count. A sleeping
+//! fleet shares one invariant with the never-sleeping one: ticks,
+//! distance, handovers, reports, RLFs and the whole [`LoadSummary`] are
+//! equal; only the data-plane sampling aggregates (`mean_capacity_mbps`,
 //! `loaded_ticks`, `mean_load_share`) legitimately differ, because sleeping
 //! UEs do not sample the link layer.
 
@@ -154,12 +156,9 @@ impl<'a> CellLoadView<'a> {
     }
 }
 
-/// How the lockstep loop treats quiescent UEs (see the module docs).
+/// What the lockstep loop does with a sleeping UE (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Every active UE steps every tick — the v2 reference semantics.
-    #[default]
-    Stepped,
     /// Runs the event-driven schedule (same sleeps and wakes as
     /// [`EngineMode::EventDriven`]) but steps sleeping UEs every tick with
     /// sampling disabled, so their full control plane still executes. The
@@ -169,14 +168,8 @@ pub enum EngineMode {
     /// Skips provably-inert UEs entirely: a sleeping UE stays in its
     /// shard slot until the sweep reaches its wake tick, then replays the
     /// skipped ticks analytically.
+    #[default]
     EventDriven,
-}
-
-impl EngineMode {
-    /// Whether UEs plan sleeps, and the run reports a [`SchedSummary`].
-    fn scheduled(self) -> bool {
-        self != EngineMode::Stepped
-    }
 }
 
 /// Execution geometry of a fleet run: worker threads, spatial shards and
@@ -185,25 +178,22 @@ impl EngineMode {
 /// Workers own shards round-robin (`shard % threads`), so `threads` is
 /// effectively capped at the shard count. `shards == 0` means "match the
 /// thread count" — the default [`FleetExec::threads`] sets. A fleet of one
-/// on [`EngineMode::EventDriven`] is the event-driven single-UE engine.
-/// All three knobs change only wall-clock behavior and the data-plane
-/// sampling aggregates: the control-plane output is byte-identical at any
-/// combination, and within the two scheduled modes the whole
-/// [`FleetTrace`] is.
+/// is the event-driven single-UE engine. No knob changes the output: the
+/// whole [`FleetTrace`] is byte-identical at any combination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetExec {
     /// Worker threads (clamped to `[1, n_ues]`, then to the shard count).
     pub threads: usize,
     /// Spatial shards (0 = match `threads`).
     pub shards: usize,
-    /// Stepping engine (defaults to [`EngineMode::Stepped`]).
+    /// Stepping engine (defaults to [`EngineMode::EventDriven`]).
     pub engine: EngineMode,
 }
 
 impl FleetExec {
-    /// `threads` workers over the same number of shards, fixed stepping.
+    /// `threads` workers over the same number of shards, event-driven.
     pub fn threads(threads: usize) -> FleetExec {
-        FleetExec { threads, shards: 0, engine: EngineMode::Stepped }
+        FleetExec { threads, shards: 0, engine: EngineMode::EventDriven }
     }
 
     /// Overrides the shard count.
@@ -436,8 +426,8 @@ pub struct UeSummary {
 
 impl UeSummary {
     /// The engine-invariant fields — ticks, distance, handovers, failures,
-    /// RLFs and reports — for direct equality asserts between a stepped and
-    /// an event-driven run of the same fleet.
+    /// RLFs and reports — for direct equality asserts between a sleeping
+    /// run of a fleet and its never-sleeping, trace-keeping twin.
     pub fn control(&self) -> (u64, f64, u64, u64, u64, u64) {
         (self.ticks, self.traveled_m, self.handovers, self.ho_failures, self.rlf_count, self.reports)
     }
@@ -481,7 +471,7 @@ pub struct LoadSummary {
     pub contended_ue_ticks: u64,
 }
 
-/// Scheduler statistics of a scheduled-mode run, identical between
+/// Scheduler statistics of a fleet run, identical between
 /// [`EngineMode::Referee`] and [`EngineMode::EventDriven`] by
 /// construction (both run the same schedule; the byte-compare gates hold
 /// them to it). All counters are commutative per-UE sums, so they are
@@ -533,8 +523,8 @@ pub struct FleetTrace {
     pub ues: Vec<UeSummary>,
     /// Fleet-level load statistics.
     pub load: LoadSummary,
-    /// Scheduler statistics (`None` for [`EngineMode::Stepped`] runs, and in
-    /// pre-v3 reports).
+    /// Scheduler statistics. Every run records them; the `Option` stays
+    /// for callers that match on it.
     pub sched: Option<SchedSummary>,
     /// Per-UE traces, in UE order (empty unless [`FleetSpec::keep_traces`]).
     pub traces: Vec<Trace>,
@@ -545,7 +535,7 @@ struct NoHook;
 impl SimHook for NoHook {}
 
 /// Runs a fleet with telemetry disabled, at the execution geometry `exec`
-/// (`FleetExec::threads(n)` for `n` workers, fixed stepping).
+/// (`FleetExec::threads(n)` for `n` workers, event-driven).
 pub fn run_fleet_exec(spec: &FleetSpec, exec: FleetExec) -> FleetTrace {
     run_fleet_exec_instrumented(spec, exec, &Telemetry::disabled())
 }
@@ -584,8 +574,8 @@ where
 /// planner's dry run is a few ticks' worth of channel math.
 const PLAN_BACKOFF: u8 = 3;
 
-/// Per-UE scheduler slot: the UE's published serving cells in every mode,
-/// plus its sleep state in the modes that plan sleeps.
+/// Per-UE scheduler slot: the UE's published serving cells and its sleep
+/// state.
 #[derive(Clone, Copy, Default)]
 struct SchedState {
     /// The UE is inside a sleep window.
@@ -877,9 +867,7 @@ fn run_fleet_core<H: SimHook + Send>(
     let shards_n = if exec.shards == 0 { exec.threads.clamp(1, n) } else { exec.shards.max(1) };
     // a worker owns shards round-robin; more workers than shards would idle
     let threads = exec.threads.clamp(1, n).min(shards_n);
-    let mode = exec.engine;
-    let scheduled = mode.scheduled();
-    let event = mode == EngineMode::EventDriven;
+    let event = exec.engine == EngineMode::EventDriven;
     let base = &spec.base;
     let d = Deployment::generate(&base.route, base.carrier, base.env, base.arch, base.seed);
     let n_cells = d.cells.len();
@@ -1010,7 +998,7 @@ fn run_fleet_core<H: SimHook + Send>(
                                         if event {
                                             // skipped outright; still counted
                                             // as live so the tick bookkeeping
-                                            // matches the stepping modes
+                                            // matches the referee
                                             *stepped += 1;
                                             *alive += 1;
                                             j += 1;
@@ -1050,7 +1038,7 @@ fn run_fleet_core<H: SimHook + Send>(
                                 // skipped planning whenever it crossed a
                                 // shard band would sleep on different ticks
                                 // at different shard counts
-                                if scheduled && sample {
+                                if sample {
                                     let sc = &mut run.scheds[j];
                                     if sc.backoff > 0 {
                                         sc.backoff -= 1;
@@ -1170,16 +1158,14 @@ fn run_fleet_core<H: SimHook + Send>(
     // shard-count-dependent diagnostics (never part of the FleetTrace: the
     // trace is byte-identical at any geometry, migrations are not)
     tele.add("fleet.migrations", migrations);
-    if scheduled {
-        tele.add("fleet.skipped_ue_ticks", sched_total.skipped_ue_ticks);
-        tele.add("fleet.sleeps", sched_total.sleeps);
-        tele.add("fleet.load_wakes", sched_total.load_wakes);
-        // per-worker memos: depends on how UEs met workers, like migrations
-        tele.add("fleet.plan_tiles", plan_tiles);
-        // a sum of per-plan counts, each a pure function of UE state: the
-        // same at any thread/shard geometry
-        tele.add("fleet.plan_evals", plan_evals);
-    }
+    tele.add("fleet.skipped_ue_ticks", sched_total.skipped_ue_ticks);
+    tele.add("fleet.sleeps", sched_total.sleeps);
+    tele.add("fleet.load_wakes", sched_total.load_wakes);
+    // per-worker memos: depends on how UEs met workers, like migrations
+    tele.add("fleet.plan_tiles", plan_tiles);
+    // a sum of per-plan counts, each a pure function of UE state: the same
+    // at any thread/shard geometry
+    tele.add("fleet.plan_evals", plan_evals);
 
     let meta = FleetMeta {
         n_ues: spec.n_ues,
@@ -1194,8 +1180,7 @@ fn run_fleet_core<H: SimHook + Send>(
         cells: n_cells as u32,
         ticks,
     };
-    let sched = if scheduled { Some(sched_total) } else { None };
-    (FleetTrace { meta, ues, load, sched, traces }, hooks)
+    (FleetTrace { meta, ues, load, sched: Some(sched_total), traces }, hooks)
 }
 
 fn finalize<H: SimHook>(meta: PlanMeta, ue: Migrant<'_, H>) -> UeOut<H> {
@@ -1420,7 +1405,7 @@ mod tests {
                 }
             }
         }
-        for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
+        for engine in [EngineMode::Referee, EngineMode::EventDriven] {
             for (threads, shards) in [(1usize, 1usize), (2, 4), (4, 16)] {
                 let (tx, rx) = std::sync::mpsc::channel();
                 std::thread::spawn(move || {
@@ -1458,7 +1443,7 @@ mod tests {
         // thread/shard combination
         let spec = FleetSpec::new(sa_city(201), 10);
         let referee = run_fleet_exec(&spec, FleetExec::threads(1).shards(1).engine(EngineMode::Referee));
-        let sched = referee.sched.as_ref().expect("scheduled mode must report scheduler stats");
+        let sched = referee.sched.as_ref().expect("every fleet run reports scheduler stats");
         assert!(sched.skipped_ue_ticks > 0, "an SA city fleet must actually sleep: {sched:?}");
         assert!(sched.sleeps > 0);
         for (threads, shards) in [(1usize, 1usize), (2, 4), (4, 16)] {
@@ -1468,36 +1453,9 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_modes_preserve_fixed_control_plane() {
-        // scheduling may only change the data-plane sampling aggregates:
-        // against the fixed engine, every control-plane field and the whole
-        // load summary must be unchanged
-        let spec = FleetSpec::new(sa_city(202), 12);
-        let fixed = run_fleet_exec(&spec, FleetExec::threads(2).shards(4));
-        assert!(fixed.sched.is_none(), "fixed mode must not report scheduler stats");
-        for mode in [EngineMode::Referee, EngineMode::EventDriven] {
-            let ft = run_fleet_exec(&spec, FleetExec::threads(2).shards(4).engine(mode));
-            assert_eq!(ft.meta, fixed.meta, "{mode:?} changed the run metadata");
-            assert_eq!(ft.load, fixed.load, "{mode:?} changed the load summary");
-            for (a, b) in ft.ues.iter().zip(&fixed.ues) {
-                assert_eq!(a.ue, b.ue);
-                assert_eq!(a.seed, b.seed);
-                assert_eq!(a.start_tick, b.start_tick);
-                assert_eq!(a.reversed, b.reversed);
-                assert_eq!(a.ticks, b.ticks, "UE {} tick count drifted under {mode:?}", a.ue);
-                assert_eq!(a.traveled_m, b.traveled_m, "UE {} position drifted under {mode:?}", a.ue);
-                assert_eq!(a.handovers, b.handovers, "UE {} handovers drifted under {mode:?}", a.ue);
-                assert_eq!(a.ho_failures, b.ho_failures);
-                assert_eq!(a.rlf_count, b.rlf_count);
-                assert_eq!(a.reports, b.reports, "UE {} reports drifted under {mode:?}", a.ue);
-            }
-        }
-    }
-
-    #[test]
     fn nsa_fleet_never_sleeps_but_still_matches() {
-        // NSA UEs are ineligible (B1 is SINR-quantity): the scheduled modes
-        // degrade to the fixed engine with zero sleeps — and must still be
+        // NSA UEs are ineligible (B1 is SINR-quantity): both modes step
+        // every UE every tick with zero sleeps — and must still be
         // byte-identical to each other
         let spec = FleetSpec::new(base(23), 6);
         let referee = run_fleet_exec(&spec, FleetExec::threads(2).shards(2).engine(EngineMode::Referee));
@@ -1506,19 +1464,6 @@ mod tests {
         let sched = referee.sched.as_ref().unwrap();
         assert_eq!(sched.sleeps, 0, "NSA fleets must stay on the fixed step: {sched:?}");
         assert_eq!(sched.skipped_ue_ticks, 0);
-    }
-
-    #[test]
-    fn keep_traces_disables_sleeping_entirely() {
-        // trace retention samples every tick, so a keep_traces fleet never
-        // sleeps — and the event-driven trace equals the fixed one exactly
-        let spec = FleetSpec::new(sa_city(204), 4).keep_traces(true);
-        let fixed = run_fleet_exec(&spec, FleetExec::threads(2).shards(2));
-        let ev = run_fleet_exec(&spec, FleetExec::threads(2).shards(2).engine(EngineMode::EventDriven));
-        assert_eq!(ev.sched.as_ref().unwrap().sleeps, 0);
-        assert_eq!(ev.traces, fixed.traces, "with sleeping off the full traces must match the fixed engine");
-        assert_eq!(ev.ues, fixed.ues);
-        assert_eq!(ev.load, fixed.load);
     }
 
     #[test]

@@ -94,14 +94,15 @@ pub trait SimHook {
     /// follow-up.
     fn on_ho_failure(&mut self, t: f64, rec: &HandoverRecord, serving: ServingCells) {}
 
-    /// A scheduled engine (referee or event-driven) fast-forwarded the UE
+    /// The fleet engine (referee or event-driven) fast-forwarded the UE
     /// over `skipped` quiet ticks: no tick between `from_tick` (exclusive)
     /// and `from_tick + skipped` (inclusive) was sampled, so none of them
     /// produced an [`Self::on_tick`] call. Fires at the wake tick, before
     /// that tick's events; the next [`Self::on_tick`] carries tick
-    /// `from_tick + skipped + 1`. Stepped runs never call this, and a
-    /// checker may treat any tick gap *not* declared this way as an engine
-    /// bug (an overslept UE).
+    /// `from_tick + skipped + 1`. The single-UE engine and trace-keeping
+    /// fleets never sleep, so they never call this, and a checker may treat
+    /// any tick gap *not* declared this way as an engine bug (an overslept
+    /// UE).
     fn on_sleep(&mut self, from_tick: u64, skipped: u64) {}
 
     /// End of one tick; `view` is the state the trace sample was built from.

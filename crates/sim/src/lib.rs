@@ -24,8 +24,8 @@
 //! * [`fault`] — fault injection (MR loss, HO failures) in the smoltcp
 //!   tradition of making adverse conditions reproducible;
 //! * [`hook`] — observation hooks for external invariant checkers;
-//! * [`fleet`] — N load-coupled UEs against one shared deployment, stepped
-//!   every tick or event-driven (provably inert UE·ticks skipped).
+//! * [`fleet`] — N load-coupled UEs against one shared deployment,
+//!   event-driven (provably inert UE·ticks skipped).
 
 pub mod engine;
 pub mod fault;

@@ -65,8 +65,8 @@ run_deps() {
 
 # The fuzz smoke gate: the oracle's mutation self-test, the committed
 # repro corpus, and a bounded fixed-seed campaign (200 cases under the
-# invariant oracle, each radio-trajectory-checked and run stepped vs
-# event-driven), byte-compared across thread counts.
+# invariant oracle, each radio-trajectory-checked and run through an
+# event-driven fleet differential), byte-compared across thread counts.
 run_fuzz() {
     echo "== scenario fuzz gate (self-test, corpus, 200 cases, 1 vs 4 threads)"
     cargo build -q --release -p fiveg-bench --bin scenario_fuzz
@@ -114,15 +114,16 @@ run_vivisect() {
 # committed BENCH_*.json baselines; what is gated, and why no gate reads a
 # stopwatch, is documented once in the fiveg_bench::perfgate module docs.
 # tick_bench runs the full scenario set and fleet_bench the smoke sizes at
-# the baseline's pinned --threads 1 --shards 16 --event-driven config (a
-# baseline of another config is refused). --verify-shards first proves
-# 1x1 == 2x4 threads x shards and referee == event-driven byte identity.
+# the baseline's pinned --threads 1 --shards 16 config (a baseline of
+# another config is refused). --verify-shards first proves 1x1 == 2x4
+# threads x shards, referee == event-driven byte identity and
+# never-sleeping == event-driven control planes.
 # Wall-clock goes to stdout only; CI keeps it as a log artifact.
 run_perf() {
     echo "== perf gate (tick_bench + fleet_bench vs committed baselines, tol 15%)"
     cargo build -q --release -p fiveg-bench --bin tick_bench --bin fleet_bench
     target/release/tick_bench --out BENCH_tick_ci.json --baseline BENCH_tick.json
-    target/release/fleet_bench --smoke --threads 1 --shards 16 --verify-shards --event-driven \
+    target/release/fleet_bench --smoke --threads 1 --shards 16 --verify-shards \
         --out BENCH_fleet_ci.json --baseline BENCH_fleet.json
     python3 -m json.tool BENCH_tick_ci.json >/dev/null
     python3 -m json.tool BENCH_fleet_ci.json >/dev/null

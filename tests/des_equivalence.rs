@@ -1,26 +1,28 @@
 //! The event-driven core's headline harness: differential equivalence
-//! between the stepped engine and the discrete-event scheduler, at every
-//! layer that produces output.
+//! between the discrete-event scheduler and references that never skip a
+//! tick, at every layer that produces output.
 //!
-//! The stepped engine is the proof oracle. Four kinds of evidence, each
-//! with its own failure mode:
+//! The proof oracles are runs that step every tick: [`Scenario::run`], and
+//! fleets that keep their traces (a UE recording per-tick samples is never
+//! planner-eligible, so such a fleet never sleeps — asserted wherever it
+//! serves as a reference). Four kinds of evidence, each with its own
+//! failure mode:
 //!
 //! 1. **Traced byte-identity** — an event-driven fleet of one with trace
 //!    recording on must reproduce [`Scenario::run`] exactly, down to the
-//!    encoded bytes. A UE recording per-tick samples is never
-//!    planner-eligible, so this leg proves the DES machinery is
-//!    *transparent* when it cannot skip.
+//!    encoded bytes. This leg proves the DES machinery is *transparent*
+//!    when it cannot skip.
 //! 2. **Summary-mode equality** — with sampling off the planner really
 //!    skips (asserted non-vacuous), and every engine-invariant control
-//!    field of an event-driven fleet of one must still match the stepped
-//!    fleet of one.
+//!    field of an event-driven fleet of one must still match
+//!    [`Scenario::run`]'s trace.
 //! 3. **Referee cross-examination** — [`EngineMode::Referee`] takes the
 //!    *same* scheduling decisions as [`EngineMode::EventDriven`] but steps
 //!    "sleeping" UEs with the full control plane. [`FleetTrace`] equality
 //!    therefore proves every granted window was genuinely inert.
 //! 4. **Downstream invariance** — handover [`SpanLog`]s, predictor feature
 //!    tables and full Prognos replays derived from DES output must equal
-//!    those derived from the stepped engine: the paper's analyses may not
+//!    those derived from a never-sleeping run: the paper's analyses may not
 //!    be able to tell which engine produced their input.
 //!
 //! The matrix crosses NSA/SA/LTE × routes (city loop, freeway, walking)
@@ -112,18 +114,24 @@ fn des_traces_are_byte_identical_to_run() {
 #[test]
 fn summary_mode_des_matches_stepped_across_the_matrix() {
     // Leg 2: with sampling off the planner is live. Control fields must
-    // match the stepped fleet of one everywhere; skipping must actually
+    // match Scenario::run's trace everywhere; skipping must actually
     // happen on the sleep-eligible cells and never on NSA (whose
     // SINR-quantity B1 config keeps every UE on the fixed step).
     let mut skipped_total = 0u64;
     for (name, s) in matrix() {
         let nsa = s.arch == Arch::Nsa;
-        let spec = FleetSpec::new(s, 1);
-        let stepped = run_fleet_exec(&spec, FleetExec::threads(1));
-        let des = run_fleet_exec(&spec, FleetExec::threads(1).engine(EngineMode::EventDriven));
-        assert_eq!(des.ues[0].control(), stepped.ues[0].control(), "[{name}] fleet-of-one DES control plane diverged");
-        assert!(stepped.sched.is_none(), "[{name}] the stepped engine runs no scheduler");
-        let sched = des.sched.expect("scheduled modes record a SchedSummary");
+        let tr = s.run();
+        let stepped = (
+            tr.samples.len() as u64,
+            tr.meta.traveled_m,
+            tr.handovers.len() as u64,
+            tr.ho_failures,
+            tr.rlf_count,
+            tr.reports.len() as u64,
+        );
+        let des = run_fleet_exec(&FleetSpec::new(s, 1), FleetExec::threads(1).engine(EngineMode::EventDriven));
+        assert_eq!(des.ues[0].control(), stepped, "[{name}] fleet-of-one DES control plane diverged from run");
+        let sched = des.sched.expect("every fleet run records a SchedSummary");
         if nsa {
             assert_eq!(sched.sleeps, 0, "[{name}] NSA UEs must never be granted a window");
         }
@@ -143,7 +151,7 @@ fn referee_equals_event_driven_at_any_geometry() {
         let sleepable = s.arch != Arch::Nsa;
         let spec = FleetSpec::new(s, 4);
         let referee = run_fleet_exec(&spec, FleetExec::threads(1).shards(1).engine(EngineMode::Referee));
-        let sched = referee.sched.as_ref().expect("scheduled modes record a SchedSummary");
+        let sched = referee.sched.as_ref().expect("every fleet run records a SchedSummary");
         if sleepable && sched.sleeps > 0 {
             slept_cells += 1;
         }
@@ -192,11 +200,13 @@ fn digest(log: &SpanLog) -> Vec<SpanDigest> {
         .collect()
 }
 
-fn span_log_of(s: &Scenario, exec: FleetExec) -> (SpanLog, u64) {
-    let spec = FleetSpec::new(s.clone(), 6).stagger_s(5.0);
+/// The merged span log, oracle violation count and sleep windows of a
+/// 6-UE fleet of `s` at `exec`, with per-UE traces kept or not.
+fn span_log_of(s: &Scenario, exec: FleetExec, keep_traces: bool) -> (SpanLog, u64, u64) {
+    let spec = FleetSpec::new(s.clone(), 6).stagger_s(5.0).keep_traces(keep_traces);
     let arch = s.arch;
     let seed = s.seed;
-    let (_ft, observers) =
+    let (ft, observers) =
         run_fleet_exec_observed(&spec, exec, &Telemetry::disabled(), |ue| VivisectObserver::new(ue, arch, seed));
     let mut log = SpanLog::default();
     let mut violations = 0;
@@ -205,7 +215,7 @@ fn span_log_of(s: &Scenario, exec: FleetExec) -> (SpanLog, u64) {
         violations += v;
         log.absorb(l);
     }
-    (log, violations)
+    (log, violations, ft.sched.expect("every fleet run records a SchedSummary").sleeps)
 }
 
 #[test]
@@ -213,11 +223,17 @@ fn span_logs_survive_event_driven_scheduling() {
     // Leg 4a: the causal span layer is assembled from the hook stream,
     // which an event-driven run thins out (skipped ticks fire no hooks).
     // Every span, anomaly count and timestamp bit must nonetheless match
-    // the stepped engine's — HO activity only ever happens on awake ticks.
+    // the same fleet with traces kept, which never sleeps — HO activity
+    // only ever happens on awake ticks.
     for (name, s) in matrix().into_iter().filter(|(n, _)| matches!(*n, "city-sa" | "city-nsa" | "freeway-nsa-faulted"))
     {
-        let (stepped, v_stepped) = span_log_of(&s, FleetExec::threads(1).shards(1));
-        let (event, v_event) = span_log_of(&s, FleetExec::threads(2).shards(4).engine(EngineMode::EventDriven));
+        let (stepped, v_stepped, never) = span_log_of(&s, FleetExec::threads(1).shards(1), true);
+        let (event, v_event, slept) =
+            span_log_of(&s, FleetExec::threads(2).shards(4).engine(EngineMode::EventDriven), false);
+        assert_eq!(never, 0, "[{name}] a trace-keeping fleet must never sleep");
+        if s.arch == Arch::Sa {
+            assert!(slept > 0, "[{name}] the event-driven fleet must actually sleep for this leg to bite");
+        }
         assert_eq!(v_stepped, v_event, "[{name}] oracle violation counts diverged");
         assert_eq!(digest(&stepped), digest(&event), "[{name}] span logs diverged under DES");
         assert_eq!(stepped.anomalies.len(), event.anomalies.len(), "[{name}] anomaly counts diverged");

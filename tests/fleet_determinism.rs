@@ -115,21 +115,19 @@ fn cell_load_shares_sum_correctly_after_boundary_exchange() {
     // per-tick attach counts rebuilt independently from every UE's hook
     // stream. UE `i`'s local tick `t` runs at global tick
     // `start_tick + t - 1`; a declared sleep keeps its last serving cells
-    // published. Checked for the stepping and the sleeping engine, with
-    // and without stagger, on a migrating geometry, for an NSA freeway
-    // fleet (an LTE leg on every UE, NR legs added and released) and an
-    // SA city fleet that sleeps.
+    // published. Checked for a fleet that keeps its traces (and so never
+    // sleeps) and one that does not, with and without stagger, on a
+    // migrating geometry, for an NSA freeway fleet (an LTE leg on every UE,
+    // NR legs added and released) and an SA city fleet that sleeps.
     for (arch, base, sleeps) in [("NSA", base(37), false), ("SA", quiet_base(37), true)] {
-        for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
+        for keep in [true, false] {
             for stagger in [0.0, 20.0] {
-                let what = format!("{arch} {engine:?}, {stagger} s stagger");
-                let spec = FleetSpec::new(base.clone(), 10).stagger_s(stagger);
-                let (ft, logs) = run_fleet_exec_observed(
-                    &spec,
-                    FleetExec::threads(2).shards(8).engine(engine),
-                    &Telemetry::disabled(),
-                    |_| ServingLog::default(),
-                );
+                let what = format!("{arch}, traces kept {keep}, {stagger} s stagger");
+                let spec = FleetSpec::new(base.clone(), 10).stagger_s(stagger).keep_traces(keep);
+                let (ft, logs) =
+                    run_fleet_exec_observed(&spec, FleetExec::threads(2).shards(8), &Telemetry::disabled(), |_| {
+                        ServingLog::default()
+                    });
 
                 let n_cells = ft.meta.cells as usize;
                 let mut counts = vec![vec![0u32; n_cells]; ft.meta.ticks as usize];
@@ -163,8 +161,10 @@ fn cell_load_shares_sum_correctly_after_boundary_exchange() {
                         .count();
                     assert!(lte > 0 && nr_flips > 0, "{what}: {lte} LTE-leg ticks, {nr_flips} NR leg adds/releases");
                 }
-                if sleeps && engine == EngineMode::EventDriven {
-                    let sched = ft.sched.as_ref().expect("the event-driven engine reports its schedule");
+                let sched = ft.sched.as_ref().expect("every fleet run reports its schedule");
+                if keep {
+                    assert_eq!(sched.sleeps, 0, "{what}: a trace-keeping fleet slept: {sched:?}");
+                } else if sleeps {
                     assert!(sched.sleeps > 0 && sched.skipped_ue_ticks > 0, "{what}: no UE slept: {sched:?}");
                 }
             }
@@ -261,26 +261,21 @@ fn warm_planner_memos_leave_the_freeway_fleet_unchanged() {
 
 #[test]
 fn event_driven_fleet_preserves_fixed_control_plane() {
-    // fixed vs event-driven: identical meta, load summary and per-UE
-    // control-plane fields; only the data-plane sampling aggregates may
-    // differ (sleeping UEs do not sample)
+    // the same fleet with traces kept never sleeps (recording UEs are never
+    // planner-eligible), so it is the fixed-step reference: identical meta,
+    // load summary and per-UE control-plane fields; only the data-plane
+    // sampling aggregates may differ (sleeping UEs do not sample)
     let spec = FleetSpec::new(quiet_base(42), 10);
-    let fixed = run_fleet_exec(&spec, FleetExec::threads(2).shards(4));
+    let fixed = run_fleet_exec(&spec.clone().keep_traces(true), FleetExec::threads(2).shards(4));
     let event = run_fleet_exec(&spec, FleetExec::threads(2).shards(4).engine(EngineMode::EventDriven));
-    assert!(fixed.sched.is_none(), "the fixed path must not grow scheduler state");
+    assert_eq!(fixed.sched.as_ref().map(|s| s.sleeps), Some(0), "a trace-keeping fleet must never sleep");
+    assert!(event.sched.as_ref().is_some_and(|s| s.sleeps > 0), "the quiet fleet must sleep or this test is vacuous");
     assert_eq!(fixed.meta, event.meta);
     assert_eq!(fixed.load, event.load);
     assert_eq!(fixed.ues.len(), event.ues.len());
     for (f, e) in fixed.ues.iter().zip(event.ues.iter()) {
         assert_eq!((f.ue, f.seed, f.start_tick, f.reversed), (e.ue, e.seed, e.start_tick, e.reversed));
-        assert_eq!(f.ticks, e.ticks, "UE {} executed a different number of ticks", f.ue);
-        assert_eq!(f.traveled_m, e.traveled_m);
-        assert_eq!(
-            (f.handovers, f.ho_failures, f.rlf_count, f.reports),
-            (e.handovers, e.ho_failures, e.rlf_count, e.reports),
-            "UE {} control plane diverged under event-driven stepping",
-            f.ue
-        );
+        assert_eq!(f.control(), e.control(), "UE {} control plane diverged under event-driven stepping", f.ue);
     }
 }
 
