@@ -26,16 +26,21 @@
 //! realized sleep lengths, and the sleep planner's work: `plan_evals`, the
 //! exact channel evaluations its dry runs paid for (telemetry counter
 //! `fleet.plan_evals`), and `plan_tiles`, the shadowing tiles its screens
-//! hashed (`fleet.plan_tiles`).
+//! hashed (`fleet.plan_tiles`). It also records the radio snapshot's memo
+//! work: `corner_hashes_per_ue_tick`, the shadowing corner gaussians the
+//! UEs' refreshes hashed (counter `fleet.corner_hashes`) per UE·tick. After
+//! each size it prints the process's peak resident set (`VmHWM`), so the
+//! memory the awake UEs' memos cost stays visible.
 //!
-//! The report (`BENCH_fleet.json`, schema `fiveg-fleet/v6`) holds the
+//! The report (`BENCH_fleet.json`, schema `fiveg-fleet/v7`) holds the
 //! pinned configuration (threads, shards, the base scenario) and one gated
 //! [`row`] per size; with `--baseline` the run gates them against the
 //! committed report, pairing rows by `n_ues` value, and exits nonzero past
 //! [`perfgate::TOL`] (see `fiveg_bench::perfgate`). A baseline of another
 //! configuration is refused before anything runs: `plan_tiles` counts
-//! per-worker memos, so it is exact only at a fixed geometry. UE·ticks/s
-//! and the ungated counts are printed only.
+//! per-worker memos, and which freed channel memo a waking UE takes moves
+//! `corner_hashes_per_ue_tick`, so both are exact only at a fixed geometry.
+//! UE·ticks/s, peak RSS and the ungated counts are printed only.
 //!
 //! `--verify-shards` is the other machine-independent gate, three checks
 //! deep: (1) one migration-heavy fleet run with traces kept on 1 thread × 1
@@ -62,7 +67,7 @@ use std::time::Instant;
 
 /// The report schema this binary writes and the only one it will gate
 /// against.
-const SCHEMA: &str = "fiveg-fleet/v6";
+const SCHEMA: &str = "fiveg-fleet/v7";
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -178,6 +183,9 @@ struct SizeResult {
     /// Shadowing tiles the sleep planner's screens hashed (per-worker
     /// memos, so exact at a fixed thread/shard geometry).
     plan_tiles: u64,
+    /// Shadowing corner gaussians the radio refreshes hashed per UE·tick
+    /// (memos recycled per worker, so exact at a fixed geometry).
+    corner_hashes_per_ue_tick: f64,
 }
 
 /// Runs one size, printing the throughput and the ungated counts.
@@ -205,6 +213,7 @@ fn bench_size(n_ues: u32, exec: FleetExec, sink: Option<&Telemetry>) -> SizeResu
         skip_ratio: sched.skipped_ue_ticks as f64 / ue_ticks as f64,
         plan_evals: tele.counter_value("fleet.plan_evals"),
         plan_tiles: tele.counter_value("fleet.plan_tiles"),
+        corner_hashes_per_ue_tick: tele.counter_value("fleet.corner_hashes") as f64 / ue_ticks as f64,
     };
     println!(
         "  {:>7} UEs  {:>10} UE·ticks in {:>7.2} s -> {:>9.0} UE·ticks/s, {:>6.2} allocs/UE·tick, peak cell {:>5}, {:>6} migrations",
@@ -220,13 +229,26 @@ fn bench_size(n_ues: u32, exec: FleetExec, sink: Option<&Telemetry>) -> SizeResu
         "          skip ratio {:.3} ({} sleeps, {} load wakes, wake hist {:?}), {} plan evals, {} plan tiles",
         r.skip_ratio, sched.sleeps, sched.load_wakes, sched.wake_hist, r.plan_evals, r.plan_tiles
     );
+    println!(
+        "          {:.3} corner hashes/UE·tick, peak RSS {}",
+        r.corner_hashes_per_ue_tick,
+        peak_rss_mb().map_or("n/a".into(), |mb| format!("{mb:.1} MB"))
+    );
     r
 }
 
-/// The gated row of one size: `ue_ticks`, `skip_ratio`, `plan_evals` and
-/// `plan_tiles` as bands (each a count, or a ratio of counts, exact for the
-/// pinned scenario at a fixed geometry), plus `allocs_per_ue_tick`, lower
-/// is better. No elapsed time is gated.
+/// The process's peak resident set so far, MB: `VmHWM` from
+/// `/proc/self/status`, `None` where that file does not exist.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?.trim().strip_suffix("kB")?;
+    Some(kb.trim().parse::<f64>().ok()? / 1024.0)
+}
+
+/// The gated row of one size: `ue_ticks`, `skip_ratio`, `plan_evals`,
+/// `plan_tiles` and `corner_hashes_per_ue_tick` as bands (each a count, or
+/// a ratio of counts, exact for the pinned scenario at a fixed geometry),
+/// plus `allocs_per_ue_tick`, lower is better. No elapsed time is gated.
 fn row(r: &SizeResult) -> Row {
     Row::new("n_ues", u64::from(r.n_ues))
         .band("ue_ticks", r.ue_ticks as f64)
@@ -234,6 +256,7 @@ fn row(r: &SizeResult) -> Row {
         .band("skip_ratio", r.skip_ratio)
         .band("plan_evals", r.plan_evals as f64)
         .band("plan_tiles", r.plan_tiles as f64)
+        .band("corner_hashes_per_ue_tick", r.corner_hashes_per_ue_tick)
 }
 
 /// The pinned configuration every size's gated row depends on.
@@ -404,6 +427,7 @@ mod tests {
                 skip_ratio: 0.8271666666666667,
                 plan_evals: 736_276,
                 plan_tiles: 672,
+                corner_hashes_per_ue_tick: 2.5,
             },
             SizeResult {
                 n_ues: 1000,
@@ -412,13 +436,14 @@ mod tests {
                 skip_ratio: 0.822655,
                 plan_evals: 7_519_344,
                 plan_tiles: 672,
+                corner_hashes_per_ue_tick: 2.5,
             },
         ];
         let rows: Vec<Row> = sizes.iter().map(row).collect();
         let config = config(1, 16);
         let own = perfgate::report(SCHEMA, &config, &rows);
         let gates = Baseline::parse("own report", own, SCHEMA, &config).unwrap().gates(&rows).unwrap();
-        assert_eq!(gates.len(), 10, "five gated entries per size");
+        assert_eq!(gates.len(), 12, "six gated entries per size");
         assert!(gates.iter().all(|g| g.baseline == g.current), "{gates:?}");
     }
 }

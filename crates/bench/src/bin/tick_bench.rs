@@ -30,9 +30,10 @@
 //! configuration and the gated [`rows`]; with `--baseline` the run gates
 //! them against the committed report and exits nonzero past
 //! [`perfgate::TOL`] (see `fiveg_bench::perfgate`). Ticks/s, UE·ticks/s and
-//! the ungated counts — screened and tier-1 cells and towers located per
-//! tick ([`RadioSnapshot::sites_located`]), skipped ticks and sleeps — are
-//! printed only.
+//! the ungated counts — screened and tier-1 cells, towers located
+//! ([`RadioSnapshot::sites_located`]) and shadowing corner gaussians hashed
+//! ([`RadioSnapshot::corner_hashes`]) per tick, skipped ticks and sleeps —
+//! are printed only.
 
 use fiveg_bench::perfgate::{self, Baseline, CountingAlloc, Row, ALLOCS};
 use fiveg_geo::Point;
@@ -157,6 +158,8 @@ struct SnapshotWork {
     priced: u64,
     /// Towers whose geometry was located.
     sites: u64,
+    /// Shadowing corner gaussians the channel memo hashed.
+    corners: u64,
 }
 
 fn snapshot_work(s: &Scenario, tr: &Trace) -> SnapshotWork {
@@ -170,6 +173,7 @@ fn snapshot_work(s: &Scenario, tr: &Trace) -> SnapshotWork {
         w.tier1 += snap.tier1_cells() as u64;
         w.priced += snap.priced() as u64;
         w.sites += snap.sites_located() as u64;
+        w.corners += snap.corner_hashes() as u64;
     }
     w
 }
@@ -342,6 +346,7 @@ fn main() -> ExitCode {
         work.tier1 += w.tier1;
         work.priced += w.priced;
         work.sites += w.sites;
+        work.corners += w.corners;
     }
     let per_tick = |n: u64| n as f64 / work.ticks as f64;
 
@@ -359,11 +364,13 @@ fn main() -> ExitCode {
 
     let snapshot = bench_snapshot(&set, per_tick(work.priced));
     println!(
-        "  snapshot prices {:.1} of {:.1} screened cells/tick ({:.1} reach tier 1, {:.1} towers located)",
+        "  snapshot prices {:.1} of {:.1} screened cells/tick ({:.1} reach tier 1, {:.1} towers located, \
+         {:.2} corner hashes)",
         per_tick(work.priced),
         per_tick(work.screened),
         per_tick(work.tier1),
-        per_tick(work.sites)
+        per_tick(work.sites),
+        per_tick(work.corners)
     );
 
     let mut des_results = Vec::new();

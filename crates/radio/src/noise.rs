@@ -189,35 +189,43 @@ impl Default for LatticeCache {
 }
 
 impl LatticeCache {
-    /// Moves the memo to lattice cell `(x, y)` of the field seeded `seed`.
-    fn move_to(&mut self, seed: u64, (x, y): (i64, i64)) {
+    /// Moves the memo to lattice cell `(x, y)` of the field seeded `seed`,
+    /// returning the corner gaussians it hashed: 2 on a step to an
+    /// edge-adjacent cell, else 4.
+    fn move_to(&mut self, seed: u64, (x, y): (i64, i64)) -> usize {
         let g = |a, b| hash_gaussian(seed, a, b);
         // corners are pure functions of (seed, x, y): a step to an
         // edge-adjacent cell keeps the shared edge's two corners, moved to
         // the opposite side, and hashes only the far edge
-        match (x.wrapping_sub(self.key.0), y.wrapping_sub(self.key.1)) {
+        let hashed = match (x.wrapping_sub(self.key.0), y.wrapping_sub(self.key.1)) {
             (1, 0) => {
                 (self.v00, self.v01) = (self.v10, self.v11);
                 (self.v10, self.v11) = (g(x + 1, y), g(x + 1, y + 1));
+                2
             }
             (-1, 0) => {
                 (self.v10, self.v11) = (self.v00, self.v01);
                 (self.v00, self.v01) = (g(x, y), g(x, y + 1));
+                2
             }
             (0, 1) => {
                 (self.v00, self.v10) = (self.v01, self.v11);
                 (self.v01, self.v11) = (g(x, y + 1), g(x + 1, y + 1));
+                2
             }
             (0, -1) => {
                 (self.v01, self.v11) = (self.v00, self.v10);
                 (self.v00, self.v10) = (g(x, y), g(x + 1, y));
+                2
             }
             _ => {
                 (self.v00, self.v10) = (g(x, y), g(x + 1, y));
                 (self.v01, self.v11) = (g(x, y + 1), g(x + 1, y + 1));
+                4
             }
-        }
+        };
         self.key = (x, y);
+        hashed
     }
 }
 
@@ -305,18 +313,19 @@ impl SpatialNoise {
     /// `cache`. Bit-identical to [`SpatialNoise::sample`]; the cache must be
     /// dedicated to this field (see [`LatticeCache`]).
     pub fn sample_cached(&self, p: &Point, cache: &mut LatticeCache) -> f64 {
-        self.sample_located(&LatticePoint::locate(p, self.corr_len), cache)
+        self.sample_located(&LatticePoint::locate(p, self.corr_len), cache, &mut 0)
     }
 
     /// Samples the field at the point `at` locates, which must be located
     /// on this field's spacing ([`SpatialNoise::corr_len`]): the corner
-    /// memo in `cache`, then the blend. Bit-identical to
+    /// memo in `cache`, then the blend, adding the corner gaussians the
+    /// memo hashed (0, 2 or 4) to `hashed`. Bit-identical to
     /// [`SpatialNoise::sample`] at that point; same cache contract.
     #[inline]
-    pub(crate) fn sample_located(&self, at: &LatticePoint, cache: &mut LatticeCache) -> f64 {
+    pub(crate) fn sample_located(&self, at: &LatticePoint, cache: &mut LatticeCache, hashed: &mut usize) -> f64 {
         debug_assert_eq!(at.spacing, self.corr_len, "lattice point located on another spacing");
         if cache.key != at.key {
-            cache.move_to(self.seed, at.key);
+            *hashed += cache.move_to(self.seed, at.key);
         }
         let a = cache.v00 + (cache.v10 - cache.v00) * at.tx;
         let b = cache.v01 + (cache.v11 - cache.v01) * at.tx;
@@ -744,7 +753,17 @@ mod tests {
                 let p = Point::new((cell.0 + fx) * corr, (cell.1 + fy) * corr);
                 let at = LatticePoint::locate(&p, corr);
                 let want = n.sample(&p);
-                let got = n.sample_located(&at, &mut located);
+                // the work count: 0 in the memo's cell, 2 on a one-cell
+                // edge step (the corner shift), else 4 (the unset memo too)
+                let (sx, sy) = (at.key.0.wrapping_sub(located.key.0), at.key.1.wrapping_sub(located.key.1));
+                let want_hashed = match sx.unsigned_abs().saturating_add(sy.unsigned_abs()) {
+                    0 => 0,
+                    1 => 2,
+                    _ => 4,
+                };
+                let mut hashed = 0;
+                let got = n.sample_located(&at, &mut located, &mut hashed);
+                assert_eq!(hashed, want_hashed, "corner hashes at step {k}");
                 assert_eq!(got.to_bits(), want.to_bits(), "located diverged at step {k} {p:?} (corr {corr})");
                 assert_eq!(n.sample_cached(&p, &mut cached).to_bits(), want.to_bits(), "cached diverged at step {k}");
                 let u = n.sample_uniform_cell(&p);

@@ -178,7 +178,7 @@ impl Propagation {
     /// lattice location computed here.
     fn prefix_dbm_cached(&self, site: &Point, ue: &Point, cache: &mut ChannelCache) -> f64 {
         let at = LatticePoint::locate(ue, self.shadowing.corr_len());
-        self.prefix_dbm_located(Self::log_distance(site, ue), &at, cache)
+        self.prefix_dbm_located(Self::log_distance(site, ue), &at, cache, &mut 0)
     }
 
     /// The shadowing lattice spacing, meters: where a receiver locates
@@ -196,12 +196,20 @@ impl Propagation {
     /// The position-only part of the received power at the receiver,
     /// `(tx − PL(d)) + shadowing` in dBm, from the precomputed distance term
     /// `log_d = Propagation::log_distance(site, ue)` and the receiver `at`
-    /// located on [`Propagation::shadowing_spacing`].
+    /// located on [`Propagation::shadowing_spacing`], adding to `hashed` the
+    /// shadowing corner gaussians the memo hashed (0 when `at` stays in the
+    /// memo's lattice cell, 2 on a one-cell edge step, else 4).
     /// [`Propagation::received_from_parts`] completes it with the
     /// time-varying fading and the blockage loss.
     #[inline]
-    pub fn prefix_dbm_located(&self, log_d: f64, at: &LatticePoint, cache: &mut ChannelCache) -> f64 {
-        self.tx_power_dbm - self.path_loss_at(log_d) + self.shadowing.sample_located(at, &mut cache.shadowing)
+    pub fn prefix_dbm_located(
+        &self,
+        log_d: f64,
+        at: &LatticePoint,
+        cache: &mut ChannelCache,
+        hashed: &mut usize,
+    ) -> f64 {
+        self.tx_power_dbm - self.path_loss_at(log_d) + self.shadowing.sample_located(at, &mut cache.shadowing, hashed)
     }
 
     /// Blockage loss at `ue` (dB, position-only): the full loss inside a

@@ -40,6 +40,6 @@ pub use deploy::Deployment;
 pub use ho::{Arch, HoCategory, HoType, RadioTech};
 pub use measure::{MeasEngine, Measurement};
 pub use policy::{HoDecision, HoPolicy};
-pub use snapshot::{per_band_top, PciTable, RadioSnapshot};
+pub use snapshot::{per_band_top, ChannelMemo, PciTable, RadioSnapshot};
 pub use stages::{StageModel, StageSample};
 pub use state::{BearerMode, ConnectionState, HandoverRecord, HoEvent, HoPhase, RanStateMachine};

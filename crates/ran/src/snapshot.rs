@@ -58,9 +58,13 @@
 //!   `t` once per distinct correlation time ([`NodePoint`]); the per-tick
 //!   ceiling and the exact fading draw both read that location.
 //!
-//! The buffers (including the per-cell noise-lattice caches, see
-//! [`fiveg_radio::ChannelCache`]) persist across ticks, so the steady-state
-//! tick allocates nothing here.
+//! The buffers persist across ticks, so the steady-state tick allocates
+//! nothing here. Everything but the per-cell noise-lattice caches (see
+//! [`fiveg_radio::ChannelCache`]) is refresh scratch, recomputed from
+//! `(pos, t)`; the caches are the receiver's own memo, a [`ChannelMemo`]
+//! that [`RadioSnapshot::swap_memo`] trades in O(1), so many receivers can
+//! share one snapshot's scratch while each keeps the lattice cells it
+//! stands in (the fleet engine swaps each UE's memo in around its step).
 //!
 //! [`Cell::rx_dbm`]: crate::Cell::rx_dbm
 //! [`Cell::site`]: crate::Cell::site
@@ -80,16 +84,22 @@ use std::collections::HashMap;
 /// and time, then read [`RadioSnapshot::strongest`] from as many consumers as
 /// needed. All buffers are retained across calls.
 ///
-/// A snapshot carries per-cell channel caches indexed by [`CellId`], so one
-/// snapshot must stay bound to one [`Deployment`] for its whole life; create a
-/// fresh snapshot per simulation run.
+/// A snapshot binds to the [`Deployment`] of its first refresh: its per-cell
+/// tables and its [`ChannelMemo`] are indexed by cell, so one snapshot (and
+/// every memo swapped into it) must stay with one deployment for its whole
+/// life; create a fresh snapshot per simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct RadioSnapshot {
     /// The wanted in-radius cells of this refresh with their screen bounds.
     screened: Vec<Screened>,
-    /// Per-cell noise-lattice memo, indexed by `CellId`.
-    caches: Vec<ChannelCache>,
-    /// Per-cell indices into `lattices` and `clocks`, indexed by `CellId`.
+    /// The receiver's noise-lattice memos; the one part of the snapshot
+    /// that is not recomputed from `(pos, t)`.
+    memo: ChannelMemo,
+    /// The deployment's NR cells: the length of `memo`'s NR block, which
+    /// the LTE block follows.
+    nr_cells: usize,
+    /// Per-cell indices into `lattices`, `clocks` and `memo`, indexed by
+    /// `CellId`.
     slots: Vec<CellSlots>,
     /// The deployment's distinct noise-lattice spacings, each located at
     /// the current refresh's position.
@@ -111,6 +121,8 @@ pub struct RadioSnapshot {
     tier1: usize,
     /// Cells whose fading term this refresh drew.
     priced: usize,
+    /// Shadowing corner gaussians this refresh hashed into `memo`.
+    corner_hashes: usize,
     /// The LTE then the NR per-band top lists, each leg merged in
     /// [`rx_total_order`].
     legs: Vec<(CellId, f64)>,
@@ -118,12 +130,47 @@ pub struct RadioSnapshot {
     n_lte: usize,
 }
 
-/// A cell's indices into the snapshot's per-lattice and per-clock tables.
+/// A cell's indices into the snapshot's per-lattice and per-clock tables
+/// and into a [`ChannelMemo`].
 #[derive(Debug, Clone, Copy)]
 struct CellSlots {
     shadowing: u8,
     blockage: u8,
     fading: u8,
+    /// The cell's index into a memo: its index among the NR cells, or the
+    /// NR cell count plus its index among the LTE cells.
+    memo: u32,
+}
+
+/// One receiver's per-cell noise-lattice memos ([`ChannelCache`]): a block
+/// of the deployment's NR cells, then one of its LTE cells, indexed so that
+/// every receiver reads a cell's memo at the same offset. A memo grows on
+/// first use, in one allocation: to the NR block on a refresh that wants NR
+/// only, to both blocks on one that wants LTE. An SA receiver thus holds
+/// memos for the NR cells only (an LTE-only deployment has no NR cells).
+///
+/// Swapped into a [`RadioSnapshot`] with [`RadioSnapshot::swap_memo`]. Any
+/// memo of the snapshot's deployment is exact — a cold one (the default) or
+/// one another receiver warmed: a memo keys each cell's corners by lattice
+/// cell, so it only changes how many corner gaussians a refresh hashes.
+#[derive(Debug, Clone, Default)]
+pub struct ChannelMemo {
+    caches: Vec<ChannelCache>,
+}
+
+impl ChannelMemo {
+    /// Grows the memo to `len` cells with cold entries, in one allocation.
+    fn fit(&mut self, len: usize) {
+        if self.caches.len() < len {
+            self.caches.reserve_exact(len - self.caches.len());
+            self.caches.resize(len, ChannelCache::default());
+        }
+    }
+
+    /// The memo of the cell `s` indexes.
+    fn cache(&mut self, s: CellSlots) -> &mut ChannelCache {
+        &mut self.caches[s.memo as usize]
+    }
 }
 
 /// One tower's geometry toward the UE, filled lazily per refresh. An entry
@@ -267,15 +314,17 @@ impl RadioSnapshot {
     /// `want_nr` false) are left empty so an LTE-only or SA run never pays
     /// for the other technology's cells.
     pub fn refresh(&mut self, d: &Deployment, pos: &Point, t: f64, radius_m: f64, want_lte: bool, want_nr: bool) {
-        if self.caches.len() != d.cells.len() {
+        if self.slots.len() != d.cells.len() {
             self.bind(d);
         }
+        self.fit_memo(want_lte, want_nr);
         for b in &mut self.bands {
             b.clear();
         }
         self.screened.clear();
         self.tier1 = 0;
         self.priced = 0;
+        self.corner_hashes = 0;
         self.located = 0;
         self.epoch += 1;
         self.pos = *pos;
@@ -296,7 +345,8 @@ impl RadioSnapshot {
                 let Some(log_d) = self.site(d, c.tower, pos, radius_m) else {
                     continue;
                 };
-                let (prefix, ub0) = self.screen(c, log_d);
+                let (prefix, ub0, hashes) = self.screen(c, log_d);
+                self.corner_hashes += hashes;
                 self.bands[c.band_ix as usize].offer_seed(self.screened.len(), ub0);
                 self.screened.push(Screened { id, band: c.band_ix, prefix, ub0 });
             }
@@ -328,10 +378,12 @@ impl RadioSnapshot {
     }
 
     /// Sizes the per-cell and per-tower tables for `d` and assigns each cell
-    /// its lattice and clock slots.
+    /// its lattice, clock and memo slots. The memo starts cold.
     fn bind(&mut self, d: &Deployment) {
         self.sites = vec![Site::default(); d.towers.len()];
-        self.caches = vec![ChannelCache::default(); d.cells.len()];
+        self.memo = ChannelMemo::default();
+        self.nr_cells = d.cells.iter().filter(|c| c.is_nr()).count();
+        let mut next = [self.nr_cells, 0];
         self.bands = d.bands().iter().map(|b| BandTop::new(b.is_nr())).collect();
         self.lattices.clear();
         self.clocks.clear();
@@ -341,13 +393,28 @@ impl RadioSnapshot {
             debug_assert!(c.site == d.towers[c.tower.0 as usize].pos, "cell {:?} is not at its tower", c.id);
             let b = &mut self.bands[c.band_ix as usize];
             b.fading_bound = b.fading_bound.max(c.propagation.fading_bound() + BOUND_EPS_DB);
+            let memo = &mut next[usize::from(c.is_nr())];
             let slots = CellSlots {
                 shadowing: self.lattice_slot(c.propagation.shadowing_spacing()),
                 blockage: self.lattice_slot(c.propagation.blockage_spacing()),
                 fading: self.clock_slot(c.propagation.fading_corr_s()),
+                memo: u32::try_from(*memo).expect("more than 2^32 cells"),
             };
+            *memo += 1;
             self.slots.push(slots);
         }
+    }
+
+    /// Grows the memo to hold the cells of the technologies given: the NR
+    /// block, or through the LTE block that follows it.
+    fn fit_memo(&mut self, lte: bool, nr: bool) {
+        self.memo.fit(if lte {
+            self.slots.len()
+        } else if nr {
+            self.nr_cells
+        } else {
+            0
+        });
     }
 
     /// The index into `lattices` of spacing `spacing`, added if new.
@@ -421,19 +488,23 @@ impl RadioSnapshot {
     }
 
     /// The position-only prefix of `c` from its tower's distance term
-    /// `log_d` and its screen bound `ub0`.
-    fn screen(&mut self, c: &Cell, log_d: f64) -> (f64, f64) {
-        let at = &self.lattices[self.slots[c.id.0 as usize].shadowing as usize];
-        let prefix = c.propagation.prefix_dbm_located(log_d, at, &mut self.caches[c.id.0 as usize]);
-        (prefix, prefix + self.bands[c.band_ix as usize].fading_bound)
+    /// `log_d`, its screen bound `ub0`, and the corner gaussians the memo
+    /// hashed for it.
+    fn screen(&mut self, c: &Cell, log_d: f64) -> (f64, f64, usize) {
+        let s = self.slots[c.id.0 as usize];
+        let at = &self.lattices[s.shadowing as usize];
+        let mut hashed = 0;
+        let prefix = c.propagation.prefix_dbm_located(log_d, at, self.memo.cache(s), &mut hashed);
+        (prefix, prefix + self.bands[c.band_ix as usize].fading_bound, hashed)
     }
 
     /// The position-only losses `(blockage, pattern)` of `c` at `pos` and
     /// the tier-1 bound `ub1 = (ub − blockage) − pattern` on top of the
     /// fading bound `ub`.
     fn tier1(&mut self, d: &Deployment, c: &Cell, pos: &Point, ub: f64) -> (f64, f64, f64) {
-        let at = &self.lattices[self.slots[c.id.0 as usize].blockage as usize];
-        let blk = c.propagation.blockage_db_located(at, &mut self.caches[c.id.0 as usize]);
+        let s = self.slots[c.id.0 as usize];
+        let at = &self.lattices[s.blockage as usize];
+        let blk = c.propagation.blockage_db_located(at, self.memo.cache(s));
         // an omni cell has no pattern loss and needs no bearing
         let pat = if c.azimuth.is_some() { c.pattern_loss_toward(self.bearing(d, c.tower, pos)) } else { 0.0 };
         (blk, pat, ub - blk - pat)
@@ -442,11 +513,13 @@ impl RadioSnapshot {
     /// The exact rx of any cell of `d` at the current refresh's `(pos, t)`,
     /// in radius or not: [`Cell::rx_dbm`]'s bits, from the refresh's located
     /// lattices and clocks, the cell's channel memo and its tower's geometry
-    /// (located here when no scanned bin held the tower). Counts toward none
-    /// of the refresh's work counters.
+    /// (located here when no scanned bin held the tower; the memo of a
+    /// technology the refresh did not want is sized here). Counts toward
+    /// none of the refresh's work counters.
     pub fn rx_dbm(&mut self, d: &Deployment, id: CellId) -> f64 {
         let c = d.cell(id);
         let pos = self.pos;
+        self.fit_memo(!c.is_nr(), c.is_nr());
         let s = &mut self.sites[c.tower.0 as usize];
         if s.epoch != self.epoch {
             let dist = d.towers[c.tower.0 as usize].pos.distance(&pos);
@@ -457,7 +530,7 @@ impl RadioSnapshot {
             s.log_d = Propagation::log_distance_m(s.dist);
         }
         let log_d = s.log_d;
-        let (prefix, _) = self.screen(c, log_d);
+        let (prefix, _, _) = self.screen(c, log_d);
         let at = self.clocks[self.slots[id.0 as usize].fading as usize];
         let (blk, pat, _) = self.tier1(d, c, &pos, 0.0);
         exact_rx(c, prefix, &at, blk, pat)
@@ -490,6 +563,21 @@ impl RadioSnapshot {
     /// Cells the last refresh priced exactly (drew the fading term for).
     pub fn priced(&self) -> usize {
         self.priced
+    }
+
+    /// Shadowing corner gaussians the last refresh hashed: 0, 2 or 4 per
+    /// screened cell, as the swapped-in [`ChannelMemo`] hit, shifted or
+    /// missed its lattice cell.
+    pub fn corner_hashes(&self) -> usize {
+        self.corner_hashes
+    }
+
+    /// Trades the snapshot's channel memo for `memo` in O(1). A receiver
+    /// that shares this snapshot's scratch with others swaps its own memo
+    /// in before its refresh and back out after its last read; the outputs
+    /// are the same with any memo of the snapshot's deployment.
+    pub fn swap_memo(&mut self, memo: &mut ChannelMemo) {
+        std::mem::swap(&mut self.memo, memo);
     }
 
     /// Towers whose geometry (distance, and the bearing where a sector
@@ -708,6 +796,47 @@ mod tests {
         assert!(snap.strongest(false).is_empty());
         assert!(!snap.strongest(true).is_empty());
         assert_eq!(d.cells_near(&pos, 8000.0).iter().filter(|&&id| d.cell(id).is_nr()).count(), snap.screened());
+        // memos are sized per wanted technology: none for the LTE cells yet
+        let nr_cells = d.cells.iter().filter(|c| c.is_nr()).count();
+        assert_eq!(snap.memo.caches.len(), nr_cells);
+        let lte = d.cells.iter().find(|c| !c.is_nr()).expect("an LTE cell");
+        assert_eq!(snap.rx_dbm(&d, lte.id).to_bits(), lte.rx_dbm(&pos, 1.0).to_bits());
+        assert_eq!(snap.memo.caches.len(), d.cells.len());
+    }
+
+    #[test]
+    fn swapped_memos_equal_owned_snapshots() {
+        // two receivers far apart share one snapshot, each swapping its own
+        // memo in around its refresh and reads: every leg, rx and corner
+        // count equals what the receiver's own snapshot gives
+        let d = deployment(Environment::UrbanDense, Arch::Nsa);
+        let (mut shared, mut unswapped) = (RadioSnapshot::new(), RadioSnapshot::new());
+        let mut own = [RadioSnapshot::new(), RadioSnapshot::new()];
+        let mut memos = [ChannelMemo::default(), ChannelMemo::default()];
+        let (mut kept, mut lost) = (0, 0);
+        for i in 0..200 {
+            for (r, memo) in memos.iter_mut().enumerate() {
+                let pos = Point::new(-400.0 + i as f64 * 4.0 + r as f64 * 700.0, 30.0 - r as f64 * 500.0);
+                let t = i as f64 * 0.1;
+                let want_lte = r == 0 || i % 7 != 0;
+                shared.swap_memo(memo);
+                shared.refresh(&d, &pos, t, 3000.0, want_lte, true);
+                own[r].refresh(&d, &pos, t, 3000.0, want_lte, true);
+                for nr in [false, true] {
+                    assert_eq!(shared.strongest(nr), own[r].strongest(nr), "receiver {r} step {i} nr={nr}");
+                }
+                assert_eq!(shared.corner_hashes(), own[r].corner_hashes(), "receiver {r} step {i}");
+                let id = CellId(((i * 13 + r) % d.cells.len()) as u32);
+                assert_eq!(shared.rx_dbm(&d, id).to_bits(), own[r].rx_dbm(&d, id).to_bits(), "{id:?}");
+                shared.swap_memo(memo);
+                kept += own[r].corner_hashes();
+                // the same refreshes on one memo: each receiver evicts the
+                // other's lattice cells
+                unswapped.refresh(&d, &pos, t, 3000.0, want_lte, true);
+                lost += unswapped.corner_hashes();
+            }
+        }
+        assert!(kept > 0 && lost > 10 * kept, "{kept} corner hashes with own memos, {lost} with one shared");
     }
 
     #[test]
@@ -726,7 +855,7 @@ mod tests {
                 for k in 0..12 {
                     let t = i as f64 * 1.37 + k as f64 * 0.173;
                     let log_d = snap.site(&d, c.tower, &pos, 3000.0).expect("an in-radius tower");
-                    let (prefix, ub0) = snap.screen(c, log_d);
+                    let (prefix, ub0, _) = snap.screen(c, log_d);
                     let at = NodePoint::locate(t, c.propagation.fading_corr_s());
                     let ub_t = tick_bound(c, prefix, &at);
                     let (blk, pat, ub1) = snap.tier1(&d, c, &pos, ub_t);

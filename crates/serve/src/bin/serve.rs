@@ -75,8 +75,15 @@ fn main() {
     }
     let st = handle.shutdown();
     println!(
-        "serve: done — accepted {}, completed {}, eof {}, rejected {}, malformed {}, idle {}, io {}",
-        st.accepted, st.completed, st.closed_eof, st.rejected, st.dropped_malformed, st.dropped_idle, st.dropped_io
+        "serve: done — accepted {}, completed {}, eof {}, rejected {}, malformed {}, idle {}, io {}, panic {}",
+        st.accepted,
+        st.completed,
+        st.closed_eof,
+        st.rejected,
+        st.dropped_malformed,
+        st.dropped_idle,
+        st.dropped_io,
+        st.dropped_panic
     );
     println!(
         "serve: {} predictions, {} slo misses, p50 {:.3} ms p99 {:.3} ms",

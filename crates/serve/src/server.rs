@@ -11,6 +11,9 @@
 //!
 //! Failure isolation: a malformed frame, a codec error, or a session-state
 //! violation answers with an ERROR frame and drops *that* session only.
+//! So does a panic while a worker services a session: the worker catches
+//! it, answers ERROR, counts the session in `dropped_panic` and goes on
+//! serving the others (a stats lock the panic poisoned stays readable).
 //! Idle sessions past the deadline are dropped too. The accept path
 //! enforces `max_sessions` — beyond it, new connections are closed
 //! immediately rather than queued without bound.
@@ -23,9 +26,10 @@ use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -73,6 +77,8 @@ pub struct StatsSnapshot {
     pub dropped_idle: u64,
     /// Sessions dropped on socket errors.
     pub dropped_io: u64,
+    /// Sessions dropped because servicing them panicked.
+    pub dropped_panic: u64,
     /// PROGNOSIS replies produced.
     pub predictions: u64,
     /// Replies whose server-side latency exceeded the SLO.
@@ -90,6 +96,7 @@ struct Stats {
     dropped_malformed: u64,
     dropped_idle: u64,
     dropped_io: u64,
+    dropped_panic: u64,
     predictions: u64,
     slo_miss: u64,
     latency_ms: Histogram,
@@ -105,6 +112,7 @@ impl Stats {
             dropped_malformed: 0,
             dropped_idle: 0,
             dropped_io: 0,
+            dropped_panic: 0,
             predictions: 0,
             slo_miss: 0,
             latency_ms: Histogram::new(),
@@ -120,6 +128,7 @@ impl Stats {
             dropped_malformed: self.dropped_malformed,
             dropped_idle: self.dropped_idle,
             dropped_io: self.dropped_io,
+            dropped_panic: self.dropped_panic,
             predictions: self.predictions,
             slo_miss: self.slo_miss,
             latency_ms: self.latency_ms.clone(),
@@ -220,6 +229,8 @@ enum CloseReason {
     Malformed,
     Idle,
     Io,
+    /// Servicing the session panicked.
+    Panicked,
 }
 
 enum Verdict {
@@ -234,20 +245,29 @@ struct Inner {
     shutdown: AtomicBool,
     live: AtomicUsize,
     stats: Mutex<Stats>,
+    /// Test hook: the next `service` call panics while holding `stats`.
+    #[cfg(test)]
+    panic_next: AtomicBool,
 }
 
 impl Inner {
+    /// The counters, also after a panic poisoned their lock mid-update: each
+    /// is a plain tally, so a poisoned one is still the best count there is.
+    fn stats(&self) -> MutexGuard<'_, Stats> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn admit(&self, conn: Conn) {
         if self.live.load(Ordering::Acquire) >= self.cfg.max_sessions {
-            self.stats.lock().unwrap().rejected += 1;
+            self.stats().rejected += 1;
             return; // conn drops, peer sees a clean close
         }
         if conn.set_nonblocking().is_err() {
-            self.stats.lock().unwrap().dropped_io += 1;
+            self.stats().dropped_io += 1;
             return;
         }
         self.live.fetch_add(1, Ordering::AcqRel);
-        self.stats.lock().unwrap().accepted += 1;
+        self.stats().accepted += 1;
         self.queue.lock().unwrap().push_back(Session::new(conn));
         self.cv.notify_one();
     }
@@ -255,13 +275,14 @@ impl Inner {
     fn finalize(&self, mut s: Session, reason: CloseReason) {
         s.flush_hard();
         self.live.fetch_sub(1, Ordering::AcqRel);
-        let mut st = self.stats.lock().unwrap();
+        let mut st = self.stats();
         match reason {
             CloseReason::Completed => st.completed += 1,
             CloseReason::Eof => st.closed_eof += 1,
             CloseReason::Malformed => st.dropped_malformed += 1,
             CloseReason::Idle => st.dropped_idle += 1,
             CloseReason::Io => st.dropped_io += 1,
+            CloseReason::Panicked => st.dropped_panic += 1,
         }
     }
 }
@@ -275,6 +296,10 @@ fn session_error_code(e: &SessionError) -> u8 {
     let _ = e;
     2
 }
+
+/// ERROR code of a session whose servicing panicked: the server's fault,
+/// not the peer's.
+const PANIC_CODE: u8 = 3;
 
 /// One scheduling quantum for one session.
 fn service(inner: &Inner, s: &mut Session) -> Verdict {
@@ -348,7 +373,11 @@ fn service(inner: &Inner, s: &mut Session) -> Verdict {
         s.inbuf.drain(..off);
     }
     if predictions > 0 {
-        let mut st = inner.stats.lock().unwrap();
+        let mut st = inner.stats();
+        #[cfg(test)]
+        if inner.panic_next.swap(false, Ordering::AcqRel) {
+            panic!("injected panic while servicing a session");
+        }
         st.predictions += predictions;
         st.slo_miss += slo_miss;
         for ms in latencies {
@@ -394,7 +423,13 @@ fn worker(inner: Arc<Inner>) {
             inner.finalize(s, CloseReason::Io);
             continue;
         }
-        match service(&inner, &mut s) {
+        // a panic fails this session only: the worker answers ERROR, drops
+        // the session and serves on
+        let verdict = panic::catch_unwind(AssertUnwindSafe(|| service(&inner, &mut s))).unwrap_or_else(|_| {
+            proto::write_frame(&mut s.outbuf, &Frame::Error { code: PANIC_CODE });
+            Verdict::Close(CloseReason::Panicked)
+        });
+        match verdict {
             Verdict::Continue { progressed } => {
                 inner.queue.lock().unwrap().push_back(s);
                 inner.cv.notify_one();
@@ -444,7 +479,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// A copy of the current counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.lock().unwrap().snapshot()
+        self.inner.stats().snapshot()
     }
 
     fn stop(&mut self) {
@@ -485,6 +520,8 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
         shutdown: AtomicBool::new(false),
         live: AtomicUsize::new(0),
         stats: Mutex::new(Stats::new()),
+        #[cfg(test)]
+        panic_next: AtomicBool::new(false),
     });
     let mut threads = Vec::new();
     let mut tcp_addr = None;
@@ -564,6 +601,54 @@ mod tests {
         let st = h.shutdown();
         assert_eq!(st.dropped_malformed, 1);
         assert_eq!(st.accepted, 1);
+    }
+
+    /// Sends every frame of one session, then reads until the server
+    /// closes, returning the frames it answered with.
+    fn run_session(addr: SocketAddr, frames: &[Frame]) -> Vec<Frame> {
+        let mut out = Vec::new();
+        for f in frames {
+            proto::write_frame(&mut out, f);
+        }
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(&out).unwrap();
+        let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
+        let mut buf = Vec::new();
+        let _ = conn.read_to_end(&mut buf);
+        let (mut replies, mut off) = (Vec::new(), 0);
+        while let Some((f, used)) = proto::try_read_frame(&buf[off..]).expect("a clean reply stream") {
+            replies.push(f);
+            off += used;
+        }
+        replies
+    }
+
+    #[test]
+    fn a_panic_fails_its_session_and_the_pool_serves_on() {
+        use crate::replay::{replay_offline, trace_frames};
+        use fiveg_ran::{Arch, Carrier};
+        use fiveg_sim::ScenarioBuilder;
+
+        // one worker: had the panic killed it, nobody would serve the next
+        // session
+        let h = tcp_server(|c| c.workers = 1);
+        let addr = h.tcp_addr.unwrap();
+        let sc = ScenarioBuilder::city_loop(Carrier::OpY, 201).arch(Arch::Sa).duration_s(15.0).sample_hz(10.0).build();
+        let frames = trace_frames(&sc.run(), 0);
+        let want = replay_offline(&frames).expect("offline replay").replies;
+
+        // the first session's service panics while it holds the stats lock
+        h.inner.panic_next.store(true, Ordering::Release);
+        let failed = run_session(addr, &frames);
+        assert_eq!(failed.last(), Some(&Frame::Error { code: PANIC_CODE }), "{} frames", failed.len());
+        // the next session on the same worker is served in full, byte for
+        // byte as offline
+        assert_eq!(run_session(addr, &frames), want);
+        // a session's socket closes only after `finalize` counted it, so
+        // both are counted by now; the poisoned stats lock still reads
+        let st = h.shutdown();
+        assert_eq!((st.accepted, st.dropped_panic, st.completed), (2, 1, 1));
+        assert_eq!(st.dropped_malformed + st.dropped_io + st.dropped_idle, 0);
     }
 
     #[test]

@@ -271,7 +271,8 @@ pub(crate) struct UeRunStats {
 /// against one shared deployment, each stepped every tick or, while a sleep
 /// window holds, left in its shard slot and replayed with [`UeSim::catch_up`]; it
 /// feeds each step the fleet's per-cell attach counts through a
-/// [`CellLoadView`] and shares one snapshot per shard. A fleet of one reproduces
+/// [`CellLoadView`] and shares one snapshot per shard, into which each awake
+/// UE swaps its own channel memo. A fleet of one reproduces
 /// [`Scenario::run`]'s trace byte for byte.
 pub(crate) struct UeSim<'d> {
     s: Scenario,
@@ -341,10 +342,12 @@ impl<'d> UeSim<'d> {
     /// of the control-plane technology at the route start).
     ///
     /// `radio` is borrowed, not owned: the fleet engine shares one
-    /// [`RadioSnapshot`] arena across every UE of a shard (the snapshot is a
-    /// pure memo of `(pos, t)`, so sharing cannot change any UE's bytes),
-    /// while the single-UE entry points pass one they own. `record_samples`
-    /// selects between full trace retention and streaming summary mode.
+    /// [`RadioSnapshot`] per shard as refresh scratch and swaps the UE's own
+    /// [`fiveg_ran::ChannelMemo`] into it around each call (the snapshot is
+    /// a pure function of `(pos, t)` with any memo, so sharing cannot change
+    /// any UE's bytes), while the single-UE entry points pass one they own,
+    /// memo included. `record_samples` selects between full trace retention
+    /// and streaming summary mode.
     pub(crate) fn new(
         s: Scenario,
         d: &'d Deployment,

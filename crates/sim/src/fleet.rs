@@ -15,15 +15,22 @@
 //! The world is partitioned by the deployment's grid index: a [`ShardMap`]
 //! assigns each shard a contiguous band of grid-index x-columns, and each
 //! shard owns the UEs currently inside its band (struct-of-arrays layout:
-//! parallel `idx`/`sims`/`hooks`/`teles`/`scheds` vectors). Shard-local
-//! state a worker touches every tick is plain, unsynchronized data:
+//! parallel `idx`/`sims`/`hooks`/`teles`/`scheds`/`memos` vectors).
+//! Shard-local state a worker touches every tick is plain, unsynchronized
+//! data:
 //!
 //! * serving-cell transitions are appended to a shard-local delta list —
 //!   `(cell, ±1)` only when a UE's serving cell changes, nothing on the
 //!   ticks it keeps its cells;
-//! * a per-shard [`RadioSnapshot`] arena is shared by the shard's UEs — the
-//!   snapshot is a pure memo of `(pos, t)`, so sharing it cannot change any
-//!   UE's bytes;
+//! * a per-shard [`RadioSnapshot`] is the refresh scratch of the shard's
+//!   UEs, while each awake UE owns its noise-lattice memo
+//!   ([`ChannelMemo`]) and swaps it into the snapshot around its step, so
+//!   its refresh re-hashes only the lattice corners its own move changed.
+//!   A UE that sleeps or finishes hands its memo to its worker's free list
+//!   and a woken or newly activated UE takes one from it, so memo memory
+//!   follows the awake UEs. The snapshot is a pure function of `(pos, t)`
+//!   with any memo of the deployment, so none of this can change any UE's
+//!   bytes;
 //! * per-UE scratch (leg views, candidate tables) lives inside `UeSim` and
 //!   is reused across ticks, so steady-state stepping does not allocate.
 //!
@@ -117,7 +124,7 @@ use crate::trace::Trace;
 use fiveg_geo::Point;
 use fiveg_link::{load_share, load_share_shifted};
 use fiveg_radio::hash2;
-use fiveg_ran::{Arch, Carrier, CellId, Deployment, Environment, RadioSnapshot};
+use fiveg_ran::{Arch, Carrier, CellId, ChannelMemo, Deployment, Environment, RadioSnapshot};
 use fiveg_telemetry::{Telemetry, TelemetryConfig};
 use fiveg_ue::SpeedProfile;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -609,6 +616,9 @@ struct ShardUes<'d, H: SimHook> {
     teles: Vec<Telemetry>,
     /// Scheduler slot of each resident UE (SoA like the rest).
     scheds: Vec<SchedState>,
+    /// Each resident's channel memo: its own while awake, an empty default
+    /// while it sleeps in the event-driven engine.
+    memos: Vec<ChannelMemo>,
 }
 
 impl<'d, H: SimHook> ShardUes<'d, H> {
@@ -618,6 +628,7 @@ impl<'d, H: SimHook> ShardUes<'d, H> {
         self.hooks.push(ue.hook);
         self.teles.push(ue.tele);
         self.scheds.push(ue.sched);
+        self.memos.push(ue.memo);
     }
 
     /// Takes slot `j`'s UE out; the last resident moves into slot `j`.
@@ -628,13 +639,14 @@ impl<'d, H: SimHook> ShardUes<'d, H> {
             hook: self.hooks.swap_remove(j),
             tele: self.teles.swap_remove(j),
             sched: self.scheds.swap_remove(j),
+            memo: self.memos.swap_remove(j),
         }
     }
 }
 
 /// One spatial shard: the UEs inside its band, their pending load-table
-/// deltas and migrations, the shared radio-snapshot arena, and the
-/// per-tick counts the barrier leader sums.
+/// deltas and migrations, the radio snapshot its UEs share as refresh
+/// scratch, and the per-tick counts the barrier leader sums.
 struct Shard<'d, H: SimHook> {
     /// UEs waiting on their start tick, `(start_tick, fleet idx)` sorted
     /// descending so due entries pop off the back cheapest-first.
@@ -647,11 +659,11 @@ struct Shard<'d, H: SimHook> {
     alive: u32,
     /// UEs this tick stepped or skipped while asleep.
     stepped: u32,
-    /// The shard's shared per-(pos, t) radio memo: every resident UE
-    /// refreshes and reads the same snapshot. A refresh fully recomputes
-    /// from `(pos, t)` on miss, so sharing is invisible in the output —
-    /// it only trades per-UE cache memory for a lower hit rate.
-    arena: RadioSnapshot,
+    /// The shard's radio snapshot: every resident UE refreshes and reads
+    /// it, with the UE's own [`ChannelMemo`] swapped in around the step.
+    /// Everything else in it is recomputed from `(pos, t)` each refresh,
+    /// so sharing it is invisible in the output.
+    radio: RadioSnapshot,
     /// `(cell, ±1)` serving transitions this shard's steps produced during
     /// the current tick; the leader folds them into the persistent table at
     /// the boundary.
@@ -673,11 +685,12 @@ impl<'d, H: SimHook> Shard<'d, H> {
                 hooks: Vec::new(),
                 teles: Vec::new(),
                 scheds: Vec::new(),
+                memos: Vec::new(),
             },
             outbox: Vec::new(),
             alive: 0,
             stepped: 0,
-            arena: RadioSnapshot::new(),
+            radio: RadioSnapshot::new(),
             deltas: Vec::new(),
             departs: Vec::new(),
             totals: SchedSummary::default(),
@@ -697,6 +710,9 @@ struct Migrant<'d, H: SimHook> {
     /// has published in the load table. Only awake UEs migrate: a sleeper
     /// stays in its shard's slot, where the sweep wakes it.
     sched: SchedState,
+    /// The UE's channel memo, warm on every migration (only awake UEs
+    /// migrate).
+    memo: ChannelMemo,
 }
 
 struct UeOut<H> {
@@ -907,10 +923,10 @@ fn run_fleet_core<H: SimHook + Send>(
     // two waits per tick: the merge point, whose leader runs the boundary
     // exchange, and the release point
     let barrier = TickBarrier::new(threads);
-    // planner tiles built and exact channel evaluations, summed over the
-    // workers' scratch at exit, every UE's output, and the payload of the
-    // lowest-indexed worker that panicked
-    let (plan_tiles, plan_evals, outs, panicked) = std::thread::scope(|scope| {
+    // planner tiles built, exact channel evaluations and radio corner
+    // hashes, summed over the workers at exit, every UE's output, and the
+    // payload of the lowest-indexed worker that panicked
+    let (plan_tiles, plan_evals, corner_hashes, outs, panicked) = std::thread::scope(|scope| {
         let mut workers = Vec::with_capacity(threads);
         for w in 0..threads {
             let (d, metas, global, shards, boundary, done, barrier, map) =
@@ -921,13 +937,19 @@ fn run_fleet_core<H: SimHook + Send>(
                 // per-worker plan buffers: plans are pure functions of UE
                 // state, so recycling capacity across shards changes nothing
                 let mut scratch = PlanScratch::default();
+                // channel memos of UEs that sleep or finished, for the next
+                // UE that wakes or starts: any memo is exact, so which one a
+                // UE gets moves only the corner-hash count
+                let mut free: Vec<ChannelMemo> = Vec::new();
+                // shadowing corner gaussians this worker's refreshes hashed
+                let mut corners = 0u64;
                 let mut finished = Vec::new();
                 for k in 0u64.. {
                     let read = CellLoadView::from_counts(global);
                     let count_at = |c: CellId| global[c.0 as usize].load(Ordering::Relaxed);
                     for s in (w..shards_n).step_by(threads) {
                         let mut g = shards[s].lock().unwrap();
-                        let Shard { pending, run, outbox, alive, stepped, arena, deltas, departs, totals } = &mut *g;
+                        let Shard { pending, run, outbox, alive, stepped, radio, deltas, departs, totals } = &mut *g;
                         *alive = 0;
                         *stepped = 0;
                         // --- activate UEs whose start tick arrived
@@ -936,15 +958,20 @@ fn run_fleet_core<H: SimHook + Send>(
                             let plan = spec.ue_plan(i);
                             let ue_tele = Telemetry::new(per_ue_cfg);
                             let mut hook = factory.map(|f| f(i));
+                            let mut memo = free.pop().unwrap_or_default();
+                            radio.swap_memo(&mut memo);
                             let sim = UeSim::new(
                                 plan.scenario,
                                 d,
                                 &ue_tele,
-                                arena,
+                                radio,
                                 hook.as_mut().map(|h| h as &mut dyn SimHook),
                                 keep,
                             );
-                            run.push(Migrant { idx: i, sim, hook, tele: ue_tele, sched: SchedState::default() });
+                            corners += radio.corner_hashes() as u64;
+                            radio.swap_memo(&mut memo);
+                            let sched = SchedState::default();
+                            run.push(Migrant { idx: i, sim, hook, tele: ue_tele, sched, memo });
                         }
                         // --- step every resident UE against the load
                         // table as the last boundary left it; a sleeper
@@ -992,6 +1019,7 @@ fn run_fleet_core<H: SimHook + Send>(
                                         }
                                         if event {
                                             run.sims[j].catch_up(missed);
+                                            run.memos[j] = free.pop().unwrap_or_default();
                                         }
                                     } else {
                                         assert!(k < sc.wake_tick, "a sleeper overslept its wake tick");
@@ -1010,12 +1038,15 @@ fn run_fleet_core<H: SimHook + Send>(
                                         sample = false;
                                     }
                                 }
+                                radio.swap_memo(&mut run.memos[j]);
                                 run.sims[j].step(
                                     run.hooks[j].as_mut().map(|h| h as &mut dyn SimHook),
                                     &read,
-                                    arena,
+                                    radio,
                                     sample,
                                 );
+                                corners += radio.corner_hashes() as u64;
+                                radio.swap_memo(&mut run.memos[j]);
                                 *stepped += 1;
                                 // persistent table: publish only serving
                                 // transitions as deltas
@@ -1053,6 +1084,12 @@ fn run_fleet_core<H: SimHook + Send>(
                                             sc.load_lte = u32::MAX;
                                             sc.load_nr = u32::MAX;
                                             totals.sleeps += 1;
+                                            // a skipped sleeper refreshes
+                                            // nothing; the referee's keeps
+                                            // stepping on its own memo
+                                            if event {
+                                                free.push(std::mem::take(&mut run.memos[j]));
+                                            }
                                         } else {
                                             sc.backoff = PLAN_BACKOFF;
                                         }
@@ -1077,7 +1114,8 @@ fn run_fleet_core<H: SimHook + Send>(
                                 // retire the published cells one boundary
                                 // late: the final step's publish is still
                                 // read by the next tick
-                                let ue = run.swap_remove(j);
+                                let mut ue = run.swap_remove(j);
+                                free.push(std::mem::take(&mut ue.memo));
                                 let published = [ue.sched.pub_lte, ue.sched.pub_nr];
                                 departs.extend(published.into_iter().flatten().map(|c| (c.0, -1)));
                                 let i = ue.idx as usize;
@@ -1099,17 +1137,17 @@ fn run_fleet_core<H: SimHook + Send>(
                         break;
                     }
                 }
-                (scratch.tiles_built(), scratch.evals(), finished)
+                (scratch.tiles_built(), scratch.evals(), corners, finished)
             }));
         }
         // outputs go back to their UE index
         let mut outs: Vec<Option<UeOut<H>>> = (0..n).map(|_| None).collect();
-        let (mut tiles, mut evals) = (0, 0);
+        let (mut tiles, mut evals, mut corners) = (0, 0, 0);
         let mut panicked = None;
         for h in workers {
             match h.join() {
-                Ok((t, e, finished)) => {
-                    (tiles, evals) = (tiles + t, evals + e);
+                Ok((t, e, c, finished)) => {
+                    (tiles, evals, corners) = (tiles + t, evals + e, corners + c);
                     for out in finished {
                         let i = out.summary.ue as usize;
                         outs[i] = Some(out);
@@ -1122,7 +1160,7 @@ fn run_fleet_core<H: SimHook + Send>(
                 }
             }
         }
-        (tiles, evals, outs, panicked)
+        (tiles, evals, corners, outs, panicked)
     });
     if let Some(payload) = panicked {
         std::panic::resume_unwind(payload);
@@ -1166,6 +1204,9 @@ fn run_fleet_core<H: SimHook + Send>(
     // a sum of per-plan counts, each a pure function of UE state: the same
     // at any thread/shard geometry
     tele.add("fleet.plan_evals", plan_evals);
+    // which freed memo a UE takes depends on how UEs met workers, so this
+    // too is exact only at a fixed geometry
+    tele.add("fleet.corner_hashes", corner_hashes);
 
     let meta = FleetMeta {
         n_ues: spec.n_ues,

@@ -1,7 +1,7 @@
 //! Minimal deterministic JSON assembly.
 //!
 //! Every machine-readable artifact in the workspace — the benchmark reports
-//! (`fiveg-tick/v4`, `fiveg-fleet/v6`, `fiveg-serve/v2`, `fiveg-fuzz/v1`,
+//! (`fiveg-tick/v4`, `fiveg-fleet/v7`, `fiveg-serve/v2`, `fiveg-fuzz/v1`,
 //! `fiveg-vivisect/v1`) and the flight-recorder dumps (`fiveg-flightrec/v1`)
 //! — is diffed byte-for-byte by the determinism CI, so serialization must
 //! not depend on any serializer's formatting choices. [`JsonBuf`] is the

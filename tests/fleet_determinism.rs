@@ -4,11 +4,13 @@
 //! single-UE engine. Fleet summaries compare with `==`; traces compare by
 //! their codec bytes, which also tells `-0.0` from `0.0`.
 
+use fiveg_geo::Point;
 use fiveg_oracle::Oracle;
-use fiveg_ran::{Arch, Carrier, Deployment};
+use fiveg_ran::{Arch, Carrier, Deployment, RadioSnapshot};
 use fiveg_sim::{
-    run_fleet_exec, run_fleet_exec_instrumented, run_fleet_exec_observed, EngineMode, FleetExec, FleetSpec, FleetTrace,
-    Scenario, ScenarioBuilder, ServingCells, ShardMap, SimHook, Telemetry, TelemetryConfig, TickView, Trace,
+    engine, run_fleet_exec, run_fleet_exec_instrumented, run_fleet_exec_observed, EngineMode, FleetExec, FleetSpec,
+    FleetTrace, Scenario, ScenarioBuilder, ServingCells, ShardMap, SimHook, Telemetry, TelemetryConfig, TickView,
+    Trace,
 };
 
 fn base(seed: u64) -> Scenario {
@@ -257,6 +259,41 @@ fn warm_planner_memos_leave_the_freeway_fleet_unchanged() {
     assert!(evals_one > 0 && evals_one == evals_two, "planner evals: {evals_one} at 1x1, {evals_two} at 2x16");
     assert_same_fleet(&one, &two, "warm per-worker memos changed the event-driven fleet");
     assert_same_fleet(&referee, &two, "event-driven fleet diverged from the referee");
+}
+
+#[test]
+fn each_ue_keeps_its_own_lattice_memo_on_a_shared_shard() {
+    // the trace-recording shape: 8 trace-keeping UEs within a 10 s stagger
+    // share one shard's radio snapshot. Each UE swaps its own channel memo
+    // into it around its step, so the memo holds that UE's lattice cells and
+    // a refresh hashes about the corners a lone UE's would, not one fresh
+    // set per UE per tick
+    let base = ScenarioBuilder::city_loop(Carrier::OpY, 21).arch(Arch::Sa).duration_s(30.0).sample_hz(10.0).build();
+    let spec = FleetSpec::new(base.clone(), 8).stagger_s(10.0).speed_jitter(0.1).keep_traces(true);
+    let tele = Telemetry::new(TelemetryConfig::deterministic());
+    let shared = run_fleet_exec_instrumented(&spec, FleetExec::threads(1).shards(1), &tele);
+    assert_same_fleet(&shared, &run_fleet_exec(&spec, FleetExec::threads(2).shards(8)), "memo swaps changed a trace");
+    let ue_ticks: u64 = shared.ues.iter().map(|u| u.ticks).sum();
+    let fleet_rate = tele.counter_value("fleet.corner_hashes") as f64 / ue_ticks as f64;
+
+    // the lone UE's snapshot: its own refreshes, replayed at every recorded
+    // (pos, t) of `Scenario::run`, the initial attach included
+    let lone = base.run();
+    let d = Deployment::generate(&base.route, base.carrier, base.env, base.arch, base.seed);
+    let mut snap = RadioSnapshot::new();
+    let start = base.route.points()[0];
+    let attach = std::iter::once((start, 0.0));
+    let mut corners = 0;
+    for (pos, t) in attach.chain(lone.samples.iter().map(|x| (Point::new(x.pos.0, x.pos.1), x.t))) {
+        snap.refresh(&d, &pos, t, engine::SEARCH_RADIUS_M, false, true);
+        corners += snap.corner_hashes();
+    }
+    let lone_rate = corners as f64 / lone.samples.len() as f64;
+    assert!(lone_rate > 0.0 && fleet_rate > 0.0, "no corner hashed: fleet {fleet_rate}, lone {lone_rate}");
+    assert!(
+        fleet_rate <= 2.0 * lone_rate,
+        "{fleet_rate:.2} corner hashes per UE·tick on the shared shard vs {lone_rate:.2} for a lone UE"
+    );
 }
 
 #[test]
