@@ -1,18 +1,94 @@
 //! Replays traces through Prognos — the paper's trace-driven emulation.
 //!
 //! "We evaluate Prognos using trace-driven emulation. We collect logs from
-//! operational cellular networks ... and replay the traces" (§7.3). The
-//! driver walks a [`Trace`] tick by tick, feeding Prognos what the UE saw
-//! (RRS snapshots, measurement reports, HO commands) and asking for a
-//! prediction at every 1 s window boundary. Ground truth for a window is
-//! the HO command (if any) falling inside it.
+//! operational cellular networks ... and replay the traces" (§7.3).
+//! [`trace_steps`] is the one mapping from a recorded [`Trace`] to
+//! Prognos's inputs: per sample, what the UE saw (RRS snapshots with their
+//! measurement-object groups, the measurement reports and HO commands due
+//! by then) and its [`UeContext`]. The offline scorer below, the
+//! prediction server's frame stream (`fiveg_serve::replay::trace_frames`),
+//! the pipeline integration test and the `predict_live` example all read
+//! it. The scorer predicts at every sample and records a window at every
+//! 1 s boundary; ground truth for a window is [`window_truth`], the first
+//! HO command falling inside it.
 
 use fiveg_analysis::ClassMetrics;
-use fiveg_radio::BandClass;
-use fiveg_ran::{Arch, HoType};
-use fiveg_rrc::MeasEvent;
-use fiveg_sim::Trace;
-use prognos::{LegSnapshot, Prognos, PrognosConfig, UeContext};
+use fiveg_ran::{Arch, HandoverRecord, HoType};
+use fiveg_rrc::{MeasEvent, Pci};
+use fiveg_sim::{MrRecord, Trace};
+use prognos::{CellObs, LegSnapshot, Prognos, PrognosConfig, UeContext};
+
+/// What the UE saw at one trace sample, mapped to Prognos's inputs.
+#[derive(Debug, Clone)]
+pub struct TraceStep<'a> {
+    /// Sample time, s (trace clock).
+    pub t: f64,
+    /// LTE radio snapshot.
+    pub lte: LegSnapshot,
+    /// NR radio snapshot.
+    pub nr: LegSnapshot,
+    /// Measurement reports due by `t` and not delivered at an earlier step.
+    pub reports: &'a [MrRecord],
+    /// HO commands due by `t` and not delivered at an earlier step.
+    pub handovers: &'a [HandoverRecord],
+    /// The UE's state for the prediction at `t`.
+    pub ctx: UeContext,
+}
+
+/// FNV-1a-32 over the band name: the measurement-object group key of
+/// frequency-scoped events.
+fn freq_key(band: &str) -> u32 {
+    let mut h: u32 = 0x811c9dc5;
+    for b in band.bytes() {
+        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
+    }
+    h
+}
+
+/// Walks `trace` sample by sample. Each report and HO command is delivered
+/// once, in record order, at the first sample at or past its time; any
+/// recorded after the last sample are never delivered.
+///
+/// Measurement-object groups are UE-visible (they come in MeasConfig): LTE
+/// A3 is per carrier frequency; NR A3 under NSA is per gNB; SA NR A3 is per
+/// frequency. The context's NR band is the serving NR cell's, else the
+/// strongest NR neighbour's.
+pub fn trace_steps(trace: &Trace) -> impl Iterator<Item = TraceStep<'_>> {
+    let obs = move |cell: u32, rrs, by_tower: bool| {
+        let c = trace.cell(cell);
+        CellObs { pci: Pci(c.pci), rrs, group: Some(if by_tower { c.tower } else { freq_key(&c.band) }) }
+    };
+    let leg = move |serving: Option<u32>, rrs, neighbors: &[(u32, _)], by_tower| LegSnapshot {
+        serving: serving.zip(rrs).map(|(c, r)| obs(c, r, by_tower)),
+        neighbors: neighbors.iter().map(|&(c, r)| obs(c, r, by_tower)).collect(),
+    };
+    let nr_by_tower = trace.meta.arch == Arch::Nsa;
+    let (mut undelivered_reports, mut undelivered_hos) = (&trace.reports[..], &trace.handovers[..]);
+    trace.samples.iter().map(move |s| {
+        let nr_band = s.nr_cell.or_else(|| s.nr_neighbors.first().map(|&(c, _)| c)).map(|c| trace.cell(c).class);
+        TraceStep {
+            t: s.t,
+            lte: leg(s.lte_cell, s.lte_rrs, &s.lte_neighbors, false),
+            nr: leg(s.nr_cell, s.nr_rrs, &s.nr_neighbors, nr_by_tower),
+            reports: split_due(&mut undelivered_reports, |r| r.t <= s.t),
+            handovers: split_due(&mut undelivered_hos, |h| h.t_command <= s.t),
+            ctx: UeContext { arch: trace.meta.arch, has_scg: s.nr_cell.is_some(), nr_band },
+        }
+    })
+}
+
+/// Splits the leading records that are `due` off `rest`.
+fn split_due<'a, T>(rest: &mut &'a [T], due: impl Fn(&T) -> bool) -> &'a [T] {
+    let (head, tail) = rest.split_at(rest.iter().take_while(|x| due(x)).count());
+    *rest = tail;
+    head
+}
+
+/// Ground truth of the window `[w_start, w_start + window_s)`: the first
+/// HO command inside it, if any.
+pub fn window_truth(trace: &Trace, w_start: f64, window_s: f64) -> Option<HoType> {
+    trace.handovers.iter().find(|h| h.t_command >= w_start && h.t_command < w_start + window_s).map(|h| h.ho_type)
+}
 
 /// One evaluation window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,8 +240,7 @@ pub fn label_windows(trace: &Trace, window_s: f64) -> Vec<(f64, Option<HoType>)>
     let mut out = Vec::new();
     let mut t = 0.0;
     while t < trace.meta.duration_s {
-        let truth = trace.handovers.iter().find(|h| h.t_command >= t && h.t_command < t + window_s).map(|h| h.ho_type);
-        out.push((t, truth));
+        out.push((t, window_truth(trace, t, window_s)));
         t += window_s;
     }
     out
@@ -229,85 +304,39 @@ pub fn run_prognos_scored(
     let mut f1_timeline = Vec::new();
     let mut next_window = window_s;
     let mut next_f1 = 60.0;
-    let mut rep_i = 0usize;
-    let mut ho_i = 0usize;
 
-    // Measurement-object groups are UE-visible (they come in MeasConfig):
-    // LTE A3 is per carrier frequency; NR A3 under NSA is per gNB; SA NR A3
-    // is per frequency. Encode the group as a u32 key.
-    let freq_key = |cell: u32| {
-        let band = &trace.cell(cell).band;
-        let mut h: u32 = 0x811c9dc5;
-        for b in band.bytes() {
-            h = (h ^ b as u32).wrapping_mul(0x0100_0193);
+    for step in trace_steps(trace) {
+        let t = step.t;
+        // 1. radio snapshot, 2. due measurement reports, 3. due HO commands
+        pg.on_sample(t_base + t, &step.lte, &step.nr);
+        for r in step.reports {
+            pg.on_report(r.event);
         }
-        h
-    };
-    let lte_obs = |cell: u32, rrs| prognos::CellObs {
-        pci: fiveg_rrc::Pci(trace.cell(cell).pci),
-        rrs,
-        group: Some(freq_key(cell)),
-    };
-    let nr_obs = |cell: u32, rrs| prognos::CellObs {
-        pci: fiveg_rrc::Pci(trace.cell(cell).pci),
-        rrs,
-        group: if trace.meta.arch == Arch::Nsa { Some(trace.cell(cell).tower) } else { Some(freq_key(cell)) },
-    };
-
-    for s in &trace.samples {
-        // 1. radio snapshot
-        let lte = LegSnapshot {
-            serving: s.lte_cell.zip(s.lte_rrs).map(|(c, r)| lte_obs(c, r)),
-            neighbors: s.lte_neighbors.iter().map(|&(c, r)| lte_obs(c, r)).collect(),
-        };
-        let nr = LegSnapshot {
-            serving: s.nr_cell.zip(s.nr_rrs).map(|(c, r)| nr_obs(c, r)),
-            neighbors: s.nr_neighbors.iter().map(|&(c, r)| nr_obs(c, r)).collect(),
-        };
-        pg.on_sample(t_base + s.t, &lte, &nr);
-
-        // 2. deliver due measurement reports
-        while rep_i < trace.reports.len() && trace.reports[rep_i].t <= s.t {
-            pg.on_report(trace.reports[rep_i].event);
-            rep_i += 1;
-        }
-        // 3. deliver due HO commands
-        while ho_i < trace.handovers.len() && trace.handovers[ho_i].t_command <= s.t {
-            pg.on_handover(trace.handovers[ho_i].ho_type);
-            ho_i += 1;
+        for h in step.handovers {
+            pg.on_handover(h.ho_type);
         }
 
         // 4. predict continuously (every sample, like a deployed system)
-        let nr_band: Option<BandClass> = s
-            .nr_cell
-            .map(|c| trace.cell(c).class)
-            .or_else(|| s.nr_neighbors.first().map(|&(c, _)| trace.cell(c).class));
-        let ctx = UeContext { arch: trace.meta.arch, has_scg: s.nr_cell.is_some(), nr_band };
-        let p = pg.predict(t_base + s.t, &ctx);
+        let p = pg.predict(t_base + t, &step.ctx);
         match (p.ho, episodes.last_mut()) {
-            (Some(h), Some(e)) if e.ho == h && s.t - e.t_end <= 0.3 + dt => e.t_end = s.t,
-            (Some(h), _) => episodes.push(Episode { t_start: s.t, t_end: s.t, ho: h }),
+            (Some(h), Some(e)) if e.ho == h && t - e.t_end <= 0.3 + dt => e.t_end = t,
+            (Some(h), _) => episodes.push(Episode { t_start: t, t_end: t, ho: h }),
             (None, _) => {}
         }
 
         // window-grid record (for the strict metrics and the app hooks)
-        if s.t + 1e-9 >= next_window {
-            let w_start = next_window;
-            let truth = trace
-                .handovers
-                .iter()
-                .find(|h| h.t_command >= w_start && h.t_command < w_start + window_s)
-                .map(|h| h.ho_type);
-            windows.push(WindowOutcome { t: w_start, truth, pred: p.ho, ho_score: p.ho_score, lead_s: p.lead_s });
+        if t + 1e-9 >= next_window {
+            let truth = window_truth(trace, next_window, window_s);
+            windows.push(WindowOutcome { t: next_window, truth, pred: p.ho, ho_score: p.ho_score, lead_s: p.lead_s });
             next_window += window_s;
         }
 
         // 5. running F1 (once a minute), event-matched like Table 3
-        if s.t >= next_f1 {
+        if t >= next_f1 {
             let events_so_far: Vec<(f64, HoType)> =
-                trace.handovers.iter().filter(|h| h.t_command <= s.t).map(|h| (h.t_command, h.ho_type)).collect();
+                trace.handovers.iter().filter(|h| h.t_command <= t).map(|h| (h.t_command, h.ho_type)).collect();
             let m = metrics_events_from(&episodes, &events_so_far, 2.0, 0.3, windows.len());
-            f1_timeline.push((s.t, m.f1));
+            f1_timeline.push((t, m.f1));
             next_f1 += 60.0;
         }
     }
@@ -388,6 +417,40 @@ mod tests {
 
     fn short_trace() -> Trace {
         ScenarioBuilder::freeway(Carrier::OpY, Arch::Nsa, 8.0, 7).duration_s(240.0).sample_hz(20.0).build().run()
+    }
+
+    #[test]
+    fn trace_steps_deliver_each_record_once_when_first_due() {
+        let mut t = short_trace();
+        assert!(!t.reports.is_empty() && !t.handovers.is_empty());
+        let (reports, handovers) = (t.reports.clone(), t.handovers.clone());
+        // records past the last sample are never delivered
+        let t_last = t.samples.last().unwrap().t;
+        let mut late_report = reports[0].clone();
+        late_report.t = t_last + 0.5;
+        t.reports.push(late_report);
+        let mut late_ho = handovers[0].clone();
+        late_ho.t_command = t_last + 0.5;
+        t.handovers.push(late_ho);
+
+        let (mut got_reports, mut got_handovers) = (Vec::new(), Vec::new());
+        let mut t_prev = f64::NEG_INFINITY;
+        let mut steps = 0;
+        for step in trace_steps(&t) {
+            for r in step.reports {
+                assert!(t_prev < r.t && r.t <= step.t, "report at {} delivered at {}", r.t, step.t);
+            }
+            for h in step.handovers {
+                assert!(t_prev < h.t_command && h.t_command <= step.t, "HO at {} delivered at {}", h.t_command, step.t);
+            }
+            got_reports.extend_from_slice(step.reports);
+            got_handovers.extend_from_slice(step.handovers);
+            t_prev = step.t;
+            steps += 1;
+        }
+        assert_eq!(steps, t.samples.len());
+        assert_eq!(got_reports, reports);
+        assert_eq!(got_handovers, handovers);
     }
 
     #[test]

@@ -6,16 +6,12 @@
 //! * Stacked LSTM (Ozturk et al.): "the location information of the mobile
 //!   device" — sequences of (x, y, speed).
 
+use crate::driver::window_truth;
 use fiveg_baselines::Dataset;
 use fiveg_sim::{Trace, TraceSample};
 
 fn label_of(trace: &Trace, w_start: f64, window_s: f64) -> usize {
-    trace
-        .handovers
-        .iter()
-        .find(|h| h.t_command >= w_start && h.t_command < w_start + window_s)
-        .map(|h| 1 + h.ho_type as usize)
-        .unwrap_or(0)
+    window_truth(trace, w_start, window_s).map_or(0, |h| 1 + h as usize)
 }
 
 fn window_samples(trace: &Trace, a: f64, b: f64) -> Vec<&TraceSample> {

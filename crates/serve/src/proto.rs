@@ -36,7 +36,7 @@
 
 use fiveg_radio::{BandClass, Rrs};
 use fiveg_ran::{Arch, HoType};
-use fiveg_rrc::{codec, CodecError, EventKind, MeasEvent, NeighborMeas, Pci, ReconfigAction, RrcMessage};
+use fiveg_rrc::{codec, CodecError, EventKind, MeasEvent, NeighborMeas, Pci, RrcMessage};
 use prognos::{CellObs, LegSnapshot};
 
 /// Protocol version carried in HELLO.
@@ -197,20 +197,6 @@ fn ho_from_wire(tag: u8) -> Option<HoType> {
         7 => HoType::Mcgh,
         _ => return None,
     })
-}
-
-/// The HO type announced by a reconfiguration action — the same bijection
-/// the signaling model uses between HO procedures and their commands.
-pub fn action_ho(a: &ReconfigAction) -> HoType {
-    match a {
-        ReconfigAction::LteHandover { .. } => HoType::Lteh,
-        ReconfigAction::MenbHandover { .. } => HoType::Mnbh,
-        ReconfigAction::ScgAddition { .. } => HoType::Scga,
-        ReconfigAction::ScgRelease => HoType::Scgr,
-        ReconfigAction::ScgModification { .. } => HoType::Scgm,
-        ReconfigAction::ScgChange { .. } => HoType::Scgc,
-        ReconfigAction::McgHandover { .. } => HoType::Mcgh,
-    }
 }
 
 fn arch_wire_tag(a: Arch) -> u8 {
@@ -500,7 +486,7 @@ pub fn try_read_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtoError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiveg_rrc::EventConfig;
+    use fiveg_rrc::{EventConfig, ReconfigAction};
 
     fn obs(pci: u16, rsrp: f64, group: Option<u32>) -> CellObs {
         CellObs { pci: Pci(pci), rrs: Rrs { rsrp_dbm: rsrp, rsrq_db: -11.25, sinr_db: 7.5 }, group }

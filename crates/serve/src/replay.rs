@@ -2,34 +2,24 @@
 //!
 //! [`trace_frames`] converts one fleet-recorded [`Trace`] into the exact
 //! frame sequence a live UE would emit: HELLO, the MeasConfig, then per
-//! sample the radio snapshot, any due measurement reports and HO commands,
-//! and a PREDICT — the same per-tick ordering the offline scorer
-//! (`fiveg_bench::driver::run_prognos`) uses, with the same
-//! measurement-object group derivation. Frames are *canonicalized* (one
-//! encode/decode round trip) before being returned, so the client-side
-//! offline replay and the server both consume values already on the RRC
-//! codec's centi-dB grid — byte-identical inputs on both paths.
+//! [`trace_steps`] step the radio snapshot, its due measurement reports and
+//! HO commands, and a PREDICT. `trace_steps` is the one trace-to-Prognos
+//! mapping; the offline scorer (`fiveg_bench::driver::run_prognos`) reads
+//! the same steps. Frames are *canonicalized* (one encode/decode round
+//! trip) before being returned, so the client-side offline replay and the
+//! server both consume values already on the RRC codec's centi-dB grid —
+//! byte-identical inputs on both paths.
 //!
 //! [`replay_offline`] is the ground truth the server is compared against:
 //! the same [`SessionCore`] the server runs, fed directly.
 
 use crate::proto::{self, Frame, PROTO_VERSION};
 use crate::session::{SessionCore, SessionCounts, SessionError};
-use fiveg_radio::BandClass;
-use fiveg_ran::{Arch, HandoverRecord, HoType};
-use fiveg_rrc::{NeighborMeas, Pci, ReconfigAction};
-use fiveg_sim::Trace;
-use prognos::{CellObs, LegSnapshot};
-
-/// FNV-1a-32 over the band name — the measurement-object group key for
-/// frequency-scoped events (identical to the offline scorer's).
-fn freq_key(band: &str) -> u32 {
-    let mut h: u32 = 0x811c9dc5;
-    for b in band.bytes() {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h
-}
+use fiveg_bench::driver::trace_steps;
+use fiveg_radio::Rrs;
+use fiveg_ran::{HandoverRecord, HoType};
+use fiveg_rrc::{NeighborMeas, Pci, ReconfigAction, RrcMessage};
+use fiveg_sim::{MrRecord, Trace};
 
 /// The HO command a recorded handover would have arrived as.
 fn ho_action(h: &HandoverRecord) -> ReconfigAction {
@@ -45,71 +35,34 @@ fn ho_action(h: &HandoverRecord) -> ReconfigAction {
     }
 }
 
+/// The measurement report a recorded one would have arrived as (the trace
+/// keeps no RRS with it).
+fn report_msg(r: &MrRecord) -> RrcMessage {
+    let rrs = Rrs { rsrp_dbm: 0.0, rsrq_db: 0.0, sinr_db: 0.0 };
+    RrcMessage::MeasurementReport {
+        event: r.event,
+        serving_pci: Pci(r.serving_pci),
+        serving_rrs: rrs,
+        neighbors: r.neighbor_pcis.iter().map(|&p| NeighborMeas { pci: Pci(p), rrs }).collect(),
+    }
+}
+
 /// Converts a recorded trace into the canonical wire-frame sequence for
 /// session id `ue`.
 pub fn trace_frames(trace: &Trace, ue: u32) -> Vec<Frame> {
-    let lte_obs =
-        |cell: u32, rrs| CellObs { pci: Pci(trace.cell(cell).pci), rrs, group: Some(freq_key(&trace.cell(cell).band)) };
-    let nr_obs = |cell: u32, rrs| CellObs {
-        pci: Pci(trace.cell(cell).pci),
-        rrs,
-        group: if trace.meta.arch == Arch::Nsa {
-            Some(trace.cell(cell).tower)
-        } else {
-            Some(freq_key(&trace.cell(cell).band))
-        },
-    };
-
     let mut frames = Vec::with_capacity(trace.samples.len() * 2 + trace.reports.len() + 4);
     frames.push(Frame::Hello { ver: PROTO_VERSION, arch: trace.meta.arch, ue });
-    frames.push(Frame::Config { t: 0.0, msg: fiveg_rrc::RrcMessage::MeasConfig { configs: trace.configs.clone() } });
-
-    let mut rep_i = 0usize;
-    let mut ho_i = 0usize;
-    for s in &trace.samples {
-        frames.push(Frame::Sample {
-            t: s.t,
-            lte: LegSnapshot {
-                serving: s.lte_cell.zip(s.lte_rrs).map(|(c, r)| lte_obs(c, r)),
-                neighbors: s.lte_neighbors.iter().map(|&(c, r)| lte_obs(c, r)).collect(),
-            },
-            nr: LegSnapshot {
-                serving: s.nr_cell.zip(s.nr_rrs).map(|(c, r)| nr_obs(c, r)),
-                neighbors: s.nr_neighbors.iter().map(|&(c, r)| nr_obs(c, r)).collect(),
-            },
-        });
-        while rep_i < trace.reports.len() && trace.reports[rep_i].t <= s.t {
-            let r = &trace.reports[rep_i];
-            frames.push(Frame::Report {
-                t: s.t,
-                msg: fiveg_rrc::RrcMessage::MeasurementReport {
-                    event: r.event,
-                    serving_pci: Pci(r.serving_pci),
-                    serving_rrs: fiveg_radio::Rrs { rsrp_dbm: 0.0, rsrq_db: 0.0, sinr_db: 0.0 },
-                    neighbors: r
-                        .neighbor_pcis
-                        .iter()
-                        .map(|&p| NeighborMeas {
-                            pci: Pci(p),
-                            rrs: fiveg_radio::Rrs { rsrp_dbm: 0.0, rsrq_db: 0.0, sinr_db: 0.0 },
-                        })
-                        .collect(),
-                },
-            });
-            rep_i += 1;
-        }
-        while ho_i < trace.handovers.len() && trace.handovers[ho_i].t_command <= s.t {
-            frames.push(Frame::Handover {
-                t: s.t,
-                msg: fiveg_rrc::RrcMessage::RrcReconfiguration { action: ho_action(&trace.handovers[ho_i]) },
-            });
-            ho_i += 1;
-        }
-        let nr_band: Option<BandClass> = s
-            .nr_cell
-            .map(|c| trace.cell(c).class)
-            .or_else(|| s.nr_neighbors.first().map(|&(c, _)| trace.cell(c).class));
-        frames.push(Frame::Predict { t: s.t, has_scg: s.nr_cell.is_some(), nr_band });
+    frames.push(Frame::Config { t: 0.0, msg: RrcMessage::MeasConfig { configs: trace.configs.clone() } });
+    for step in trace_steps(trace) {
+        let t = step.t;
+        frames.push(Frame::Sample { t, lte: step.lte, nr: step.nr });
+        frames.extend(step.reports.iter().map(|r| Frame::Report { t, msg: report_msg(r) }));
+        frames.extend(
+            step.handovers
+                .iter()
+                .map(|h| Frame::Handover { t, msg: RrcMessage::RrcReconfiguration { action: ho_action(h) } }),
+        );
+        frames.push(Frame::Predict { t, has_scg: step.ctx.has_scg, nr_band: step.ctx.nr_band });
     }
     frames.push(Frame::Bye);
     canonicalize(frames)
@@ -159,7 +112,7 @@ pub fn replay_offline(frames: &[Frame]) -> Result<OfflineReplay, SessionError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiveg_ran::Carrier;
+    use fiveg_ran::{Arch, Carrier};
     use fiveg_sim::ScenarioBuilder;
 
     fn small_trace() -> Trace {
@@ -174,10 +127,36 @@ mod tests {
         assert!(matches!(frames[0], Frame::Hello { ue: 3, arch: Arch::Sa, .. }));
         assert!(matches!(frames[1], Frame::Config { .. }));
         assert!(matches!(frames.last(), Some(Frame::Bye)));
-        let samples = frames.iter().filter(|f| matches!(f, Frame::Sample { .. })).count();
-        let predicts = frames.iter().filter(|f| matches!(f, Frame::Predict { .. })).count();
-        assert_eq!(samples, trace.samples.len());
-        assert_eq!(predicts, trace.samples.len(), "one PREDICT per sample");
+        let mut rest = frames[2..frames.len() - 1].iter();
+        for step in trace_steps(&trace) {
+            assert!(matches!(rest.next(), Some(Frame::Sample { t, .. }) if *t == step.t), "SAMPLE at {}", step.t);
+            for r in step.reports {
+                let f = rest.next();
+                assert!(
+                    matches!(f, Some(Frame::Report { t, msg: RrcMessage::MeasurementReport { event, .. } })
+                        if *t == step.t && *event == r.event),
+                    "REPORT at {}: {f:?}",
+                    step.t
+                );
+            }
+            for h in step.handovers {
+                let f = rest.next();
+                assert!(
+                    matches!(f, Some(Frame::Handover { t, msg: RrcMessage::RrcReconfiguration { action } })
+                        if *t == step.t && HoType::from_action(action) == h.ho_type),
+                    "HANDOVER at {}: {f:?}",
+                    step.t
+                );
+            }
+            let f = rest.next();
+            assert!(
+                matches!(f, Some(Frame::Predict { t, has_scg, nr_band })
+                    if *t == step.t && *has_scg == step.ctx.has_scg && *nr_band == step.ctx.nr_band),
+                "PREDICT at {}: {f:?}",
+                step.t
+            );
+        }
+        assert_eq!(rest.next(), None, "no frame beyond the steps'");
     }
 
     #[test]
@@ -190,9 +169,11 @@ mod tests {
         assert_eq!(a, b, "offline replay must be deterministic");
         assert_eq!(a.counts.samples, trace.samples.len() as u64);
         assert_eq!(a.counts.predictions, trace.samples.len() as u64);
-        // reports/handovers past the final sample's time are never delivered
-        assert!(a.counts.reports <= trace.reports.len() as u64);
-        assert!(a.counts.handovers as usize <= trace.handovers.len());
+        let reports: usize = trace_steps(&trace).map(|s| s.reports.len()).sum();
+        let handovers: usize = trace_steps(&trace).map(|s| s.handovers.len()).sum();
+        assert!(reports > 0 && handovers > 0, "{reports} reports, {handovers} handovers");
+        assert_eq!(a.counts.reports, reports as u64);
+        assert_eq!(a.counts.handovers, handovers as u64);
     }
 
     #[test]

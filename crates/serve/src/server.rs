@@ -18,8 +18,8 @@
 //! enforces `max_sessions` — beyond it, new connections are closed
 //! immediately rather than queued without bound.
 
-use crate::proto::{self, Frame, ProtoError};
-use crate::session::{SessionCore, SessionError};
+use crate::proto::{self, Frame};
+use crate::session::SessionCore;
 use fiveg_telemetry::Histogram;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
@@ -287,15 +287,11 @@ impl Inner {
     }
 }
 
-fn error_code(e: &ProtoError) -> u8 {
-    let _ = e;
-    1
-}
+/// ERROR code of a frame that does not decode.
+const MALFORMED_CODE: u8 = 1;
 
-fn session_error_code(e: &SessionError) -> u8 {
-    let _ = e;
-    2
-}
+/// ERROR code of a frame the session rejects.
+const SESSION_CODE: u8 = 2;
 
 /// ERROR code of a session whose servicing panicked: the server's fault,
 /// not the peer's.
@@ -354,8 +350,8 @@ fn service(inner: &Inner, s: &mut Session) -> Verdict {
                         progressed = true;
                     }
                     Ok(None) => progressed = true,
-                    Err(e) => {
-                        proto::write_frame(&mut s.outbuf, &Frame::Error { code: session_error_code(&e) });
+                    Err(_) => {
+                        proto::write_frame(&mut s.outbuf, &Frame::Error { code: SESSION_CODE });
                         break Some(CloseReason::Malformed);
                     }
                 }
@@ -363,8 +359,8 @@ fn service(inner: &Inner, s: &mut Session) -> Verdict {
                     break Some(CloseReason::Completed);
                 }
             }
-            Err(e) => {
-                proto::write_frame(&mut s.outbuf, &Frame::Error { code: error_code(&e) });
+            Err(_) => {
+                proto::write_frame(&mut s.outbuf, &Frame::Error { code: MALFORMED_CODE });
                 break Some(CloseReason::Malformed);
             }
         }

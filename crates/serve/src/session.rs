@@ -9,8 +9,8 @@
 //! scheduling) around it, which is exactly what the equivalence digest in
 //! `BENCH_serve.json` verifies end to end.
 
-use crate::proto::{action_ho, Frame, PROTO_VERSION};
-use fiveg_ran::Arch;
+use crate::proto::{Frame, PROTO_VERSION};
+use fiveg_ran::{Arch, HoType};
 use fiveg_rrc::RrcMessage;
 use prognos::{Prognos, PrognosConfig, UeContext};
 
@@ -148,7 +148,7 @@ impl SessionCore {
             }
             Frame::Handover { msg: RrcMessage::RrcReconfiguration { action }, .. } => {
                 self.counts.handovers += 1;
-                open.pg.on_handover(action_ho(action));
+                open.pg.on_handover(HoType::from_action(action));
                 None
             }
             Frame::Predict { t, has_scg, nr_band } => {

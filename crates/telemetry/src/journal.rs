@@ -1,10 +1,11 @@
 //! Bounded event journal: a ring buffer of typed, sim-time-stamped events
-//! with a hand-rolled JSONL encoding (no external dependencies).
+//! with a JSONL encoding written through the crate's [`JsonBuf`].
 //!
 //! Determinism contract: entries carry sim-time and a monotone sequence
 //! number only — never wall-clock — so two runs of the same scenario emit
 //! byte-identical journals.
 
+use crate::json::JsonBuf;
 use std::collections::VecDeque;
 
 /// A typed journal event. String payloads (acronyms, labels) keep this
@@ -68,92 +69,62 @@ pub struct JournalEntry {
 impl JournalEntry {
     /// One JSON object, single line, key order fixed.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"t\":");
-        push_f64(&mut s, self.t);
-        s.push_str(",\"seq\":");
-        s.push_str(&self.seq.to_string());
-        s.push_str(",\"kind\":\"");
-        s.push_str(self.event.kind());
-        s.push('"');
+        let mut j = JsonBuf::new();
+        let str_field = |j: &mut JsonBuf, key: &str, val: &str| {
+            j.key(key);
+            j.str_val(val);
+        };
+        let num_field = |j: &mut JsonBuf, key: &str, v: f64| {
+            j.key(key);
+            j.num(v);
+        };
+        j.open('{');
+        num_field(&mut j, "t", self.t);
+        j.key("seq");
+        j.uint(self.seq);
+        str_field(&mut j, "kind", self.event.kind());
         match &self.event {
             Event::HoStart { ho_type, target_pci } => {
-                push_str_field(&mut s, "ho_type", ho_type);
+                str_field(&mut j, "ho_type", ho_type);
                 if let Some(pci) = target_pci {
-                    s.push_str(",\"target_pci\":");
-                    s.push_str(&pci.to_string());
+                    j.key("target_pci");
+                    j.uint(u64::from(*pci));
                 }
             }
             Event::HoCommit { ho_type, duration_ms } => {
-                push_str_field(&mut s, "ho_type", ho_type);
-                push_f64_field(&mut s, "duration_ms", *duration_ms);
+                str_field(&mut j, "ho_type", ho_type);
+                num_field(&mut j, "duration_ms", *duration_ms);
             }
-            Event::HoFailure { ho_type } => push_str_field(&mut s, "ho_type", ho_type),
-            Event::Rlf { leg } => push_str_field(&mut s, "leg", leg),
-            Event::MrLoss { event } => push_str_field(&mut s, "event", event),
-            Event::StallStart { flow } => push_str_field(&mut s, "flow", flow),
+            Event::HoFailure { ho_type } => str_field(&mut j, "ho_type", ho_type),
+            Event::Rlf { leg } => str_field(&mut j, "leg", leg),
+            Event::MrLoss { event } => str_field(&mut j, "event", event),
+            Event::StallStart { flow } => str_field(&mut j, "flow", flow),
             Event::StallEnd { flow, duration_s } => {
-                push_str_field(&mut s, "flow", flow);
-                push_f64_field(&mut s, "duration_s", *duration_s);
+                str_field(&mut j, "flow", flow);
+                num_field(&mut j, "duration_s", *duration_s);
             }
             Event::PredictionIssued { ho_type, lead_s, confidence } => {
-                push_str_field(&mut s, "ho_type", ho_type);
-                push_f64_field(&mut s, "lead_s", *lead_s);
-                push_f64_field(&mut s, "confidence", *confidence);
+                str_field(&mut j, "ho_type", ho_type);
+                num_field(&mut j, "lead_s", *lead_s);
+                num_field(&mut j, "confidence", *confidence);
             }
             Event::PredictionHit { ho_type, lead_s } => {
-                push_str_field(&mut s, "ho_type", ho_type);
-                push_f64_field(&mut s, "lead_s", *lead_s);
+                str_field(&mut j, "ho_type", ho_type);
+                num_field(&mut j, "lead_s", *lead_s);
             }
             Event::PredictionMiss { predicted, actual } => {
+                j.key("predicted");
                 match predicted {
-                    Some(p) => push_str_field(&mut s, "predicted", p),
-                    None => s.push_str(",\"predicted\":null"),
+                    Some(p) => j.str_val(p),
+                    None => j.null(),
                 }
-                push_str_field(&mut s, "actual", actual);
+                str_field(&mut j, "actual", actual);
             }
-            Event::FaultInjected { kind } => push_str_field(&mut s, "fault", kind),
+            Event::FaultInjected { kind } => str_field(&mut j, "fault", kind),
         }
-        s.push('}');
-        s
+        j.close('}');
+        j.into_string()
     }
-}
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // `Display` for f64 is the shortest round-trippable decimal:
-        // deterministic across runs and platforms.
-        out.push_str(&v.to_string());
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_f64_field(out: &mut String, key: &str, v: f64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    push_f64(out, v);
-}
-
-fn push_str_field(out: &mut String, key: &str, val: &str) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":\"");
-    for c in val.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Capacity-bounded ring buffer of [`JournalEntry`]s (drop-oldest).

@@ -113,6 +113,11 @@ impl JsonBuf {
         &self.out
     }
 
+    /// Consumes the buffer, returning the document.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
     /// Consumes the buffer, returning the document with a trailing newline.
     pub fn finish_line(mut self) -> String {
         self.out.push('\n');

@@ -5,10 +5,8 @@
 //! cargo run --release --example predict_live
 //! ```
 
+use fiveg_bench::driver::trace_steps;
 use fiveg_mobility::prelude::*;
-use fiveg_mobility::prognos::{CellObs, LegSnapshot, UeContext};
-use fiveg_mobility::ran::Arch;
-use fiveg_mobility::rrc::Pci;
 
 fn main() {
     // a 20-minute walking loop on OpX (dense urban, mmWave present)
@@ -23,31 +21,17 @@ fn main() {
     let mut pg = Prognos::new(PrognosConfig::default());
     pg.set_configs(trace.configs.clone());
 
-    let pci_of = |c: u32| Pci(trace.cell(c).pci);
-    let obs = |c: u32, rrs| CellObs { pci: pci_of(c), rrs, group: Some(trace.cell(c).tower) };
-
-    let mut rep_i = 0;
-    let mut ho_i = 0;
     let mut last_call: Option<(HoType, f64)> = None;
     let mut calls = 0u32;
     let mut hits = 0u32;
 
-    for s in &trace.samples {
-        let lte = LegSnapshot {
-            serving: s.lte_cell.zip(s.lte_rrs).map(|(c, r)| CellObs { pci: pci_of(c), rrs: r, group: None }),
-            neighbors: s.lte_neighbors.iter().map(|&(c, r)| CellObs { pci: pci_of(c), rrs: r, group: None }).collect(),
-        };
-        let nr = LegSnapshot {
-            serving: s.nr_cell.zip(s.nr_rrs).map(|(c, r)| obs(c, r)),
-            neighbors: s.nr_neighbors.iter().map(|&(c, r)| obs(c, r)).collect(),
-        };
-        pg.on_sample(s.t, &lte, &nr);
-        while rep_i < trace.reports.len() && trace.reports[rep_i].t <= s.t {
-            pg.on_report(trace.reports[rep_i].event);
-            rep_i += 1;
+    // the offline scorer's own replay of the trace
+    for step in trace_steps(&trace) {
+        pg.on_sample(step.t, &step.lte, &step.nr);
+        for r in step.reports {
+            pg.on_report(r.event);
         }
-        while ho_i < trace.handovers.len() && trace.handovers[ho_i].t_command <= s.t {
-            let h = &trace.handovers[ho_i];
+        for h in step.handovers {
             let verdict = match last_call {
                 Some((ho, t_call)) if ho == h.ho_type && h.t_command - t_call < 3.0 => {
                     hits += 1;
@@ -58,18 +42,12 @@ fn main() {
             println!("  t={:6.1}s  actual {:<4} -> {verdict}", h.t_command, h.ho_type.acronym());
             pg.on_handover(h.ho_type);
             last_call = None;
-            ho_i += 1;
         }
-        let ctx = UeContext {
-            arch: Arch::Nsa,
-            has_scg: s.nr_cell.is_some(),
-            nr_band: s.nr_cell.map(|c| trace.cell(c).class),
-        };
-        let p = pg.predict(s.t, &ctx);
+        let p = pg.predict(step.t, &step.ctx);
         if let Some(ho) = p.ho {
             if last_call.map(|(h, _)| h != ho).unwrap_or(true) {
                 calls += 1;
-                last_call = Some((ho, s.t));
+                last_call = Some((ho, step.t));
             }
         }
     }

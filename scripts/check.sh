@@ -135,6 +135,9 @@ run_perf() {
 # 8-session fan-out. serve_load exits 2 when a wire PROGNOSIS differs from
 # the offline Prognos replay, and gates its counts and the equivalence
 # digest against BENCH_serve.json (see the fiveg_bench::perfgate docs).
+# The frames come from fiveg_bench::driver::trace_steps, the one mapping
+# the offline scorer (Table 3, Figs. 14, 15, 18) also reads, so the digest
+# pins the scorer's inputs too; nothing else in CI gates those numbers.
 run_serve() {
     echo "== serve gate (UDS server + serve_load replay vs committed baseline, tol 15%)"
     cargo build -q --release -p fiveg-serve --bin serve --bin serve_load

@@ -1,43 +1,25 @@
 //! Integration: the Prognos pipeline over simulated traces.
 
+use fiveg_bench::driver::trace_steps;
 use fiveg_mobility::prelude::*;
-use fiveg_mobility::prognos::{CellObs, LegSnapshot, UeContext};
+use fiveg_mobility::prognos::UeContext;
 use fiveg_mobility::ran::Arch;
-use fiveg_mobility::rrc::Pci;
 
+/// Replays `trace` through a fresh Prognos over the scorer's mapping,
+/// counting positive predictions and the HOs called by a same-type
+/// prediction under 3 s before their command.
 fn drive_prognos(trace: &Trace) -> (Prognos, usize, usize) {
     let mut pg = Prognos::new(PrognosConfig::default());
     pg.set_configs(trace.configs.clone());
-    let pci_of = |c: u32| Pci(trace.cell(c).pci);
-    let mut rep_i = 0;
-    let mut ho_i = 0;
     let mut positives = 0usize;
     let mut anticipated = 0usize;
     let mut last_call: Option<(HoType, f64)> = None;
-    for s in &trace.samples {
-        let lte = LegSnapshot {
-            serving: s.lte_cell.zip(s.lte_rrs).map(|(c, r)| CellObs { pci: pci_of(c), rrs: r, group: None }),
-            neighbors: s.lte_neighbors.iter().map(|&(c, r)| CellObs { pci: pci_of(c), rrs: r, group: None }).collect(),
-        };
-        let nr = LegSnapshot {
-            serving: s.nr_cell.zip(s.nr_rrs).map(|(c, r)| CellObs {
-                pci: pci_of(c),
-                rrs: r,
-                group: Some(trace.cell(c).tower),
-            }),
-            neighbors: s
-                .nr_neighbors
-                .iter()
-                .map(|&(c, r)| CellObs { pci: pci_of(c), rrs: r, group: Some(trace.cell(c).tower) })
-                .collect(),
-        };
-        pg.on_sample(s.t, &lte, &nr);
-        while rep_i < trace.reports.len() && trace.reports[rep_i].t <= s.t {
-            pg.on_report(trace.reports[rep_i].event);
-            rep_i += 1;
+    for step in trace_steps(trace) {
+        pg.on_sample(step.t, &step.lte, &step.nr);
+        for r in step.reports {
+            pg.on_report(r.event);
         }
-        while ho_i < trace.handovers.len() && trace.handovers[ho_i].t_command <= s.t {
-            let h = &trace.handovers[ho_i];
+        for h in step.handovers {
             if let Some((ho, t_call)) = last_call {
                 if ho == h.ho_type && h.t_command - t_call < 3.0 {
                     anticipated += 1;
@@ -45,17 +27,11 @@ fn drive_prognos(trace: &Trace) -> (Prognos, usize, usize) {
             }
             pg.on_handover(h.ho_type);
             last_call = None;
-            ho_i += 1;
         }
-        let ctx = UeContext {
-            arch: Arch::Nsa,
-            has_scg: s.nr_cell.is_some(),
-            nr_band: s.nr_cell.map(|c| trace.cell(c).class),
-        };
-        let p = pg.predict(s.t, &ctx);
+        let p = pg.predict(step.t, &step.ctx);
         if let Some(ho) = p.ho {
             positives += 1;
-            last_call = Some((ho, s.t));
+            last_call = Some((ho, step.t));
         }
     }
     (pg, positives, anticipated)
